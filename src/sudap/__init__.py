@@ -10,10 +10,8 @@ verification at small m.
 
 from .dykstra import (
     DykstraConfig,
-    DykstraState,
     DykstraTrace,
     dykstra_project,
-    per_pixel_unconverged,
 )
 from .errors import (
     BadMagic,
@@ -42,8 +40,6 @@ from .metrics import (
 )
 from .model import (
     AbundanceMatrix,
-    CoefficientMatrix,
-    ConstraintSets,
     EndmemberMatrix,
     FeasibilityReport,
     ImageCube,
@@ -51,8 +47,6 @@ from .model import (
     validate_dimensions,
 )
 from .projectors import (
-    HalfspaceProjection,
-    halfspace_projection,
     project_hyperplane,
     project_intersection_geometric,
     project_intersection_kkt,
@@ -88,18 +82,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AbundanceMatrix",
     "BadMagic",
-    "CoefficientMatrix",
-    "ConstraintSets",
     "ConvergenceCurve",
     "DegenerateProblem",
     "DimensionMismatch",
     "DykstraConfig",
-    "DykstraState",
     "DykstraTrace",
     "EmptyFile",
     "EndmemberMatrix",
     "FeasibilityReport",
-    "HalfspaceProjection",
     "ImageCube",
     "IndexOutOfRange",
     "InsufficientCandidates",
@@ -123,14 +113,12 @@ __all__ = [
     "column_feasibility",
     "dykstra_project",
     "forward_transform",
-    "halfspace_projection",
     "inverse_transform",
     "make_synthetic_library",
     "measured_snr_db",
     "nmse_db",
     "objective",
     "pairwise_angles_deg",
-    "per_pixel_unconverged",
     "project_hyperplane",
     "project_intersection_geometric",
     "project_intersection_kkt",

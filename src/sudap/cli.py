@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -50,6 +51,7 @@ from .simdata import (
     measured_snr_db,
     sample_abundances,
     select_endmember_indices,
+    select_endmembers,
     synthesize_cube,
 )
 from .solver import (
@@ -163,14 +165,7 @@ def cmd_unmix(args) -> int:
     )
 
     if args.solver == "sudap":
-        cfg = DykstraConfig(
-            max_sweeps=args.max_sweeps,
-            rel_tol=args.rel_tol,
-            track_per_pixel=bool(args.curve),
-            snapshot_every=args.snapshot_every if args.curve else 0,
-            threads=args.threads,
-        )
-        result = solve_sudap(e, cube, cfg)
+        result = solve_sudap(e, cube, args.cfg)
     elif args.solver == "ls":
         result = solve_ls(e, cube)
     elif args.solver == "ls-sum1":
@@ -217,14 +212,11 @@ def cmd_unmix(args) -> int:
 # ------------------------------------------------------------ benchmark
 
 
-def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db,
-                        max_sweeps, threads, seed):
+def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
+                        seed):
     seed_sel, seed_ab, seed_noise = _child_seeds(seed, 3)
     shape = _grid(n)
-    idx = select_endmember_indices(lib, m, min_angle, seed_sel)
-    e = EndmemberMatrix(
-        lib.signatures[:, idx].copy(), wavelengths=lib.wavelengths
-    )
+    e = select_endmembers(lib, m, min_angle, seed_sel)
     a_true = sample_abundances(m, n, seed_ab)
     a_true = AbundanceMatrix(a_true.data, shape, feasible=True)
     cube = synthesize_cube(e, a_true, NoiseSpec(snr_db, seed_noise), shape)
@@ -233,8 +225,9 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db,
         ref = solve_oracle_activeset(e, cube)
     else:
         ref = solve_sudap(
-            e, cube, DykstraConfig(max_sweeps=4 * max_sweeps,
-                                   rel_tol=1e-13, threads=threads)
+            e, cube, dataclasses.replace(
+                cfg, max_sweeps=4 * cfg.max_sweeps, rel_tol=1e-13
+            )
         )
     a_star = ref.a_hat.data
 
@@ -242,16 +235,10 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db,
     re_per_sweep: list = []
 
     def watch(_sweep, u):
-        a_k = inverse_transform(t, u)
-        err = float(np.linalg.norm(a_k - a_star) ** 2)
-        ref_power = float(np.linalg.norm(a_star) ** 2)
         re_per_sweep.append(
-            -np.inf if err == 0.0 else 10.0 * np.log10(err / ref_power)
+            relative_error_db(inverse_transform(t, u), a_star)
         )
 
-    cfg = DykstraConfig(
-        max_sweeps=max_sweeps, rel_tol=1e-12, threads=threads
-    )
     result = solve_sudap(e, cube, cfg, on_sweep=watch)
 
     res = np.asarray(re_per_sweep)
@@ -300,7 +287,7 @@ def cmd_benchmark(args) -> int:
             try:
                 rec = _benchmark_instance(
                     lib, m, n, snr, args.min_angle, args.stop_re_db,
-                    args.max_sweeps, args.threads, seed,
+                    args.cfg, seed,
                 )
             except errors.SudapError as exc:
                 rows.append([
@@ -489,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--min-angle", type=float, default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
     be.add_argument("--threads", type=int, default=_default_threads())
-    be.set_defaults(func=cmd_benchmark)
+    # Benchmark runs solve to a fixed tolerance and draw no curve.
+    be.set_defaults(func=cmd_benchmark, rel_tol=1e-12, curve=None)
 
     va = sub.add_parser("validate", help="run seeded self-checks")
     va.add_argument("--seed", type=int, default=0)
@@ -503,8 +491,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "validate" and args.instances < 1:
         parser.error("--instances must be at least 1")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
+    if args.command in ("unmix", "benchmark"):
+        try:
+            args.cfg = DykstraConfig(
+                max_sweeps=args.max_sweeps,
+                rel_tol=args.rel_tol,
+                snapshot_every=args.snapshot_every if args.curve else 0,
+                threads=args.threads,
+            )
+        except ValueError as exc:
+            # DykstraConfig's message starts with the field name.
+            field, _, rest = str(exc).partition(" ")
+            parser.error(f"--{field.replace('_', '-')} {rest}")
     try:
         return args.func(args)
     except errors.SudapError as exc:

@@ -42,6 +42,10 @@ from .subspace import SubspaceTransform
 # Guard against a zero-norm iterate in the relative-change denominator.
 REL_CHANGE_EPS = 1e-300
 
+# A pixel counts as still moving while its own squared relative change
+# over one sweep exceeds this level, in dB.
+PIXEL_TOL_DB = -100.0
+
 
 @dataclass
 class DykstraConfig:
@@ -49,13 +53,13 @@ class DykstraConfig:
 
     rel_tol = 0 turns the successive-change test off in practice (it
     only fires on an exact fixed point), giving a fixed-sweep run of
-    max_sweeps for benchmarking.
+    max_sweeps for benchmarking. snapshot_every > 0 keeps a copy of the
+    iterate every that many sweeps and also records, every sweep, how
+    many pixels are still moving; 0 turns both off.
     """
 
     max_sweeps: int = 2000
     rel_tol: float = 1e-10
-    track_per_pixel: bool = False
-    pixel_tol_db: float = -100.0
     snapshot_every: int = 0
     threads: int = 1
 
@@ -70,16 +74,6 @@ class DykstraConfig:
             raise ValueError("snapshot_every must be non-negative")
 
 
-@dataclass
-class DykstraState:
-    """Mutable loop state: iterate, per-set corrections, progress."""
-
-    u: np.ndarray
-    q: list
-    sweep: int = 0
-    last_delta: float = np.inf
-
-
 @dataclass(frozen=True)
 class DykstraTrace:
     """Per-sweep records of one run, ordered by sweep.
@@ -89,7 +83,9 @@ class DykstraTrace:
     run off the clock so instrumented runs time like plain ones.
     objective is |Y - U|_F^2 against the untouched input Y.
     snapshots holds (sweep, copy of U) pairs when snapshotting is on,
-    always including the final sweep.
+    always including the final sweep. unconverged holds, per sweep, the
+    number of pixels whose relative change still exceeds PIXEL_TOL_DB;
+    it comes with snapshots and is None when snapshotting is off.
     """
 
     sweeps: np.ndarray
@@ -170,11 +166,8 @@ def dykstra_project(
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
-    state = DykstraState(
-        u=project_hyperplane(t, y),
-        q=[np.zeros((m, n)) for _ in range(m)],
-    )
-    u = state.u
+    u = project_hyperplane(t, y)
+    q = [np.zeros((m, n)) for _ in range(m)]
     u_prev = np.empty_like(u)
 
     n_workers = min(cfg.threads, n)
@@ -190,20 +183,21 @@ def dykstra_project(
     sum_violations: list[float] = []
     unconverged: list[int] = []
     snapshots: list = []
-    pixel_thresh = 10.0 ** (cfg.pixel_tol_db / 10.0)
+    pixel_thresh = 10.0 ** (PIXEL_TOL_DB / 10.0)
 
     clock = 0.0
     converged = False
+    sweep = 0
     try:
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
             u_prev[:] = u
             if executor is None:
-                _sweep_block(t, u, state.q, 0, n, sweep == 1)
+                _sweep_block(t, u, q, 0, n, sweep == 1)
             else:
                 futures = [
                     executor.submit(
-                        _sweep_block, t, u, state.q, lo, hi, sweep == 1
+                        _sweep_block, t, u, q, lo, hi, sweep == 1
                     )
                     for lo, hi in bounds
                 ]
@@ -220,7 +214,7 @@ def dykstra_project(
             )
             objective = float(np.linalg.norm(y - u) ** 2)
             violation = float(np.max(np.abs(t.b @ u - 1.0)))
-            if cfg.track_per_pixel:
+            if cfg.snapshot_every:
                 num = np.einsum("ij,ij->j", diff, diff)
                 den = np.maximum(
                     np.einsum("ij,ij->j", u, u), REL_CHANGE_EPS
@@ -228,14 +222,12 @@ def dykstra_project(
                 n_open = int(np.count_nonzero(num > pixel_thresh * den))
             clock += time.perf_counter() - tic
 
-            state.sweep = sweep
-            state.last_delta = rel
             sweeps.append(sweep)
             elapsed.append(clock)
             rel_changes.append(rel)
             objectives.append(objective)
             sum_violations.append(violation)
-            if cfg.track_per_pixel:
+            if cfg.snapshot_every:
                 unconverged.append(n_open)
             if cfg.snapshot_every and sweep % cfg.snapshot_every == 0:
                 snapshots.append((sweep, u.copy()))
@@ -249,8 +241,8 @@ def dykstra_project(
         if executor is not None:
             executor.shutdown()
 
-    if cfg.snapshot_every and (not snapshots or snapshots[-1][0] != state.sweep):
-        snapshots.append((state.sweep, u.copy()))
+    if cfg.snapshot_every and (not snapshots or snapshots[-1][0] != sweep):
+        snapshots.append((sweep, u.copy()))
 
     trace = DykstraTrace(
         sweeps=np.asarray(sweeps, dtype=np.int64),
@@ -259,40 +251,10 @@ def dykstra_project(
         objective=np.asarray(objectives),
         max_sum_violation=np.asarray(sum_violations),
         unconverged=np.asarray(unconverged, dtype=np.int64)
-        if cfg.track_per_pixel
+        if cfg.snapshot_every
         else None,
         snapshots=snapshots,
         converged=converged,
     )
     return u, trace
 
-
-def per_pixel_unconverged(
-    trace: DykstraTrace, u_star: np.ndarray, tol_db: float = -100.0
-) -> list:
-    """Count columns still far from a reference at each snapshot.
-
-    For every (sweep, U) snapshot in the trace, a column j counts as
-    unconverged when 10 log10(|u_j - u*_j|^2 / |u*_j|^2) exceeds tol_db.
-    The reference u_star normally comes from a long tight-tolerance run.
-    Counts need not fall monotonically, but a run that converged to
-    u_star ends at zero.
-
-    Returns a list of (sweep, count) pairs.
-    """
-    u_star = np.asarray(u_star, dtype=np.float64)
-    thresh = 10.0 ** (tol_db / 10.0)
-    den = np.maximum(
-        np.einsum("ij,ij->j", u_star, u_star), REL_CHANGE_EPS
-    )
-    out = []
-    for sweep, u in trace.snapshots:
-        if u.shape != u_star.shape:
-            raise ShapeMismatch(
-                f"snapshot shape {u.shape} does not match reference "
-                f"{u_star.shape}"
-            )
-        diff = u - u_star
-        num = np.einsum("ij,ij->j", diff, diff)
-        out.append((int(sweep), int(np.count_nonzero(num > thresh * den))))
-    return out

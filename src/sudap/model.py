@@ -7,7 +7,7 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,44 +138,6 @@ class AbundanceMatrix:
     @property
     def n_pixels(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Subspace coefficients U (or transformed observations Y), m x n."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.data, "coefficient matrix"))
-
-    @property
-    def n_pixels(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ConstraintSets:
-    """Descriptive record of the transformed constraint geometry.
-
-    The sum constraint maps to the hyperplane {u : b.u = 1}; each
-    non-negativity constraint maps to the half space {u : d_i.u >= 0}
-    where d_i is a row of the inverse transform.
-    """
-
-    b: np.ndarray
-    half_spaces: list = field(default_factory=list)
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
-        if not np.any(b):
-            raise ValueError("hyperplane normal b must be nonzero")
-        object.__setattr__(self, "b", b)
-        hs = [np.asarray(d, dtype=np.float64) for d in self.half_spaces]
-        for d in hs:
-            if not np.any(d):
-                raise ValueError("half-space normal must be nonzero")
-        object.__setattr__(self, "half_spaces", hs)
 
 
 @dataclass(frozen=True)

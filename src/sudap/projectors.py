@@ -7,28 +7,10 @@ back the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IndexOutOfRange
 from .subspace import SubspaceTransform
-
-
-@dataclass(frozen=True)
-class HalfspaceProjection:
-    """Per-column slide distances of one intersection projection.
-
-    tau[j] is how far column j moved along s_i; moved_mask flags the
-    columns that violated the half space and actually moved.
-    """
-
-    tau: np.ndarray
-    moved_mask: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.tau < 0):
-            raise ValueError("tau must be non-negative")
 
 
 def _columns(z: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -101,10 +83,7 @@ def project_intersection_geometric(
     """
     _check_index(t, i)
     z, single = _columns(z)
-    if z_on_s:
-        zs = z
-    else:
-        zs = z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
+    zs = z if z_on_s else project_hyperplane(t, z)
     tau = t.f[i] - _row_dot(t.s[i], zs)
     np.maximum(tau, 0.0, out=tau)
     out = zs + np.outer(t.s[i], tau)
@@ -132,18 +111,3 @@ def project_intersection_kkt(
     out = w + np.outer(t.s[i], tau)
     return out[:, 0] if single else out
 
-
-def halfspace_projection(
-    t: SubspaceTransform, i: int, z: np.ndarray, z_on_s: bool = False
-) -> HalfspaceProjection:
-    """Expose the slide distances of project_intersection_geometric.
-
-    Introspection helper for telemetry and tests; the projectors above
-    keep this computation inline for speed.
-    """
-    _check_index(t, i)
-    z, _ = _columns(z)
-    if not z_on_s:
-        z = z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
-    tau = np.maximum(0.0, t.f[i] - _row_dot(t.s[i], z))
-    return HalfspaceProjection(tau=tau, moved_mask=tau > 0.0)

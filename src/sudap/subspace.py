@@ -73,34 +73,6 @@ class SubspaceTransform:
         return self.d.shape[0]
 
 
-def _geometry_from_d(d: np.ndarray) -> SubspaceTransform:
-    """Assemble the transform record from a given upper-triangular factor.
-
-    Split out from build_transform so tests can feed an independently
-    computed factor and confirm the geometry does not depend on how D
-    was obtained.
-    """
-    m = d.shape[0]
-    d_inv = scipy.linalg.solve_triangular(d, np.eye(m), lower=False)
-    b = d_inv.sum(axis=0)
-    bb = float(b @ b)
-    c = b / bb
-
-    bd = d_inv @ b
-    pd = d_inv - np.outer(bd, c)
-    p_norms = np.linalg.norm(pd, axis=1)
-    row_norms = np.linalg.norm(d_inv, axis=1)
-    if np.any(p_norms <= 1e3 * np.finfo(np.float64).eps * row_norms):
-        raise DegenerateProblem(
-            "a non-negativity constraint is normal to the sum hyperplane"
-        )
-    s = pd / p_norms[:, None]
-    f = -(d_inv @ c) / p_norms
-    return SubspaceTransform(
-        d=d, d_inv=d_inv, b=b, c=c, s=s, f=f, p_norms=p_norms
-    )
-
-
 def build_transform(
     e: EndmemberMatrix, rank_tol: float = RANK_TOL
 ) -> SubspaceTransform:
@@ -142,7 +114,25 @@ def build_transform(
             f"Cholesky pivot {pivots[worst]:.3e} at column {worst} is below "
             f"the rank threshold {threshold:.3e}"
         )
-    return _geometry_from_d(lower.T.copy())
+    d = lower.T.copy()
+    d_inv = scipy.linalg.solve_triangular(d, np.eye(m), lower=False)
+    b = d_inv.sum(axis=0)
+    bb = float(b @ b)
+    c = b / bb
+
+    bd = d_inv @ b
+    pd = d_inv - np.outer(bd, c)
+    p_norms = np.linalg.norm(pd, axis=1)
+    row_norms = np.linalg.norm(d_inv, axis=1)
+    if np.any(p_norms <= 1e3 * np.finfo(np.float64).eps * row_norms):
+        raise DegenerateProblem(
+            "a non-negativity constraint is normal to the sum hyperplane"
+        )
+    s = pd / p_norms[:, None]
+    f = -(d_inv @ c) / p_norms
+    return SubspaceTransform(
+        d=d, d_inv=d_inv, b=b, c=c, s=s, f=f, p_norms=p_norms
+    )
 
 
 def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:

@@ -183,7 +183,7 @@ def test_error_exit_codes(tmp_path, library_csv):
     assert rc == cli.EXIT_CODES[cli.errors.ShapeMismatch]
 
 
-def test_usage_errors_exit_with_code_two(tmp_path, library_csv):
+def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["unmix", "--solver", "sudap"])
     assert info.value.code == 2
@@ -191,6 +191,21 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv):
         cli.main([
             "unmix", "--cube", "x", "--endmembers", "y",
             "--solver", "sudap", "--out", "z", "--threads", "0",
+        ])
+    assert info.value.code == 2
+    unmix = ["unmix", "--cube", "x", "--endmembers", "y",
+             "--solver", "sudap", "--out", "z"]
+    for bad in (["--max-sweeps", "0"], ["--rel-tol", "-1"],
+                ["--curve", "c.csv", "--snapshot-every", "-1"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(unmix + bad)
+        assert info.value.code == 2
+        assert f"error: {bad[-2]} must be" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main([
+            "benchmark", "--library", "x", "--sweep-var", "m",
+            "--values", "3", "--seed", "0", "--out-dir", "z",
+            "--max-sweeps", "0",
         ])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:

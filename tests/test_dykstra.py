@@ -10,7 +10,6 @@ from sudap import (
     dykstra_project,
     forward_transform,
     inverse_transform,
-    per_pixel_unconverged,
 )
 from conftest import random_endmembers
 
@@ -89,10 +88,7 @@ def test_feasible_input_is_a_fixed_point():
 
 def test_trace_bookkeeping_is_consistent():
     _, t, y = _problem(4)
-    cfg = DykstraConfig(
-        max_sweeps=400, rel_tol=1e-12, snapshot_every=7,
-        track_per_pixel=True,
-    )
+    cfg = DykstraConfig(max_sweeps=400, rel_tol=1e-12, snapshot_every=7)
     u, trace = dykstra_project(t, y, cfg)
     k = trace.n_sweeps
     assert np.array_equal(trace.sweeps, np.arange(1, k + 1))
@@ -123,6 +119,8 @@ def test_zero_tolerance_runs_to_the_sweep_budget():
     # sweeps, so the run must use the whole budget.
     assert trace.n_sweeps == 37
     assert not trace.converged
+    # Per-pixel counts come only with snapshots.
+    assert trace.unconverged is None
 
 
 def test_thread_count_does_not_change_a_single_bit():
@@ -162,21 +160,6 @@ def test_wrong_shape_and_nonfinite_inputs_are_rejected():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFinite):
             dykstra_project(t, poisoned)
-
-
-def test_reference_counts_drop_to_zero_by_the_end():
-    _, t, y = _problem(9, n=40)
-    u_star, _ = dykstra_project(
-        t, y, DykstraConfig(max_sweeps=6000, rel_tol=1e-14)
-    )
-    cfg = DykstraConfig(max_sweeps=3000, rel_tol=1e-13, snapshot_every=1)
-    _, trace = dykstra_project(t, y, cfg)
-    counts = per_pixel_unconverged(trace, u_star, tol_db=-100.0)
-    assert counts[0][0] == 1
-    assert counts[-1][1] == 0
-    assert counts[0][1] >= counts[-1][1]
-    with pytest.raises(ShapeMismatch):
-        per_pixel_unconverged(trace, u_star[:, :-1])
 
 
 def test_corrections_make_the_limit_the_nearest_point():

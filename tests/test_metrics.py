@@ -75,8 +75,7 @@ def _curve_fixture():
     e, a_true, cube = make_instance(6, 48, (6, 8), 5.0, 60, n_bands=40)
     t = build_transform(e)
     y = forward_transform(t, e, cube.data)
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12, snapshot_every=5,
-                        track_per_pixel=True)
+    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12, snapshot_every=5)
     _, trace = dykstra_project(t, y, cfg)
     a_star = solve_oracle_activeset(e, cube).a_hat
     return e, a_true, cube, t, trace, a_star

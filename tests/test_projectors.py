@@ -4,7 +4,6 @@ import pytest
 from sudap import (
     IndexOutOfRange,
     build_transform,
-    halfspace_projection,
     project_hyperplane,
     project_intersection_geometric,
     project_intersection_kkt,
@@ -66,9 +65,11 @@ def test_geometric_projection_skips_replane_when_told():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((6, 30))
     on_plane = project_hyperplane(t, z)
-    a = project_intersection_geometric(t, 2, on_plane, z_on_s=False)
+    # The geometric route drops z with project_hyperplane itself, so
+    # dropping first and skipping the drop gives the same bits.
+    a = project_intersection_geometric(t, 2, z, z_on_s=False)
     b = project_intersection_geometric(t, 2, on_plane, z_on_s=True)
-    assert np.allclose(a, b, atol=1e-12)
+    assert np.array_equal(a, b)
 
 
 def test_points_already_in_intersection_are_fixed():
@@ -102,19 +103,6 @@ def test_kkt_route_invariant_to_offset_shift():
     a = project_intersection_kkt(t, 3, z)
     b = project_intersection_kkt(t, 3, shifted)
     assert np.abs(a - b).max() < 1e-10
-
-
-def test_halfspace_projection_reports_active_columns():
-    t = _transform(16)
-    rng = np.random.default_rng(17)
-    z = project_hyperplane(t, rng.standard_normal((6, 80)) * 3.0)
-    info = halfspace_projection(t, 1, z)
-    assert (info.tau >= 0.0).all()
-    assert info.moved_mask.dtype == np.bool_
-    assert np.array_equal(info.moved_mask, info.tau > 0.0)
-    out = project_intersection_geometric(t, 1, z, z_on_s=True)
-    moved = np.abs(out - z).max(axis=0) > 0.0
-    assert np.array_equal(moved, info.moved_mask)
 
 
 def test_projection_index_bounds_are_checked():
