@@ -6,8 +6,8 @@ Four subcommands:
 * unmix: run one solver on a cube and write the abundance file.
 * benchmark: sweep m, pixel count, or SNR; measure time to an RE
   threshold against an exact reference.
-* validate: seeded self-checks (projector equivalence, oracle
-  equivalence, sum-constraint confinement) with a pass/fail table.
+* validate: the acceptance gate's projector, oracle and sum-constraint
+  checks on seeded scenes, with a pass/fail table.
 
 Every command is deterministic given its seed: rerunning writes
 byte-identical data files. The exceptions are measured timings
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 
@@ -39,7 +38,12 @@ from .metrics import (
     objective,
     relative_error_db,
 )
-from .model import AbundanceMatrix, EndmemberMatrix, column_feasibility
+from .model import (
+    EPS_SUM,
+    AbundanceMatrix,
+    EndmemberMatrix,
+    column_feasibility,
+)
 from .projectors import (
     project_intersection_geometric,
     project_intersection_kkt,
@@ -47,12 +51,10 @@ from .projectors import (
 from .simdata import (
     NoiseSpec,
     SpectralLibrary,
-    make_synthetic_library,
+    child_seeds,
+    make_instance,
+    make_scene,
     measured_snr_db,
-    sample_abundances,
-    select_endmember_indices,
-    select_endmembers,
-    synthesize_cube,
 )
 from .solver import (
     MAX_ORACLE_ENDMEMBERS,
@@ -96,14 +98,24 @@ def _default_threads() -> int:
         return 1
 
 
-def _child_seeds(seed: int, count: int) -> list:
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
+def _at_least(low):
+    """argparse type: a number of low's type (int or float), >= low."""
+
+    def number(text: str):
+        value = type(low)(text)
+        if not value >= low:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return number
 
 
-def _grid(n: int) -> tuple:
-    side = math.isqrt(n)
-    return (side, side) if side * side == n else (1, n)
+def _snr_db(text: str) -> float:
+    """argparse type: an SNR in dB, bounded as NoiseSpec bounds it."""
+    try:
+        return NoiseSpec(float(text), 0).snr_db
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ------------------------------------------------------------- simulate
@@ -111,18 +123,11 @@ def _grid(n: int) -> tuple:
 
 def cmd_simulate(args) -> int:
     lib = sio.read_library_csv(args.library)
-    seed_sel, seed_ab, seed_noise = _child_seeds(args.seed, 3)
-    idx = select_endmember_indices(lib, args.m, args.min_angle, seed_sel)
+    idx, e, a, cube = make_scene(
+        lib, args.m, args.min_angle, (args.rows, args.cols), args.snr_db,
+        child_seeds(args.seed, 3),
+    )
     names = tuple(lib.names[i] for i in idx)
-    e = EndmemberMatrix(
-        lib.signatures[:, idx].copy(), wavelengths=lib.wavelengths
-    )
-    n = args.rows * args.cols
-    a = sample_abundances(args.m, n, seed_ab)
-    a = AbundanceMatrix(a.data, (args.rows, args.cols), feasible=True)
-    cube = synthesize_cube(
-        e, a, NoiseSpec(args.snr_db, seed_noise), (args.rows, args.cols)
-    )
     sio.write_cube(f"{args.out_prefix}.cube", cube)
     sio.write_abundance(f"{args.out_prefix}.truth", a)
     sio.write_library_csv(
@@ -214,12 +219,9 @@ def cmd_unmix(args) -> int:
 
 def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
                         seed):
-    seed_sel, seed_ab, seed_noise = _child_seeds(seed, 3)
-    shape = _grid(n)
-    e = select_endmembers(lib, m, min_angle, seed_sel)
-    a_true = sample_abundances(m, n, seed_ab)
-    a_true = AbundanceMatrix(a_true.data, shape, feasible=True)
-    cube = synthesize_cube(e, a_true, NoiseSpec(snr_db, seed_noise), shape)
+    _, e, _, cube = make_scene(
+        lib, m, min_angle, (1, n), snr_db, child_seeds(seed, 3)
+    )
 
     if m <= MAX_ORACLE_ENDMEMBERS:
         ref = solve_oracle_activeset(e, cube)
@@ -257,12 +259,6 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
 
 def cmd_benchmark(args) -> int:
     lib = sio.read_library_csv(args.library)
-    if args.sweep_var == "snr":
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = [int(v) for v in args.values.split(",")]
-    if not values:
-        raise errors.EmptyFile("no sweep values given")
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"benchmark_{args.sweep_var}.csv")
 
@@ -273,8 +269,8 @@ def cmd_benchmark(args) -> int:
         "status",
     ]
     rows = []
-    per_value: dict = {v: [] for v in values}
-    for value in values:
+    per_value: dict = {v: [] for v in args.values}
+    for value in args.values:
         m, n, snr = 5, 1024, 30.0
         if args.sweep_var == "m":
             m = value
@@ -316,7 +312,7 @@ def cmd_benchmark(args) -> int:
                 f"{rec['final_re_db']:.1f} dB"
             )
 
-    for value in values:
+    for value in args.values:
         recs = per_value[value]
         if not recs:
             continue
@@ -340,16 +336,25 @@ def cmd_benchmark(args) -> int:
 # ------------------------------------------------------------- validate
 
 
-def _check_projector_equivalence(rng, n_triples: int) -> float:
+# Thresholds shared with the acceptance gate: the two projection routes
+# agree to PROJECTOR_TOL, and every sudap answer is within ORACLE_RE_DB
+# of the exact oracle's. The column-sum bound is model.EPS_SUM.
+PROJECTOR_TOL = 1e-12
+ORACLE_RE_DB = -120.0
+
+
+def projector_gap(rng, n_triples: int) -> float:
+    """Worst |geometric - KKT| projection over random (E, i, Z) triples."""
     worst = 0.0
     for _ in range(n_triples):
         m = int(rng.integers(2, 9))
-        n_bands = m + int(rng.integers(0, 21))
-        e = EndmemberMatrix(rng.standard_normal((n_bands, m)))
+        e = EndmemberMatrix(
+            rng.standard_normal((m + int(rng.integers(0, 25)), m))
+        )
         t = _make_transform(e)
-        n = int(rng.integers(1, 33))
-        scale = 10.0 ** rng.uniform(-2, 2)
-        z = scale * rng.standard_normal((m, n))
+        z = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(
+            (m, int(rng.integers(1, 33)))
+        )
         i = int(rng.integers(0, m))
         geo = project_intersection_geometric(t, i, z)
         kkt = project_intersection_kkt(t, i, z)
@@ -357,50 +362,41 @@ def _check_projector_equivalence(rng, n_triples: int) -> float:
     return worst
 
 
-def _check_oracle_equivalence(rng, n_instances: int):
-    worst_re = -np.inf
-    worst_sum = 0.0
+def oracle_runs(seed: int, n_instances: int, cfg: DykstraConfig):
+    """Solve seeded 32x32 scenes both ways; yield (m, result, re_db).
+
+    Scene k has m = 3 + k % 6 endmembers, SNR 30 dB and seed seed + k.
+    result is the sudap solve under cfg and re_db its relative error
+    against the exact oracle.
+    """
     for k in range(n_instances):
-        lib = make_synthetic_library(
-            n_bands=64, n_signatures=24, seed=int(rng.integers(2**63 - 1))
-        )
-        m = int(rng.integers(3, 9))
-        idx = select_endmember_indices(
-            lib, m, 10.0, int(rng.integers(2**63 - 1))
-        )
-        e = EndmemberMatrix(lib.signatures[:, idx].copy())
-        n = int(rng.integers(16, 65))
-        a = sample_abundances(m, n, int(rng.integers(2**63 - 1)))
-        cube = synthesize_cube(
-            e, a, NoiseSpec(30.0, int(rng.integers(2**63 - 1))), (1, n)
-        )
+        m = 3 + k % 6
+        e, _, cube = make_instance(m, (32, 32), 30.0, seed + k)
         oracle = solve_oracle_activeset(e, cube)
-        sudap = solve_sudap(
-            e, cube, DykstraConfig(max_sweeps=5000, rel_tol=1e-12)
-        )
-        re = relative_error_db(sudap.a_hat, oracle.a_hat)
-        worst_re = max(worst_re, re)
-        worst_sum = max(
-            worst_sum,
-            column_feasibility(sudap.a_hat).max_sum_violation,
-        )
-    return worst_re, worst_sum
+        result = solve_sudap(e, cube, cfg)
+        yield m, result, relative_error_db(result.a_hat, oracle.a_hat)
 
 
 def cmd_validate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    checks = []
-    worst_proj = _check_projector_equivalence(rng, 10 * args.instances)
-    checks.append(
-        ("projector-equivalence", worst_proj, 1e-12, worst_proj <= 1e-12)
+    worst_proj = projector_gap(
+        np.random.default_rng(args.seed), 10 * args.instances
     )
-    worst_re, worst_sum = _check_oracle_equivalence(rng, args.instances)
-    checks.append(
-        ("oracle-equivalence", worst_re, -120.0, worst_re <= -120.0)
-    )
-    checks.append(
-        ("column-sum-confinement", worst_sum, 1e-9, worst_sum <= 1e-9)
-    )
+    worst_re, worst_sum, converged = -np.inf, 0.0, True
+    cfg = DykstraConfig(rel_tol=1e-12)
+    for _, result, re_db in oracle_runs(args.seed, args.instances, cfg):
+        worst_re = max(worst_re, re_db)
+        worst_sum = max(
+            worst_sum, column_feasibility(result.a_hat).max_sum_violation
+        )
+        converged &= result.trace.converged
+    checks = [
+        ("projector-equivalence", worst_proj, PROJECTOR_TOL,
+         worst_proj <= PROJECTOR_TOL),
+        ("oracle-equivalence", worst_re, ORACLE_RE_DB,
+         converged and worst_re <= ORACLE_RE_DB),
+        ("column-sum-confinement", worst_sum, EPS_SUM,
+         worst_sum <= EPS_SUM),
+    ]
     all_ok = True
     print(f"{'property':<26} {'worst':>14} {'threshold':>12}  verdict")
     for name, worst, threshold, ok in checks:
@@ -428,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--library", required=True,
                      help="spectral library CSV")
-    sim.add_argument("--m", type=int, required=True,
+    sim.add_argument("--m", type=_at_least(1), required=True,
                      help="number of endmembers to select")
-    sim.add_argument("--min-angle", type=float, required=True,
+    sim.add_argument("--min-angle", type=_at_least(0.0), required=True,
                      help="pairwise angle floor in degrees")
-    sim.add_argument("--rows", type=int, required=True)
-    sim.add_argument("--cols", type=int, required=True)
-    sim.add_argument("--snr-db", type=float, required=True,
+    sim.add_argument("--rows", type=_at_least(1), required=True)
+    sim.add_argument("--cols", type=_at_least(1), required=True)
+    sim.add_argument("--snr-db", type=_snr_db, required=True,
                      help="target SNR in dB; inf for noiseless")
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_at_least(0), required=True)
     sim.add_argument("--out-prefix", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -469,19 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["m", "pixels", "snr"])
     be.add_argument("--values", required=True,
                     help="comma-separated sweep values")
-    be.add_argument("--repeats", type=int, default=3)
+    be.add_argument("--repeats", type=_at_least(1), default=3)
     be.add_argument("--stop-re-db", type=float, default=-100.0)
-    be.add_argument("--seed", type=int, required=True)
+    be.add_argument("--seed", type=_at_least(0), required=True)
     be.add_argument("--out-dir", required=True)
-    be.add_argument("--min-angle", type=float, default=10.0)
+    be.add_argument("--min-angle", type=_at_least(0.0), default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
     be.add_argument("--threads", type=int, default=_default_threads())
     # Benchmark runs solve to a fixed tolerance and draw no curve.
     be.set_defaults(func=cmd_benchmark, rel_tol=1e-12, curve=None)
 
     va = sub.add_parser("validate", help="run seeded self-checks")
-    va.add_argument("--seed", type=int, default=0)
-    va.add_argument("--instances", type=int, default=50)
+    va.add_argument("--seed", type=_at_least(0), default=0)
+    va.add_argument("--instances", type=_at_least(1), default=50)
     va.set_defaults(func=cmd_validate)
     return p
 
@@ -489,8 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "validate" and args.instances < 1:
-        parser.error("--instances must be at least 1")
+    if args.command == "benchmark":
+        parse = _snr_db if args.sweep_var == "snr" else _at_least(1)
+        try:
+            args.values = [parse(v) for v in args.values.split(",")]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"argument --values: {exc}")
     if args.command in ("unmix", "benchmark"):
         try:
             args.cfg = DykstraConfig(

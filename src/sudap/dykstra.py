@@ -29,6 +29,7 @@ any order, or in parallel, without changing a single bit of the result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
@@ -66,8 +67,8 @@ class DykstraConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be non-negative")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError("rel_tol must be finite and non-negative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.snapshot_every < 0:
@@ -76,22 +77,19 @@ class DykstraConfig:
 
 @dataclass(frozen=True)
 class DykstraTrace:
-    """Per-sweep records of one run, ordered by sweep.
+    """Per-sweep records of one run; row k belongs to sweep k + 1.
 
     elapsed_s is cumulative time spent in the sweep kernel and the
     convergence bookkeeping only; snapshot copies and caller callbacks
     run off the clock so instrumented runs time like plain ones.
-    objective is |Y - U|_F^2 against the untouched input Y.
     snapshots holds (sweep, copy of U) pairs when snapshotting is on,
     always including the final sweep. unconverged holds, per sweep, the
     number of pixels whose relative change still exceeds PIXEL_TOL_DB;
     it comes with snapshots and is None when snapshotting is off.
     """
 
-    sweeps: np.ndarray
     elapsed_s: np.ndarray
     rel_change: np.ndarray
-    objective: np.ndarray
     max_sum_violation: np.ndarray
     unconverged: np.ndarray | None
     snapshots: list = field(default_factory=list)
@@ -99,7 +97,7 @@ class DykstraTrace:
 
     @property
     def n_sweeps(self) -> int:
-        return len(self.sweeps)
+        return len(self.elapsed_s)
 
 
 def _sweep_block(
@@ -176,10 +174,8 @@ def dykstra_project(
         step = -(-n // n_workers)
         bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    sweeps: list[int] = []
     elapsed: list[float] = []
     rel_changes: list[float] = []
-    objectives: list[float] = []
     sum_violations: list[float] = []
     unconverged: list[int] = []
     snapshots: list = []
@@ -212,7 +208,6 @@ def dykstra_project(
                 np.linalg.norm(diff)
                 / max(np.linalg.norm(u), REL_CHANGE_EPS)
             )
-            objective = float(np.linalg.norm(y - u) ** 2)
             violation = float(np.max(np.abs(t.b @ u - 1.0)))
             if cfg.snapshot_every:
                 num = np.einsum("ij,ij->j", diff, diff)
@@ -222,10 +217,8 @@ def dykstra_project(
                 n_open = int(np.count_nonzero(num > pixel_thresh * den))
             clock += time.perf_counter() - tic
 
-            sweeps.append(sweep)
             elapsed.append(clock)
             rel_changes.append(rel)
-            objectives.append(objective)
             sum_violations.append(violation)
             if cfg.snapshot_every:
                 unconverged.append(n_open)
@@ -245,10 +238,8 @@ def dykstra_project(
         snapshots.append((sweep, u.copy()))
 
     trace = DykstraTrace(
-        sweeps=np.asarray(sweeps, dtype=np.int64),
         elapsed_s=np.asarray(elapsed),
         rel_change=np.asarray(rel_changes),
-        objective=np.asarray(objectives),
         max_sum_violation=np.asarray(sum_violations),
         unconverged=np.asarray(unconverged, dtype=np.int64)
         if cfg.snapshot_every

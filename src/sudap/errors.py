@@ -36,8 +36,8 @@ class IndexOutOfRange(SudapError):
     """Half-space index outside 0..m-1."""
 
 
-class NonFinite(SudapError):
-    """An iterate contains NaN or infinity."""
+class NonFinite(SudapError, ValueError):
+    """Input data or an iterate contains NaN or infinity."""
 
 
 class TooManyEndmembers(SudapError):

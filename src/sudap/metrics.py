@@ -108,7 +108,6 @@ def build_curve(
     otherwise), and the per-pixel unconverged count when the trace
     carries one.
     """
-    sweep_to_row = {int(s): i for i, s in enumerate(trace.sweeps)}
     n = len(trace.snapshots)
     sweeps = np.zeros(n, dtype=np.int64)
     times = np.zeros(n)
@@ -120,7 +119,7 @@ def build_curve(
     )
     for row, (sweep, u) in enumerate(trace.snapshots):
         a_k = inverse_transform(t, u)
-        idx = sweep_to_row[int(sweep)]
+        idx = sweep - 1
         sweeps[row] = sweep
         times[row] = trace.elapsed_s[idx]
         objectives[row] = objective(e, x, a_k)

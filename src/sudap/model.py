@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 
-# Default feasibility tolerances. Dykstra reaches the feasible set only
+# Feasibility tolerances. Dykstra reaches the feasible set only
 # asymptotically, so the non-negativity slack is looser than the
 # structurally enforced sum constraint.
 EPS_SUM = 1e-9
@@ -25,7 +25,7 @@ def _as_matrix(data, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return arr
 
 
@@ -106,7 +106,7 @@ class AbundanceMatrix:
     """Fractional abundances, one pixel per column (m x n_pixels).
 
     ``feasible`` is a producer-set claim that every column lies on the
-    simplex within the default tolerances; setting it triggers a check.
+    simplex within EPS_SUM and EPS_NEG; setting it triggers a check.
     """
 
     data: np.ndarray
@@ -123,7 +123,7 @@ class AbundanceMatrix:
                 f"spatial shape {rows}x{cols} does not match {arr.shape[1]} pixels"
             )
         if self.feasible:
-            report = column_feasibility(self, EPS_SUM, EPS_NEG)
+            report = column_feasibility(self)
             if not report.feasible:
                 raise ValueError(
                     "matrix flagged feasible violates simplex constraints: "
@@ -153,16 +153,14 @@ def validate_dimensions(e: EndmemberMatrix, x: ImageCube) -> None:
         raise DimensionMismatch(e.n_bands, x.n_bands)
 
 
-def column_feasibility(
-    a: AbundanceMatrix, eps_sum: float = EPS_SUM, eps_neg: float = EPS_NEG
-) -> FeasibilityReport:
+def column_feasibility(a: AbundanceMatrix) -> FeasibilityReport:
     """Check every column of A against the simplex constraints.
 
-    Feasible means each column sum is within ``eps_sum`` of 1 and no entry
-    is below ``-eps_neg``.
+    Feasible means each column sum is within EPS_SUM of 1 and no entry
+    is below -EPS_NEG.
     """
     data = a.data
     max_sum_violation = float(np.max(np.abs(data.sum(axis=0) - 1.0)))
     min_entry = float(data.min())
-    feasible = max_sum_violation <= eps_sum and min_entry >= -eps_neg
+    feasible = max_sum_violation <= EPS_SUM and min_entry >= -EPS_NEG
     return FeasibilityReport(max_sum_violation, min_entry, feasible)

@@ -3,7 +3,8 @@
 Covers the three ingredients of a controlled unmixing run: picking
 endmembers out of a spectral library subject to a pairwise-angle floor,
 drawing abundance maps uniformly from the simplex, and mixing them into
-a noisy cube at a prescribed SNR.
+a noisy cube at a prescribed SNR. make_scene chains the three; every
+seeded scene in the package is built by it.
 
 SNR convention used throughout: 10 log10 of mean-square signal power
 over mean-square noise power, both taken entrywise over the whole cube,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientCandidates
+from .errors import DimensionMismatch, InsufficientCandidates, NonFinite
 from .model import AbundanceMatrix, EndmemberMatrix, ImageCube
 
 
@@ -36,7 +37,7 @@ class SpectralLibrary:
         if sig.ndim != 2 or sig.shape[1] < 1:
             raise ValueError("library needs at least one signature column")
         if not np.all(np.isfinite(sig)):
-            raise ValueError("library contains non-finite entries")
+            raise NonFinite("library contains non-finite entries")
         norms = np.linalg.norm(sig, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("library contains a zero-norm signature")
@@ -114,20 +115,6 @@ def select_endmember_indices(
     raise InsufficientCandidates(m, len(chosen))
 
 
-def select_endmembers(
-    lib: SpectralLibrary, m: int, min_angle_deg: float, seed: int
-) -> EndmemberMatrix:
-    """Pick m library columns with all pairwise angles above the floor.
-
-    Raises InsufficientCandidates when the greedy pass cannot reach m;
-    the exception carries how many were found.
-    """
-    idx = select_endmember_indices(lib, m, min_angle_deg, seed)
-    return EndmemberMatrix(
-        lib.signatures[:, idx].copy(), wavelengths=lib.wavelengths
-    )
-
-
 def sample_abundances(m: int, n: int, seed: int) -> AbundanceMatrix:
     """Draw n columns i.i.d. uniform on the (m-1)-simplex.
 
@@ -200,7 +187,7 @@ def make_synthetic_library(
     Each signature is a baseline plus a handful of Gaussian bumps. One
     dominant bump per signature is spread across the wavelength range
     so that pairwise angles stay usefully large, which makes the
-    library a good feed for select_endmembers in tests and demos.
+    library a good feed for select_endmember_indices in tests and demos.
     """
     if n_bands < 2 or n_signatures < 1:
         raise ValueError("need n_bands >= 2 and n_signatures >= 1")
@@ -225,3 +212,51 @@ def make_synthetic_library(
         sig[:, j] = curve
     names = tuple(f"synth{j:02d}" for j in range(n_signatures))
     return SpectralLibrary(sig, names, wavelengths=wl)
+
+
+def child_seeds(seed: int, count: int) -> list:
+    """Fan one master seed out into count independent integer seeds."""
+    rng = np.random.default_rng(seed)
+    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
+
+
+def make_scene(
+    lib: SpectralLibrary,
+    m: int,
+    min_angle_deg: float,
+    shape: tuple,
+    snr_db: float,
+    seeds,
+) -> tuple:
+    """Select m endmembers, draw abundances on a shape grid, and mix.
+
+    seeds holds three seeds, for selection, abundances and noise, in
+    that order. Returns (idx, e, a, cube): the selected library column
+    indices, the endmember matrix, the ground-truth abundances and the
+    noisy cube.
+    """
+    seed_sel, seed_ab, seed_noise = seeds
+    idx = select_endmember_indices(lib, m, min_angle_deg, seed_sel)
+    e = EndmemberMatrix(
+        lib.signatures[:, idx].copy(), wavelengths=lib.wavelengths
+    )
+    a = sample_abundances(m, shape[0] * shape[1], seed_ab)
+    a = AbundanceMatrix(a.data, shape, feasible=True)
+    cube = synthesize_cube(e, a, NoiseSpec(snr_db, seed_noise), shape)
+    return idx, e, a, cube
+
+
+def make_instance(
+    m: int, shape: tuple, snr_db: float, seed: int, n_bands: int = 64
+) -> tuple:
+    """Seeded synthetic library plus scene; returns (e, a_true, cube).
+
+    One master seed fans out into independent streams for library
+    construction, endmember selection, abundances and noise, so two
+    calls with the same arguments build identical problems. Endmembers
+    are picked with a 10 degree angle floor.
+    """
+    seed_lib, *seeds = child_seeds(seed, 4)
+    lib = make_synthetic_library(n_bands, 24, seed=seed_lib)
+    _, e, a, cube = make_scene(lib, m, 10.0, shape, snr_db, seeds)
+    return e, a, cube

@@ -25,6 +25,7 @@ import scipy.linalg
 from .dykstra import DykstraConfig, DykstraTrace, dykstra_project
 from .errors import NoKKTPoint, RankDeficient, TooManyEndmembers
 from .model import (
+    EPS_NEG,
     AbundanceMatrix,
     EndmemberMatrix,
     ImageCube,
@@ -64,10 +65,8 @@ class SolveResult:
 def _empty_trace() -> DykstraTrace:
     z = np.zeros(0)
     return DykstraTrace(
-        sweeps=np.zeros(0, dtype=np.int64),
         elapsed_s=z,
         rel_change=z,
-        objective=z,
         max_sum_violation=z,
         unconverged=None,
         snapshots=[],
@@ -162,12 +161,7 @@ def solve_ls_sum1(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     )
 
 
-def _oracle_abundances(
-    e: np.ndarray,
-    x: np.ndarray,
-    primal_tol: float,
-    dual_tol: float,
-) -> np.ndarray:
+def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact simplex-constrained least squares per pixel.
 
     Enumerates candidate sets Z of abundances pinned to zero, smallest
@@ -178,8 +172,8 @@ def _oracle_abundances(
         [ G_FF  1 ] [a_F]   [h_F]
         [ 1'    0 ] [mu ] = [ 1 ],   G = E'E,  h = E'x.
 
-    A candidate wins if a_F >= -primal_tol and the multipliers of the
-    pinned coordinates, (G a - h)_Z + mu, all clear -dual_tol. The true
+    A candidate wins if a_F >= -PRIMAL_TOL and the multipliers of the
+    pinned coordinates, (G a - h)_Z + mu, all clear -DUAL_TOL. The true
     solution is unique, so the first winner is the answer.
 
     Each candidate system is factored once and solved for every pixel
@@ -208,7 +202,7 @@ def _oracle_abundances(
     rhs = np.vstack([h, np.ones((1, n))])
     sol = scipy.linalg.lu_solve(lu, rhs)
     a0 = sol[:m]
-    interior = (a0 >= -primal_tol).all(axis=0)
+    interior = (a0 >= -PRIMAL_TOL).all(axis=0)
     a_hat[:, interior] = a0[:, interior]
     remaining = np.flatnonzero(~interior)
 
@@ -230,12 +224,12 @@ def _oracle_abundances(
             sol = scipy.linalg.lu_solve(lu, rhs)
             a_free = sol[:f]
             mu = sol[f]
-            primal = (a_free >= -primal_tol).all(axis=0)
+            primal = (a_free >= -PRIMAL_TOL).all(axis=0)
             a_cand = np.zeros((m, remaining.size))
             a_cand[free, :] = a_free
             lam = g[list(zeroed), :] @ a_cand - h[list(zeroed), :][:, remaining]
             lam += mu
-            dual = (lam >= -dual_tol).all(axis=0)
+            dual = (lam >= -DUAL_TOL).all(axis=0)
             accept = primal & dual
             if not np.any(accept):
                 continue
@@ -250,12 +244,7 @@ def _oracle_abundances(
     return a_hat
 
 
-def solve_oracle_activeset(
-    e: EndmemberMatrix,
-    x: ImageCube,
-    primal_tol: float = PRIMAL_TOL,
-    dual_tol: float = DUAL_TOL,
-) -> SolveResult:
+def solve_oracle_activeset(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     """Exact fully constrained solution by active-set enumeration.
 
     Meant as ground truth at desk scale; cost grows with 2^m, hence the
@@ -280,24 +269,22 @@ def solve_oracle_activeset(
     if m == 1:
         return _ones_result(x, "oracle", t0)
     _gram_factor(e)
-    a = _oracle_abundances(e.data, x.data, primal_tol, dual_tol)
+    a = _oracle_abundances(e.data, x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(
         result, _empty_trace(), "oracle", time.perf_counter() - t0
     )
 
 
-def clip_negatives(
-    a: AbundanceMatrix, eps: float = 1e-7
-) -> AbundanceMatrix:
+def clip_negatives(a: AbundanceMatrix) -> AbundanceMatrix:
     """Zero out small negative leakage and renormalize column sums.
 
-    Entries in [-eps, 0) become 0; anything more negative is left alone
+    Entries in [-EPS_NEG, 0) become 0; anything more negative is left alone
     since it signals an unconverged run rather than roundoff. Columns
     with a positive sum are then rescaled to sum to one.
     """
     data = a.data.copy()
-    mask = (data < 0.0) & (data >= -eps)
+    mask = (data < 0.0) & (data >= -EPS_NEG)
     data[mask] = 0.0
     sums = data.sum(axis=0)
     good = sums > 0.0

@@ -32,7 +32,7 @@ import scipy.linalg
 from .errors import DegenerateProblem, DimensionMismatch, RankDeficient
 from .model import EndmemberMatrix
 
-# A Cholesky pivot at or below rank_tol * trace(E'E)/m marks E as
+# A Cholesky pivot at or below RANK_TOL * trace(E'E)/m marks E as
 # numerically rank deficient.
 RANK_TOL = 1e-12
 
@@ -73,22 +73,14 @@ class SubspaceTransform:
         return self.d.shape[0]
 
 
-def build_transform(
-    e: EndmemberMatrix, rank_tol: float = RANK_TOL
-) -> SubspaceTransform:
+def build_transform(e: EndmemberMatrix) -> SubspaceTransform:
     """Factor E'E and precompute the transformed constraint geometry.
-
-    Parameters
-    ----------
-    e : EndmemberMatrix
-    rank_tol : float
-        Relative pivot threshold for declaring E rank deficient.
 
     Raises
     ------
     RankDeficient
         If the Cholesky factorisation fails or produces a pivot at or
-        below rank_tol * trace(E'E)/m.
+        below RANK_TOL * trace(E'E)/m.
     DegenerateProblem
         If m == 1; with a single endmember the sum constraint already
         pins the answer and there is no geometry to build.
@@ -107,7 +99,7 @@ def build_transform(
             f"endmember matrix is numerically rank deficient: {exc}"
         ) from None
     pivots = np.diag(lower) ** 2
-    threshold = rank_tol * np.trace(g) / m
+    threshold = RANK_TOL * np.trace(g) / m
     if np.any(pivots <= threshold):
         worst = int(np.argmin(pivots))
         raise RankDeficient(

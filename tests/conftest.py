@@ -1,43 +1,12 @@
-import numpy as np
 import pytest
 
-from sudap import (
-    AbundanceMatrix,
-    EndmemberMatrix,
-    NoiseSpec,
-    make_synthetic_library,
-    sample_abundances,
-    select_endmember_indices,
-    synthesize_cube,
-)
-
-
-def make_instance(m, n, shape, snr_db, seed, n_bands=64, min_angle=10.0):
-    """Deterministic synthetic problem; returns (e, a_true, cube).
-
-    One master seed fans out into independent streams for library
-    construction, endmember selection, abundances, and noise, so two
-    calls with the same arguments build identical problems.
-    """
-    rng = np.random.default_rng(seed)
-    sub = [int(s) for s in rng.integers(0, 2**63 - 1, size=4)]
-    lib = make_synthetic_library(n_bands, 24, seed=sub[0])
-    idx = select_endmember_indices(lib, m, min_angle, sub[1])
-    e = EndmemberMatrix(lib.signatures[:, idx].copy())
-    a = sample_abundances(m, n, sub[2])
-    a = AbundanceMatrix(a.data, shape, feasible=True)
-    cube = synthesize_cube(e, a, NoiseSpec(snr_db, sub[3]), shape)
-    return e, a, cube
+from sudap import EndmemberMatrix
+from sudap.simdata import make_synthetic_library
 
 
 def random_endmembers(rng, n_bands, m):
     """Gaussian endmember matrix; full column rank with probability 1."""
     return EndmemberMatrix(rng.standard_normal((n_bands, m)))
-
-
-@pytest.fixture
-def instance_factory():
-    return make_instance
 
 
 @pytest.fixture(scope="session")

@@ -15,29 +15,23 @@ import sudap.cli as cli
 from sudap import (
     DykstraConfig,
     EndmemberMatrix,
-    NoiseSpec,
-    build_transform,
-    column_feasibility,
-    dykstra_project,
-    forward_transform,
-    inverse_transform,
-    make_synthetic_library,
-    nmse_db,
-    project_intersection_geometric,
-    project_intersection_kkt,
     relative_error_db,
-    sample_abundances,
-    select_endmembers,
-    solve_ls,
     solve_oracle_activeset,
     solve_sudap,
-    synthesize_cube,
 )
-from sudap.io import read_library_csv, write_library_csv
-from conftest import make_instance
+from sudap.dykstra import dykstra_project
+from sudap.io import write_library_csv
+from sudap.metrics import nmse_db
+from sudap.model import EPS_NEG, EPS_SUM, column_feasibility
+from sudap.simdata import make_instance, make_scene, make_synthetic_library
+from sudap.solver import solve_ls
+from sudap.subspace import (
+    build_transform,
+    forward_transform,
+    inverse_transform,
+)
 
 N_INSTANCES = 50
-PIXELS = 32 * 32
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -70,22 +64,14 @@ def pipeline_runs():
     """50 seeded scenes solved by both routes, with per-run telemetry."""
     runs = []
     started = time.perf_counter()
-    for k in range(N_INSTANCES):
-        m = 3 + k % 6
-        e, _, cube = make_instance(
-            m, PIXELS, (32, 32), 30.0, seed=1000 + k, n_bands=64
-        )
-        oracle = solve_oracle_activeset(e, cube)
-        cfg = DykstraConfig(
-            max_sweeps=2000, rel_tol=1e-12, snapshot_every=1
-        )
-        sudap = solve_sudap(e, cube, cfg)
+    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12, snapshot_every=1)
+    for m, sudap, re_db in cli.oracle_runs(1000, N_INSTANCES, cfg):
         report = column_feasibility(sudap.a_hat)
         slope, hit_sweep = _decay_profile(sudap.trace)
         runs.append(
             {
                 "m": m,
-                "re_db": relative_error_db(sudap.a_hat, oracle.a_hat),
+                "re_db": re_db,
                 "converged": sudap.trace.converged,
                 "max_sum_violation": report.max_sum_violation,
                 "min_entry": report.min_entry,
@@ -106,41 +92,28 @@ def test_full_pipeline_matches_the_exact_oracle(pipeline_runs):
     ok = (
         len(runs) >= 50
         and all(r["converged"] for r in runs)
-        and worst <= -120.0
+        and worst <= cli.ORACLE_RE_DB
         and elapsed < 120.0
     )
     _report(
         "oracle equivalence",
         ok,
         f"{len(runs)} instances, worst RE {worst:.1f} dB "
-        f"(threshold -120 dB), batch took {elapsed:.1f} s (budget 120 s)",
+        f"(threshold {cli.ORACLE_RE_DB:.0f} dB), batch took {elapsed:.1f} s "
+        f"(budget 120 s)",
     )
 
 
 def test_projection_routes_agree_everywhere():
-    rng = np.random.default_rng(2024)
     started = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(2, 9))
-        e = EndmemberMatrix(
-            rng.standard_normal((m + int(rng.integers(0, 25)), m))
-        )
-        t = build_transform(e)
-        z = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(
-            (m, int(rng.integers(1, 33)))
-        )
-        i = int(rng.integers(0, m))
-        geo = project_intersection_geometric(t, i, z)
-        kkt = project_intersection_kkt(t, i, z)
-        worst = max(worst, float(np.max(np.abs(geo - kkt))))
+    worst = cli.projector_gap(np.random.default_rng(2024), 1000)
     elapsed = time.perf_counter() - started
-    ok = worst <= 1e-12 and elapsed < 5.0
+    ok = worst <= cli.PROJECTOR_TOL and elapsed < 5.0
     _report(
         "projector equivalence",
         ok,
         f"1000 triples, worst |geometric - KKT| {worst:.2e} "
-        f"(threshold 1e-12), {elapsed:.2f} s (budget 5 s)",
+        f"(threshold {cli.PROJECTOR_TOL:.0e}), {elapsed:.2f} s (budget 5 s)",
     )
 
 
@@ -149,13 +122,17 @@ def test_outputs_respect_the_simplex_structure(pipeline_runs):
     worst_sum = max(r["max_sum_violation"] for r in runs)
     worst_min = min(r["min_entry"] for r in runs)
     worst_sweep = max(r["sweep_violation"] for r in runs)
-    ok = worst_sum <= 1e-9 and worst_min >= -1e-7 and worst_sweep <= 1e-9
+    ok = (
+        worst_sum <= EPS_SUM
+        and worst_min >= -EPS_NEG
+        and worst_sweep <= EPS_SUM
+    )
     _report(
         "feasibility structure",
         ok,
-        f"worst column-sum deviation {worst_sum:.2e} (<= 1e-9), "
-        f"worst abundance {worst_min:.2e} (>= -1e-7), "
-        f"worst per-sweep sum deviation {worst_sweep:.2e} (<= 1e-9)",
+        f"worst column-sum deviation {worst_sum:.2e} (<= {EPS_SUM:g}), "
+        f"worst abundance {worst_min:.2e} (>= {-EPS_NEG:g}), "
+        f"worst per-sweep sum deviation {worst_sweep:.2e} (<= {EPS_SUM:g})",
     )
 
 
@@ -216,7 +193,7 @@ def test_sweep_cost_scales_with_pixels_and_endmembers():
 
 def test_subspace_problem_is_the_image_problem_shifted():
     rng = np.random.default_rng(77)
-    e, _, cube = make_instance(6, 200, (1, 200), 20.0, seed=77, n_bands=48)
+    e, _, cube = make_instance(6, (1, 200), 20.0, seed=77, n_bands=48)
     t = build_transform(e)
     y = forward_transform(t, e, cube.data)
     gaps = np.empty(100)
@@ -240,11 +217,10 @@ def test_subspace_problem_is_the_image_problem_shifted():
 
 
 def test_noiseless_scenes_are_recovered_exactly():
-    rng = np.random.default_rng(88)
     lib = make_synthetic_library(n_bands=96, n_signatures=24, seed=88)
-    e = select_endmembers(lib, 5, 10.0, 88)
-    a_true = sample_abundances(5, 4096, 89)
-    cube = synthesize_cube(e, a_true, NoiseSpec(np.inf, 0), (64, 64))
+    _, e, a_true, cube = make_scene(
+        lib, 5, 10.0, (64, 64), np.inf, (88, 89, 0)
+    )
     result = solve_sudap(e, cube, DykstraConfig(rel_tol=1e-12))
     err = nmse_db(result.a_hat.data, a_true.data)
     ok = err <= -160.0
@@ -257,23 +233,15 @@ def test_noiseless_scenes_are_recovered_exactly():
 
 def test_survey_scale_scene_reaches_the_stopping_error():
     lib = make_synthetic_library(n_bands=224, n_signatures=24, seed=99)
-    e = select_endmembers(lib, 5, 10.0, 99)
-    a_true = sample_abundances(5, 100 * 100, 100)
-    cube = synthesize_cube(
-        e, a_true, NoiseSpec(30.0, 101), (100, 100)
+    _, e, _, cube = make_scene(
+        lib, 5, 10.0, (100, 100), 30.0, (99, 100, 101)
     )
     oracle = solve_oracle_activeset(e, cube)
-    a_star = oracle.a_hat.data
-    ref_power = float(np.linalg.norm(a_star) ** 2)
     t = build_transform(e)
     res = []
 
     def watch(_sweep, u):
-        a_k = inverse_transform(t, u)
-        err = float(np.linalg.norm(a_k - a_star) ** 2)
-        res.append(
-            -np.inf if err == 0.0 else 10.0 * np.log10(err / ref_power)
-        )
+        res.append(relative_error_db(inverse_transform(t, u), oracle.a_hat))
 
     cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
     result = solve_sudap(e, cube, cfg, on_sweep=watch)

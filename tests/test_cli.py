@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sudap.cli as cli
-from sudap import build_transform, column_feasibility, make_synthetic_library
+from sudap import relative_error_db
 from sudap.io import (
     read_abundance,
     read_cube,
@@ -13,6 +13,9 @@ from sudap.io import (
     read_library_csv,
     write_library_csv,
 )
+from sudap.model import column_feasibility
+from sudap.simdata import make_synthetic_library
+from sudap.subspace import build_transform
 
 
 @pytest.fixture
@@ -73,10 +76,7 @@ def test_unmix_sudap_end_to_end(tmp_path, library_csv, capsys):
     assert "final RE vs reference" in captured
     assert "final NMSE vs truth" in captured
 
-    a_hat = read_abundance(est)
-    a_ref = read_abundance(ref)
-    err = np.linalg.norm(a_hat.data - a_ref.data) ** 2
-    assert 10 * np.log10(err / np.linalg.norm(a_ref.data) ** 2) < -120.0
+    assert relative_error_db(read_abundance(est), read_abundance(ref)) < -120.0
 
     curve = read_curve_csv(curve_path)
     assert curve.n_rows >= 1
@@ -148,7 +148,7 @@ def test_unmix_direct_solvers_and_clip(tmp_path, library_csv):
     assert np.abs(a.data.sum(axis=0) - 1.0).max() < 1e-12
 
 
-def test_error_exit_codes(tmp_path, library_csv):
+def test_error_exit_codes(tmp_path, library_csv, capsys):
     out = _simulate(tmp_path, library_csv)
     # Nonexistent input file -> OS error code.
     rc = cli.main([
@@ -181,6 +181,30 @@ def test_error_exit_codes(tmp_path, library_csv):
         "--reference", f"{wrong}.truth",
     ])
     assert rc == cli.EXIT_CODES[cli.errors.ShapeMismatch]
+    # A NaN in the cube payload or in a library cell -> non-finite data.
+    # The payload ends the file, so its last 8 bytes are one float64.
+    nan_cube = tmp_path / "nan.cube"
+    with open(f"{out}.cube", "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    nan_cube.write_bytes(bytes(blob))
+    rc = cli.main([
+        "unmix", "--cube", str(nan_cube),
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "ls", "--out", str(tmp_path / "x.abund"),
+    ])
+    assert rc == cli.EXIT_CODES[cli.errors.NonFinite]
+    rows = library_csv.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[1] = "nan"
+    nan_lib = tmp_path / "nan.csv"
+    nan_lib.write_text("\n".join([rows[0], ",".join(cells)] + rows[2:]))
+    rc = cli.main([
+        "unmix", "--cube", f"{out}.cube", "--endmembers", str(nan_lib),
+        "--solver", "ls", "--out", str(tmp_path / "x.abund"),
+    ])
+    assert rc == cli.EXIT_CODES[cli.errors.NonFinite]
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
@@ -196,21 +220,34 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
     unmix = ["unmix", "--cube", "x", "--endmembers", "y",
              "--solver", "sudap", "--out", "z"]
     for bad in (["--max-sweeps", "0"], ["--rel-tol", "-1"],
+                ["--rel-tol", "nan"], ["--rel-tol", "inf"],
                 ["--curve", "c.csv", "--snapshot-every", "-1"]):
         with pytest.raises(SystemExit) as info:
             cli.main(unmix + bad)
         assert info.value.code == 2
         assert f"error: {bad[-2]} must be" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        cli.main([
-            "benchmark", "--library", "x", "--sweep-var", "m",
-            "--values", "3", "--seed", "0", "--out-dir", "z",
-            "--max-sweeps", "0",
-        ])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["validate", "--instances", "0"])
-    assert info.value.code == 2
+    benchmark = ["benchmark", "--library", "x", "--sweep-var", "m",
+                 "--seed", "0", "--out-dir", "z"]
+    simulate = ["simulate", "--library", "x", "--m", "3",
+                "--min-angle", "10", "--rows", "4", "--cols", "4",
+                "--snr-db", "30", "--seed", "0", "--out-prefix", "z"]
+    for argv, option in (
+        (benchmark + ["--values", "3", "--max-sweeps", "0"], "--max-sweeps"),
+        (benchmark + ["--values", "abc"], "--values"),
+        (benchmark + ["--values", "3,,4"], "--values"),
+        (benchmark + ["--values", "3", "--repeats", "0"], "--repeats"),
+        (simulate + ["--rows", "0"], "--rows"),
+        (simulate + ["--m", "0"], "--m"),
+        (simulate + ["--min-angle", "-1"], "--min-angle"),
+        (simulate + ["--snr-db", "nan"], "--snr-db"),
+        (["validate", "--instances", "0"], "--instances"),
+        (["validate", "--seed", "-1"], "--seed"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error:" in last and option in last
 
 
 def test_validate_passes_on_healthy_code(capsys):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from sudap import (
-    DykstraConfig,
-    EndmemberMatrix,
-    NonFinite,
-    ShapeMismatch,
+from sudap import DykstraConfig, EndmemberMatrix
+from sudap.dykstra import dykstra_project
+from sudap.errors import NonFinite, ShapeMismatch
+from sudap.projectors import project_hyperplane, project_intersection_geometric
+from sudap.subspace import (
     build_transform,
-    dykstra_project,
     forward_transform,
     inverse_transform,
 )
@@ -25,8 +24,9 @@ def _problem(seed, n_bands=24, m=5, n=60, spread=1.0):
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         DykstraConfig(max_sweeps=0)
-    with pytest.raises(ValueError):
-        DykstraConfig(rel_tol=-1e-3)
+    for rel_tol in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DykstraConfig(rel_tol=rel_tol)
     with pytest.raises(ValueError):
         DykstraConfig(threads=0)
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_trace_bookkeeping_is_consistent():
     cfg = DykstraConfig(max_sweeps=400, rel_tol=1e-12, snapshot_every=7)
     u, trace = dykstra_project(t, y, cfg)
     k = trace.n_sweeps
-    assert np.array_equal(trace.sweeps, np.arange(1, k + 1))
+    assert len(trace.rel_change) == len(trace.max_sum_violation) == k
     assert (np.diff(trace.elapsed_s) >= 0).all()
     assert trace.unconverged is not None
     assert len(trace.unconverged) == k
@@ -104,11 +104,6 @@ def test_trace_bookkeeping_is_consistent():
     if not expected or expected[-1] != k:
         expected.append(k)
     assert got == expected
-    # The recorded objective is |Y - U_k|_F^2 against the original Y.
-    for sweep, u_k in trace.snapshots:
-        idx = int(np.flatnonzero(trace.sweeps == sweep)[0])
-        direct = float(np.linalg.norm(y - u_k) ** 2)
-        assert trace.objective[idx] == pytest.approx(direct, rel=1e-12)
 
 
 def test_zero_tolerance_runs_to_the_sweep_budget():
@@ -134,7 +129,6 @@ def test_thread_count_does_not_change_a_single_bit():
     for u, trace in results[1:]:
         assert np.array_equal(u, u_ref)
         assert trace.n_sweeps == trace_ref.n_sweeps
-        assert np.array_equal(trace.objective, trace_ref.objective)
         assert np.array_equal(trace.rel_change, trace_ref.rel_change)
 
 
@@ -145,7 +139,7 @@ def test_on_sweep_sees_every_live_iterate():
     u, trace = dykstra_project(
         t, y, cfg, on_sweep=lambda s, v: seen.append((s, v.copy()))
     )
-    assert [s for s, _ in seen] == list(trace.sweeps)
+    assert [s for s, _ in seen] == list(range(1, trace.n_sweeps + 1))
     assert np.array_equal(seen[-1][1], u)
 
 
@@ -168,8 +162,6 @@ def test_corrections_make_the_limit_the_nearest_point():
     # projection of Y. Compare distance to Y: the Dykstra limit must not
     # be farther than the cyclic-projection limit, and on instances with
     # several active constraints it is strictly closer.
-    from sudap import project_hyperplane, project_intersection_geometric
-
     _, t, y = _problem(10, n=30, spread=3.0)
     u_dyk, _ = dykstra_project(
         t, y, DykstraConfig(max_sweeps=5000, rel_tol=1e-14)

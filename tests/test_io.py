@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sudap import (
-    AbundanceMatrix,
+from sudap import ImageCube
+from sudap.errors import (
     BadMagic,
-    ConvergenceCurve,
     EmptyFile,
-    ImageCube,
     ParseError,
-    SpectralLibrary,
     TruncatedFile,
     VersionUnsupported,
 )
@@ -24,6 +21,9 @@ from sudap.io import (
     write_curve_csv,
     write_library_csv,
 )
+from sudap.metrics import ConvergenceCurve
+from sudap.model import AbundanceMatrix
+from sudap.simdata import SpectralLibrary
 
 
 def _library(with_wavelengths=True):

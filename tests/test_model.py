@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from sudap import (
+from sudap import EndmemberMatrix, ImageCube
+from sudap.errors import DimensionMismatch
+from sudap.model import (
     AbundanceMatrix,
-    DimensionMismatch,
-    EndmemberMatrix,
-    ImageCube,
     column_feasibility,
     validate_dimensions,
 )
@@ -89,7 +88,7 @@ def test_column_feasibility_reports_worst_violations():
 
 
 def test_column_feasibility_flags_negative_entries():
-    report = column_feasibility(_wrap([[1.1], [-0.1]]), eps_neg=1e-9)
+    report = column_feasibility(_wrap([[1.1], [-0.1]]))
     assert not report.feasible
     assert report.min_entry == pytest.approx(-0.1)
 

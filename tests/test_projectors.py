@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sudap import (
-    IndexOutOfRange,
-    build_transform,
+from sudap.errors import IndexOutOfRange
+from sudap.projectors import (
     project_hyperplane,
     project_intersection_geometric,
     project_intersection_kkt,
 )
+from sudap.subspace import build_transform
 from conftest import random_endmembers
 
 

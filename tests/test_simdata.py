@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sudap import (
-    DimensionMismatch,
-    EndmemberMatrix,
-    InsufficientCandidates,
+from sudap import EndmemberMatrix
+from sudap.errors import DimensionMismatch, InsufficientCandidates
+from sudap.simdata import (
     NoiseSpec,
     SpectralLibrary,
     make_synthetic_library,
@@ -14,7 +13,6 @@ from sudap import (
     pairwise_angles_deg,
     sample_abundances,
     select_endmember_indices,
-    select_endmembers,
     synthesize_cube,
 )
 
@@ -63,8 +61,8 @@ def test_selection_returns_distinct_valid_indices(bump_library):
 
 def test_selected_angles_exceed_floor(bump_library):
     for seed in range(5):
-        e = select_endmembers(bump_library, 8, 10.0, seed)
-        ang = pairwise_angles_deg(e.data)
+        idx = select_endmember_indices(bump_library, 8, 10.0, seed)
+        ang = pairwise_angles_deg(bump_library.signatures[:, idx])
         np.fill_diagonal(ang, 180.0)
         assert ang.min() > 10.0
 

@@ -2,27 +2,23 @@ import numpy as np
 import pytest
 
 from sudap import (
-    AbundanceMatrix,
     DykstraConfig,
     EndmemberMatrix,
     ImageCube,
-    RankDeficient,
-    SolveResult,
-    TooManyEndmembers,
-    clip_negatives,
-    column_feasibility,
-    objective,
     relative_error_db,
-    solve_ls,
-    solve_ls_sum1,
     solve_oracle_activeset,
     solve_sudap,
 )
-from conftest import make_instance, random_endmembers
+from sudap.errors import RankDeficient, TooManyEndmembers
+from sudap.metrics import objective
+from sudap.model import AbundanceMatrix, column_feasibility
+from sudap.simdata import make_instance
+from sudap.solver import SolveResult, clip_negatives, solve_ls, solve_ls_sum1
+from conftest import random_endmembers
 
 
 def _random_problem(seed, n_bands=32, m=5, n=64, snr_db=25.0):
-    return make_instance(m, n, (1, n), snr_db, seed, n_bands=n_bands)
+    return make_instance(m, (1, n), snr_db, seed, n_bands=n_bands)
 
 
 def test_ls_matches_lstsq():
@@ -158,7 +154,7 @@ def test_clip_negatives_cleans_roundoff_but_not_real_violations():
         ]
     )
     a = AbundanceMatrix(raw, (1, 3))
-    out = clip_negatives(a, eps=1e-7).data
+    out = clip_negatives(a).data
     # Tiny negatives vanish and the columns renormalize...
     assert out.min(axis=0)[0] == 0.0
     assert out.min(axis=0)[1] == 0.0

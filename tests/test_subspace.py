@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from sudap import (
-    DegenerateProblem,
-    DimensionMismatch,
-    EndmemberMatrix,
-    RankDeficient,
+from sudap import EndmemberMatrix
+from sudap.errors import DegenerateProblem, DimensionMismatch, RankDeficient
+from sudap.subspace import (
     build_transform,
     forward_transform,
     inverse_transform,
