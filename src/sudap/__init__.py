@@ -13,18 +13,18 @@ imported from its own module (sudap.simdata, sudap.io, ...).
 
 from .dykstra import DykstraConfig
 from .errors import SudapError
-from .metrics import build_curve, relative_error_db
+from .metrics import CurveRecorder, relative_error_db
 from .model import EndmemberMatrix, ImageCube
 from .solver import solve_oracle_activeset, solve_sudap
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CurveRecorder",
     "DykstraConfig",
     "EndmemberMatrix",
     "ImageCube",
     "SudapError",
-    "build_curve",
     "relative_error_db",
     "solve_oracle_activeset",
     "solve_sudap",

@@ -33,7 +33,7 @@ from . import io as sio
 from .dykstra import DykstraConfig
 from .metrics import (
     ConvergenceCurve,
-    build_curve,
+    CurveRecorder,
     nmse_db,
     objective,
     relative_error_db,
@@ -168,9 +168,17 @@ def cmd_unmix(args) -> int:
     a_true = (
         _load_reference(args.truth, m, n, "truth") if args.truth else None
     )
+    # Only a subspace run with m >= 2 has sweeps to record; the other
+    # routes write a header-only curve.
+    recorder = None
+    if args.curve and args.solver == "sudap" and m >= 2:
+        recorder = CurveRecorder(
+            build_transform(e), e, cube, args.snapshot_every,
+            a_star=a_ref, a_true=a_true,
+        )
 
     if args.solver == "sudap":
-        result = solve_sudap(e, cube, args.cfg)
+        result = solve_sudap(e, cube, args.cfg, on_sweep=recorder)
     elif args.solver == "ls":
         result = solve_ls(e, cube)
     elif args.solver == "ls-sum1":
@@ -182,18 +190,11 @@ def cmd_unmix(args) -> int:
     sio.write_abundance(args.out, a_out)
 
     if args.curve:
-        if result.trace.snapshots:
-            t = build_transform(e)
-            curve = build_curve(
-                result.trace, t, e, cube, a_star=a_ref, a_true=a_true
-            )
-        else:
-            empty = np.zeros(0)
-            curve = ConvergenceCurve(
-                sweep=np.zeros(0, dtype=np.int64),
-                time_s=empty, objective=empty, re_db=empty, nmse_db=empty,
-            )
-        sio.write_curve_csv(curve, args.curve)
+        sio.write_curve_csv(
+            recorder.curve(result.trace) if recorder
+            else ConvergenceCurve(*[np.zeros(0)] * 6),
+            args.curve,
+        )
 
     report = column_feasibility(a_out)
     print(f"solver: {result.solver_id}")
@@ -217,6 +218,27 @@ def cmd_unmix(args) -> int:
 # ------------------------------------------------------------ benchmark
 
 
+def time_to_re(e, cube, a_star, cfg: DykstraConfig, stop_re_db: float):
+    """Solve with sudap under cfg, watching RE against a_star each sweep.
+
+    Returns (result, hit_sweep, hit_s, final_re_db): the first sweep
+    whose RE is at most stop_re_db (-1 if none), the solver-only seconds
+    up to its end (nan if none) and the last sweep's RE.
+    """
+    t = build_transform(e)
+    res: list = []
+
+    def watch(_sweep, u):
+        res.append(relative_error_db(inverse_transform(t, u), a_star))
+
+    result = solve_sudap(e, cube, cfg, on_sweep=watch)
+    below = np.flatnonzero(np.asarray(res) <= stop_re_db)
+    if below.size == 0:
+        return result, -1, np.nan, res[-1]
+    hit_s = float(result.trace.elapsed_s[below[0]])
+    return result, int(below[0]) + 1, hit_s, res[-1]
+
+
 def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
                         seed):
     _, e, _, cube = make_scene(
@@ -231,29 +253,15 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
                 cfg, max_sweeps=4 * cfg.max_sweeps, rel_tol=1e-13
             )
         )
-    a_star = ref.a_hat.data
-
-    t = build_transform(e)
-    re_per_sweep: list = []
-
-    def watch(_sweep, u):
-        re_per_sweep.append(
-            relative_error_db(inverse_transform(t, u), a_star)
-        )
-
-    result = solve_sudap(e, cube, cfg, on_sweep=watch)
-
-    res = np.asarray(re_per_sweep)
-    below = np.flatnonzero(res <= stop_re_db)
-    hit = below.size > 0
+    _, hit, hit_s, final_re = time_to_re(
+        e, cube, ref.a_hat.data, cfg, stop_re_db
+    )
     return {
         "oracle_time_s": ref.wall_time,
-        "sweeps_to_threshold": int(below[0]) + 1 if hit else -1,
-        "time_to_threshold_s": float(result.trace.elapsed_s[below[0]])
-        if hit
-        else np.nan,
-        "final_re_db": float(res[-1]),
-        "status": "ok" if hit else "threshold-not-reached",
+        "sweeps_to_threshold": hit,
+        "time_to_threshold_s": hit_s,
+        "final_re_db": final_re,
+        "status": "ok" if hit > 0 else "threshold-not-reached",
     }
 
 
@@ -362,19 +370,16 @@ def projector_gap(rng, n_triples: int) -> float:
     return worst
 
 
-def oracle_runs(seed: int, n_instances: int, cfg: DykstraConfig):
-    """Solve seeded 32x32 scenes both ways; yield (m, result, re_db).
+def oracle_runs(seed: int, n_instances: int):
+    """Seeded 32x32 scenes with exact answers; yield (m, e, cube, a_oracle).
 
-    Scene k has m = 3 + k % 6 endmembers, SNR 30 dB and seed seed + k.
-    result is the sudap solve under cfg and re_db its relative error
-    against the exact oracle.
+    Scene k has m = 3 + k % 6 endmembers, SNR 30 dB and seed seed + k;
+    a_oracle is the active-set solver's abundance matrix for it.
     """
     for k in range(n_instances):
         m = 3 + k % 6
         e, _, cube = make_instance(m, (32, 32), 30.0, seed + k)
-        oracle = solve_oracle_activeset(e, cube)
-        result = solve_sudap(e, cube, cfg)
-        yield m, result, relative_error_db(result.a_hat, oracle.a_hat)
+        yield m, e, cube, solve_oracle_activeset(e, cube).a_hat
 
 
 def cmd_validate(args) -> int:
@@ -383,8 +388,9 @@ def cmd_validate(args) -> int:
     )
     worst_re, worst_sum, converged = -np.inf, 0.0, True
     cfg = DykstraConfig(rel_tol=1e-12)
-    for _, result, re_db in oracle_runs(args.seed, args.instances, cfg):
-        worst_re = max(worst_re, re_db)
+    for _, e, cube, a_oracle in oracle_runs(args.seed, args.instances):
+        result = solve_sudap(e, cube, cfg)
+        worst_re = max(worst_re, relative_error_db(result.a_hat, a_oracle))
         worst_sum = max(
             worst_sum, column_feasibility(result.a_hat).max_sum_violation
         )
@@ -450,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--truth",
                     help="ground-truth abundance file, for NMSE")
     un.add_argument("--curve", help="write per-sweep metrics CSV here")
-    un.add_argument("--snapshot-every", type=int, default=1,
-                    help="sweeps between curve rows")
+    un.add_argument("--snapshot-every", type=_at_least(1), default=1,
+                    help="sweeps between curve rows (the last sweep "
+                    "always gets one)")
     un.add_argument("--clip", action="store_true",
                     help="zero tiny negative abundances and renormalize")
     un.add_argument("--threads", type=int, default=_default_threads())
@@ -472,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--min-angle", type=_at_least(0.0), default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
     be.add_argument("--threads", type=int, default=_default_threads())
-    # Benchmark runs solve to a fixed tolerance and draw no curve.
-    be.set_defaults(func=cmd_benchmark, rel_tol=1e-12, curve=None)
+    # Benchmark runs solve to a fixed tolerance.
+    be.set_defaults(func=cmd_benchmark, rel_tol=1e-12)
 
     va = sub.add_parser("validate", help="run seeded self-checks")
     va.add_argument("--seed", type=_at_least(0), default=0)
@@ -496,7 +503,6 @@ def main(argv=None) -> int:
             args.cfg = DykstraConfig(
                 max_sweeps=args.max_sweeps,
                 rel_tol=args.rel_tol,
-                snapshot_every=args.snapshot_every if args.curve else 0,
                 threads=args.threads,
             )
         except ValueError as exc:

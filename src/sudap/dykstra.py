@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -43,25 +43,22 @@ from .subspace import SubspaceTransform
 # Guard against a zero-norm iterate in the relative-change denominator.
 REL_CHANGE_EPS = 1e-300
 
-# A pixel counts as still moving while its own squared relative change
-# over one sweep exceeds this level, in dB.
-PIXEL_TOL_DB = -100.0
-
 
 @dataclass
 class DykstraConfig:
     """Run controls for dykstra_project.
 
-    rel_tol = 0 turns the successive-change test off in practice (it
-    only fires on an exact fixed point), giving a fixed-sweep run of
-    max_sweeps for benchmarking. snapshot_every > 0 keeps a copy of the
-    iterate every that many sweeps and also records, every sweep, how
-    many pixels are still moving; 0 turns both off.
+    The run stops after max_sweeps sweeps, or earlier once the
+    iterate's relative change over one sweep, |U_k - U_{k-1}|_F /
+    |U_k|_F, is at most rel_tol. rel_tol = 0 turns that test off in
+    practice (it only fires on an exact fixed point), giving a
+    fixed-sweep run of max_sweeps for benchmarking. threads splits the
+    columns into that many blocks per sweep; the result is the same to
+    the bit at any count. To watch a run, use dykstra_project's on_sweep.
     """
 
     max_sweeps: int = 2000
     rel_tol: float = 1e-10
-    snapshot_every: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -71,28 +68,23 @@ class DykstraConfig:
             raise ValueError("rel_tol must be finite and non-negative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be non-negative")
 
 
 @dataclass(frozen=True)
 class DykstraTrace:
     """Per-sweep records of one run; row k belongs to sweep k + 1.
 
-    elapsed_s is cumulative time spent in the sweep kernel and the
-    convergence bookkeeping only; snapshot copies and caller callbacks
-    run off the clock so instrumented runs time like plain ones.
-    snapshots holds (sweep, copy of U) pairs when snapshotting is on,
-    always including the final sweep. unconverged holds, per sweep, the
-    number of pixels whose relative change still exceeds PIXEL_TOL_DB;
-    it comes with snapshots and is None when snapshotting is off.
+    elapsed_s is the cumulative time spent in the sweep kernel and the
+    stop and sum bookkeeping only; the on_sweep observer runs off the
+    clock, so observed runs time like plain ones. rel_change is the
+    iterate's relative change over each sweep (the stopping test's
+    quantity) and max_sum_violation the largest |b'U - 1| after it.
+    The state the driver keeps is O(m n) whatever the sweep count.
     """
 
     elapsed_s: np.ndarray
     rel_change: np.ndarray
     max_sum_violation: np.ndarray
-    unconverged: np.ndarray | None
-    snapshots: list = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -135,8 +127,11 @@ def dykstra_project(
         Transformed observations, m x n.
     cfg : DykstraConfig, optional
     on_sweep : callable, optional
-        Called as on_sweep(sweep, u) after each sweep with the live
-        iterate; must treat u as read-only. Runs off the trace clock.
+        Called as on_sweep(sweep, u) after each of sweeps 1..n, off the
+        trace clock. u is a read-only view of the live iterate, the same
+        array on every call: it changes as the run goes on, so copy it
+        to keep an iterate, and writing into it raises ValueError. An
+        exception from on_sweep ends the run and propagates.
 
     Returns
     -------
@@ -167,6 +162,8 @@ def dykstra_project(
     u = project_hyperplane(t, y)
     q = [np.zeros((m, n)) for _ in range(m)]
     u_prev = np.empty_like(u)
+    u_seen = u.view()
+    u_seen.flags.writeable = False
 
     n_workers = min(cfg.threads, n)
     executor = ThreadPoolExecutor(n_workers) if n_workers > 1 else None
@@ -177,13 +174,9 @@ def dykstra_project(
     elapsed: list[float] = []
     rel_changes: list[float] = []
     sum_violations: list[float] = []
-    unconverged: list[int] = []
-    snapshots: list = []
-    pixel_thresh = 10.0 ** (PIXEL_TOL_DB / 10.0)
 
     clock = 0.0
     converged = False
-    sweep = 0
     try:
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
@@ -203,29 +196,18 @@ def dykstra_project(
             if not np.all(np.isfinite(u)):
                 raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
-            diff = u - u_prev
             rel = float(
-                np.linalg.norm(diff)
+                np.linalg.norm(u - u_prev)
                 / max(np.linalg.norm(u), REL_CHANGE_EPS)
             )
             violation = float(np.max(np.abs(t.b @ u - 1.0)))
-            if cfg.snapshot_every:
-                num = np.einsum("ij,ij->j", diff, diff)
-                den = np.maximum(
-                    np.einsum("ij,ij->j", u, u), REL_CHANGE_EPS
-                )
-                n_open = int(np.count_nonzero(num > pixel_thresh * den))
             clock += time.perf_counter() - tic
 
             elapsed.append(clock)
             rel_changes.append(rel)
             sum_violations.append(violation)
-            if cfg.snapshot_every:
-                unconverged.append(n_open)
-            if cfg.snapshot_every and sweep % cfg.snapshot_every == 0:
-                snapshots.append((sweep, u.copy()))
             if on_sweep is not None:
-                on_sweep(sweep, u)
+                on_sweep(sweep, u_seen)
 
             if rel <= cfg.rel_tol:
                 converged = True
@@ -234,17 +216,10 @@ def dykstra_project(
         if executor is not None:
             executor.shutdown()
 
-    if cfg.snapshot_every and (not snapshots or snapshots[-1][0] != sweep):
-        snapshots.append((sweep, u.copy()))
-
     trace = DykstraTrace(
         elapsed_s=np.asarray(elapsed),
         rel_change=np.asarray(rel_changes),
         max_sum_violation=np.asarray(sum_violations),
-        unconverged=np.asarray(unconverged, dtype=np.int64)
-        if cfg.snapshot_every
-        else None,
-        snapshots=snapshots,
         converged=converged,
     )
     return u, trace

@@ -232,9 +232,7 @@ def write_curve_csv(curve: ConvergenceCurve, path) -> None:
                 _fmt(curve.objective[k]),
                 _cell(curve.re_db[k]),
                 _cell(curve.nmse_db[k]),
-                ""
-                if curve.unconverged is None
-                else str(int(curve.unconverged[k])),
+                str(int(curve.unconverged[k])),
             ]
             writer.writerow(row)
 
@@ -253,7 +251,6 @@ def read_curve_csv(path) -> ConvergenceCurve:
     re_db = np.zeros(n)
     nmse = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    have_counts = True
     for k, row in enumerate(rows[1:]):
         line = k + 2
         if len(row) != len(_CURVE_HEADER):
@@ -264,10 +261,7 @@ def read_curve_csv(path) -> ConvergenceCurve:
             objective[k] = float(row[2])
             re_db[k] = float(row[3]) if row[3] else np.nan
             nmse[k] = float(row[4]) if row[4] else np.nan
-            if row[5]:
-                counts[k] = int(row[5])
-            else:
-                have_counts = False
+            counts[k] = int(row[5])
         except ValueError as exc:
             raise ParseError(line, 1, str(exc)) from None
     return ConvergenceCurve(
@@ -276,5 +270,5 @@ def read_curve_csv(path) -> ConvergenceCurve:
         objective=objective,
         re_db=re_db,
         nmse_db=nmse,
-        unconverged=counts if have_counts and n > 0 else None,
+        unconverged=counts,
     )

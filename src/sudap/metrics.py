@@ -10,10 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dykstra import DykstraTrace
+from .dykstra import REL_CHANGE_EPS, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from .model import AbundanceMatrix, EndmemberMatrix, ImageCube
-from .subspace import SubspaceTransform, inverse_transform
+from .projectors import project_hyperplane
+from .subspace import SubspaceTransform, forward_transform, inverse_transform
+
+# A pixel counts as still moving while its own squared relative change
+# over one sweep exceeds this level, in dB: -100 dB is a relative change
+# above 1e-5.
+PIXEL_TOL_DB = -100.0
+_PIXEL_TOL = 10.0 ** (PIXEL_TOL_DB / 10.0)
 
 
 def _data(x) -> np.ndarray:
@@ -65,10 +72,10 @@ def objective(e: EndmemberMatrix, x: ImageCube, a_hat) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceCurve:
-    """Per-snapshot metric rows of one solver run.
+    """Metric rows of one solver run, one row per recorded sweep.
 
     re_db and nmse_db hold nan where the matching reference was not
-    supplied; unconverged is None when per-pixel telemetry was off.
+    supplied.
     """
 
     sweep: np.ndarray
@@ -76,15 +83,13 @@ class ConvergenceCurve:
     objective: np.ndarray
     re_db: np.ndarray
     nmse_db: np.ndarray
-    unconverged: np.ndarray | None = None
+    unconverged: np.ndarray
 
     def __post_init__(self):
-        n = len(self.sweep)
-        for name in ("time_s", "objective", "re_db", "nmse_db"):
-            if len(getattr(self, name)) != n:
+        for name in ("time_s", "objective", "re_db", "nmse_db",
+                     "unconverged"):
+            if len(getattr(self, name)) != len(self.sweep):
                 raise ValueError(f"column {name} has wrong length")
-        if self.unconverged is not None and len(self.unconverged) != n:
-            raise ValueError("column unconverged has wrong length")
         if np.any(np.diff(self.time_s) < 0):
             raise ValueError("time_s must be nondecreasing")
 
@@ -93,47 +98,70 @@ class ConvergenceCurve:
         return len(self.sweep)
 
 
-def build_curve(
-    trace: DykstraTrace,
-    t: SubspaceTransform,
-    e: EndmemberMatrix,
-    x: ImageCube,
-    a_star: AbundanceMatrix | None = None,
-    a_true: AbundanceMatrix | None = None,
-) -> ConvergenceCurve:
-    """Turn trace snapshots into metric rows.
+class CurveRecorder:
+    """An on_sweep observer that builds the convergence curve of a run.
 
-    One row per snapshot: solver-only elapsed time, residual objective,
-    RE against a_star and NMSE against a_true when given (nan cells
-    otherwise), and the per-pixel unconverged count when the trace
-    carries one.
+    Pass it as on_sweep to solve_sudap (or dykstra_project on the same
+    transform and data). Every `every` sweeps, and for the run's last
+    sweep, it records one row: the residual objective, RE against a_star
+    and NMSE against a_true when given (nan cells otherwise), and the
+    number of pixels whose squared relative change over that sweep
+    exceeds PIXEL_TOL_DB. curve(trace) then adds the solver-only elapsed
+    times from the run's trace. The recorder holds one m x n buffer,
+    however long the run.
     """
-    n = len(trace.snapshots)
-    sweeps = np.zeros(n, dtype=np.int64)
-    times = np.zeros(n)
-    objectives = np.zeros(n)
-    res = np.full(n, np.nan)
-    nmses = np.full(n, np.nan)
-    counts = (
-        np.zeros(n, dtype=np.int64) if trace.unconverged is not None else None
-    )
-    for row, (sweep, u) in enumerate(trace.snapshots):
-        a_k = inverse_transform(t, u)
-        idx = sweep - 1
-        sweeps[row] = sweep
-        times[row] = trace.elapsed_s[idx]
-        objectives[row] = objective(e, x, a_k)
-        if a_star is not None:
-            res[row] = _ratio_db(a_k, a_star, "relative error")
-        if a_true is not None:
-            nmses[row] = _ratio_db(a_k, a_true, "NMSE")
-        if counts is not None:
-            counts[row] = trace.unconverged[idx]
-    return ConvergenceCurve(
-        sweep=sweeps,
-        time_s=times,
-        objective=objectives,
-        re_db=res,
-        nmse_db=nmses,
-        unconverged=counts,
-    )
+
+    def __init__(self, t: SubspaceTransform, e: EndmemberMatrix,
+                 x: ImageCube, every: int = 1,
+                 a_star: AbundanceMatrix | None = None,
+                 a_true: AbundanceMatrix | None = None):
+        if every < 1:
+            raise ValueError("every must be at least 1")
+        self._t, self._e, self._x, self._every = t, e, x, every
+        self._a_star, self._a_true = a_star, a_true
+        # The iterate before sweep 1, computed as the driver computes it.
+        self._prev = project_hyperplane(t, forward_transform(t, e, x))
+        self._rows: list = []
+        self._sweep, self._u, self._moving = 0, None, 0
+
+    def __call__(self, sweep: int, u: np.ndarray) -> None:
+        diff = u - self._prev
+        num = np.einsum("ij,ij->j", diff, diff)
+        den = np.maximum(np.einsum("ij,ij->j", u, u), REL_CHANGE_EPS)
+        self._moving = int(np.count_nonzero(num > _PIXEL_TOL * den))
+        self._prev[:] = u
+        # u is the driver's live iterate: after the run it holds the
+        # final one, which curve() reads for the last row.
+        self._sweep, self._u = sweep, u
+        if sweep % self._every == 0:
+            self._rows.append(self._row())
+
+    def _row(self) -> tuple:
+        a_k = inverse_transform(self._t, self._u)
+        return (
+            self._sweep,
+            objective(self._e, self._x, a_k),
+            np.nan if self._a_star is None
+            else relative_error_db(a_k, self._a_star),
+            np.nan if self._a_true is None else nmse_db(a_k, self._a_true),
+            self._moving,
+        )
+
+    def curve(self, trace: DykstraTrace) -> ConvergenceCurve:
+        """The recorded rows, timed by the observed run's trace."""
+        if trace.n_sweeps != self._sweep:
+            raise ValueError(f"trace has {trace.n_sweeps} sweeps, the "
+                             f"recorder saw {self._sweep}")
+        rows = list(self._rows)
+        if self._sweep and (not rows or rows[-1][0] != self._sweep):
+            rows.append(self._row())
+        cols = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+        sweep = cols[0].astype(np.int64)
+        return ConvergenceCurve(
+            sweep=sweep,
+            time_s=trace.elapsed_s[sweep - 1],
+            objective=cols[1],
+            re_db=cols[2],
+            nmse_db=cols[3],
+            unconverged=cols[4].astype(np.int64),
+        )

@@ -64,14 +64,7 @@ class SolveResult:
 
 def _empty_trace() -> DykstraTrace:
     z = np.zeros(0)
-    return DykstraTrace(
-        elapsed_s=z,
-        rel_change=z,
-        max_sum_violation=z,
-        unconverged=None,
-        snapshots=[],
-        converged=True,
-    )
+    return DykstraTrace(z, z, z, converged=True)
 
 
 def _gram_factor(e: EndmemberMatrix):

@@ -25,11 +25,7 @@ from sudap.metrics import nmse_db
 from sudap.model import EPS_NEG, EPS_SUM, column_feasibility
 from sudap.simdata import make_instance, make_scene, make_synthetic_library
 from sudap.solver import solve_ls
-from sudap.subspace import (
-    build_transform,
-    forward_transform,
-    inverse_transform,
-)
+from sudap.subspace import build_transform, forward_transform
 
 N_INSTANCES = 50
 
@@ -39,13 +35,11 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _decay_profile(trace):
-    """Distance of every recorded iterate to the run's final one."""
-    u_final = trace.snapshots[-1][1]
-    ks = np.array([s for s, _ in trace.snapshots], dtype=float)
-    es = np.array(
-        [float(np.linalg.norm(u - u_final)) for _, u in trace.snapshots]
-    )
+def _decay_profile(iterates):
+    """Distance of every sweep's iterate to the run's final one."""
+    u_final = iterates[-1]
+    ks = np.arange(1, len(iterates) + 1, dtype=float)
+    es = np.array([float(np.linalg.norm(u - u_final)) for u in iterates])
     keep = (es > 1e-12) & (ks >= 5)
     if keep.sum() < 2:
         keep = es > 1e-12
@@ -64,14 +58,18 @@ def pipeline_runs():
     """50 seeded scenes solved by both routes, with per-run telemetry."""
     runs = []
     started = time.perf_counter()
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12, snapshot_every=1)
-    for m, sudap, re_db in cli.oracle_runs(1000, N_INSTANCES, cfg):
+    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
+    for m, e, cube, a_oracle in cli.oracle_runs(1000, N_INSTANCES):
+        iterates = []
+        sudap = solve_sudap(
+            e, cube, cfg, on_sweep=lambda _s, u: iterates.append(u.copy())
+        )
         report = column_feasibility(sudap.a_hat)
-        slope, hit_sweep = _decay_profile(sudap.trace)
+        slope, hit_sweep = _decay_profile(iterates)
         runs.append(
             {
                 "m": m,
-                "re_db": re_db,
+                "re_db": relative_error_db(sudap.a_hat, a_oracle),
                 "converged": sudap.trace.converged,
                 "max_sum_violation": report.max_sum_violation,
                 "min_entry": report.min_entry,
@@ -237,21 +235,11 @@ def test_survey_scale_scene_reaches_the_stopping_error():
         lib, 5, 10.0, (100, 100), 30.0, (99, 100, 101)
     )
     oracle = solve_oracle_activeset(e, cube)
-    t = build_transform(e)
-    res = []
-
-    def watch(_sweep, u):
-        res.append(relative_error_db(inverse_transform(t, u), oracle.a_hat))
-
     cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
-    result = solve_sudap(e, cube, cfg, on_sweep=watch)
-    res = np.asarray(res)
-    below = np.flatnonzero(res <= -100.0)
-    ok = below.size > 0
-    hit = int(below[0]) + 1 if ok else -1
-    time_to = (
-        float(result.trace.elapsed_s[below[0]]) if ok else float("nan")
+    result, hit, time_to, _ = cli.time_to_re(
+        e, cube, oracle.a_hat, cfg, -100.0
     )
+    ok = hit > 0
     _report(
         "survey-scale run",
         ok,

@@ -1,11 +1,11 @@
 import sudap
 
 README_API = [
+    "CurveRecorder",
     "DykstraConfig",
     "EndmemberMatrix",
     "ImageCube",
     "SudapError",
-    "build_curve",
     "relative_error_db",
     "solve_oracle_activeset",
     "solve_sudap",

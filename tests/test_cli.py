@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,34 @@ def test_unmix_snapshot_stride_controls_curve_rows(tmp_path, library_csv):
     curve = read_curve_csv(curve_path)
     assert all(s % 5 == 0 for s in curve.sweep[:-1])
     assert (np.diff(curve.sweep) > 0).all()
+
+
+def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
+                                                        library_csv):
+    # Both runs evaluate curve rows while the solver state is live, so
+    # they peak on the same temporaries; only stored iterates could make
+    # the every-sweep curve's peak higher.
+    out = _simulate(tmp_path, library_csv, rows=48, cols=48, snr="3")
+    m, n = 5, 48 * 48
+    peaks, curves = [], []
+    for every in ("1", "25"):
+        curve_path = tmp_path / f"c{every}.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main([
+                "unmix", "--cube", f"{out}.cube",
+                "--endmembers", f"{out}.endmembers.csv",
+                "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+                "--curve", str(curve_path), "--snapshot-every", every,
+            ])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        curves.append(read_curve_csv(curve_path))
+    assert curves[0].n_rows >= 50
+    assert curves[1].n_rows < curves[0].n_rows / 10
+    assert peaks[0] - peaks[1] < 2 * m * n * 8
 
 
 def test_unmix_is_bit_deterministic_across_thread_counts(tmp_path,
@@ -220,8 +249,7 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
     unmix = ["unmix", "--cube", "x", "--endmembers", "y",
              "--solver", "sudap", "--out", "z"]
     for bad in (["--max-sweeps", "0"], ["--rel-tol", "-1"],
-                ["--rel-tol", "nan"], ["--rel-tol", "inf"],
-                ["--curve", "c.csv", "--snapshot-every", "-1"]):
+                ["--rel-tol", "nan"], ["--rel-tol", "inf"]):
         with pytest.raises(SystemExit) as info:
             cli.main(unmix + bad)
         assert info.value.code == 2
@@ -232,6 +260,10 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
                 "--min-angle", "10", "--rows", "4", "--cols", "4",
                 "--snr-db", "30", "--seed", "0", "--out-prefix", "z"]
     for argv, option in (
+        (unmix + ["--curve", "c.csv", "--snapshot-every", "0"],
+         "--snapshot-every"),
+        (unmix + ["--curve", "c.csv", "--snapshot-every", "-1"],
+         "--snapshot-every"),
         (benchmark + ["--values", "3", "--max-sweeps", "0"], "--max-sweeps"),
         (benchmark + ["--values", "abc"], "--values"),
         (benchmark + ["--values", "3,,4"], "--values"),

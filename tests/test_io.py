@@ -159,7 +159,7 @@ def test_zero_dimension_header_is_rejected(tmp_path):
         read_cube(path)
 
 
-def _curve(with_counts=True, with_nan=True):
+def _curve(with_nan=True):
     re_db = np.array([-5.0, np.nan if with_nan else -40.0, -np.inf])
     return ConvergenceCurve(
         sweep=np.array([1, 2, 3], dtype=np.int64),
@@ -167,8 +167,7 @@ def _curve(with_counts=True, with_nan=True):
         objective=np.array([3.0, 2.0, 2.0]),
         re_db=re_db,
         nmse_db=np.array([np.nan, np.nan, np.nan]),
-        unconverged=np.array([7, 3, 0], dtype=np.int64) if with_counts
-        else None,
+        unconverged=np.array([7, 3, 0], dtype=np.int64),
     )
 
 
@@ -185,12 +184,6 @@ def test_curve_round_trip_preserves_sentinels(tmp_path):
     assert back.re_db[2] == -np.inf
     assert np.isnan(back.nmse_db).all()
     assert np.array_equal(back.unconverged, curve.unconverged)
-
-
-def test_curve_without_counts_round_trips_to_none(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_curve_csv(_curve(with_counts=False), path)
-    assert read_curve_csv(path).unconverged is None
 
 
 def test_curve_reader_validates_header_and_cells(tmp_path):

@@ -1,19 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sudap import (
+    CurveRecorder,
     DykstraConfig,
     EndmemberMatrix,
     ImageCube,
-    build_curve,
     relative_error_db,
     solve_oracle_activeset,
 )
 from sudap.dykstra import dykstra_project
 from sudap.errors import DimensionMismatch, ShapeMismatch, ZeroReference
-from sudap.metrics import ConvergenceCurve, nmse_db, objective
+from sudap.metrics import PIXEL_TOL_DB, ConvergenceCurve, nmse_db, objective
+from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
-from sudap.subspace import build_transform, forward_transform
+from sudap.subspace import (
+    build_transform,
+    forward_transform,
+    inverse_transform,
+)
 
 
 def test_relative_error_in_decibels_matches_hand_computation():
@@ -55,46 +62,89 @@ def test_curve_columns_must_line_up():
     z = np.zeros(3)
     with pytest.raises(ValueError):
         ConvergenceCurve(sweep=n, time_s=np.zeros(2), objective=z,
-                         re_db=z, nmse_db=z)
+                         re_db=z, nmse_db=z, unconverged=n)
     with pytest.raises(ValueError):
         ConvergenceCurve(sweep=n, time_s=np.array([0.0, 2.0, 1.0]),
-                         objective=z, re_db=z, nmse_db=z)
+                         objective=z, re_db=z, nmse_db=z, unconverged=n)
+    with pytest.raises(ValueError):
+        ConvergenceCurve(sweep=n, time_s=z, objective=z, re_db=z,
+                         nmse_db=z, unconverged=n[:2])
     curve = ConvergenceCurve(sweep=n, time_s=z, objective=z, re_db=z,
-                             nmse_db=z)
+                             nmse_db=z, unconverged=n)
     assert curve.n_rows == 3
 
 
-def _curve_fixture():
+def _recorded_run(every, with_refs=True):
     # Low SNR puts many pixels on the simplex boundary, giving a run
     # long enough for the curve to have several rows.
     e, a_true, cube = make_instance(6, (6, 8), 5.0, 60, n_bands=40)
     t = build_transform(e)
     y = forward_transform(t, e, cube.data)
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12, snapshot_every=5)
-    _, trace = dykstra_project(t, y, cfg)
     a_star = solve_oracle_activeset(e, cube).a_hat
-    return e, a_true, cube, t, trace, a_star
+    recorder = CurveRecorder(
+        t, e, cube, every,
+        a_star=a_star if with_refs else None,
+        a_true=a_true if with_refs else None,
+    )
+    iterates = [project_hyperplane(t, y)]
+
+    def observe(sweep, u):
+        iterates.append(u.copy())
+        recorder(sweep, u)
+
+    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
+    _, trace = dykstra_project(t, y, cfg, on_sweep=observe)
+    return e, a_true, cube, t, trace, a_star, recorder, iterates
 
 
-def test_curve_rows_mirror_trace_snapshots():
-    e, a_true, cube, t, trace, a_star = _curve_fixture()
-    curve = build_curve(trace, t, e, cube, a_star=a_star, a_true=a_true)
-    assert curve.n_rows == len(trace.snapshots)
-    assert [int(s) for s in curve.sweep] == [s for s, _ in trace.snapshots]
-    assert (np.diff(curve.time_s) >= 0).all()
+def test_curve_rows_follow_the_stride_and_end_on_the_last_sweep():
+    e, a_true, cube, t, trace, a_star, recorder, _ = _recorded_run(5)
+    curve = recorder.curve(trace)
+    k = trace.n_sweeps
+    expected = list(range(5, k + 1, 5))
+    if expected[-1] != k:
+        expected.append(k)
+    assert [int(s) for s in curve.sweep] == expected
+    assert np.array_equal(curve.time_s, trace.elapsed_s[curve.sweep - 1])
     assert np.isfinite(curve.objective).all()
     assert np.isfinite(curve.re_db[:-1]).all()
     assert np.isfinite(curve.nmse_db).all()
-    assert curve.unconverged is not None
     assert curve.unconverged[-1] == 0
     # The run converged, so the last RE against the oracle is far below
     # the first.
     assert curve.re_db[-1] < curve.re_db[0] - 30.0
 
 
+def test_curve_rows_are_the_metrics_of_each_recorded_iterate():
+    # Recompute every row from stored copies of the iterates.
+    e, a_true, cube, t, trace, a_star, recorder, iterates = _recorded_run(1)
+    curve = recorder.curve(trace)
+    assert curve.n_rows == trace.n_sweeps == len(iterates) - 1
+    tol = 10.0 ** (PIXEL_TOL_DB / 10.0)
+    for row, sweep in enumerate(curve.sweep):
+        u, u_prev = iterates[sweep], iterates[sweep - 1]
+        a_k = inverse_transform(t, u)
+        assert curve.objective[row] == objective(e, cube, a_k)
+        assert curve.re_db[row] == relative_error_db(a_k, a_star)
+        assert curve.nmse_db[row] == nmse_db(a_k, a_true)
+        moving = np.sum((u - u_prev) ** 2, axis=0) > tol * np.sum(
+            u * u, axis=0
+        )
+        assert curve.unconverged[row] == moving.sum()
+
+
 def test_curve_marks_missing_references_as_nan():
-    e, _, cube, t, trace, _ = _curve_fixture()
-    curve = build_curve(trace, t, e, cube)
+    _, _, _, _, trace, _, recorder, _ = _recorded_run(5, with_refs=False)
+    curve = recorder.curve(trace)
     assert np.isnan(curve.re_db).all()
     assert np.isnan(curve.nmse_db).all()
     assert np.isfinite(curve.objective).all()
+
+
+def test_curve_refuses_a_trace_from_another_run():
+    e, _, cube, t, trace, _, recorder, _ = _recorded_run(5)
+    shorter = dataclasses.replace(trace, elapsed_s=trace.elapsed_s[:-1])
+    with pytest.raises(ValueError):
+        recorder.curve(shorter)
+    with pytest.raises(ValueError):
+        CurveRecorder(t, e, cube, every=0)
