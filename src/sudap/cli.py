@@ -45,6 +45,7 @@ from .model import (
     column_feasibility,
 )
 from .projectors import (
+    project_hyperplane,
     project_intersection_geometric,
     project_intersection_kkt,
 )
@@ -89,13 +90,6 @@ OS_ERROR_CODE = 30
 # deliberately broken builder to confirm validate actually detects
 # faults.
 _make_transform = build_transform
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SUDAP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _at_least(low):
@@ -352,7 +346,11 @@ ORACLE_RE_DB = -120.0
 
 
 def projector_gap(rng, n_triples: int) -> float:
-    """Worst |geometric - KKT| projection over random (E, i, Z) triples."""
+    """Worst |geometric - KKT| projection over random (E, i, Z) triples.
+
+    The geometric route is the solver's own step: drop Z onto the
+    hyperplane, then one project_intersection_geometric with tau = 0.
+    """
     worst = 0.0
     for _ in range(n_triples):
         m = int(rng.integers(2, 9))
@@ -364,7 +362,8 @@ def projector_gap(rng, n_triples: int) -> float:
             (m, int(rng.integers(1, 33)))
         )
         i = int(rng.integers(0, m))
-        geo = project_intersection_geometric(t, i, z)
+        geo = project_hyperplane(t, z)
+        project_intersection_geometric(t, i, geo, np.zeros_like(geo))
         kkt = project_intersection_kkt(t, i, z)
         worst = max(worst, float(np.max(np.abs(geo - kkt))))
     return worst
@@ -418,6 +417,9 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse parses a string default as if it were typed, so a bad
+    # SUDAP_THREADS is the same usage error as a bad --threads.
+    threads = os.environ.get("SUDAP_THREADS", "1")
     p = argparse.ArgumentParser(
         prog="sudap",
         description="Fully constrained spectral unmixing by subspace "
@@ -461,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "always gets one)")
     un.add_argument("--clip", action="store_true",
                     help="zero tiny negative abundances and renormalize")
-    un.add_argument("--threads", type=int, default=_default_threads())
+    un.add_argument("--threads", type=int, default=threads)
     un.set_defaults(func=cmd_unmix)
 
     be = sub.add_parser(
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--out-dir", required=True)
     be.add_argument("--min-angle", type=_at_least(0.0), default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
-    be.add_argument("--threads", type=int, default=_default_threads())
+    be.add_argument("--threads", type=int, default=threads)
     # Benchmark runs solve to a fixed tolerance.
     be.set_defaults(func=cmd_benchmark, rel_tol=1e-12)
 

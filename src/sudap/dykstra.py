@@ -1,26 +1,33 @@
-"""Alternating projection driver with Dykstra's correction terms.
+"""Dykstra's projection driver, run as Hildreth's method.
 
 Projects transformed observations Y onto the intersection of the sum
 hyperplane S with all m half spaces N_i by cycling through the m
 closed-form projectors onto S meet N_i. Plain cyclic projection would
-converge to some point of the intersection; carrying a correction
-matrix per set (Dykstra's scheme) makes the limit the orthogonal
-projection of Y itself.
-
-One sweep, given iterate U and corrections Q_1..Q_m:
+converge to some point of the intersection; Dykstra's scheme carries a
+correction per set, which makes the limit the orthogonal projection of
+Y itself:
 
     for i = 1..m:
         Z   <- U + Q_i
-        U   <- project_intersection(i, Z)
+        U   <- P_i(Z)
         Q_i <- Z - U
 
-Before the first sweep Y is replaced by its hyperplane projection.
-The limit is unchanged (the feasible set lies inside S, and projecting
-onto a subset of an affine set through the set's own projection is
-exact), every iterate and every Z above then stays on S, and each
-correction is a difference of points on S. That is what licenses the
-z_on_s fast path inside project_intersection for every call after the
-very first.
+Y is first dropped onto S once. The limit is unchanged (the feasible
+set lies inside S, and projecting onto a subset of an affine set
+through the set's own projection is exact), and every U and Z after
+that lies on S. On S, P_i(Z) only slides Z along the unit in-plane
+normal s_i of N_i, by tau = max(0, f_i - s_i'Z) per column, so every
+correction is Q_i = Z - P_i(Z) = -s_i tau_i: one scalar per
+constraint per pixel. Carrying tau instead of Q turns the sweep into
+Hildreth's dual coordinate ascent,
+
+    for i = 1..m:
+        tau_new = max(0, f_i - s_i'U + tau_i)
+        U      <- U + s_i (tau_new - tau_i)
+        tau_i  <- tau_new
+
+and the driver's whole state is the m x n iterate U and the m x n
+multiplier block tau, whatever m.
 
 Columns never interact: each pixel's trajectory depends only on the
 transform, so the sweep kernel may be run on disjoint column blocks in
@@ -42,6 +49,16 @@ from .subspace import SubspaceTransform
 
 # Guard against a zero-norm iterate in the relative-change denominator.
 REL_CHANGE_EPS = 1e-300
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of x, by einsum in the calling thread.
+
+    np.linalg.norm, and b @ u on wide blocks, wake BLAS's thread pool;
+    doing that every sweep stalled sweeps by 3-15 ms on a 2-CPU host,
+    so the per-sweep bookkeeping uses einsum instead.
+    """
+    return math.sqrt(np.einsum("ij,ij->", x, x))
 
 
 @dataclass
@@ -93,23 +110,12 @@ class DykstraTrace:
 
 
 def _sweep_block(
-    t: SubspaceTransform,
-    u: np.ndarray,
-    q: list,
-    lo: int,
-    hi: int,
-    first_sweep: bool,
+    t: SubspaceTransform, u: np.ndarray, tau: np.ndarray, lo: int, hi: int
 ) -> None:
     """Run one full sweep on columns [lo, hi) in place."""
-    uv = u[:, lo:hi]
+    uv, tv = u[:, lo:hi], tau[:, lo:hi]
     for i in range(t.n_endmembers):
-        qv = q[i][:, lo:hi]
-        zin = uv + qv
-        out = project_intersection_geometric(
-            t, i, zin, z_on_s=not (first_sweep and i == 0)
-        )
-        np.subtract(zin, out, out=qv)
-        uv[:] = out
+        project_intersection_geometric(t, i, uv, tv)
 
 
 def dykstra_project(
@@ -160,7 +166,7 @@ def dykstra_project(
         raise ShapeMismatch("need at least one column to project")
 
     u = project_hyperplane(t, y)
-    q = [np.zeros((m, n)) for _ in range(m)]
+    tau = np.zeros((m, n))
     u_prev = np.empty_like(u)
     u_seen = u.view()
     u_seen.flags.writeable = False
@@ -182,12 +188,10 @@ def dykstra_project(
             tic = time.perf_counter()
             u_prev[:] = u
             if executor is None:
-                _sweep_block(t, u, q, 0, n, sweep == 1)
+                _sweep_block(t, u, tau, 0, n)
             else:
                 futures = [
-                    executor.submit(
-                        _sweep_block, t, u, q, lo, hi, sweep == 1
-                    )
+                    executor.submit(_sweep_block, t, u, tau, lo, hi)
                     for lo, hi in bounds
                 ]
                 for fut in futures:
@@ -196,11 +200,11 @@ def dykstra_project(
             if not np.all(np.isfinite(u)):
                 raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
-            rel = float(
-                np.linalg.norm(u - u_prev)
-                / max(np.linalg.norm(u), REL_CHANGE_EPS)
+            u_prev -= u  # the sweep's step, negated
+            rel = _norm(u_prev) / max(_norm(u), REL_CHANGE_EPS)
+            violation = float(
+                np.max(np.abs(np.einsum("i,ij->j", t.b, u) - 1.0))
             )
-            violation = float(np.max(np.abs(t.b @ u - 1.0)))
             clock += time.perf_counter() - tic
 
             elapsed.append(clock)

@@ -1,8 +1,7 @@
 """Closed-form projectors onto the transformed constraint sets.
 
 Everything operates columnwise on m x n coefficient blocks, so one call
-projects every pixel at once. Inputs of shape (m,) are accepted and give
-back the same shape.
+projects every pixel at once.
 """
 
 from __future__ import annotations
@@ -11,13 +10,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .subspace import SubspaceTransform
-
-
-def _columns(z: np.ndarray) -> tuple[np.ndarray, bool]:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        return z[:, None], True
-    return z, False
 
 
 def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -48,66 +40,55 @@ def project_hyperplane(t: SubspaceTransform, z: np.ndarray) -> np.ndarray:
     Per column: u = z - c (b'z - 1), with c = b/|b|^2. The hyperplane
     is affine, so this is an exact single-step projection.
     """
-    z, single = _columns(z)
-    out = z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
-    return out[:, 0] if single else out
+    z = np.asarray(z, dtype=np.float64)
+    return z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
 
 
 def project_intersection_geometric(
-    t: SubspaceTransform, i: int, z: np.ndarray, z_on_s: bool = False
-) -> np.ndarray:
-    """Project onto the intersection of the sum hyperplane and half space i.
+    t: SubspaceTransform, i: int, u: np.ndarray, tau: np.ndarray
+) -> None:
+    """One Hildreth step on half space i, in place on u and tau.
 
-    The set is {u : b'u = 1, d_i'u >= 0}, a half-hyperplane. Projection
-    factors into two steps that compose cleanly because s_i lies inside
-    the hyperplane (s_i'c = 0):
+    u holds m x n points on the sum hyperplane and tau their
+    multipliers (>= 0, row i for half space i). The step projects
+    z = u - s_i tau_i onto {u : b'u = 1, s_i'u >= f_i}. The unit normal
+    s_i lies inside the hyperplane, so z stays on it and the projection
+    only slides z along s_i:
 
-        zs  = z - c (b'z - 1)          drop to the hyperplane
-        tau = max(0, f_i - s_i'zs)      in-plane violation of half space i
-        u   = zs + s_i tau'             slide back to the boundary
+        tau_new = max(0, f_i - s_i'u + tau_i)
+        u      += s_i (tau_new - tau_i)
+        tau_i   = tau_new
 
-    Columns already satisfying d_i'zs >= 0 get tau = 0 and are returned
-    as zs untouched.
-
-    Parameters
-    ----------
-    t : SubspaceTransform
-    i : int
-        Half-space index, 0-based.
-    z : np.ndarray
-        Points to project, (m,) or (m, n).
-    z_on_s : bool
-        Set when z is already known to lie on the hyperplane; skips the
-        first step. Wrong use breaks the result, so callers must only
-        pass points produced by a hyperplane-preserving map.
+    With tau = 0 this is the plain projection of u. u is updated one
+    row at a time, so no m x n temporary is made.
     """
     _check_index(t, i)
-    z, single = _columns(z)
-    zs = z if z_on_s else project_hyperplane(t, z)
-    tau = t.f[i] - _row_dot(t.s[i], zs)
-    np.maximum(tau, 0.0, out=tau)
-    out = zs + np.outer(t.s[i], tau)
-    return out[:, 0] if single else out
+    s, tau_i = t.s[i], tau[i]
+    tau_new = t.f[i] - _row_dot(s, u)
+    tau_new += tau_i
+    np.maximum(tau_new, 0.0, out=tau_new)
+    delta = tau_new - tau_i
+    tau_i[...] = tau_new
+    for k in range(s.shape[0]):
+        u[k] += s[k] * delta
 
 
 def project_intersection_kkt(
     t: SubspaceTransform, i: int, z: np.ndarray
 ) -> np.ndarray:
-    """Same projection as project_intersection_geometric, derived differently.
+    """Project z onto the intersection of the hyperplane and half space i.
 
     Solves the stationarity conditions of min |u - z|^2 s.t. b'u = 1,
     d_i'u >= 0 directly: the equality multiplier gives the shift
     z~ = c (b'z - 1), and the inequality multiplier is active exactly
     when the shifted point has (D^{-1}(z - z~))_i < 0. Kept as an
-    independent route for cross-checking the geometric form; the two
-    must agree to rounding.
+    independent route for cross-checking project_intersection_geometric,
+    which gives the same point, to rounding, for
+    u = project_hyperplane(z) and tau = 0.
     """
     _check_index(t, i)
-    z, single = _columns(z)
-    z_tilde = np.outer(t.c, _row_dot(t.b, z) - 1.0)
-    w = z - z_tilde
+    z = np.asarray(z, dtype=np.float64)
+    w = z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
     tau = -_row_dot(t.d_inv[i], w) / t.p_norms[i]
     np.maximum(tau, 0.0, out=tau)
-    out = w + np.outer(t.s[i], tau)
-    return out[:, 0] if single else out
-
+    return w + np.outer(t.s[i], tau)

@@ -329,10 +329,24 @@ def test_benchmark_writes_runs_and_aggregates(tmp_path, library_csv, capsys):
     assert all(r[-1] == "ok" for r in runs)
 
 
-def test_thread_default_comes_from_environment(monkeypatch):
+def test_thread_default_comes_from_environment(monkeypatch, capsys):
+    unmix = ["unmix", "--cube", "x", "--endmembers", "y",
+             "--solver", "sudap", "--out", "z"]
+    benchmark = ["benchmark", "--library", "x", "--sweep-var", "m",
+                 "--values", "3", "--seed", "0", "--out-dir", "z"]
     monkeypatch.setenv("SUDAP_THREADS", "6")
-    assert cli._default_threads() == 6
-    monkeypatch.setenv("SUDAP_THREADS", "not-a-number")
-    assert cli._default_threads() == 1
+    for argv in (unmix, benchmark):
+        assert cli.build_parser().parse_args(argv).threads == 6
+        assert cli.build_parser().parse_args(argv + ["--threads", "2"]
+                                             ).threads == 2
+    # A bad value is a usage error, as the same --threads value is.
+    for bad in ("0", "-3", "abc"):
+        monkeypatch.setenv("SUDAP_THREADS", bad)
+        for argv in (unmix, benchmark):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            last = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "error:" in last and "--threads" in last
     monkeypatch.delenv("SUDAP_THREADS")
-    assert cli._default_threads() == 1
+    assert cli.build_parser().parse_args(unmix).threads == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,11 +170,27 @@ def test_corrections_make_the_limit_the_nearest_point():
     u_dyk, _ = dykstra_project(
         t, y, DykstraConfig(max_sweeps=5000, rel_tol=1e-14)
     )
+    # Plain cyclic projection is the same step with tau reset to 0.
     v = project_hyperplane(t, y)
     for _ in range(5000):
         for i in range(t.n_endmembers):
-            v = project_intersection_geometric(t, i, v, z_on_s=True)
+            project_intersection_geometric(t, i, v, np.zeros_like(v))
     d_dyk = np.linalg.norm(y - u_dyk, axis=0)
     d_cyc = np.linalg.norm(y - v, axis=0)
     assert (d_dyk <= d_cyc + 1e-9).all()
     assert (d_cyc - d_dyk).max() > 1e-6
+
+
+def test_driver_memory_does_not_grow_with_m():
+    # The driver keeps the iterate and one multiplier per constraint and
+    # pixel, not one m x n correction matrix per constraint, so its peak
+    # is a few m x n blocks whatever m is.
+    m, n = 10, 20_000
+    _, t, y = _problem(11, m=m, n=n)
+    tracemalloc.start()
+    try:
+        dykstra_project(t, y, DykstraConfig(max_sweeps=3, rel_tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * n * 8, f"peak {peak / (m * n * 8):.1f} m*n floats"

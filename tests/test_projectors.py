@@ -16,6 +16,13 @@ def _transform(seed, n_bands=36, m=6):
     return build_transform(random_endmembers(rng, n_bands, m))
 
 
+def _geometric(t, i, z):
+    """Drop z onto the hyperplane, then take one step with tau = 0."""
+    u = project_hyperplane(t, z)
+    project_intersection_geometric(t, i, u, np.zeros_like(u))
+    return u
+
+
 def test_hyperplane_output_satisfies_sum_constraint():
     t = _transform(0)
     rng = np.random.default_rng(1)
@@ -55,21 +62,9 @@ def test_geometric_projection_lands_in_both_sets():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((6, 200)) * 2.0
     for i in range(t.n_endmembers):
-        out = project_intersection_geometric(t, i, z)
+        out = _geometric(t, i, z)
         assert np.abs(t.b @ out - 1.0).max() < 1e-11
         assert (t.d_inv[i] @ out).min() > -1e-11
-
-
-def test_geometric_projection_skips_replane_when_told():
-    t = _transform(8)
-    rng = np.random.default_rng(9)
-    z = rng.standard_normal((6, 30))
-    on_plane = project_hyperplane(t, z)
-    # The geometric route drops z with project_hyperplane itself, so
-    # dropping first and skipping the drop gives the same bits.
-    a = project_intersection_geometric(t, 2, z, z_on_s=False)
-    b = project_intersection_geometric(t, 2, on_plane, z_on_s=True)
-    assert np.array_equal(a, b)
 
 
 def test_points_already_in_intersection_are_fixed():
@@ -79,7 +74,7 @@ def test_points_already_in_intersection_are_fixed():
     a = rng.dirichlet(np.ones(6), size=25).T + 0.0
     u = t.d @ a
     for i in range(6):
-        out = project_intersection_geometric(t, i, u)
+        out = _geometric(t, i, u)
         assert np.allclose(out, project_hyperplane(t, u), atol=1e-12)
 
 
@@ -87,10 +82,22 @@ def test_kkt_and_geometric_routes_agree():
     t = _transform(12)
     rng = np.random.default_rng(13)
     z = rng.standard_normal((6, 500)) * 4.0
+    u = project_hyperplane(t, z)
+    tau = rng.exponential(2.0, size=u.shape)
     for i in range(6):
-        a = project_intersection_geometric(t, i, z)
+        a = _geometric(t, i, z)
         b = project_intersection_kkt(t, i, z)
         assert np.abs(a - b).max() < 1e-12
+        # With multipliers, the step projects u - s_i tau_i, the point
+        # Dykstra's correction -s_i tau_i puts it back to.
+        step_u, step_tau = u.copy(), tau.copy()
+        project_intersection_geometric(t, i, step_u, step_tau)
+        expected = project_intersection_kkt(
+            t, i, u - np.outer(t.s[i], tau[i])
+        )
+        assert np.abs(step_u - expected).max() < 1e-12
+        assert (step_tau >= 0).all()
+        assert np.array_equal(np.delete(step_tau, i, 0), np.delete(tau, i, 0))
 
 
 def test_kkt_route_invariant_to_offset_shift():
@@ -110,7 +117,7 @@ def test_projection_index_bounds_are_checked():
     z = np.zeros((6, 3))
     for bad in (-1, 6, 17):
         with pytest.raises(IndexOutOfRange):
-            project_intersection_geometric(t, bad, z)
+            project_intersection_geometric(t, bad, z, z.copy())
         with pytest.raises(IndexOutOfRange):
             project_intersection_kkt(t, bad, z)
 
@@ -123,8 +130,8 @@ def test_projection_is_firmly_nonexpansive():
     z1 = rng.standard_normal((6, 100)) * 2.0
     z2 = rng.standard_normal((6, 100)) * 2.0
     for i in range(6):
-        p1 = project_intersection_geometric(t, i, z1)
-        p2 = project_intersection_geometric(t, i, z2)
+        p1 = _geometric(t, i, z1)
+        p2 = _geometric(t, i, z2)
         before = np.linalg.norm(z1 - z2, axis=0)
         after = np.linalg.norm(p1 - p2, axis=0)
         assert (after <= before + 1e-12).all()
