@@ -9,18 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .dykstra import REL_CHANGE_EPS, DykstraTrace
-from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
+from .dykstra import DykstraTrace
+from .errors import (
+    DimensionMismatch,
+    RankDeficient,
+    ShapeMismatch,
+    ZeroReference,
+)
 from .model import AbundanceMatrix, EndmemberMatrix, ImageCube
-from .projectors import project_hyperplane
-from .subspace import SubspaceTransform, forward_transform, inverse_transform
-
-# A pixel counts as still moving while its own squared relative change
-# over one sweep exceeds this level, in dB: -100 dB is a relative change
-# above 1e-5.
-PIXEL_TOL_DB = -100.0
-_PIXEL_TOL = 10.0 ** (PIXEL_TOL_DB / 10.0)
+from .subspace import SubspaceTransform, inverse_transform
 
 
 def _data(x) -> np.ndarray:
@@ -58,8 +57,41 @@ def nmse_db(a_hat, a_true) -> float:
     return _ratio_db(a_hat, a_true, "NMSE")
 
 
+def _residual(e_data: np.ndarray, x_data: np.ndarray):
+    """The map A -> |X - E A|_F^2 for fixed E and X, in O(m n) per call.
+
+    With E'E = D'D and Y = D^{-T} E'X, the residual splits as
+    |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
+    X outside the span of E, computed once here and clamped at 0
+    against rounding; each call then costs one m x n product.
+    """
+    try:
+        d = np.linalg.cholesky(e_data.T @ e_data).T
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(
+            f"endmember matrix is numerically rank deficient: {exc}"
+        ) from None
+    y = scipy.linalg.solve_triangular(
+        d, e_data.T @ x_data, trans="T", lower=False
+    )
+    out_of_span = max(
+        float(np.einsum("ij,ij->", x_data, x_data))
+        - float(np.einsum("ij,ij->", y, y)),
+        0.0,
+    )
+
+    def residual(a: np.ndarray) -> float:
+        r = y - d @ a
+        return out_of_span + float(np.einsum("ij,ij->", r, r))
+
+    return residual
+
+
 def objective(e: EndmemberMatrix, x: ImageCube, a_hat) -> float:
-    """Residual |X - E A_hat|_F^2."""
+    """Residual |X - E A_hat|_F^2, by the reduced identity (see _residual).
+
+    No band x pixel temporary is formed.
+    """
     e_data = _data(e)
     x_data = _data(x)
     a_data = _data(a_hat)
@@ -67,7 +99,7 @@ def objective(e: EndmemberMatrix, x: ImageCube, a_hat) -> float:
         raise DimensionMismatch(e_data.shape[0], x_data.shape[0])
     if e_data.shape[1] != a_data.shape[0] or x_data.shape[1] != a_data.shape[1]:
         raise DimensionMismatch(e_data.shape[1], a_data.shape[0])
-    return float(np.linalg.norm(x_data - e_data @ a_data) ** 2)
+    return _residual(e_data, x_data)(a_data)
 
 
 @dataclass(frozen=True)
@@ -104,11 +136,11 @@ class CurveRecorder:
     Pass it as on_sweep to solve_sudap (or dykstra_project on the same
     transform and data). Every `every` sweeps, and for the run's last
     sweep, it records one row: the residual objective, RE against a_star
-    and NMSE against a_true when given (nan cells otherwise), and the
-    number of pixels whose squared relative change over that sweep
-    exceeds PIXEL_TOL_DB. curve(trace) then adds the solver-only elapsed
-    times from the run's trace. The recorder holds one m x n buffer,
-    however long the run.
+    and NMSE against a_true when given (nan cells otherwise).
+    curve(trace) then adds the solver-only elapsed times and the
+    uncertified-pixel counts from the run's trace. The recorder holds
+    one m x n block of reduced data, however long the run, and a row
+    costs O(m n), not O(bands n).
     """
 
     def __init__(self, t: SubspaceTransform, e: EndmemberMatrix,
@@ -117,19 +149,13 @@ class CurveRecorder:
                  a_true: AbundanceMatrix | None = None):
         if every < 1:
             raise ValueError("every must be at least 1")
-        self._t, self._e, self._x, self._every = t, e, x, every
+        self._t, self._every = t, every
+        self._residual = _residual(_data(e), _data(x))
         self._a_star, self._a_true = a_star, a_true
-        # The iterate before sweep 1, computed as the driver computes it.
-        self._prev = project_hyperplane(t, forward_transform(t, e, x))
         self._rows: list = []
-        self._sweep, self._u, self._moving = 0, None, 0
+        self._sweep, self._u = 0, None
 
     def __call__(self, sweep: int, u: np.ndarray) -> None:
-        diff = u - self._prev
-        num = np.einsum("ij,ij->j", diff, diff)
-        den = np.maximum(np.einsum("ij,ij->j", u, u), REL_CHANGE_EPS)
-        self._moving = int(np.count_nonzero(num > _PIXEL_TOL * den))
-        self._prev[:] = u
         # u is the driver's live iterate: after the run it holds the
         # final one, which curve() reads for the last row.
         self._sweep, self._u = sweep, u
@@ -140,22 +166,21 @@ class CurveRecorder:
         a_k = inverse_transform(self._t, self._u)
         return (
             self._sweep,
-            objective(self._e, self._x, a_k),
+            self._residual(a_k),
             np.nan if self._a_star is None
             else relative_error_db(a_k, self._a_star),
             np.nan if self._a_true is None else nmse_db(a_k, self._a_true),
-            self._moving,
         )
 
     def curve(self, trace: DykstraTrace) -> ConvergenceCurve:
-        """The recorded rows, timed by the observed run's trace."""
+        """The recorded rows, timed and counted by the observed run's trace."""
         if trace.n_sweeps != self._sweep:
             raise ValueError(f"trace has {trace.n_sweeps} sweeps, the "
                              f"recorder saw {self._sweep}")
         rows = list(self._rows)
         if self._sweep and (not rows or rows[-1][0] != self._sweep):
             rows.append(self._row())
-        cols = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+        cols = np.array(rows, dtype=np.float64).reshape(-1, 4).T
         sweep = cols[0].astype(np.int64)
         return ConvergenceCurve(
             sweep=sweep,
@@ -163,5 +188,5 @@ class CurveRecorder:
             objective=cols[1],
             re_db=cols[2],
             nmse_db=cols[3],
-            unconverged=cols[4].astype(np.int64),
+            unconverged=trace.uncertified[sweep - 1],
         )

@@ -64,7 +64,7 @@ class SolveResult:
 
 def _empty_trace() -> DykstraTrace:
     z = np.zeros(0)
-    return DykstraTrace(z, z, z, converged=True)
+    return DykstraTrace(z, z, z, np.zeros(0, dtype=np.int64), converged=True)
 
 
 def _gram_factor(e: EndmemberMatrix):

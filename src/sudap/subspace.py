@@ -107,7 +107,9 @@ def build_transform(e: EndmemberMatrix) -> SubspaceTransform:
             f"the rank threshold {threshold:.3e}"
         )
     d = lower.T.copy()
-    d_inv = scipy.linalg.solve_triangular(d, np.eye(m), lower=False)
+    # np.linalg.inv, unlike a triangular solve against the identity,
+    # does not wake the BLAS thread pool for these small systems.
+    d_inv = np.linalg.inv(d)
     b = d_inv.sum(axis=0)
     bb = float(b @ b)
     c = b / bb

@@ -3,10 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sudap import DykstraConfig, EndmemberMatrix
-from sudap.dykstra import dykstra_project
+from sudap import DykstraConfig, EndmemberMatrix, ImageCube
+from sudap import dykstra
+from sudap.dykstra import (
+    FIRST_CHECKPOINT,
+    _finish,
+    _solve_active,
+    dykstra_project,
+)
 from sudap.errors import NonFinite, ShapeMismatch
 from sudap.projectors import project_hyperplane, project_intersection_geometric
+from sudap.solver import solve_oracle_activeset
 from sudap.subspace import (
     build_transform,
     forward_transform,
@@ -15,12 +22,13 @@ from sudap.subspace import (
 from conftest import random_endmembers
 
 
-def _problem(seed, n_bands=24, m=5, n=60, spread=1.0):
+def _problem(seed, n_bands=24, m=5, n=60, spread=1.0, with_x=False):
     rng = np.random.default_rng(seed)
     e = random_endmembers(rng, n_bands, m)
     x = rng.standard_normal((n_bands, n)) * spread
     t = build_transform(e)
-    return e, t, forward_transform(t, e, x)
+    y = forward_transform(t, e, x)
+    return (e, t, y, x) if with_x else (e, t, y)
 
 
 def test_config_rejects_bad_values():
@@ -96,33 +104,92 @@ def test_trace_bookkeeping_is_consistent():
     u, trace = dykstra_project(t, y, cfg)
     k = trace.n_sweeps
     assert len(trace.rel_change) == len(trace.max_sum_violation) == k
+    assert len(trace.uncertified) == k
     assert (np.diff(trace.elapsed_s) >= 0).all()
     assert trace.converged
-    assert trace.rel_change[-1] <= cfg.rel_tol < trace.rel_change[:-1].min()
+    # The run stops on the first sweep that certifies the last column or
+    # brings the change down to rel_tol, and not before.
+    stop = (trace.uncertified == 0) | (trace.rel_change <= cfg.rel_tol)
+    assert stop[-1] and not stop[:-1].any()
+    # Columns are only certified at checkpoints, and never come back.
+    assert (trace.uncertified[:FIRST_CHECKPOINT - 1] == y.shape[1]).all()
+    assert (np.diff(trace.uncertified) <= 0).all()
 
 
 def test_zero_tolerance_runs_to_the_sweep_budget():
     _, t, y = _problem(5, n=25)
-    cfg = DykstraConfig(max_sweeps=37, rel_tol=0.0)
+    cfg = DykstraConfig(max_sweeps=FIRST_CHECKPOINT - 1, rel_tol=0.0)
     _, trace = dykstra_project(t, y, cfg)
-    # Far-from-feasible input cannot hit an exact fixed point in 37
-    # sweeps, so the run must use the whole budget.
-    assert trace.n_sweeps == 37
+    # No column can be certified before the first checkpoint, and
+    # far-from-feasible input cannot hit an exact fixed point, so the
+    # run must use the whole budget.
+    assert trace.n_sweeps == FIRST_CHECKPOINT - 1
+    assert (trace.uncertified == y.shape[1]).all()
     assert not trace.converged
 
 
 def test_thread_count_does_not_change_a_single_bit():
-    _, t, y = _problem(6, n=101)
+    # Points far outside the feasible set: some columns survive the
+    # first checkpoints, so the compacted block is what the threads
+    # split.
+    _, t, y = _problem(6, n_bands=5, m=4, n=101, spread=100.0)
     results = []
     for threads in (1, 3, 4):
         cfg = DykstraConfig(max_sweeps=300, rel_tol=1e-11, threads=threads)
         u, trace = dykstra_project(t, y, cfg)
         results.append((u, trace))
     u_ref, trace_ref = results[0]
+    assert 0 < trace_ref.uncertified[FIRST_CHECKPOINT - 1] < y.shape[1]
+    assert trace_ref.n_sweeps > FIRST_CHECKPOINT
     for u, trace in results[1:]:
         assert np.array_equal(u, u_ref)
         assert trace.n_sweeps == trace_ref.n_sweeps
         assert np.array_equal(trace.rel_change, trace_ref.rel_change)
+        assert np.array_equal(trace.uncertified, trace_ref.uncertified)
+
+
+def _exact(seed, m=5, n=60):
+    """A problem with its exact projections, from the abundance oracle."""
+    e, t, y, x = _problem(seed, m=m, n=n, spread=2.0, with_x=True)
+    a_star = solve_oracle_activeset(e, ImageCube(x, (1, n))).a_hat.data
+    return t, y, t.d @ a_star, a_star == 0.0
+
+
+def test_finish_certifies_a_seed_with_one_extra_constraint():
+    t, y, u_star, zero = _exact(12)
+    m = t.n_endmembers
+    j = int(np.flatnonzero((zero.sum(axis=0) >= 1)
+                           & (zero.sum(axis=0) <= m - 2))[0])
+    extra = int(np.flatnonzero(~zero[:, j])[0])
+    tau = zero[:, [j]].astype(float)
+    tau[extra] = 1.0
+    y0 = project_hyperplane(t, y[:, [j]])
+    # The seed's own solve fails on a negative multiplier, so only a
+    # drop round can certify the column.
+    lam, _ = _solve_active(t, t.s @ t.s.T, y0, tau > 0)
+    assert lam.min() < 0.0
+    u = y0.copy()
+    assert _finish(t, y0, u, tau).all()
+    assert np.abs(u - u_star[:, [j]]).max() < 1e-10
+    assert np.array_equal(tau[:, 0] > 0, zero[:, j])
+
+
+def test_finish_leaves_failing_columns_untouched(monkeypatch):
+    t, y, u_star, _ = _exact(13)
+    y0 = project_hyperplane(t, y)
+    u, tau = y0.copy(), np.zeros_like(y0)
+    for _ in range(3):
+        for i in range(t.n_endmembers):
+            project_intersection_geometric(t, i, u, tau)
+    u_before, tau_before = u.copy(), tau.copy()
+    # No point can pass a certificate asking for abundances of 1 or more.
+    monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+    assert not _finish(t, y0, u, tau).any()
+    assert np.array_equal(u, u_before)
+    assert np.array_equal(tau, tau_before)
+    monkeypatch.undo()
+    assert _finish(t, y0, u, tau).all()
+    assert np.abs(u - u_star).max() < 1e-10
 
 
 def test_on_sweep_sees_every_live_iterate():

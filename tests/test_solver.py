@@ -12,7 +12,16 @@ from sudap import (
 from sudap.errors import RankDeficient, TooManyEndmembers
 from sudap.metrics import objective
 from sudap.model import AbundanceMatrix, column_feasibility
-from sudap.simdata import make_instance
+from sudap.simdata import (
+    NoiseSpec,
+    child_seeds,
+    make_instance,
+    make_scene,
+    make_synthetic_library,
+    sample_abundances,
+    select_endmember_indices,
+    synthesize_cube,
+)
 from sudap.solver import SolveResult, clip_negatives, solve_ls, solve_ls_sum1
 from conftest import random_endmembers
 
@@ -173,3 +182,44 @@ def test_solvers_rank_as_expected_on_noisy_data():
     j_fcls = objective(e, x, solve_oracle_activeset(e, x).a_hat)
     assert j_ls <= j_sum1 + 1e-9
     assert j_sum1 <= j_fcls + 1e-9
+
+
+def test_deep_scene_that_used_to_stall_matches_the_oracle():
+    # The benchmark's 64 x 64, m = 14, SNR 20 dB recipe at scene seed 0,
+    # where plain sweeps stopped at the 2000-sweep cap at -59.8 dB.
+    rng = np.random.default_rng(0)
+    s_lib, s_sel, s_ab, s_noise = (
+        int(s) for s in rng.integers(0, 2**63 - 1, size=4)
+    )
+    lib = make_synthetic_library(224, 24, seed=s_lib)
+    idx = select_endmember_indices(lib, 14, 10.0, s_sel)
+    e = EndmemberMatrix(lib.signatures[:, idx].copy())
+    a = AbundanceMatrix(
+        sample_abundances(14, 64 * 64, s_ab).data, (64, 64), feasible=True
+    )
+    x = synthesize_cube(e, a, NoiseSpec(20.0, s_noise), (64, 64))
+    result = solve_sudap(e, x, DykstraConfig())
+    assert result.trace.converged
+    assert result.trace.uncertified[-1] == 0
+    oracle = solve_oracle_activeset(e, x)
+    assert relative_error_db(result.a_hat, oracle.a_hat) <= -120.0
+
+
+def test_beyond_the_oracle_cap_every_pixel_meets_kkt():
+    lib = make_synthetic_library(224, 24, seed=1)
+    _, e, _, x = make_scene(lib, 20, 10.0, (16, 16), 20.0, child_seeds(1, 3))
+    result = solve_sudap(e, x, DykstraConfig())
+    assert result.trace.converged
+    assert result.trace.uncertified[-1] == 0
+    # KKT of min |x - E a|^2 over the simplex, checked on E directly:
+    # with g = E'(E a - x) there is a mu per pixel with g_i + mu = 0
+    # where a_i > 0 and g_i + mu >= 0 where a_i = 0.
+    a = result.a_hat.data
+    g = e.data.T @ (e.data @ a - x.data)
+    free = a > 1e-9
+    mu = -np.sum(np.where(free, g, 0.0), axis=0) / free.sum(axis=0)
+    slack = (g + mu) / np.abs(e.data.T @ e.data).max()
+    assert a.min() >= -1e-12
+    assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-10
+    assert np.abs(slack[free]).max() <= 1e-9
+    assert slack[~free].min() >= -1e-9
