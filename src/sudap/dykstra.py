@@ -30,9 +30,9 @@ which keeps U = Y0 + S'tau, with S the m x m array of rows s_i.
 
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
-sweeps (FIRST_CHECKPOINT, then every doubling of it) the driver tries
-the exact KKT point of every uncertified pixel: it solves the
-equality-constrained projection
+sweeps (FIRST_CHECKPOINT, then every doubling of it), and on the sweep
+that ends the run, the driver tries the exact KKT point of every
+uncertified pixel: it solves the equality-constrained projection
 
     U = Y0 + S_A' lam,   (S_A S_A') lam = f_A - S_A Y0,
 
@@ -42,15 +42,18 @@ are the KKT conditions of the projection, so a certified column is the
 projection itself, up to rounding. A column that fails gets up to m
 drop/add rounds on its active set (the active-set method of FCLS); if it
 still fails, it goes back to sweeping with its tau unchanged. Certified
-columns leave the sweep: after each checkpoint the rest are gathered
-into a dense block, and the sweep and the stop bookkeeping run on that
-block only. The run stops when every column is certified, or when the
-block's relative change falls to rel_tol.
+columns leave the sweep: after each finish the rest are gathered into a
+dense block, and the sweep and the stop bookkeeping run on that block
+only. The run stops when every column is certified, when the block's
+relative change falls to rel_tol, or after max_sweeps sweeps.
 
 Columns never interact: each pixel's trajectory, and whether and when it
-is certified, depends only on the transform and its own data, so the
-sweep kernel may be run on disjoint column blocks in any order, or in
-parallel, without changing a single bit of the result.
+is certified, depends only on the transform and its own data. So the
+driver cuts the block into tiles of TILE columns, whatever the thread
+count, and runs the sweep, its bookkeeping and the finish tile by tile,
+on as many tiles at once as there are threads. The per-tile sums of the
+change test are added in tile order, so the result and the trace are the
+same to the bit at every thread count.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import math
 import time
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -73,23 +77,14 @@ REL_CHANGE_EPS = 1e-300
 # (5, 10, 20, 40, ...).
 FIRST_CHECKPOINT = 5
 
-# The finish solves this many columns per batch, whatever the thread
-# count, so its memory is bounded by the tile.
-FINISH_TILE = 4096
+# The sweep, its bookkeeping and the finish run on tiles of this many
+# columns, whatever the thread count, so the result does not depend on
+# the count and their temporaries are bounded by the tile.
+TILE = 4096
 
 # A finished column is primal feasible when no abundance is below
 # -CERT_TOL.
 CERT_TOL = 1e-12
-
-
-def _norm(x: np.ndarray) -> float:
-    """Frobenius norm of x, by einsum in the calling thread.
-
-    np.linalg.norm, and b @ u on wide blocks, wake BLAS's thread pool;
-    doing that every sweep stalled sweeps by 3-15 ms on a 2-CPU host,
-    so the per-sweep bookkeeping uses einsum instead.
-    """
-    return math.sqrt(np.einsum("ij,ij->", x, x))
 
 
 @dataclass
@@ -102,9 +97,10 @@ class DykstraConfig:
     most rel_tol. rel_tol = 0 turns the change test off in practice (it
     only fires on an exact fixed point), but a run still stops at the
     checkpoint where its last column is certified, so it no longer gives
-    a fixed-sweep run. threads splits the swept columns into that many
-    blocks per sweep; the result is the same to the bit at any count. To
-    watch a run, use dykstra_project's on_sweep.
+    a fixed-sweep run. threads is how many tiles of TILE columns run at
+    once; it never changes how the columns are cut, and the result is
+    the same to the bit at any count. To watch a run, use
+    dykstra_project's on_sweep.
     """
 
     max_sweeps: int = 2000
@@ -125,19 +121,19 @@ class DykstraTrace:
     """Per-sweep records of one run; row k belongs to sweep k + 1.
 
     elapsed_s is the cumulative time spent in the sweep kernel, the
-    finish and the stop and sum bookkeeping only; the on_sweep observer
-    runs off the clock, so observed runs time like plain ones.
-    rel_change is the relative change over each sweep of the columns
-    still being swept (the change test's quantity), max_sum_violation
-    the largest |b'U - 1| over all columns after it, and uncertified the
-    number of columns not yet certified after it, which is the width of
-    the block the next sweep runs on. The state the driver keeps is
-    O(m n) whatever the sweep count.
+    finish and the stop bookkeeping only; the on_sweep observer runs off
+    the clock, so observed runs time like plain ones. rel_change is the
+    relative change over each sweep of the columns still being swept
+    (the change test's quantity), and uncertified the number of columns
+    not yet certified after it, which is the width of the block the next
+    sweep runs on. uncertified falls only at checkpoints and on the last
+    sweep, where the finish runs, so its last entry counts the columns
+    the finish could not certify. The state the driver keeps is O(m n)
+    whatever the sweep count.
     """
 
     elapsed_s: np.ndarray
     rel_change: np.ndarray
-    max_sum_violation: np.ndarray
     uncertified: np.ndarray
     converged: bool = False
 
@@ -153,6 +149,28 @@ def _sweep_block(
     uv, tv = u[:, lo:hi], tau[:, lo:hi]
     for i in range(t.n_endmembers):
         project_intersection_geometric(t, i, uv, tv)
+
+
+def _sweep_tile(
+    t: SubspaceTransform, u: np.ndarray, tau: np.ndarray, sweep: int, lo: int
+) -> tuple[float, float]:
+    """Run one sweep on the tile of columns starting at lo, in place.
+
+    Returns the tile's sums of |step|^2 and |U|^2 for the change test.
+    They use einsum: np.linalg.norm, and b @ u on wide blocks, wake
+    BLAS's thread pool, which stalled sweeps by 3-15 ms on a 2-CPU host.
+    """
+    hi = min(lo + TILE, u.shape[1])
+    step = u[:, lo:hi].copy()
+    _sweep_block(t, u, tau, lo, hi)
+    after = u[:, lo:hi]
+    if not np.all(np.isfinite(after)):
+        raise NonFinite(f"iterate became non-finite at sweep {sweep}")
+    step -= after  # the sweep's step, negated
+    return (
+        np.einsum("ij,ij->", step, step),
+        np.einsum("ij,ij->", after, after),
+    )
 
 
 def _solve_active(
@@ -180,9 +198,22 @@ def _solve_active(
 
 
 def _finish_tile(
-    t: SubspaceTransform, y0: np.ndarray, u: np.ndarray, tau: np.ndarray
+    t: SubspaceTransform,
+    y0: np.ndarray,
+    u: np.ndarray,
+    tau: np.ndarray,
+    lo: int,
 ) -> np.ndarray:
-    """Certify what columns it can; see _finish."""
+    """Replace each column by its exact projection where that certifies.
+
+    Works in place on the tile of columns starting at lo of the blocks
+    u and tau, with y0 the columns' points on the sum hyperplane. The
+    seed active set of a column is {i : tau_i > 0}. A certified column
+    gets its KKT point in u and its multipliers in tau; any other column
+    is left untouched. Returns the tile's certified flags.
+    """
+    tile = slice(lo, lo + TILE)
+    y0, u, tau = y0[:, tile], u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
     todo = np.arange(k)
@@ -222,33 +253,6 @@ def _finish_tile(
         act[viol.argmin(axis=0)[add], todo[add]] = True
         todo = todo[drop | add]
     return certified
-
-
-def _finish(
-    t: SubspaceTransform, y0: np.ndarray, u: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Replace each column by its exact projection where that certifies.
-
-    Works in place on the m x k blocks u and tau, with y0 the columns'
-    points on the sum hyperplane. The seed active set of a column is
-    {i : tau_i > 0}. A certified column gets its KKT point in u and its
-    multipliers in tau; any other column is left untouched. Returns the
-    k-vector of certified flags.
-    """
-    k = u.shape[1]
-    certified = np.zeros(k, dtype=bool)
-    for lo in range(0, k, FINISH_TILE):
-        hi = min(lo + FINISH_TILE, k)
-        certified[lo:hi] = _finish_tile(
-            t, y0[:, lo:hi], u[:, lo:hi], tau[:, lo:hi]
-        )
-    return certified
-
-
-def _bounds(width: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split [0, width) into at most n_workers contiguous blocks."""
-    step = max(-(-width // n_workers), 1)
-    return [(lo, min(lo + step, width)) for lo in range(0, width, step)]
 
 
 def dykstra_project(
@@ -305,21 +309,16 @@ def dykstra_project(
     u_seen = u.view()
     u_seen.flags.writeable = False
     # The swept block: its iterate, multipliers and points on S. Until
-    # the first checkpoint it is every column, and ub is u itself; after
-    # it, cols lists the block's columns in u.
+    # the first finish certifies a column it is every column, and ub is
+    # u itself; after that, cols lists the block's columns in u.
     cols = None
     ub, tb, yb = u, np.zeros((m, n)), u.copy()
-    ub_prev = np.empty_like(ub)
-    # Largest |b'U - 1| over the columns that have left the sweep.
-    done_violation = 0.0
 
-    n_workers = min(cfg.threads, n)
-    executor = ThreadPoolExecutor(n_workers) if n_workers > 1 else None
-    bounds = _bounds(n, n_workers)
+    executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
+    run = map if executor is None else executor.map
 
     elapsed: list[float] = []
     rel_changes: list[float] = []
-    sum_violations: list[float] = []
     uncertified: list[int] = []
 
     clock = 0.0
@@ -328,46 +327,28 @@ def dykstra_project(
     try:
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
-            ub_prev[:] = ub
-            if executor is None:
-                _sweep_block(t, ub, tb, 0, ub.shape[1])
-            else:
-                futures = [
-                    executor.submit(_sweep_block, t, ub, tb, lo, hi)
-                    for lo, hi in bounds
-                ]
-                for fut in futures:
-                    fut.result()
-
-            if not np.all(np.isfinite(ub)):
-                raise NonFinite(f"iterate became non-finite at sweep {sweep}")
-
-            ub_prev -= ub  # the sweep's step, negated
-            rel = _norm(ub_prev) / max(_norm(ub), REL_CHANGE_EPS)
+            tiles = range(0, ub.shape[1], TILE)
+            sums = list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
+            step_sq, u_sq = (sum(col) for col in zip(*sums))
+            rel = math.sqrt(step_sq) / max(math.sqrt(u_sq), REL_CHANGE_EPS)
+            last = rel <= cfg.rel_tol or sweep == cfg.max_sweeps
 
             certified = None
-            if sweep == checkpoint:
+            if sweep == checkpoint or last:
                 checkpoint *= 2
-                certified = _finish(t, yb, ub, tb)
+                certified = np.concatenate(
+                    list(run(partial(_finish_tile, t, yb, ub, tb), tiles))
+                )
             if cols is not None:
                 u[:, cols] = ub
-            col_violation = np.abs(np.einsum("i,ij->j", t.b, ub) - 1.0)
-            violation = max(done_violation, float(np.max(col_violation)))
-
             if certified is not None and certified.any():
-                done_violation = max(
-                    done_violation, float(np.max(col_violation[certified]))
-                )
                 keep = np.flatnonzero(~certified)
                 cols = keep if cols is None else cols[keep]
                 ub, tb, yb = ub[:, keep], tb[:, keep], yb[:, keep]
-                ub_prev = np.empty_like(ub)
-                bounds = _bounds(len(keep), n_workers)
             clock += time.perf_counter() - tic
 
             elapsed.append(clock)
             rel_changes.append(rel)
-            sum_violations.append(violation)
             uncertified.append(ub.shape[1])
             if on_sweep is not None:
                 on_sweep(sweep, u_seen)
@@ -382,7 +363,6 @@ def dykstra_project(
     trace = DykstraTrace(
         elapsed_s=np.asarray(elapsed),
         rel_change=np.asarray(rel_changes),
-        max_sum_violation=np.asarray(sum_violations),
         uncertified=np.asarray(uncertified, dtype=np.int64),
         converged=converged,
     )

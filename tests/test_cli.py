@@ -136,7 +136,11 @@ def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
 
 
 def test_unmix_is_bit_deterministic_across_thread_counts(tmp_path,
-                                                         library_csv):
+                                                         library_csv,
+                                                         monkeypatch):
+    # Tiles of 16 columns cut the 144 pixels into 9 tiles, so the
+    # threads have tiles to share.
+    monkeypatch.setattr(dykstra, "TILE", 16)
     out = _simulate(tmp_path, library_csv, snr="5")
     blobs = []
     for run, threads in (("r1", "4"), ("r2", "4"), ("r3", "1")):

@@ -7,12 +7,13 @@ from sudap import DykstraConfig, EndmemberMatrix, ImageCube
 from sudap import dykstra
 from sudap.dykstra import (
     FIRST_CHECKPOINT,
-    _finish,
+    _finish_tile,
     _solve_active,
     dykstra_project,
 )
 from sudap.errors import NonFinite, ShapeMismatch
 from sudap.projectors import project_hyperplane, project_intersection_geometric
+from sudap.simdata import make_instance
 from sudap.solver import solve_oracle_activeset
 from sudap.subspace import (
     build_transform,
@@ -50,7 +51,6 @@ def test_output_stays_on_sum_hyperplane_every_sweep():
         on_sweep=lambda _s, u_k: worst.append(np.abs(t.b @ u_k - 1.0).max()),
     )
     assert np.abs(t.b @ u - 1.0).max() < 1e-11
-    assert trace.max_sum_violation.max() < 1e-11
     assert len(worst) == trace.n_sweeps
     assert max(worst) < 1e-11
 
@@ -98,40 +98,73 @@ def test_feasible_input_is_a_fixed_point():
     assert np.abs(u - y).max() < 1e-10
 
 
+def _finish_sweeps(trace):
+    """The sweeps a run's finish may certify on: checkpoints and its last."""
+    k = trace.n_sweeps
+    sweeps = {k}
+    checkpoint = FIRST_CHECKPOINT
+    while checkpoint < k:
+        sweeps.add(checkpoint)
+        checkpoint *= 2
+    return sweeps
+
+
+def _check_bookkeeping(trace, cfg, n):
+    k = trace.n_sweeps
+    assert len(trace.rel_change) == len(trace.uncertified) == k
+    assert (np.diff(trace.elapsed_s) >= 0).all()
+    # Columns are only certified where the finish runs, and never come
+    # back.
+    drops = np.flatnonzero(np.diff(trace.uncertified, prepend=n) < 0) + 1
+    assert set(drops.tolist()) <= _finish_sweeps(trace)
+    # The run converged iff its last sweep certified the last column or
+    # brought the change down to rel_tol.
+    stop = (trace.uncertified == 0) | (trace.rel_change <= cfg.rel_tol)
+    assert trace.converged == stop[-1]
+    assert not stop[:-1].any()
+
+
 def test_trace_bookkeeping_is_consistent():
     _, t, y = _problem(4)
     cfg = DykstraConfig(max_sweeps=400, rel_tol=1e-12)
     u, trace = dykstra_project(t, y, cfg)
-    k = trace.n_sweeps
-    assert len(trace.rel_change) == len(trace.max_sum_violation) == k
-    assert len(trace.uncertified) == k
-    assert (np.diff(trace.elapsed_s) >= 0).all()
+    _check_bookkeeping(trace, cfg, y.shape[1])
     assert trace.converged
-    # The run stops on the first sweep that certifies the last column or
-    # brings the change down to rel_tol, and not before.
-    stop = (trace.uncertified == 0) | (trace.rel_change <= cfg.rel_tol)
-    assert stop[-1] and not stop[:-1].any()
-    # Columns are only certified at checkpoints, and never come back.
-    assert (trace.uncertified[:FIRST_CHECKPOINT - 1] == y.shape[1]).all()
-    assert (np.diff(trace.uncertified) <= 0).all()
 
 
 def test_zero_tolerance_runs_to_the_sweep_budget():
     _, t, y = _problem(5, n=25)
-    cfg = DykstraConfig(max_sweeps=FIRST_CHECKPOINT - 1, rel_tol=0.0)
+    budget = FIRST_CHECKPOINT - 1
+    cfg = DykstraConfig(max_sweeps=budget, rel_tol=0.0)
     _, trace = dykstra_project(t, y, cfg)
-    # No column can be certified before the first checkpoint, and
+    # No column can be certified before the last sweep, and
     # far-from-feasible input cannot hit an exact fixed point, so the
     # run must use the whole budget.
-    assert trace.n_sweeps == FIRST_CHECKPOINT - 1
-    assert (trace.uncertified == y.shape[1]).all()
-    assert not trace.converged
+    assert trace.n_sweeps == budget
+    assert (trace.uncertified[:-1] == y.shape[1]).all()
+    _check_bookkeeping(trace, cfg, y.shape[1])
 
 
-def test_thread_count_does_not_change_a_single_bit():
+def test_a_run_stopped_by_the_change_test_is_finished():
+    # Scene 9 of cli.oracle_runs(1000, 50) stops on rel_tol at sweep 2,
+    # before the first checkpoint; the finish on its last sweep still
+    # certifies every pixel.
+    e, _, cube = make_instance(6, (32, 32), 30.0, 1009)
+    t = build_transform(e)
+    y = forward_transform(t, e, cube)
+    cfg = DykstraConfig(rel_tol=1e-12)
+    _, trace = dykstra_project(t, y, cfg)
+    assert trace.n_sweeps < FIRST_CHECKPOINT
+    assert trace.uncertified[-1] == 0
+    _check_bookkeeping(trace, cfg, y.shape[1])
+
+
+def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     # Points far outside the feasible set: some columns survive the
     # first checkpoints, so the compacted block is what the threads
-    # split.
+    # split, and tiles of 3 columns leave several tiles on either side
+    # of the compaction.
+    monkeypatch.setattr(dykstra, "TILE", 3)
     _, t, y = _problem(6, n_bands=5, m=4, n=101, spread=100.0)
     results = []
     for threads in (1, 3, 4):
@@ -139,7 +172,8 @@ def test_thread_count_does_not_change_a_single_bit():
         u, trace = dykstra_project(t, y, cfg)
         results.append((u, trace))
     u_ref, trace_ref = results[0]
-    assert 0 < trace_ref.uncertified[FIRST_CHECKPOINT - 1] < y.shape[1]
+    width = trace_ref.uncertified[FIRST_CHECKPOINT - 1]
+    assert 2 * dykstra.TILE < width < y.shape[1]
     assert trace_ref.n_sweeps > FIRST_CHECKPOINT
     for u, trace in results[1:]:
         assert np.array_equal(u, u_ref)
@@ -169,7 +203,7 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     lam, _ = _solve_active(t, t.s @ t.s.T, y0, tau > 0)
     assert lam.min() < 0.0
     u = y0.copy()
-    assert _finish(t, y0, u, tau).all()
+    assert _finish_tile(t, y0, u, tau, 0).all()
     assert np.abs(u - u_star[:, [j]]).max() < 1e-10
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
@@ -184,11 +218,11 @@ def test_finish_leaves_failing_columns_untouched(monkeypatch):
     u_before, tau_before = u.copy(), tau.copy()
     # No point can pass a certificate asking for abundances of 1 or more.
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
-    assert not _finish(t, y0, u, tau).any()
+    assert not _finish_tile(t, y0, u, tau, 0).any()
     assert np.array_equal(u, u_before)
     assert np.array_equal(tau, tau_before)
     monkeypatch.undo()
-    assert _finish(t, y0, u, tau).all()
+    assert _finish_tile(t, y0, u, tau, 0).all()
     assert np.abs(u - u_star).max() < 1e-10
 
 
@@ -251,13 +285,19 @@ def test_corrections_make_the_limit_the_nearest_point():
 def test_driver_memory_does_not_grow_with_m():
     # The driver keeps the iterate and one multiplier per constraint and
     # pixel, not one m x n correction matrix per constraint, so its peak
-    # is a few m x n blocks whatever m is.
+    # is a few m x n blocks whatever m is. Both runs end in the finish;
+    # the second also reaches the first checkpoint.
     m, n = 10, 20_000
     _, t, y = _problem(11, m=m, n=n)
-    tracemalloc.start()
-    try:
-        dykstra_project(t, y, DykstraConfig(max_sweeps=3, rel_tol=0.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * m * n * 8, f"peak {peak / (m * n * 8):.1f} m*n floats"
+    for sweeps in (3, FIRST_CHECKPOINT + 1):
+        tracemalloc.start()
+        try:
+            dykstra_project(
+                t, y, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n * 8, (
+            f"{sweeps} sweeps: peak {peak / (m * n * 8):.2f} m*n floats"
+        )
