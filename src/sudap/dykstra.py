@@ -79,7 +79,10 @@ FIRST_CHECKPOINT = 5
 
 # The sweep, its bookkeeping and the finish run on tiles of this many
 # columns, whatever the thread count, so the result does not depend on
-# the count and their temporaries are bounded by the tile.
+# the count and their temporaries are bounded by the tile. Wider tiles
+# make fewer kernel calls and sweep faster (m=10: 4.6 ms per 40 000
+# columns at 8192 against 5.7 ms here), but the finish's batched solve
+# holds about 17 m^2 bytes per column of a tile.
 TILE = 4096
 
 # A finished column is primal feasible when no abundance is below
@@ -152,18 +155,21 @@ def _sweep_block(
 
 
 def _sweep_tile(
-    t: SubspaceTransform, u: np.ndarray, tau: np.ndarray, sweep: int, lo: int
+    t: SubspaceTransform,
+    u: np.ndarray,
+    tau: np.ndarray,
+    sweep: int,
+    tile: slice,
 ) -> tuple[float, float]:
-    """Run one sweep on the tile of columns starting at lo, in place.
+    """Run one sweep, in place, on the columns of u and tau in tile.
 
     Returns the tile's sums of |step|^2 and |U|^2 for the change test.
     They use einsum: np.linalg.norm, and b @ u on wide blocks, wake
     BLAS's thread pool, which stalled sweeps by 3-15 ms on a 2-CPU host.
     """
-    hi = min(lo + TILE, u.shape[1])
-    step = u[:, lo:hi].copy()
-    _sweep_block(t, u, tau, lo, hi)
-    after = u[:, lo:hi]
+    step = u[:, tile].copy()
+    _sweep_block(t, u, tau, tile.start, tile.stop)
+    after = u[:, tile]
     if not np.all(np.isfinite(after)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
     step -= after  # the sweep's step, negated
@@ -202,17 +208,16 @@ def _finish_tile(
     y0: np.ndarray,
     u: np.ndarray,
     tau: np.ndarray,
-    lo: int,
+    tile: slice,
 ) -> np.ndarray:
     """Replace each column by its exact projection where that certifies.
 
-    Works in place on the tile of columns starting at lo of the blocks
-    u and tau, with y0 the columns' points on the sum hyperplane. The
-    seed active set of a column is {i : tau_i > 0}. A certified column
-    gets its KKT point in u and its multipliers in tau; any other column
-    is left untouched. Returns the tile's certified flags.
+    Works in place on the columns of the blocks u and tau in tile, with
+    y0 the columns' points on the sum hyperplane. The seed active set of a
+    column is {i : tau_i > 0}. A certified column gets its KKT point in
+    u and its multipliers in tau; any other column is left untouched.
+    Returns the tile's certified flags.
     """
-    tile = slice(lo, lo + TILE)
     y0, u, tau = y0[:, tile], u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
@@ -327,7 +332,9 @@ def dykstra_project(
     try:
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
-            tiles = range(0, ub.shape[1], TILE)
+            tiles = [
+                slice(lo, lo + TILE) for lo in range(0, ub.shape[1], TILE)
+            ]
             sums = list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
             step_sq, u_sq = (sum(col) for col in zip(*sums))
             rel = math.sqrt(step_sq) / max(math.sqrt(u_sq), REL_CHANGE_EPS)

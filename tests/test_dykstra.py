@@ -115,7 +115,9 @@ def _check_bookkeeping(trace, cfg, n):
     assert (np.diff(trace.elapsed_s) >= 0).all()
     # Columns are only certified where the finish runs, and never come
     # back.
-    drops = np.flatnonzero(np.diff(trace.uncertified, prepend=n) < 0) + 1
+    diff = np.diff(trace.uncertified, prepend=n)
+    assert (diff <= 0).all()
+    drops = np.flatnonzero(diff < 0) + 1
     assert set(drops.tolist()) <= _finish_sweeps(trace)
     # The run converged iff its last sweep certified the last column or
     # brought the change down to rel_tol.
@@ -203,7 +205,7 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     lam, _ = _solve_active(t, t.s @ t.s.T, y0, tau > 0)
     assert lam.min() < 0.0
     u = y0.copy()
-    assert _finish_tile(t, y0, u, tau, 0).all()
+    assert _finish_tile(t, y0, u, tau, slice(None)).all()
     assert np.abs(u - u_star[:, [j]]).max() < 1e-10
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
@@ -218,11 +220,11 @@ def test_finish_leaves_failing_columns_untouched(monkeypatch):
     u_before, tau_before = u.copy(), tau.copy()
     # No point can pass a certificate asking for abundances of 1 or more.
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
-    assert not _finish_tile(t, y0, u, tau, 0).any()
+    assert not _finish_tile(t, y0, u, tau, slice(None)).any()
     assert np.array_equal(u, u_before)
     assert np.array_equal(tau, tau_before)
     monkeypatch.undo()
-    assert _finish_tile(t, y0, u, tau, 0).all()
+    assert _finish_tile(t, y0, u, tau, slice(None)).all()
     assert np.abs(u - u_star).max() < 1e-10
 
 
