@@ -37,7 +37,8 @@ uncertified pixel: it solves the equality-constrained projection
     U = Y0 + S_A' lam,   (S_A S_A') lam = f_A - S_A Y0,
 
 and certifies the result when lam >= 0 and every abundance
-p_norms_i (s_i'U - f_i) is at least -CERT_TOL. Those two conditions
+p_norms_i (s_i'U - f_i) is at least -CERT_TOL times its rounding scale
+max(1, p_norms_i (|U| + |f_i|)). Those two conditions
 are the KKT conditions of the projection, so a certified column is the
 projection itself, up to rounding. A column that fails gets up to m
 drop/add rounds on its active set (the active-set method of FCLS); if it
@@ -85,8 +86,10 @@ FIRST_CHECKPOINT = 5
 # holds about 17 m^2 bytes per column of a tile.
 TILE = 4096
 
-# A finished column is primal feasible when no abundance is below
-# -CERT_TOL.
+# A finished column is primal feasible when no abundance a_i is below
+# -CERT_TOL times its rounding scale max(1, p_norms_i (|u| + |f_i|)):
+# a_i = p_norms_i (s_i'u - f_i) with s_i a unit vector, so its rounding
+# error grows with |u| and |f_i|, which an ill-conditioned E makes large.
 CERT_TOL = 1e-12
 
 
@@ -235,12 +238,20 @@ def _finish_tile(
         except np.linalg.LinAlgError:
             break
         with np.errstate(invalid="ignore"):
+            # Each abundance plus its certificate bound, negative where
+            # the abundance fails the bound. The bound is never below
+            # CERT_TOL, so its scale is needed only in columns that
+            # fail that floor.
             abund = t.p_norms[:, None] * (
                 np.einsum("ir,rj->ij", t.s, cand) - t.f[:, None]
             )
-            good = (lam.min(axis=0) >= 0.0) & (
-                abund.min(axis=0) >= -CERT_TOL
+            slack = abund + CERT_TOL
+            low = np.flatnonzero(slack.min(axis=0) < 0.0)
+            u_norm = np.sqrt(np.einsum("rj,rj->j", cand[:, low], cand[:, low]))
+            slack[:, low] = abund[:, low] + CERT_TOL * np.maximum(
+                1.0, t.p_norms[:, None] * (u_norm + np.abs(t.f)[:, None])
             )
+            good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
         done = todo[good]
         u[:, done] = cand[:, good]
         tau[:, done] = lam[:, good]
@@ -251,9 +262,9 @@ def _finish_tile(
         # neither (it fails on an active constraint's rounding) stops.
         bad = ~good
         todo, lam = todo[bad], lam[:, bad]
-        viol = np.where(act[:, todo], np.inf, abund[:, bad])
+        viol = np.where(act[:, todo], np.inf, slack[:, bad])
         drop = lam.min(axis=0) < 0.0
-        add = ~drop & (viol.min(axis=0) < -CERT_TOL)
+        add = ~drop & (viol.min(axis=0) < 0.0)
         act[lam.argmin(axis=0)[drop], todo[drop]] = False
         act[viol.argmin(axis=0)[add], todo[add]] = True
         todo = todo[drop | add]

@@ -14,15 +14,22 @@ Binary container layout, all integers little-endian:
     n_channels * rows * cols x f64 payload, pixel-major: all channels of
     pixel 0, then all channels of pixel 1, ...
 
-Everything is float64; readers validate the file length against the
-header before touching the payload and fail with clean errors on
-truncated or oversized files. CSV numbers are written with 17
-significant digits, enough for exact float64 round trips.
+Everything is float64. Readers read the header alone first and check
+its magic, version and dimensions, then the file's size against the
+size the header implies, and fail with clean errors on truncated or
+oversized files before any payload is read. The payload is then read
+once, straight into a (pixels x channels) array, and handed out as its
+transpose: a channels x pixels view in Fortran order, with no copy. The
+writer writes that pixel-major buffer as it is.
+
+CSV numbers are written with 17 significant digits, enough for exact
+float64 round trips.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -136,51 +143,65 @@ def _write_container(path, magic, data, rows, cols, wavelengths) -> None:
     data = np.asarray(data, dtype=np.float64)
     n_channels = data.shape[0]
     flags = FLAG_WAVELENGTHS if wavelengths is not None else 0
+    # Pixel-major is data.T; for a container read by _read_container it
+    # is already contiguous and is written without a copy.
+    payload = np.ascontiguousarray(data.T, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, VERSION, n_channels, rows, cols, flags))
         if wavelengths is not None:
             fh.write(np.asarray(wavelengths, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(data.T, dtype="<f8").tobytes())
+        fh.write(memoryview(payload))
+
+
+def _read_exactly(fh, path, shape) -> np.ndarray:
+    """Read a "<f8" array of the given shape from fh, or raise."""
+    out = np.empty(shape, dtype="<f8")
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise TruncatedFile(
+            f"{path}: file ended early, read {got} of {out.nbytes} bytes"
+        )
+    return out
 
 
 def _read_container(path, expected_magic):
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _HEADER.size:
-        raise TruncatedFile(
-            f"{path}: {len(buf)} bytes is too short for a header"
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedFile(
+                f"{path}: {len(head)} bytes is too short for a header"
+            )
+        magic, version, n_channels, rows, cols, flags = _HEADER.unpack(head)
+        if magic != expected_magic:
+            raise BadMagic(
+                f"{path}: expected magic {expected_magic!r}, found {magic!r}"
+            )
+        if version != VERSION:
+            raise VersionUnsupported(
+                f"{path}: container version {version}, "
+                f"reader supports {VERSION}"
+            )
+        if n_channels < 1 or rows < 1 or cols < 1:
+            raise TruncatedFile(
+                f"{path}: header declares an empty payload "
+                f"({n_channels} channels, {rows}x{cols} pixels)"
+            )
+        has_wavelengths = bool(flags & FLAG_WAVELENGTHS)
+        expected = _HEADER.size + 8 * n_channels * (
+            rows * cols + has_wavelengths
         )
-    magic, version, n_channels, rows, cols, flags = _HEADER.unpack_from(buf)
-    if magic != expected_magic:
-        raise BadMagic(
-            f"{path}: expected magic {expected_magic!r}, found {magic!r}"
-        )
-    if version != VERSION:
-        raise VersionUnsupported(
-            f"{path}: container version {version}, reader supports {VERSION}"
-        )
-    if n_channels < 1 or rows < 1 or cols < 1:
-        raise TruncatedFile(
-            f"{path}: header declares an empty payload "
-            f"({n_channels} channels, {rows}x{cols} pixels)"
-        )
-    offset = _HEADER.size
-    wavelengths = None
-    expected = offset + 8 * n_channels * (rows * cols + bool(flags & FLAG_WAVELENGTHS))
-    if len(buf) != expected:
-        raise TruncatedFile(
-            f"{path}: header implies {expected} bytes, file has {len(buf)}"
-        )
-    if flags & FLAG_WAVELENGTHS:
-        wavelengths = np.frombuffer(
-            buf, dtype="<f8", count=n_channels, offset=offset
-        ).astype(np.float64)
-        offset += 8 * n_channels
-    flat = np.frombuffer(
-        buf, dtype="<f8", count=n_channels * rows * cols, offset=offset
-    )
-    data = np.ascontiguousarray(flat.reshape(rows * cols, n_channels).T)
-    return data, (rows, cols), wavelengths
+        if size != expected:
+            raise TruncatedFile(
+                f"{path}: header implies {expected} bytes, file has {size}"
+            )
+        wavelengths = None
+        if has_wavelengths:
+            wavelengths = _read_exactly(fh, path, n_channels)
+        payload = _read_exactly(fh, path, (rows * cols, n_channels))
+    # The file is pixel-major, so the channels x pixels matrix is the
+    # transpose: a Fortran-ordered view, not a copy.
+    return payload.T, (rows, cols), wavelengths
 
 
 def write_cube(path, cube: ImageCube) -> None:

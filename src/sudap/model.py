@@ -24,7 +24,9 @@ def _as_matrix(data, name: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max, and an infinity is an extreme,
+    # so this is exact without an isfinite temporary of the matrix's size.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NonFinite(f"{name} contains non-finite entries")
     return arr
 
@@ -70,7 +72,8 @@ class ImageCube:
     """Observed spectra as an n_bands x n_pixels matrix with spatial shape.
 
     The (rows, cols) shape is metadata only; all math treats the cube as a
-    flat pixel list.
+    flat pixel list. data need not be C-contiguous: io.read_cube hands
+    out the Fortran-ordered transpose of the pixel-major file payload.
     """
 
     data: np.ndarray

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 import sudap.cli as cli
-from sudap import dykstra, relative_error_db
+from sudap import (
+    DykstraConfig,
+    EndmemberMatrix,
+    ImageCube,
+    dykstra,
+    relative_error_db,
+    solve_sudap,
+)
 from sudap.io import (
     read_abundance,
     read_cube,
     read_curve_csv,
     read_library_csv,
+    write_abundance,
     write_library_csv,
 )
 from sudap.model import column_feasibility
@@ -155,6 +163,33 @@ def test_unmix_is_bit_deterministic_across_thread_counts(tmp_path,
         blobs.append(est.read_bytes())
     assert blobs[0] == blobs[1]
     assert blobs[0] == blobs[2]
+
+
+def test_unmix_from_a_file_matches_the_in_memory_c_ordered_solve(
+        tmp_path, library_csv, monkeypatch):
+    # read_cube hands out a Fortran-ordered view of the pixel-major
+    # payload; the solve must not depend on that layout. Tiles of 16
+    # columns make the finish and the compaction cut the block too.
+    monkeypatch.setattr(dykstra, "TILE", 16)
+    out = _simulate(tmp_path, library_csv, snr="5")
+    est = tmp_path / "file.abund"
+    rc = cli.main([
+        "unmix", "--cube", f"{out}.cube",
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(est),
+        "--rel-tol", "1e-12", "--threads", "1",
+    ])
+    assert rc == 0
+
+    read = read_cube(f"{out}.cube")
+    assert read.data.flags.f_contiguous and not read.data.flags.c_contiguous
+    cube = ImageCube(np.ascontiguousarray(read.data), read.shape)
+    assert cube.data.flags.c_contiguous
+    e = EndmemberMatrix(read_library_csv(f"{out}.endmembers.csv").signatures)
+    result = solve_sudap(e, cube, DykstraConfig(rel_tol=1e-12))
+    mem = tmp_path / "memory.abund"
+    write_abundance(mem, result.a_hat)
+    assert est.read_bytes() == mem.read_bytes()
 
 
 def test_unmix_direct_solvers_and_clip(tmp_path, library_csv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,22 @@ def test_abundance_round_trip_is_bit_exact(tmp_path):
     assert back.shape == (4, 5)
 
 
+def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(76)
+    cube = ImageCube(rng.standard_normal((64, 100 * 100)), (100, 100),
+                     wavelengths=np.arange(64.0))
+    path = tmp_path / "x.cube"
+    write_cube(path, cube)
+    tracemalloc.start()
+    try:
+        back = read_cube(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, cube.data)
+    assert peak <= 1.1 * cube.data.nbytes
+
+
 def test_containers_reject_each_others_magic(tmp_path):
     rng = np.random.default_rng(73)
     a = AbundanceMatrix(rng.dirichlet(np.ones(3), size=4).T, (1, 4))
@@ -148,6 +166,27 @@ def test_every_truncation_of_a_container_fails_cleanly(tmp_path):
     stub.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(TruncatedFile):
         read_cube(stub)
+
+
+def test_a_file_cut_after_the_size_check_fails_cleanly(tmp_path, monkeypatch):
+    import os
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(77)
+    cube = ImageCube(rng.standard_normal((3, 4)), (2, 2),
+                     wavelengths=np.arange(3.0))
+    path = tmp_path / "x.cube"
+    write_cube(path, cube)
+    full = path.stat().st_size
+    # The size check passes on the full length, as if the file were
+    # cut between the check and the read; the short read must raise.
+    for cut in (24 + 8, full - 8):
+        path.write_bytes(path.read_bytes()[:cut])
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fstat", lambda _: SimpleNamespace(st_size=full))
+            with pytest.raises(TruncatedFile):
+                read_cube(path)
+        write_cube(path, cube)
 
 
 def test_zero_dimension_header_is_rejected(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sudap import EndmemberMatrix, ImageCube
-from sudap.errors import DimensionMismatch
+from sudap.errors import DimensionMismatch, NonFinite
 from sudap.model import (
     AbundanceMatrix,
     column_feasibility,
@@ -27,6 +27,20 @@ def test_endmember_matrix_rejects_nan():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError):
         EndmemberMatrix(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [
+    lambda d: EndmemberMatrix(d),
+    lambda d: ImageCube(d, (2, 3)),
+    lambda d: AbundanceMatrix(d, (2, 3)),
+])
+def test_matrices_reject_non_finite_entries(make, bad):
+    # Fortran order too, the layout io.read_cube hands out.
+    for data in (np.full((6, 6), 0.5), np.full((6, 6), 0.5, order="F")):
+        data[4, 1] = bad
+        with pytest.raises(NonFinite):
+            make(data)
 
 
 def test_endmember_matrix_rejects_vector():
