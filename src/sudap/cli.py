@@ -15,7 +15,9 @@ byte-identical data files. The exceptions are measured timings
 measurements and vary run to run.
 
 Exit codes: 0 success; 1 validation failure; 2 usage error; otherwise
-one distinct code per error class, see EXIT_CODES.
+one distinct code per error class, see EXIT_CODES. An unmix run that
+stops at --max-sweeps with pixels still uncertified writes its output
+and report, then exits 25 (NotConverged).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .simdata import (
 from .solver import (
     MAX_ORACLE_ENDMEMBERS,
     clip_negatives,
+    reduce_cube,
     solve_ls,
     solve_ls_sum1,
     solve_oracle_activeset,
@@ -83,6 +86,7 @@ EXIT_CODES = {
     errors.BadMagic: 22,
     errors.TruncatedFile: 23,
     errors.VersionUnsupported: 24,
+    errors.NotConverged: 25,
 }
 OS_ERROR_CODE = 30
 
@@ -150,10 +154,20 @@ def _load_reference(path, m: int, n: int, what: str) -> AbundanceMatrix:
 
 
 def cmd_unmix(args) -> int:
-    cube = sio.read_cube(args.cube)
     elib = sio.read_library_csv(args.endmembers)
     e = EndmemberMatrix(elib.signatures, wavelengths=elib.wavelengths)
-    m, n = e.n_endmembers, cube.n_pixels
+    m = e.n_endmembers
+    # The subspace solver sees the cube only through its reduced form,
+    # which is formed while the file is read one tile at a time, so the
+    # cube is never held whole. The other routes, and sudap with one
+    # endmember, read it whole.
+    reduced = args.solver == "sudap" and m >= 2
+    if reduced:
+        with sio.open_cube(args.cube) as source:
+            x = reduce_cube(e, source)
+    else:
+        x = sio.read_cube(args.cube)
+    n = x.n_pixels
     a_ref = (
         _load_reference(args.reference, m, n, "reference")
         if args.reference
@@ -165,20 +179,19 @@ def cmd_unmix(args) -> int:
     # Only a subspace run with m >= 2 has sweeps to record; the other
     # routes write a header-only curve.
     recorder = None
-    if args.curve and args.solver == "sudap" and m >= 2:
+    if args.curve and reduced:
         recorder = CurveRecorder(
-            build_transform(e), e, cube, args.snapshot_every,
-            a_star=a_ref, a_true=a_true,
+            x, args.snapshot_every, a_star=a_ref, a_true=a_true
         )
 
     if args.solver == "sudap":
-        result = solve_sudap(e, cube, args.cfg, on_sweep=recorder)
+        result = solve_sudap(e, x, args.cfg, on_sweep=recorder)
     elif args.solver == "ls":
-        result = solve_ls(e, cube)
+        result = solve_ls(e, x)
     elif args.solver == "ls-sum1":
-        result = solve_ls_sum1(e, cube)
+        result = solve_ls_sum1(e, x)
     else:
-        result = solve_oracle_activeset(e, cube)
+        result = solve_oracle_activeset(e, x)
 
     a_out = clip_negatives(result.a_hat) if args.clip else result.a_hat
     sio.write_abundance(args.out, a_out)
@@ -192,7 +205,7 @@ def cmd_unmix(args) -> int:
 
     report = column_feasibility(a_out)
     print(f"solver: {result.solver_id}")
-    print(f"objective |X - EA|_F^2: {objective(e, cube, a_out):.10e}")
+    print(f"objective |X - EA|_F^2: {objective(e, x, a_out):.10e}")
     print(f"wall time: {result.wall_time:.3f} s")
     print(
         f"feasibility: max column-sum deviation {report.max_sum_violation:.3e}, "
@@ -203,9 +216,15 @@ def cmd_unmix(args) -> int:
         print(f"final RE vs reference: {relative_error_db(a_out, a_ref):.2f} dB")
     if a_true is not None:
         print(f"final NMSE vs truth: {nmse_db(a_out, a_true):.2f} dB")
-    sweeps = result.trace.n_sweeps
-    if sweeps:
-        print(f"sweeps: {sweeps} (converged: {result.trace.converged})")
+    trace = result.trace
+    if trace.n_sweeps:
+        print(f"sweeps: {trace.n_sweeps} (converged: {trace.converged})")
+    if not trace.converged:
+        raise errors.NotConverged(
+            f"stopped at --max-sweeps {trace.n_sweeps} with "
+            f"{trace.uncertified[-1]} pixel(s) uncertified; the output "
+            f"and the report above are of that last iterate"
+        )
     return 0
 
 

@@ -126,16 +126,19 @@ class DykstraConfig:
 class DykstraTrace:
     """Per-sweep records of one run; row k belongs to sweep k + 1.
 
-    elapsed_s is the cumulative time spent in the sweep kernel, the
-    finish and the stop bookkeeping only; the on_sweep observer runs off
-    the clock, so observed runs time like plain ones. rel_change is the
-    relative change over each sweep of the columns still being swept
-    (the change test's quantity), and uncertified the number of columns
-    not yet certified after it, which is the width of the block the next
-    sweep runs on. uncertified falls only at checkpoints and on the last
-    sweep, where the finish runs, so its last entry counts the columns
-    the finish could not certify. The state the driver keeps is O(m n)
-    whatever the sweep count.
+    Under compaction a sweep runs only on the columns still uncertified
+    when it starts: all n for the first sweep, uncertified[k - 1] for
+    sweep k + 1. Row k describes that sweep over that block. elapsed_s
+    is the cumulative time spent in the sweep kernel, the finish and the
+    stop bookkeeping only; the on_sweep observer runs off the clock, so
+    observed runs time like plain ones. rel_change is the block's
+    relative change over the sweep (the change test's quantity), and
+    uncertified the number of columns not yet certified after the sweep
+    and its finish, if one ran, which is the width of the block the
+    next sweep runs on. uncertified falls only at checkpoints and on the
+    last sweep, where the finish runs, so its last entry counts the
+    columns the finish could not certify. The state the driver keeps is
+    O(m n) whatever the sweep count.
     """
 
     elapsed_s: np.ndarray

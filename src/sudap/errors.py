@@ -90,3 +90,7 @@ class TruncatedFile(SudapError):
 
 class VersionUnsupported(SudapError):
     """Binary container version not understood by this reader."""
+
+
+class NotConverged(SudapError):
+    """A run stopped at its sweep cap with pixels still uncertified."""

@@ -14,13 +14,18 @@ Binary container layout, all integers little-endian:
     n_channels * rows * cols x f64 payload, pixel-major: all channels of
     pixel 0, then all channels of pixel 1, ...
 
-Everything is float64. Readers read the header alone first and check
-its magic, version and dimensions, then the file's size against the
-size the header implies, and fail with clean errors on truncated or
-oversized files before any payload is read. The payload is then read
-once, straight into a (pixels x channels) array, and handed out as its
-transpose: a channels x pixels view in Fortran order, with no copy. The
-writer writes that pixel-major buffer as it is.
+Everything is float64. One reader, ContainerReader, serves every
+container. It reads the header alone first and checks its magic,
+version and dimensions, then the file's size against the size the
+header implies, and fails with clean errors on truncated or oversized
+files before any payload is read. The payload is then read in tiles of
+dykstra.TILE pixels, each checked for a short read and for non-finite
+values as it arrives: open_cube streams them through one reused buffer
+(the subspace solver's forward map consumes them, so the cube is never
+held whole), and read_cube and read_abundance fill the whole
+(pixels x channels) array and hand out its transpose, a channels x
+pixels view in Fortran order, with no copy. The writer writes that
+pixel-major buffer as it is.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
@@ -29,14 +34,17 @@ float64 round trips.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 
 import numpy as np
 
+from . import dykstra
 from .errors import (
     BadMagic,
     EmptyFile,
+    NonFinite,
     ParseError,
     TruncatedFile,
     VersionUnsupported,
@@ -143,7 +151,7 @@ def _write_container(path, magic, data, rows, cols, wavelengths) -> None:
     data = np.asarray(data, dtype=np.float64)
     n_channels = data.shape[0]
     flags = FLAG_WAVELENGTHS if wavelengths is not None else 0
-    # Pixel-major is data.T; for a container read by _read_container it
+    # Pixel-major is data.T; for a container read by ContainerReader it
     # is already contiguous and is written without a copy.
     payload = np.ascontiguousarray(data.T, dtype="<f8")
     with open(path, "wb") as fh:
@@ -153,9 +161,8 @@ def _write_container(path, magic, data, rows, cols, wavelengths) -> None:
         fh.write(memoryview(payload))
 
 
-def _read_exactly(fh, path, shape) -> np.ndarray:
-    """Read a "<f8" array of the given shape from fh, or raise."""
-    out = np.empty(shape, dtype="<f8")
+def _read_exactly(fh, path, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous "<f8" array out from fh, or raise."""
     got = fh.readinto(memoryview(out).cast("B"))
     if got != out.nbytes:
         raise TruncatedFile(
@@ -164,8 +171,32 @@ def _read_exactly(fh, path, shape) -> np.ndarray:
     return out
 
 
-def _read_container(path, expected_magic):
-    with open(path, "rb") as fh:
+class ContainerReader:
+    """An open container whose header and file size have been checked.
+
+    Opening runs the checks the module docstring lists and reads the
+    wavelength block, but no payload; tiles() then streams the payload
+    and read() reads all of it. Use it as a context manager, or call
+    close().
+
+    Attributes: path, n_channels (bands for cubes, endmembers for
+    abundances), shape (rows, cols), n_pixels, wavelengths (None unless
+    the header flags them) and sum_sq, the sum of squares of the
+    payload that tiles() has read so far, added tile by tile in order.
+    """
+
+    def __init__(self, path, expected_magic):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._check_header(expected_magic)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.sum_sq = 0.0
+
+    def _check_header(self, expected_magic) -> None:
+        fh, path = self._fh, self.path
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -195,13 +226,85 @@ def _read_container(path, expected_magic):
             raise TruncatedFile(
                 f"{path}: header implies {expected} bytes, file has {size}"
             )
-        wavelengths = None
+        self.n_channels, self.shape = n_channels, (rows, cols)
+        self.n_pixels = rows * cols
+        self.wavelengths = None
         if has_wavelengths:
-            wavelengths = _read_exactly(fh, path, n_channels)
-        payload = _read_exactly(fh, path, (rows * cols, n_channels))
-    # The file is pixel-major, so the channels x pixels matrix is the
-    # transpose: a Fortran-ordered view, not a copy.
-    return payload.T, (rows, cols), wavelengths
+            self.wavelengths = _read_exactly(
+                fh, path, np.empty(n_channels, dtype="<f8")
+            )
+        self._payload_at = fh.tell()
+
+    @property
+    def n_bands(self) -> int:
+        return self.n_channels
+
+    def tiles(self, payload: np.ndarray | None = None):
+        """Read the payload in order, dykstra.TILE pixels at a time.
+
+        Yields each tile as a channels x pixels view, the transpose of
+        its pixel-major rows. Without payload every tile is read into
+        one reused buffer, so a yielded view holds its values only until
+        the next tile is read; with payload, a C-contiguous (n_pixels x
+        n_channels) array, the tiles fill it in place. Each tile is
+        checked as it is read: a short read raises TruncatedFile (the
+        file changed after its size was checked) and a NaN or infinity
+        raises NonFinite. Every call starts again at the first pixel.
+        """
+        n, width = self.n_pixels, dykstra.TILE
+        reuse = payload is None
+        if reuse:
+            payload = np.empty((min(width, n), self.n_channels), dtype="<f8")
+        self._fh.seek(self._payload_at)
+        self.sum_sq = 0.0
+        for lo in range(0, n, width):
+            k = min(width, n - lo)
+            tile = payload[:k] if reuse else payload[lo:lo + k]
+            _read_exactly(self._fh, self.path, tile)
+            self.sum_sq += self._check_finite(tile, lo)
+            yield tile.T
+
+    def _check_finite(self, tile: np.ndarray, lo: int) -> float:
+        """The tile's sum of squares, or NonFinite on a NaN or infinity.
+
+        A finite sum proves every entry finite in one pass; a sum that
+        overflowed on finite entries is told apart by the extremes.
+        """
+        sq = float(np.einsum("ij,ij->", tile, tile))
+        if not math.isfinite(sq) and not (
+            np.isfinite(tile.min()) and np.isfinite(tile.max())
+        ):
+            raise NonFinite(
+                f"{self.path}: non-finite value among pixels "
+                f"{lo}..{lo + tile.shape[0] - 1}"
+            )
+        return sq
+
+    def read(self) -> np.ndarray:
+        """The whole payload as a channels x pixels matrix.
+
+        The payload is read tile by tile straight into its final
+        (pixels x channels) array, which is handed out as its transpose:
+        a Fortran-ordered view, not a copy.
+        """
+        payload = np.empty((self.n_pixels, self.n_channels), dtype="<f8")
+        for _ in self.tiles(payload):
+            pass
+        return payload.T
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_cube(path) -> ContainerReader:
+    """Open a cube file for streaming; see ContainerReader."""
+    return ContainerReader(path, MAGIC_CUBE)
 
 
 def write_cube(path, cube: ImageCube) -> None:
@@ -212,8 +315,10 @@ def write_cube(path, cube: ImageCube) -> None:
 
 
 def read_cube(path) -> ImageCube:
-    data, shape, wavelengths = _read_container(path, MAGIC_CUBE)
-    return ImageCube(data, shape, wavelengths=wavelengths)
+    with open_cube(path) as source:
+        return ImageCube(
+            source.read(), source.shape, wavelengths=source.wavelengths
+        )
 
 
 def write_abundance(path, a: AbundanceMatrix) -> None:
@@ -223,8 +328,8 @@ def write_abundance(path, a: AbundanceMatrix) -> None:
 
 
 def read_abundance(path) -> AbundanceMatrix:
-    data, shape, _ = _read_container(path, MAGIC_ABUNDANCE)
-    return AbundanceMatrix(data, shape)
+    with ContainerReader(path, MAGIC_ABUNDANCE) as source:
+        return AbundanceMatrix(source.read(), source.shape)
 
 
 # ------------------------------------------------------------- curve CSV

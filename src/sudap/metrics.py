@@ -18,8 +18,9 @@ from .errors import (
     ShapeMismatch,
     ZeroReference,
 )
-from .model import AbundanceMatrix, EndmemberMatrix, ImageCube
-from .subspace import SubspaceTransform, inverse_transform
+from .model import AbundanceMatrix, EndmemberMatrix
+from .solver import ReducedCube
+from .subspace import inverse_transform
 
 
 def _data(x) -> np.ndarray:
@@ -57,14 +58,25 @@ def nmse_db(a_hat, a_true) -> float:
     return _ratio_db(a_hat, a_true, "NMSE")
 
 
-def _residual(e_data: np.ndarray, x_data: np.ndarray):
-    """The map A -> |X - E A|_F^2 for fixed E and X, in O(m n) per call.
+def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
+    """The map A -> |X - E A|_F^2 from the cube's reduced form, O(m n) a call.
 
     With E'E = D'D and Y = D^{-T} E'X, the residual splits as
     |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
     X outside the span of E, computed once here and clamped at 0
     against rounding; each call then costs one m x n product.
     """
+    out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
+
+    def residual(a: np.ndarray) -> float:
+        r = y - d @ a
+        return out_of_span + float(np.einsum("ij,ij->", r, r))
+
+    return residual
+
+
+def _residual(e_data: np.ndarray, x_data: np.ndarray):
+    """_reduced_residual for a cube in memory, reduced here."""
     try:
         d = np.linalg.cholesky(e_data.T @ e_data).T
     except np.linalg.LinAlgError as exc:
@@ -74,27 +86,23 @@ def _residual(e_data: np.ndarray, x_data: np.ndarray):
     y = scipy.linalg.solve_triangular(
         d, e_data.T @ x_data, trans="T", lower=False
     )
-    out_of_span = max(
-        float(np.einsum("ij,ij->", x_data, x_data))
-        - float(np.einsum("ij,ij->", y, y)),
-        0.0,
-    )
-
-    def residual(a: np.ndarray) -> float:
-        r = y - d @ a
-        return out_of_span + float(np.einsum("ij,ij->", r, r))
-
-    return residual
+    return _reduced_residual(d, y, float(np.einsum("ij,ij->", x_data, x_data)))
 
 
-def objective(e: EndmemberMatrix, x: ImageCube, a_hat) -> float:
+def objective(e: EndmemberMatrix, x, a_hat) -> float:
     """Residual |X - E A_hat|_F^2, by the reduced identity (see _residual).
 
-    No band x pixel temporary is formed.
+    x is an ImageCube, or a ReducedCube (solver.reduce_cube) of the cube
+    for this E, whose Y and |X|^2 are then used as they are. No
+    band x pixel temporary is formed.
     """
+    a_data = _data(a_hat)
+    if isinstance(x, ReducedCube):
+        if x.y.shape != a_data.shape:
+            raise DimensionMismatch(x.y.shape[0], a_data.shape[0])
+        return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)
     e_data = _data(e)
     x_data = _data(x)
-    a_data = _data(a_hat)
     if e_data.shape[0] != x_data.shape[0]:
         raise DimensionMismatch(e_data.shape[0], x_data.shape[0])
     if e_data.shape[1] != a_data.shape[0] or x_data.shape[1] != a_data.shape[1]:
@@ -133,24 +141,24 @@ class ConvergenceCurve:
 class CurveRecorder:
     """An on_sweep observer that builds the convergence curve of a run.
 
-    Pass it as on_sweep to solve_sudap (or dykstra_project on the same
-    transform and data). Every `every` sweeps, and for the run's last
-    sweep, it records one row: the residual objective, RE against a_star
-    and NMSE against a_true when given (nan cells otherwise).
-    curve(trace) then adds the solver-only elapsed times and the
-    uncertified-pixel counts from the run's trace. The recorder holds
-    one m x n block of reduced data, however long the run, and a row
+    Pass it as on_sweep to solve_sudap on the ReducedCube x it was made
+    with (or to dykstra_project on x.t and x.y). Every `every` sweeps,
+    and for the run's last sweep, it records one row: the residual
+    objective, RE against a_star and NMSE against a_true when given (nan
+    cells otherwise). curve(trace) then adds the solver-only elapsed
+    times and the uncertified-pixel counts from the run's trace. The
+    objective comes from x's Y and |X|^2 by the reduced identity, so the
+    recorder holds no data of its own, however long the run, and a row
     costs O(m n), not O(bands n).
     """
 
-    def __init__(self, t: SubspaceTransform, e: EndmemberMatrix,
-                 x: ImageCube, every: int = 1,
+    def __init__(self, x: ReducedCube, every: int = 1,
                  a_star: AbundanceMatrix | None = None,
                  a_true: AbundanceMatrix | None = None):
         if every < 1:
             raise ValueError("every must be at least 1")
-        self._t, self._every = t, every
-        self._residual = _residual(_data(e), _data(x))
+        self._t, self._every = x.t, every
+        self._residual = _reduced_residual(x.t.d, x.y, x.x_sq)
         self._a_star, self._a_true = a_star, a_true
         self._rows: list = []
         self._sweep, self._u = 0, None

@@ -3,7 +3,10 @@
 Four solvers share one result type:
 
 * solve_sudap: the subspace route. Transform, project with Dykstra's
-  scheme, map back. Handles both constraints.
+  scheme, map back. Handles both constraints. Its first two stages,
+  the transform and the forward map, are also reduce_cube, which can
+  stream the cube from a file: the solver sees the cube only through
+  its reduced form.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   closed form.
@@ -17,13 +20,18 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .dykstra import DykstraConfig, DykstraTrace, dykstra_project
-from .errors import NoKKTPoint, RankDeficient, TooManyEndmembers
+from .errors import (
+    DimensionMismatch,
+    NoKKTPoint,
+    RankDeficient,
+    TooManyEndmembers,
+)
 from .model import (
     EPS_NEG,
     AbundanceMatrix,
@@ -33,6 +41,7 @@ from .model import (
 )
 from .subspace import (
     RANK_TOL,
+    SubspaceTransform,
     build_transform,
     forward_transform,
     inverse_transform,
@@ -52,10 +61,21 @@ MAX_ORACLE_ENDMEMBERS = 14
 
 @dataclass(frozen=True)
 class SolveResult:
+    """One solver run.
+
+    wall_time is the run's seconds, and stages splits solve_sudap's
+    between "transform" (build_transform), "forward" (the forward map,
+    with the streamed read when the cube comes from a file), "project"
+    (dykstra_project, with its on_sweep observer) and "inverse";
+    their sum never exceeds wall_time. The other solvers, and
+    solve_sudap with one endmember, leave stages empty.
+    """
+
     a_hat: AbundanceMatrix
     trace: DykstraTrace
     solver_id: str
     wall_time: float
+    stages: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.solver_id not in SOLVER_IDS:
@@ -95,28 +115,90 @@ def _ones_result(x: ImageCube, solver_id: str, t0: float) -> SolveResult:
     return SolveResult(a, _empty_trace(), solver_id, time.perf_counter() - t0)
 
 
+@dataclass(frozen=True)
+class ReducedCube:
+    """A cube as the subspace solver sees it.
+
+    The fully constrained problem lives in the m-dimensional subspace:
+    |X - EA|_F^2 = x_sq - |Y|^2 + |Y - DA|^2, so X enters only through
+    Y = D^{-T} E'X (m x n, for the transform t) and x_sq = |X|_F^2.
+    stages holds the seconds reduce_cube spent, by stage.
+    """
+
+    t: SubspaceTransform
+    y: np.ndarray
+    x_sq: float
+    shape: tuple[int, int]
+    stages: dict
+
+    @property
+    def n_pixels(self) -> int:
+        return self.y.shape[1]
+
+
+def _transform_and_forward(e: EndmemberMatrix, x):
+    tic = time.perf_counter()
+    t = build_transform(e)
+    mid = time.perf_counter()
+    y = forward_transform(t, e, x)
+    stages = {"transform": mid - tic, "forward": time.perf_counter() - mid}
+    return t, y, stages
+
+
+def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
+    """Transform and forward map: the cube reduced to the subspace.
+
+    x is an ImageCube, or a cube file opened with io.open_cube, which is
+    read here one tile at a time and never held whole; |X|^2 then comes
+    from the reader's per-tile sums. Pass the result to solve_sudap, to
+    metrics.objective and to metrics.CurveRecorder.
+
+    Raises
+    ------
+    DimensionMismatch, RankDeficient, DegenerateProblem
+        As build_transform; one endmember is degenerate here.
+    """
+    validate_dimensions(e, x)
+    t, y, stages = _transform_and_forward(e, x)
+    x_sq = getattr(x, "sum_sq", None)
+    if x_sq is None:
+        x_sq = float(np.einsum("ij,ij->", x.data, x.data))
+    return ReducedCube(t, y, x_sq, x.shape, stages)
+
+
 def solve_sudap(
     e: EndmemberMatrix,
-    x: ImageCube,
+    x,
     cfg: DykstraConfig | None = None,
     on_sweep=None,
 ) -> SolveResult:
     """Fully constrained unmixing through the projected subspace.
 
-    With the tolerance driven to zero the output is the unique minimizer
-    of |X - EA|_F^2 over the simplex. Column sums are exact to roundoff
-    at any tolerance; small negative entries can remain when the run
-    stops early and are reported as-is (see clip_negatives).
+    x is an ImageCube, or a ReducedCube from reduce_cube for the same E,
+    whose stages and seconds then count towards the result's. With the
+    tolerance driven to zero the output is the unique minimizer of
+    |X - EA|_F^2 over the simplex. Column sums are exact to roundoff at
+    any tolerance; small negative entries can remain when the run stops
+    early and are reported as-is (see clip_negatives).
     """
     t0 = time.perf_counter()
-    validate_dimensions(e, x)
-    if e.n_endmembers == 1:
-        return _ones_result(x, "sudap", t0)
-    t = build_transform(e)
-    y = forward_transform(t, e, x)
+    if isinstance(x, ReducedCube):
+        if x.y.shape[0] != e.n_endmembers:
+            raise DimensionMismatch(e.n_endmembers, x.y.shape[0])
+        t, y, stages = x.t, x.y, dict(x.stages)
+        t0 -= sum(stages.values())
+    else:
+        validate_dimensions(e, x)
+        if e.n_endmembers == 1:
+            return _ones_result(x, "sudap", t0)
+        t, y, stages = _transform_and_forward(e, x)
+    tic = time.perf_counter()
     u, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
+    mid = time.perf_counter()
     a = AbundanceMatrix(inverse_transform(t, u), x.shape)
-    return SolveResult(a, trace, "sudap", time.perf_counter() - t0)
+    toc = time.perf_counter()
+    stages.update(project=mid - tic, inverse=toc - mid)
+    return SolveResult(a, trace, "sudap", toc - t0, stages)
 
 
 def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:

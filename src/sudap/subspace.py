@@ -132,16 +132,31 @@ def build_transform(e: EndmemberMatrix) -> SubspaceTransform:
 def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
     """Map observations into the subspace: y = D^{-T} E' x.
 
-    ``e`` and ``x`` may be the model wrappers or plain arrays; x holds
-    one pixel per column. E'x is formed first and the triangular system
-    D'y = E'x solved, never an explicit Gram inverse. For noiseless
+    ``e`` may be the model wrapper or a plain array. ``x`` holds one
+    pixel per column: an ImageCube or a plain array, which is one block,
+    or a source with ``n_pixels`` and a ``tiles()`` method that yields
+    the pixels in order as column blocks, as io.open_cube gives, which
+    is read one block at a time. Each block's columns of E'x go into one
+    m x n matrix, and the triangular system D'y = E'x is then solved
+    once, never an explicit Gram inverse. E'x of a column does not
+    depend on how the columns are cut into blocks, so a streamed file
+    and the same pixels in memory give the same bits. For noiseless
     x = E a the output equals D a.
     """
     e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
-    x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if e_data.shape[0] != x_data.shape[0]:
-        raise DimensionMismatch(e_data.shape[0], x_data.shape[0])
-    w = e_data.T @ x_data
+    if hasattr(x, "tiles"):
+        n, blocks = x.n_pixels, x.tiles()
+    else:
+        x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+        n, blocks = x_data.shape[1], (x_data,)
+    w = np.empty((e_data.shape[1], n))
+    lo = 0
+    for block in blocks:
+        if e_data.shape[0] != block.shape[0]:
+            raise DimensionMismatch(e_data.shape[0], block.shape[0])
+        hi = lo + block.shape[1]
+        np.matmul(e_data.T, block, out=w[:, lo:hi])
+        lo = hi
     return scipy.linalg.solve_triangular(t.d, w, trans="T", lower=False)
 
 

@@ -15,16 +15,25 @@ from sudap import (
     solve_sudap,
 )
 from sudap.io import (
+    open_cube,
     read_abundance,
     read_cube,
     read_curve_csv,
     read_library_csv,
     write_abundance,
+    write_cube,
     write_library_csv,
 )
+from sudap.metrics import objective
 from sudap.model import column_feasibility
-from sudap.simdata import make_synthetic_library
-from sudap.subspace import build_transform
+from sudap.simdata import (
+    SpectralLibrary,
+    child_seeds,
+    make_scene,
+    make_synthetic_library,
+)
+from sudap.solver import reduce_cube
+from sudap.subspace import build_transform, inverse_transform
 
 
 @pytest.fixture
@@ -190,6 +199,155 @@ def test_unmix_from_a_file_matches_the_in_memory_c_ordered_solve(
     mem = tmp_path / "memory.abund"
     write_abundance(mem, result.a_hat)
     assert est.read_bytes() == mem.read_bytes()
+
+
+def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
+                                                         library_csv):
+    # The cube is 48 bands x 25 600 pixels (9.8 MB), more than six tiles
+    # of 4096 pixels. Streamed, the run holds one tile of the file and a
+    # few m x n blocks of solver state; a reader that held the cube
+    # would peak above the cube's own size.
+    m, rows, cols, bands = 3, 160, 160, 48
+    out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols)
+    n = rows * cols
+    assert n > 6 * dykstra.TILE
+    tracemalloc.start()
+    try:
+        rc = cli.main([
+            "unmix", "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv",
+            "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    bound = 6 * m * n * 8 + dykstra.TILE * bands * 8
+    assert bound < bands * n * 8
+    assert peak < bound
+
+
+def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
+        tmp_path, library_csv, monkeypatch):
+    # Tiles of 16 pixels cut the 144-pixel cube into 9; only the last
+    # pixel is NaN, so the streamed reader meets it in its last tile.
+    monkeypatch.setattr(dykstra, "TILE", 16)
+    out = _simulate(tmp_path, library_csv)
+    blob = bytearray((tmp_path / "scene.cube").read_bytes())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    nan_cube = tmp_path / "nan.cube"
+    nan_cube.write_bytes(bytes(blob))
+    est = tmp_path / "x.abund"
+    rc = cli.main([
+        "unmix", "--cube", str(nan_cube),
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(est),
+    ])
+    assert rc == cli.EXIT_CODES[cli.errors.NonFinite]
+    assert not est.exists()
+
+
+def test_a_cube_cut_in_a_later_tile_after_the_size_check_exits_23(
+        tmp_path, library_csv, monkeypatch):
+    import os
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(dykstra, "TILE", 16)
+    out = _simulate(tmp_path, library_csv)
+    cube = tmp_path / "scene.cube"
+    full = cube.stat().st_size
+    # Cut inside the fourth tile. The size check still sees the full
+    # length, as if the file were cut between the check and the read.
+    bands, n = 48, 144
+    header = full - 8 * bands * n
+    cube.write_bytes(cube.read_bytes()[:header + 8 * bands * (3 * 16 + 5)])
+    est = tmp_path / "x.abund"
+    cut, real_fstat = cube.stat().st_ino, os.fstat
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        return SimpleNamespace(st_size=full) if st.st_ino == cut else st
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    rc = cli.main([
+        "unmix", "--cube", str(cube),
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(est),
+    ])
+    assert rc == cli.EXIT_CODES[cli.errors.TruncatedFile]
+    assert not est.exists()
+
+
+def test_streamed_curve_and_report_match_the_in_memory_objective(
+        tmp_path, library_csv, capsys):
+    out = _simulate(tmp_path, library_csv, snr="3")
+    ref = tmp_path / "oracle.abund"
+    base = ["unmix", "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv"]
+    assert cli.main(base + ["--solver", "oracle", "--out", str(ref)]) == 0
+    est, curve_path = tmp_path / "s.abund", tmp_path / "c.csv"
+    capsys.readouterr()
+    rc = cli.main(base + [
+        "--solver", "sudap", "--out", str(est), "--rel-tol", "1e-12",
+        "--reference", str(ref), "--curve", str(curve_path),
+        "--snapshot-every", "1",
+    ])
+    assert rc == 0
+    report = capsys.readouterr().out
+    curve = read_curve_csv(curve_path)
+
+    # The curve as it was built from the whole cube in memory: every
+    # row's objective by metrics.objective on the image, RE against the
+    # same reference, and the trace's uncertified counts.
+    cube = read_cube(f"{out}.cube")
+    e = EndmemberMatrix(read_library_csv(f"{out}.endmembers.csv").signatures)
+    a_ref = read_abundance(ref)
+    t = build_transform(e)
+    rows = []
+
+    def watch(sweep, u):
+        a_k = inverse_transform(t, u)
+        rows.append((sweep, objective(e, cube, a_k),
+                     relative_error_db(a_k, a_ref)))
+
+    result = solve_sudap(e, cube, DykstraConfig(rel_tol=1e-12),
+                         on_sweep=watch)
+    sweep, obj, re_db = (np.array(col) for col in zip(*rows))
+    assert np.array_equal(curve.sweep, sweep)
+    assert np.array_equal(curve.re_db, re_db)
+    assert np.isnan(curve.nmse_db).all()
+    assert np.array_equal(curve.unconverged, result.trace.uncertified)
+    assert np.allclose(curve.objective, obj, rtol=1e-12, atol=0.0)
+
+    # The report's objective comes from the streamed Y and |X|^2.
+    a = read_abundance(est)
+    with open_cube(f"{out}.cube") as source:
+        streamed = objective(e, reduce_cube(e, source), a)
+    assert streamed == pytest.approx(objective(e, cube, a), rel=1e-12)
+    assert f"objective |X - EA|_F^2: {streamed:.10e}" in report
+
+
+def test_unmix_exits_25_after_writing_an_uncertified_stop(tmp_path, capsys):
+    # cond(E'E) is about 1e7 here; the run needs 160 sweeps to certify
+    # every pixel, so a 10-sweep budget leaves some uncertified.
+    lib = make_synthetic_library(224, 24, seed=1)
+    idx, e, _, cube = make_scene(lib, 20, 5.0, (30, 30), 5.0,
+                                 child_seeds(2, 3))
+    write_cube(tmp_path / "s.cube", cube)
+    write_library_csv(tmp_path / "e.csv", SpectralLibrary(
+        e.data, tuple(lib.names[i] for i in idx)))
+    est = tmp_path / "s.abund"
+    rc = cli.main([
+        "unmix", "--cube", str(tmp_path / "s.cube"),
+        "--endmembers", str(tmp_path / "e.csv"), "--solver", "sudap",
+        "--out", str(est), "--max-sweeps", "10",
+    ])
+    assert rc == 25
+    assert cli.EXIT_CODES[cli.errors.NotConverged] == 25
+    captured = capsys.readouterr()
+    assert "sweeps: 10 (converged: False)" in captured.out
+    assert "uncertified" in captured.err
+    assert read_abundance(est).data.shape == (20, 900)
 
 
 def test_unmix_direct_solvers_and_clip(tmp_path, library_csv):

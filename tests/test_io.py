@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudap import ImageCube
+from sudap import dykstra
 from sudap.errors import (
     BadMagic,
     EmptyFile,
+    NonFinite,
     ParseError,
     TruncatedFile,
     VersionUnsupported,
 )
 from sudap.io import (
+    open_cube,
     read_abundance,
     read_cube,
     read_curve_csv,
@@ -127,6 +130,55 @@ def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.data, cube.data)
     assert peak <= 1.1 * cube.data.nbytes
+
+
+def test_open_cube_streams_the_payload_through_one_tile_buffer(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(dykstra, "TILE", 16)
+    rng = np.random.default_rng(78)
+    cube = ImageCube(rng.standard_normal((5, 7 * 9)), (7, 9),
+                     wavelengths=np.arange(5.0))
+    path = tmp_path / "x.cube"
+    write_cube(path, cube)
+    with open_cube(path) as source:
+        assert (source.n_bands, source.n_pixels) == (5, 63)
+        assert source.shape == (7, 9)
+        assert np.array_equal(source.wavelengths, cube.wavelengths)
+        for _ in range(2):  # every pass starts at the first pixel
+            tiles = [tile.copy() for tile in source.tiles()]
+            assert [tile.shape[1] for tile in tiles] == [16, 16, 16, 15]
+            assert np.array_equal(np.hstack(tiles), cube.data)
+            assert source.sum_sq == pytest.approx(
+                np.sum(cube.data ** 2), rel=1e-14)
+        # One buffer serves every tile.
+        bases = {tile.base.ctypes.data for tile in source.tiles()}
+        assert len(bases) == 1
+
+
+def test_a_non_finite_value_fails_its_tile(tmp_path, monkeypatch):
+    monkeypatch.setattr(dykstra, "TILE", 4)
+    data = np.ones((3, 12))
+    path = tmp_path / "x.cube"
+    for bad in (np.nan, np.inf, -np.inf):
+        data[1, 9] = bad
+        write_cube(path, ImageCube(np.where(np.isfinite(data), data, 0.0),
+                                   (3, 4)))
+        raw = bytearray(path.read_bytes())
+        at = 24 + 8 * (9 * 3 + 1)
+        raw[at:at + 8] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with open_cube(path) as source:
+            seen = []
+            with pytest.raises(NonFinite, match="pixels 8..11"):
+                for tile in source.tiles():
+                    seen.append(tile.shape[1])
+            assert seen == [4, 4]
+        with pytest.raises(NonFinite):
+            read_cube(path)
+    # Finite values whose squares overflow are not an error.
+    huge = ImageCube(np.full((3, 12), 1e300), (3, 4))
+    write_cube(path, huge)
+    assert np.array_equal(read_cube(path).data, huge.data)
 
 
 def test_containers_reject_each_others_magic(tmp_path):

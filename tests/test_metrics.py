@@ -16,11 +16,8 @@ from sudap.errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from sudap.metrics import ConvergenceCurve, nmse_db, objective
 from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
-from sudap.subspace import (
-    build_transform,
-    forward_transform,
-    inverse_transform,
-)
+from sudap.solver import reduce_cube
+from sudap.subspace import inverse_transform
 
 
 def test_relative_error_in_decibels_matches_hand_computation():
@@ -85,11 +82,11 @@ def test_curve_columns_must_line_up():
 def _recorded_run(every, with_refs=True):
     # Low SNR puts many pixels on the simplex boundary.
     e, a_true, cube = make_instance(6, (6, 8), 5.0, 60, n_bands=40)
-    t = build_transform(e)
-    y = forward_transform(t, e, cube.data)
+    reduced = reduce_cube(e, cube)
+    t, y = reduced.t, reduced.y
     a_star = solve_oracle_activeset(e, cube).a_hat
     recorder = CurveRecorder(
-        t, e, cube, every,
+        reduced, every,
         a_star=a_star if with_refs else None,
         a_true=a_true if with_refs else None,
     )
@@ -149,4 +146,4 @@ def test_curve_refuses_a_trace_from_another_run():
     with pytest.raises(ValueError):
         recorder.curve(shorter)
     with pytest.raises(ValueError):
-        CurveRecorder(t, e, cube, every=0)
+        CurveRecorder(reduce_cube(e, cube), every=0)

@@ -9,7 +9,7 @@ from sudap import (
     solve_oracle_activeset,
     solve_sudap,
 )
-from sudap.errors import RankDeficient, TooManyEndmembers
+from sudap.errors import DimensionMismatch, RankDeficient, TooManyEndmembers
 from sudap.metrics import objective
 from sudap.model import AbundanceMatrix, column_feasibility
 from sudap.simdata import (
@@ -22,7 +22,13 @@ from sudap.simdata import (
     select_endmember_indices,
     synthesize_cube,
 )
-from sudap.solver import SolveResult, clip_negatives, solve_ls, solve_ls_sum1
+from sudap.solver import (
+    SolveResult,
+    clip_negatives,
+    reduce_cube,
+    solve_ls,
+    solve_ls_sum1,
+)
 from conftest import random_endmembers
 
 
@@ -117,6 +123,30 @@ def test_sudap_output_is_exact_on_clean_interior_data():
     x = ImageCube(e.data @ a, (1, 70))
     result = solve_sudap(e, x, DykstraConfig(rel_tol=1e-13))
     assert np.abs(result.a_hat.data - a).max() < 1e-10
+
+
+def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
+    e, _, x = _random_problem(40, m=5, n=300)
+    cfg = DykstraConfig(rel_tol=1e-12)
+    direct = solve_sudap(e, x, cfg)
+    stages = ("transform", "forward", "project", "inverse")
+    assert tuple(direct.stages) == stages
+    assert min(direct.stages.values()) >= 0.0
+    assert sum(direct.stages.values()) <= direct.wall_time
+    # Reduced first, the solve gives the same bits, and its stages and
+    # wall time still count the transform and the forward map.
+    reduced = reduce_cube(e, x)
+    assert reduced.x_sq == pytest.approx(np.linalg.norm(x.data) ** 2,
+                                         rel=1e-13)
+    staged = solve_sudap(e, reduced, cfg)
+    assert np.array_equal(staged.a_hat.data, direct.a_hat.data)
+    assert tuple(staged.stages) == stages
+    assert staged.stages["forward"] == reduced.stages["forward"]
+    assert sum(staged.stages.values()) <= staged.wall_time
+    assert solve_ls(e, x).stages == {}
+    other = EndmemberMatrix(e.data[:, :4])
+    with pytest.raises(DimensionMismatch):
+        solve_sudap(other, reduced, cfg)
 
 
 def test_single_endmember_short_circuits():
