@@ -68,7 +68,7 @@ from .solver import (
     solve_oracle_activeset,
     solve_sudap,
 )
-from .subspace import build_transform, inverse_transform
+from .subspace import build_transform
 
 EXIT_CODES = {
     errors.DimensionMismatch: 10,
@@ -234,22 +234,22 @@ def cmd_unmix(args) -> int:
 def time_to_re(e, cube, a_star, cfg: DykstraConfig, stop_re_db: float):
     """Solve with sudap under cfg, watching RE against a_star each sweep.
 
-    Returns (result, hit_sweep, hit_s, final_re_db): the first sweep
-    whose RE is at most stop_re_db (-1 if none), the solver-only seconds
-    up to its end (nan if none) and the last sweep's RE.
+    The cube is reduced once, and a CurveRecorder on that reduced cube
+    records every sweep. Returns (result, hit_sweep, hit_s, final_re_db):
+    the first sweep whose RE is at most stop_re_db (-1 if none), the
+    solver-only seconds up to its end (nan if none) and the last sweep's
+    RE.
     """
-    t = build_transform(e)
-    res: list = []
-
-    def watch(_sweep, u):
-        res.append(relative_error_db(inverse_transform(t, u), a_star))
-
-    result = solve_sudap(e, cube, cfg, on_sweep=watch)
-    below = np.flatnonzero(np.asarray(res) <= stop_re_db)
+    reduced = reduce_cube(e, cube)
+    recorder = CurveRecorder(reduced, 1, a_star=a_star)
+    result = solve_sudap(e, reduced, cfg, on_sweep=recorder)
+    curve = recorder.curve(result.trace)
+    final_re = float(curve.re_db[-1])
+    below = np.flatnonzero(curve.re_db <= stop_re_db)
     if below.size == 0:
-        return result, -1, np.nan, res[-1]
-    hit_s = float(result.trace.elapsed_s[below[0]])
-    return result, int(below[0]) + 1, hit_s, res[-1]
+        return result, -1, np.nan, final_re
+    k = below[0]
+    return result, int(curve.sweep[k]), float(curve.time_s[k]), final_re
 
 
 def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
@@ -266,6 +266,12 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
                 cfg, max_sweeps=4 * cfg.max_sweeps, rel_tol=1e-13
             )
         )
+        if not ref.trace.converged:
+            raise errors.NotConverged(
+                f"the sudap reference stopped at {ref.trace.n_sweeps} "
+                f"sweeps with {ref.trace.uncertified[-1]} pixel(s) "
+                "uncertified"
+            )
     _, hit, hit_s, final_re = time_to_re(
         e, cube, ref.a_hat.data, cfg, stop_re_db
     )

@@ -151,15 +151,6 @@ class DykstraTrace:
         return len(self.elapsed_s)
 
 
-def _sweep_block(
-    t: SubspaceTransform, u: np.ndarray, tau: np.ndarray, lo: int, hi: int
-) -> None:
-    """Run one full sweep on columns [lo, hi) in place."""
-    uv, tv = u[:, lo:hi], tau[:, lo:hi]
-    for i in range(t.n_endmembers):
-        project_intersection_geometric(t, i, uv, tv)
-
-
 def _sweep_tile(
     t: SubspaceTransform,
     u: np.ndarray,
@@ -173,15 +164,16 @@ def _sweep_tile(
     They use einsum: np.linalg.norm, and b @ u on wide blocks, wake
     BLAS's thread pool, which stalled sweeps by 3-15 ms on a 2-CPU host.
     """
-    step = u[:, tile].copy()
-    _sweep_block(t, u, tau, tile.start, tile.stop)
-    after = u[:, tile]
-    if not np.all(np.isfinite(after)):
+    uv, tv = u[:, tile], tau[:, tile]
+    step = uv.copy()
+    for i in range(t.n_endmembers):
+        project_intersection_geometric(t, i, uv, tv)
+    if not np.all(np.isfinite(uv)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
-    step -= after  # the sweep's step, negated
+    step -= uv  # the sweep's step, negated
     return (
         np.einsum("ij,ij->", step, step),
-        np.einsum("ij,ij->", after, after),
+        np.einsum("ij,ij->", uv, uv),
     )
 
 

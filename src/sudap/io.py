@@ -18,13 +18,15 @@ Everything is float64. One reader, ContainerReader, serves every
 container. It reads the header alone first and checks its magic,
 version and dimensions, then the file's size against the size the
 header implies, and fails with clean errors on truncated or oversized
-files before any payload is read. The payload is then read in tiles of
-dykstra.TILE pixels, each checked for a short read and for non-finite
-values as it arrives: open_cube streams them through one reused buffer
-(the subspace solver's forward map consumes them, so the cube is never
-held whole), and read_cube and read_abundance fill the whole
-(pixels x channels) array and hand out its transpose, a channels x
-pixels view in Fortran order, with no copy. The writer writes that
+files before any payload is read. open_cube then streams the payload
+in tiles of dykstra.TILE pixels through one reused buffer, each tile
+checked for a short read and for non-finite values as it arrives (the
+subspace solver's forward map consumes them, so the cube is never held
+whole). read_cube and read_abundance instead fill the whole
+(pixels x channels) array with one read and hand out its transpose, a
+channels x pixels view in Fortran order, with no copy; a short read
+fails there too, and the ImageCube or AbundanceMatrix that wraps the
+matrix checks it for non-finite values, once. The writer writes that
 pixel-major buffer as it is.
 
 CSV numbers are written with 17 significant digits, enough for exact
@@ -239,28 +241,23 @@ class ContainerReader:
     def n_bands(self) -> int:
         return self.n_channels
 
-    def tiles(self, payload: np.ndarray | None = None):
+    def tiles(self):
         """Read the payload in order, dykstra.TILE pixels at a time.
 
         Yields each tile as a channels x pixels view, the transpose of
-        its pixel-major rows. Without payload every tile is read into
-        one reused buffer, so a yielded view holds its values only until
-        the next tile is read; with payload, a C-contiguous (n_pixels x
-        n_channels) array, the tiles fill it in place. Each tile is
-        checked as it is read: a short read raises TruncatedFile (the
-        file changed after its size was checked) and a NaN or infinity
-        raises NonFinite. Every call starts again at the first pixel.
+        its pixel-major rows. Every tile is read into one reused buffer,
+        so a yielded view holds its values only until the next tile is
+        read. Each tile is checked as it is read: a short read raises
+        TruncatedFile (the file changed after its size was checked) and
+        a NaN or infinity raises NonFinite. Every call starts again at
+        the first pixel.
         """
         n, width = self.n_pixels, dykstra.TILE
-        reuse = payload is None
-        if reuse:
-            payload = np.empty((min(width, n), self.n_channels), dtype="<f8")
+        buf = np.empty((min(width, n), self.n_channels), dtype="<f8")
         self._fh.seek(self._payload_at)
         self.sum_sq = 0.0
         for lo in range(0, n, width):
-            k = min(width, n - lo)
-            tile = payload[:k] if reuse else payload[lo:lo + k]
-            _read_exactly(self._fh, self.path, tile)
+            tile = _read_exactly(self._fh, self.path, buf[:min(width, n - lo)])
             self.sum_sq += self._check_finite(tile, lo)
             yield tile.T
 
@@ -283,14 +280,15 @@ class ContainerReader:
     def read(self) -> np.ndarray:
         """The whole payload as a channels x pixels matrix.
 
-        The payload is read tile by tile straight into its final
-        (pixels x channels) array, which is handed out as its transpose:
-        a Fortran-ordered view, not a copy.
+        The payload is read with one readinto straight into its final
+        (pixels x channels) array, which is handed out as its
+        transpose: a Fortran-ordered view, not a copy. A short read
+        raises TruncatedFile; finiteness is left to the model type the
+        caller wraps the matrix in.
         """
-        payload = np.empty((self.n_pixels, self.n_channels), dtype="<f8")
-        for _ in self.tiles(payload):
-            pass
-        return payload.T
+        self._fh.seek(self._payload_at)
+        return _read_exactly(self._fh, self.path, np.empty(
+            (self.n_pixels, self.n_channels), dtype="<f8")).T
 
     def close(self) -> None:
         self._fh.close()

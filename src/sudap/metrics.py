@@ -9,17 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dykstra import DykstraTrace
-from .errors import (
-    DimensionMismatch,
-    RankDeficient,
-    ShapeMismatch,
-    ZeroReference,
-)
-from .model import AbundanceMatrix, EndmemberMatrix
-from .solver import ReducedCube
+from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
+from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
+from .solver import ReducedCube, reduce_cube
 from .subspace import inverse_transform
 
 
@@ -75,39 +69,25 @@ def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
     return residual
 
 
-def _residual(e_data: np.ndarray, x_data: np.ndarray):
-    """_reduced_residual for a cube in memory, reduced here."""
-    try:
-        d = np.linalg.cholesky(e_data.T @ e_data).T
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(
-            f"endmember matrix is numerically rank deficient: {exc}"
-        ) from None
-    y = scipy.linalg.solve_triangular(
-        d, e_data.T @ x_data, trans="T", lower=False
-    )
-    return _reduced_residual(d, y, float(np.einsum("ij,ij->", x_data, x_data)))
-
-
 def objective(e: EndmemberMatrix, x, a_hat) -> float:
-    """Residual |X - E A_hat|_F^2, by the reduced identity (see _residual).
+    """Residual |X - E A_hat|_F^2, by the reduced identity.
 
-    x is an ImageCube, or a ReducedCube (solver.reduce_cube) of the cube
-    for this E, whose Y and |X|^2 are then used as they are. No
-    band x pixel temporary is formed.
+    x is an ImageCube, reduced here by solver.reduce_cube, or a
+    ReducedCube of the cube for this E, whose Y and |X|^2 are then used
+    as they are. No band x pixel temporary is formed, except with one
+    endmember, where there is no subspace to reduce to.
     """
     a_data = _data(a_hat)
-    if isinstance(x, ReducedCube):
-        if x.y.shape != a_data.shape:
-            raise DimensionMismatch(x.y.shape[0], a_data.shape[0])
-        return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)
-    e_data = _data(e)
-    x_data = _data(x)
-    if e_data.shape[0] != x_data.shape[0]:
-        raise DimensionMismatch(e_data.shape[0], x_data.shape[0])
-    if e_data.shape[1] != a_data.shape[0] or x_data.shape[1] != a_data.shape[1]:
-        raise DimensionMismatch(e_data.shape[1], a_data.shape[0])
-    return _residual(e_data, x_data)(a_data)
+    expected = (e.n_endmembers, x.n_pixels)
+    if a_data.shape != expected:
+        k = int(a_data.shape[0] == expected[0])  # the count that differs
+        raise DimensionMismatch(expected[k], a_data.shape[k])
+    if e.n_endmembers == 1:
+        validate_dimensions(e, x)
+        return float(np.linalg.norm(x.data - e.data @ a_data) ** 2)
+    if not isinstance(x, ReducedCube):
+        x = reduce_cube(e, x)
+    return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)
 
 
 @dataclass(frozen=True)

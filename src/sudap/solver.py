@@ -107,7 +107,13 @@ def _gram_factor(e: EndmemberMatrix):
             "endmember matrix is numerically rank deficient: "
             f"smallest Cholesky pivot {pivots.min():.3e}"
         )
-    return g, factor
+    return factor
+
+
+def _least_squares(e: EndmemberMatrix, x: ImageCube):
+    """The Gram factor and the unconstrained solution (E'E)^{-1} E'X."""
+    factor = _gram_factor(e)
+    return factor, scipy.linalg.cho_solve(factor, e.data.T @ x.data)
 
 
 def _ones_result(x: ImageCube, solver_id: str, t0: float) -> SolveResult:
@@ -205,8 +211,7 @@ def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     """Unconstrained least squares, A = (E'E)^{-1} E'X."""
     t0 = time.perf_counter()
     validate_dimensions(e, x)
-    _, factor = _gram_factor(e)
-    a = scipy.linalg.cho_solve(factor, e.data.T @ x.data)
+    _, a = _least_squares(e, x)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(result, _empty_trace(), "ls", time.perf_counter() - t0)
 
@@ -223,8 +228,7 @@ def solve_ls_sum1(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     validate_dimensions(e, x)
     if e.n_endmembers == 1:
         return _ones_result(x, "ls_sum1", t0)
-    _, factor = _gram_factor(e)
-    a_ls = scipy.linalg.cho_solve(factor, e.data.T @ x.data)
+    factor, a_ls = _least_squares(e, x)
     g_inv_one = scipy.linalg.cho_solve(
         factor, np.ones(e.n_endmembers)
     )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sudap import EndmemberMatrix
@@ -12,3 +13,17 @@ def random_endmembers(rng, n_bands, m):
 @pytest.fixture(scope="session")
 def bump_library():
     return make_synthetic_library(n_bands=96, n_signatures=24, seed=3)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """A list that grows by one entry per numpy.linalg.cholesky call."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls

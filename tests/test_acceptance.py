@@ -19,11 +19,11 @@ from sudap import (
     solve_oracle_activeset,
     solve_sudap,
 )
-from sudap.dykstra import TILE, _sweep_block
+from sudap.dykstra import TILE
 from sudap.io import write_library_csv
 from sudap.metrics import nmse_db
 from sudap.model import EPS_NEG, EPS_SUM, column_feasibility
-from sudap.projectors import project_hyperplane
+from sudap.projectors import project_hyperplane, project_intersection_geometric
 from sudap.simdata import make_instance, make_scene, make_synthetic_library
 from sudap.solver import solve_ls
 from sudap.subspace import build_transform, forward_transform
@@ -167,7 +167,8 @@ def _per_sweep_seconds(m: int, n: int, seed: int, sweeps: int = 20) -> float:
         u, tau = project_hyperplane(t, y), np.zeros((m, n))
         started = time.perf_counter()
         for _ in range(sweeps):
-            _sweep_block(t, u, tau, 0, n)
+            for i in range(m):
+                project_intersection_geometric(t, i, u, tau)
         best = min(best, (time.perf_counter() - started) / sweeps)
     return best
 

@@ -12,6 +12,7 @@ from sudap import (
     ImageCube,
     dykstra,
     relative_error_db,
+    solve_oracle_activeset,
     solve_sudap,
 )
 from sudap.io import (
@@ -29,6 +30,7 @@ from sudap.model import column_feasibility
 from sudap.simdata import (
     SpectralLibrary,
     child_seeds,
+    make_instance,
     make_scene,
     make_synthetic_library,
 )
@@ -528,6 +530,26 @@ def test_benchmark_writes_runs_and_aggregates(tmp_path, library_csv, capsys):
     assert len(means) == 2
     assert len(stds) == 2
     assert all(r[-1] == "ok" for r in runs)
+
+
+def test_benchmark_refuses_an_uncertified_reference():
+    # Above the oracle's cap the reference is a sudap run with four
+    # times the budget. On this m=20, 5 degree, SNR 0 scene 8 sweeps
+    # leave pixels uncertified, which must fail the row, not time it.
+    lib = make_synthetic_library(224, 24, seed=1)
+    with pytest.raises(cli.errors.NotConverged):
+        cli._benchmark_instance(lib, 20, 900, 0.0, 5.0, -100.0,
+                                DykstraConfig(max_sweeps=2), 0)
+
+
+def test_time_to_re_factors_once(cholesky_calls):
+    e, _, cube = make_instance(5, (8, 8), 30.0, 3)
+    a_star = solve_oracle_activeset(e, cube).a_hat
+    cholesky_calls.clear()
+    _, hit, _, final_re = cli.time_to_re(
+        e, cube, a_star, DykstraConfig(rel_tol=1e-12), -100.0)
+    assert hit > 0 and final_re <= -100.0
+    assert cholesky_calls == [(5, 5)]
 
 
 def test_thread_default_comes_from_environment(monkeypatch, capsys):

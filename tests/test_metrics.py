@@ -52,6 +52,25 @@ def test_objective_is_the_squared_residual():
         objective(e, ImageCube(np.ones((4, 1)), (1, 1)), a)
     with pytest.raises(DimensionMismatch):
         objective(e, x, np.ones((3, 1)))
+    # A wrong pixel count names both counts.
+    e, _, cube = make_instance(5, (4, 5), 30.0, 1)
+    with pytest.raises(DimensionMismatch, match="sizes 20 and 7"):
+        objective(e, cube, np.full((5, 7), 0.2))
+
+
+def test_objective_of_one_endmember_is_the_direct_residual():
+    rng = np.random.default_rng(62)
+    e = EndmemberMatrix(rng.uniform(0.1, 1.0, (9, 1)))
+    cube = ImageCube(rng.uniform(0.1, 1.0, (9, 6)), (2, 3))
+    a = np.ones((1, 6))
+    direct = np.linalg.norm(cube.data - e.data @ a) ** 2
+    assert objective(e, cube, a) == direct
+
+
+def test_objective_of_a_cube_in_memory_factors_once(cholesky_calls):
+    e, a_true, cube = make_instance(5, (4, 5), 30.0, 1)
+    objective(e, cube, a_true)
+    assert cholesky_calls == [(5, 5)]
 
 
 def test_objective_matches_the_image_space_residual():

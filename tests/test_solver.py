@@ -173,6 +173,8 @@ def test_rank_deficient_endmembers_are_rejected():
         solve_ls(e, x)
     with pytest.raises(RankDeficient):
         solve_oracle_activeset(e, x)
+    with pytest.raises(RankDeficient):
+        objective(e, x, np.full((3, 3), 1.0 / 3.0))
 
 
 def test_solver_id_is_validated():
