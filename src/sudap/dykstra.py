@@ -137,8 +137,8 @@ class DykstraTrace:
     and its finish, if one ran, which is the width of the block the
     next sweep runs on. uncertified falls only at checkpoints and on the
     last sweep, where the finish runs, so its last entry counts the
-    columns the finish could not certify. The state the driver keeps is
-    O(m n) whatever the sweep count.
+    columns the finish could not certify. Whatever the sweep count, the
+    driver's state is U and tau, two m x n blocks.
     """
 
     elapsed_s: np.ndarray
@@ -203,7 +203,7 @@ def _solve_active(
 
 def _finish_tile(
     t: SubspaceTransform,
-    y0: np.ndarray,
+    y: np.ndarray,
     u: np.ndarray,
     tau: np.ndarray,
     tile: slice,
@@ -211,12 +211,12 @@ def _finish_tile(
     """Replace each column by its exact projection where that certifies.
 
     Works in place on the columns of the blocks u and tau in tile, with
-    y0 the columns' points on the sum hyperplane. The seed active set of a
-    column is {i : tau_i > 0}. A certified column gets its KKT point in
-    u and its multipliers in tau; any other column is left untouched.
-    Returns the tile's certified flags.
+    y the columns' data, which it drops onto S itself. The seed active
+    set of a column is {i : tau_i > 0}. A certified column gets its KKT
+    point in u and its multipliers in tau; any other column is left
+    untouched. Returns the tile's certified flags.
     """
-    y0, u, tau = y0[:, tile], u[:, tile], tau[:, tile]
+    y0, u, tau = project_hyperplane(t, y[:, tile]), u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
     todo = np.arange(k)
@@ -278,7 +278,7 @@ def dykstra_project(
     ----------
     t : SubspaceTransform
     y : np.ndarray
-        Transformed observations, m x n.
+        Transformed observations, m x n, in any layout; never copied.
     cfg : DykstraConfig, optional
     on_sweep : callable, optional
         Called as on_sweep(sweep, u) after each of sweeps 1..n, off the
@@ -306,7 +306,7 @@ def dykstra_project(
     """
     if cfg is None:
         cfg = DykstraConfig()
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     m = t.n_endmembers
     if y.ndim != 2 or y.shape[0] != m:
         raise ShapeMismatch(
@@ -319,11 +319,11 @@ def dykstra_project(
     u = project_hyperplane(t, y)
     u_seen = u.view()
     u_seen.flags.writeable = False
-    # The swept block: its iterate, multipliers and points on S. Until
-    # the first finish certifies a column it is every column, and ub is
-    # u itself; after that, cols lists the block's columns in u.
+    # The swept block: its iterate, multipliers and data, u, tau and y
+    # themselves until the first finish certifies a column. After that,
+    # cols lists the block's columns in u, and the block is gathered.
     cols = None
-    ub, tb, yb = u, np.zeros((m, n)), u.copy()
+    ub, tb, yb = u, np.zeros((m, n)), y
 
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     run = map if executor is None else executor.map

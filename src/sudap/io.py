@@ -26,8 +26,8 @@ whole). read_cube and read_abundance instead fill the whole
 (pixels x channels) array with one read and hand out its transpose, a
 channels x pixels view in Fortran order, with no copy; a short read
 fails there too, and the ImageCube or AbundanceMatrix that wraps the
-matrix checks it for non-finite values, once. The writer writes that
-pixel-major buffer as it is.
+matrix checks it for non-finite values, once, in an error that names
+the file. The writer writes that pixel-major buffer as it is.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
@@ -280,15 +280,20 @@ class ContainerReader:
     def read(self) -> np.ndarray:
         """The whole payload as a channels x pixels matrix.
 
-        The payload is read with one readinto straight into its final
-        (pixels x channels) array, which is handed out as its
-        transpose: a Fortran-ordered view, not a copy. A short read
-        raises TruncatedFile; finiteness is left to the model type the
-        caller wraps the matrix in.
+        One readinto fills the final (pixels x channels) array, handed out
+        as its transpose: a Fortran-ordered view, not a copy. A short read
+        raises TruncatedFile; finiteness is left to the caller's model type.
         """
         self._fh.seek(self._payload_at)
         return _read_exactly(self._fh, self.path, np.empty(
             (self.n_pixels, self.n_channels), dtype="<f8")).T
+
+    def _read_into(self, model, **kwargs):
+        """model(read(), shape, **kwargs), naming the file in a NonFinite."""
+        try:
+            return model(self.read(), self.shape, **kwargs)
+        except NonFinite as exc:
+            raise NonFinite(f"{self.path}: {exc}") from None
 
     def close(self) -> None:
         self._fh.close()
@@ -314,9 +319,7 @@ def write_cube(path, cube: ImageCube) -> None:
 
 def read_cube(path) -> ImageCube:
     with open_cube(path) as source:
-        return ImageCube(
-            source.read(), source.shape, wavelengths=source.wavelengths
-        )
+        return source._read_into(ImageCube, wavelengths=source.wavelengths)
 
 
 def write_abundance(path, a: AbundanceMatrix) -> None:
@@ -327,7 +330,7 @@ def write_abundance(path, a: AbundanceMatrix) -> None:
 
 def read_abundance(path) -> AbundanceMatrix:
     with ContainerReader(path, MAGIC_ABUNDANCE) as source:
-        return AbundanceMatrix(source.read(), source.shape)
+        return source._read_into(AbundanceMatrix)
 
 
 # ------------------------------------------------------------- curve CSV

@@ -63,7 +63,8 @@ def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
     out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
 
     def residual(a: np.ndarray) -> float:
-        r = y - d @ a
+        r = d @ a
+        r -= y  # in place: one m x n temporary, the same squares
         return out_of_span + float(np.einsum("ij,ij->", r, r))
 
     return residual

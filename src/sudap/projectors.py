@@ -37,11 +37,11 @@ def _check_index(t: SubspaceTransform, i: int) -> None:
 def project_hyperplane(t: SubspaceTransform, z: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the sum hyperplane {u : b'u = 1}.
 
-    Per column: u = z - c (b'z - 1), with c = b/|b|^2. The hyperplane
-    is affine, so this is an exact single-step projection.
+    Per column: u = z - c (b'z - 1), with c = b/|b|^2, in a new C-ordered
+    block. The hyperplane is affine, so this projection is exact in one step.
     """
     z = np.asarray(z, dtype=np.float64)
-    return z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
+    return np.subtract(z, np.outer(t.c, _row_dot(t.b, z) - 1.0), order="C")
 
 
 def project_intersection_geometric(

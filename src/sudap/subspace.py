@@ -157,6 +157,7 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
         hi = lo + block.shape[1]
         np.matmul(e_data.T, block, out=w[:, lo:hi])
         lo = hi
+    block = None  # the last tile may view the reader's buffer; let it go
     return scipy.linalg.solve_triangular(t.d, w, trans="T", lower=False)
 
 

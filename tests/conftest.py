@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from sudap.simdata import make_synthetic_library
 def random_endmembers(rng, n_bands, m):
     """Gaussian endmember matrix; full column rank with probability 1."""
     return EndmemberMatrix(rng.standard_normal((n_bands, m)))
+
+
+def traced_peak(call):
+    """Run call() under tracemalloc; returns (its value, peak bytes)."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

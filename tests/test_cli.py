@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from sudap.simdata import (
 )
 from sudap.solver import reduce_cube
 from sudap.subspace import build_transform, inverse_transform
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -136,17 +136,13 @@ def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
     peaks, curves = [], []
     for every in ("1", "25"):
         curve_path = tmp_path / f"c{every}.csv"
-        tracemalloc.start()
-        try:
-            rc = cli.main([
-                "unmix", "--cube", f"{out}.cube",
-                "--endmembers", f"{out}.endmembers.csv",
-                "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
-                "--curve", str(curve_path), "--snapshot-every", every,
-            ])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: cli.main([
+            "unmix", "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv",
+            "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+            "--curve", str(curve_path), "--snapshot-every", every,
+        ]))
+        peaks.append(peak)
         assert rc == 0
         curves.append(read_curve_csv(curve_path))
     assert curves[0].n_rows >= 50
@@ -206,25 +202,21 @@ def test_unmix_from_a_file_matches_the_in_memory_c_ordered_solve(
 def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
                                                          library_csv):
     # The cube is 48 bands x 25 600 pixels (9.8 MB), more than six tiles
-    # of 4096 pixels. Streamed, the run holds one tile of the file and a
-    # few m x n blocks of solver state; a reader that held the cube
-    # would peak above the cube's own size.
+    # of 4096 pixels. Streamed, the run holds one tile of the file while
+    # it reads, then Y, U and tau and the finish's per-tile temporaries;
+    # a reader that held the cube would peak above the cube's own size,
+    # and a second copy of Y or of the report's residual above 3 blocks.
     m, rows, cols, bands = 3, 160, 160, 48
     out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols)
     n = rows * cols
     assert n > 6 * dykstra.TILE
-    tracemalloc.start()
-    try:
-        rc = cli.main([
-            "unmix", "--cube", f"{out}.cube",
-            "--endmembers", f"{out}.endmembers.csv",
-            "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
-        ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: cli.main([
+        "unmix", "--cube", f"{out}.cube",
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+    ]))
     assert rc == 0
-    bound = 6 * m * n * 8 + dykstra.TILE * bands * 8
+    bound = 3 * m * n * 8 + dykstra.TILE * bands * 8
     assert bound < bands * n * 8
     assert peak < bound
 
@@ -247,6 +239,29 @@ def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
     ])
     assert rc == cli.EXIT_CODES[cli.errors.NonFinite]
     assert not est.exists()
+
+
+def test_a_nan_in_a_reference_file_names_that_file(tmp_path, library_csv,
+                                                   capsys):
+    # --reference and --truth are read whole, so the model type finds the
+    # NaN; the error must still say which of the two files holds it.
+    out = _simulate(tmp_path, library_csv)
+    good = tmp_path / "scene.truth"
+    blob = bytearray(good.read_bytes())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    bad = tmp_path / "bad.truth"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    for reference, truth in ((good, bad), (bad, good)):
+        rc = cli.main([
+            "unmix", "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv",
+            "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+            "--reference", str(reference), "--truth", str(truth),
+        ])
+        assert rc == cli.EXIT_CODES[cli.errors.NonFinite]
+        err = capsys.readouterr().err
+        assert str(bad) in err and str(good) not in err
 
 
 def test_a_cube_cut_in_a_later_tile_after_the_size_check_exits_23(

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +27,7 @@ from sudap.io import (
 from sudap.metrics import ConvergenceCurve
 from sudap.model import AbundanceMatrix
 from sudap.simdata import SpectralLibrary
+from conftest import traced_peak
 
 
 def _library(with_wavelengths=True):
@@ -122,12 +121,7 @@ def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
                      wavelengths=np.arange(64.0))
     path = tmp_path / "x.cube"
     write_cube(path, cube)
-    tracemalloc.start()
-    try:
-        back = read_cube(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_cube(path))
     assert np.array_equal(back.data, cube.data)
     assert peak <= 1.1 * cube.data.nbytes
 
