@@ -36,11 +36,12 @@ uncertified pixel: it solves the equality-constrained projection
 
     U = Y0 + S_A' lam,   (S_A S_A') lam = f_A - S_A Y0,
 
-and certifies the result when lam >= 0 and every abundance
-p_norms_i (s_i'U - f_i) is at least -CERT_TOL times its rounding scale
-max(1, p_norms_i (|U| + |f_i|)). Those two conditions
+with one |A| x |A| system per pixel, the pixels of one |A| solved as a
+batch (as FC-NNLS groups them). It certifies the result when lam >= 0
+and every abundance p_norms_i (s_i'U - f_i) is at least -CERT_TOL times
+its rounding scale max(1, p_norms_i (|U| + |f_i|)). Those two conditions
 are the KKT conditions of the projection, so a certified column is the
-projection itself, up to rounding. A column that fails gets up to m
+projection itself, up to rounding. A column that fails gets up to 3m
 drop/add rounds on its active set (the active-set method of FCLS); if it
 still fails, it goes back to sweeping with its tau unchanged. Certified
 columns leave the sweep: after each finish the rest are gathered into a
@@ -54,7 +55,9 @@ driver cuts the block into tiles of TILE columns, whatever the thread
 count, and runs the sweep, its bookkeeping and the finish tile by tile,
 on as many tiles at once as there are threads. The per-tile sums of the
 change test are added in tile order, so the result and the trace are the
-same to the bit at every thread count.
+same to the bit at every thread count. The sweep and the finish do each
+column's arithmetic on its own, so a column's result does not depend on
+the tile either.
 """
 
 from __future__ import annotations
@@ -68,22 +71,31 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .projectors import project_hyperplane, project_intersection_geometric
+from .projectors import (
+    _row_dot,
+    project_hyperplane,
+    project_intersection_geometric,
+)
 from .subspace import SubspaceTransform
 
 # Guard against a zero-norm iterate in the relative-change denominator.
 REL_CHANGE_EPS = 1e-300
 
 # The exact finish runs after this sweep, and after every doubling of it
-# (5, 10, 20, 40, ...).
-FIRST_CHECKPOINT = 5
+# (2, 4, 8, 16, ...). Two sweeps seed it well enough to certify every
+# pixel of the benchmark scenes and of the ill-conditioned m=20 ones.
+# Not after sweep 1: on a scene that one sweep already brings to about
+# -100 dB RE of the projection, a finish there would delay that iterate
+# by the finish's whole cost.
+FIRST_CHECKPOINT = 2
 
 # The sweep, its bookkeeping and the finish run on tiles of this many
 # columns, whatever the thread count, so the result does not depend on
 # the count and their temporaries are bounded by the tile. Wider tiles
 # make fewer kernel calls and sweep faster (m=10: 4.6 ms per 40 000
-# columns at 8192 against 5.7 ms here), but the finish's batched solve
-# holds about 17 m^2 bytes per column of a tile.
+# columns at 8192 against 5.7 ms here), but the finish holds about
+# 17 |A|^2 bytes per column of a tile for its batched solves, besides
+# about ten m x TILE blocks.
 TILE = 4096
 
 # A finished column is primal feasible when no abundance a_i is below
@@ -178,27 +190,42 @@ def _sweep_tile(
 
 
 def _solve_active(
-    t: SubspaceTransform, gram: np.ndarray, y0: np.ndarray, act: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The projection of each column of y0 with its active set held tight.
+    gram: np.ndarray, rhs: np.ndarray, act: np.ndarray
+) -> np.ndarray:
+    """Multipliers of each column's projection with its active set tight.
 
-    act is m x k, True where constraint i is active for column j. Each
-    column's multipliers come from one m x m system: S S' on A x A and
-    identity rows elsewhere, so lam is 0 off A. Returns (lam, u) with
-    u = y0 + S' lam. Products go through einsum, which never wakes the
-    BLAS thread pool.
+    act is m x k, True where constraint i is active for column j, and
+    rhs holds the columns' f - S y0. lam_A solves G[A, A] lam_A = rhs_A,
+    with G = S S', and lam is 0 off A. Columns are grouped by |A| (as
+    FC-NNLS groups them), and each group is one batched solve of its
+    gathered |A| x |A| blocks; |A| = 1 is a division. A group whose
+    solve fails gets NaN multipliers, which no certificate accepts; so
+    does |A| = m, whose system is singular (the abundances cannot all be
+    0). Each column's arithmetic is its own, whatever columns share the
+    call.
     """
     m, k = act.shape
     lam = np.zeros((m, k))
-    need = np.flatnonzero(act.any(axis=0))
-    if need.size:
-        a = act[:, need].T
-        mat = np.where(a[:, :, None] & a[:, None, :], gram, 0.0)
-        mat[:, np.arange(m), np.arange(m)] += ~a
-        rhs = t.f - np.einsum("ir,rj->ji", t.s, y0[:, need])
-        rhs[~a] = 0.0
-        lam[:, need] = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0].T
-    return lam, y0 + np.einsum("ir,ij->rj", t.s, lam)
+    size = act.sum(axis=0)
+    order = np.argsort(size, kind="stable")
+    edges = np.searchsorted(size[order], np.arange(m + 2))
+    lam[:, order[edges[m]:]] = np.nan
+    for p in range(1, m):
+        cols = order[edges[p]:edges[p + 1]]
+        if cols.size == 0:
+            continue
+        rows = np.nonzero(act.T[cols])[1].reshape(-1, p)
+        b = rhs[rows, cols[:, None]]
+        if p == 1:
+            lam[rows, cols[:, None]] = b / np.diagonal(gram)[rows]
+            continue
+        try:
+            lam[rows, cols[:, None]] = np.linalg.solve(
+                gram[rows[:, :, None], rows[:, None, :]], b[:, :, None]
+            )[:, :, 0]
+        except np.linalg.LinAlgError:
+            lam[rows, cols[:, None]] = np.nan
+    return lam
 
 
 def _finish_tile(
@@ -214,55 +241,59 @@ def _finish_tile(
     y the columns' data, which it drops onto S itself. The seed active
     set of a column is {i : tau_i > 0}. A certified column gets its KKT
     point in u and its multipliers in tau; any other column is left
-    untouched. Returns the tile's certified flags.
+    untouched. Returns the tile's certified flags. Products accumulate
+    in a fixed order, so each column's result is its own, whatever the
+    tile.
     """
     y0, u, tau = project_hyperplane(t, y[:, tile]), u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
-    todo = np.arange(k)
+    rhs = t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
     act = tau > 0
     certified = np.zeros(k, dtype=bool)
-    for _ in range(m + 1):
-        # With all m constraints active the system is singular (the
-        # abundances cannot all be 0); such a column stays uncertified.
-        todo = todo[act[:, todo].sum(axis=0) < m]
-        if todo.size == 0:
-            break
-        try:
-            lam, cand = _solve_active(t, gram, y0[:, todo], act[:, todo])
-        except np.linalg.LinAlgError:
-            break
+    # The first round solves the whole tile on views of its blocks;
+    # later ones solve the columns left, by index.
+    todo = slice(None)
+    for _ in range(3 * m):
+        lam = _solve_active(gram, rhs[:, todo], act[:, todo])
+        cand = _row_dot(t.s[:, :, None], lam)
+        cand += y0[:, todo]
         with np.errstate(invalid="ignore"):
             # Each abundance plus its certificate bound, negative where
             # the abundance fails the bound. The bound is never below
             # CERT_TOL, so its scale is needed only in columns that
             # fail that floor.
-            abund = t.p_norms[:, None] * (
-                np.einsum("ir,rj->ij", t.s, cand) - t.f[:, None]
-            )
+            abund = _row_dot(t.s.T[:, :, None], cand)
+            abund -= t.f[:, None]
+            abund *= t.p_norms[:, None]
             slack = abund + CERT_TOL
             low = np.flatnonzero(slack.min(axis=0) < 0.0)
-            u_norm = np.sqrt(np.einsum("rj,rj->j", cand[:, low], cand[:, low]))
+            u_norm = np.sqrt(_row_dot(cand[:, low], cand[:, low]))
             slack[:, low] = abund[:, low] + CERT_TOL * np.maximum(
                 1.0, t.p_norms[:, None] * (u_norm + np.abs(t.f)[:, None])
             )
             good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
-        done = todo[good]
-        u[:, done] = cand[:, good]
-        tau[:, done] = lam[:, good]
-        certified[done] = True
         # Failing columns drop their most negative multiplier or, when
         # every multiplier is non-negative, add their most violated
         # inactive constraint, then are solved again. A column with
-        # neither (it fails on an active constraint's rounding) stops.
+        # neither (it fails on an active constraint's rounding, or its
+        # solve failed) stops.
         bad = ~good
-        todo, lam = todo[bad], lam[:, bad]
-        viol = np.where(act[:, todo], np.inf, slack[:, bad])
-        drop = lam.min(axis=0) < 0.0
+        cols, lam_bad = np.arange(k)[todo][bad], lam[:, bad]
+        viol = np.where(act[:, cols], np.inf, slack[:, bad])
+        drop = lam_bad.min(axis=0) < 0.0
         add = ~drop & (viol.min(axis=0) < 0.0)
-        act[lam.argmin(axis=0)[drop], todo[drop]] = False
-        act[viol.argmin(axis=0)[add], todo[add]] = True
-        todo = todo[drop | add]
+        act[lam_bad.argmin(axis=0)[drop], cols[drop]] = False
+        act[viol.argmin(axis=0)[add], cols[add]] = True
+        # Certified columns take their point and multipliers; the others
+        # are written back as they were.
+        np.copyto(cand, u[:, todo], where=bad)
+        np.copyto(lam, tau[:, todo], where=bad)
+        u[:, todo], tau[:, todo] = cand, lam
+        certified[todo] = good
+        todo = cols[drop | add]
+        if todo.size == 0:
+            break
     return certified
 
 

@@ -344,9 +344,13 @@ def test_streamed_curve_and_report_match_the_in_memory_objective(
     assert f"objective |X - EA|_F^2: {streamed:.10e}" in report
 
 
-def test_unmix_exits_25_after_writing_an_uncertified_stop(tmp_path, capsys):
-    # cond(E'E) is about 1e7 here; the run needs 160 sweeps to certify
-    # every pixel, so a 10-sweep budget leaves some uncertified.
+def test_unmix_exits_25_after_writing_an_uncertified_stop(tmp_path, capsys,
+                                                         monkeypatch):
+    # The finish certifies this scene at sweep 2, so the certificate is
+    # made to refuse every point: no abundance can be 1 or more. cond(E'E)
+    # is about 1e7 and the sweeps alone converge slowly, so a 10-sweep
+    # budget ends the run before the change test stops it.
+    monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
     lib = make_synthetic_library(224, 24, seed=1)
     idx, e, _, cube = make_scene(lib, 20, 5.0, (30, 30), 5.0,
                                  child_seeds(2, 3))
@@ -547,10 +551,12 @@ def test_benchmark_writes_runs_and_aggregates(tmp_path, library_csv, capsys):
     assert all(r[-1] == "ok" for r in runs)
 
 
-def test_benchmark_refuses_an_uncertified_reference():
+def test_benchmark_refuses_an_uncertified_reference(monkeypatch):
     # Above the oracle's cap the reference is a sudap run with four
-    # times the budget. On this m=20, 5 degree, SNR 0 scene 8 sweeps
-    # leave pixels uncertified, which must fail the row, not time it.
+    # times the budget. An uncertified reference must fail the row, not
+    # time it. The finish certifies this m=20, 5 degree, SNR 0 scene at
+    # sweep 2, so the certificate is made to refuse every point.
+    monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
     lib = make_synthetic_library(224, 24, seed=1)
     with pytest.raises(cli.errors.NotConverged):
         cli._benchmark_instance(lib, 20, 900, 0.0, 5.0, -100.0,

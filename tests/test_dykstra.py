@@ -100,7 +100,7 @@ def _finish_sweeps(trace):
     """The sweeps a run's finish may certify on: checkpoints and its last."""
     k = trace.n_sweeps
     sweeps = {k}
-    checkpoint = FIRST_CHECKPOINT
+    checkpoint = dykstra.FIRST_CHECKPOINT
     while checkpoint < k:
         sweeps.add(checkpoint)
         checkpoint *= 2
@@ -132,29 +132,32 @@ def test_trace_bookkeeping_is_consistent():
     assert trace.converged
 
 
-def test_zero_tolerance_runs_to_the_sweep_budget():
+def test_zero_tolerance_runs_to_the_sweep_budget(monkeypatch):
+    # With the checkpoints put off, no column can be certified before
+    # the last sweep, and far-from-feasible input cannot hit an exact
+    # fixed point, so the run must use the whole budget.
+    monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
     _, t, y = _problem(5, n=25)
-    budget = FIRST_CHECKPOINT - 1
+    budget = 4
     cfg = DykstraConfig(max_sweeps=budget, rel_tol=0.0)
     _, trace = dykstra_project(t, y, cfg)
-    # No column can be certified before the last sweep, and
-    # far-from-feasible input cannot hit an exact fixed point, so the
-    # run must use the whole budget.
     assert trace.n_sweeps == budget
     assert (trace.uncertified[:-1] == y.shape[1]).all()
     _check_bookkeeping(trace, cfg, y.shape[1])
 
 
-def test_a_run_stopped_by_the_change_test_is_finished():
-    # Scene 9 of cli.oracle_runs(1000, 50) stops on rel_tol at sweep 2,
-    # before the first checkpoint; the finish on its last sweep still
-    # certifies every pixel.
+def test_a_run_stopped_by_the_change_test_is_finished(monkeypatch):
+    # Scene 9 of cli.oracle_runs(1000, 50) stops on rel_tol at sweep 2.
+    # With the checkpoints put off, that stop comes before the first
+    # one, and the finish on its last sweep still certifies every pixel.
+    monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
     e, _, cube = make_instance(6, (32, 32), 30.0, 1009)
     t = build_transform(e)
     y = forward_transform(t, e, cube)
     cfg = DykstraConfig(rel_tol=1e-12)
     _, trace = dykstra_project(t, y, cfg)
-    assert trace.n_sweeps < FIRST_CHECKPOINT
+    assert trace.n_sweeps == 2
+    assert trace.rel_change[-1] <= cfg.rel_tol
     assert trace.uncertified[-1] == 0
     _check_bookkeeping(trace, cfg, y.shape[1])
 
@@ -165,7 +168,7 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     # split, and tiles of 3 columns leave several tiles on either side
     # of the compaction.
     monkeypatch.setattr(dykstra, "TILE", 3)
-    _, t, y = _problem(6, n_bands=5, m=4, n=101, spread=100.0)
+    _, t, y = _problem(6, n_bands=5, m=4, n=400, spread=100.0)
     results = []
     for threads in (1, 3, 4):
         cfg = DykstraConfig(max_sweeps=300, rel_tol=1e-11, threads=threads)
@@ -200,7 +203,7 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     y0 = project_hyperplane(t, y[:, [j]])
     # The seed's own solve fails on a negative multiplier, so only a
     # drop round can certify the column.
-    lam, _ = _solve_active(t, t.s @ t.s.T, y0, tau > 0)
+    lam = _solve_active(t.s @ t.s.T, t.f[:, None] - t.s @ y0, tau > 0)
     assert lam.min() < 0.0
     u = y0.copy()
     assert _finish_tile(t, y[:, [j]], u, tau, slice(None)).all()
@@ -208,13 +211,19 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
 
-def test_finish_leaves_failing_columns_untouched(monkeypatch):
-    t, y, u_star, _ = _exact(13)
-    y0 = project_hyperplane(t, y)
-    u, tau = y0.copy(), np.zeros_like(y0)
-    for _ in range(3):
+def _swept(t, y, sweeps):
+    """The iterate and multipliers after a few full sweeps."""
+    u = project_hyperplane(t, y)
+    tau = np.zeros_like(u)
+    for _ in range(sweeps):
         for i in range(t.n_endmembers):
             project_intersection_geometric(t, i, u, tau)
+    return u, tau
+
+
+def test_finish_leaves_failing_columns_untouched(monkeypatch):
+    t, y, u_star, _ = _exact(13)
+    u, tau = _swept(t, y, 3)
     u_before, tau_before = u.copy(), tau.copy()
     # No point can pass a certificate asking for abundances of 1 or more.
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
@@ -224,6 +233,83 @@ def test_finish_leaves_failing_columns_untouched(monkeypatch):
     monkeypatch.undo()
     assert _finish_tile(t, y, u, tau, slice(None)).all()
     assert np.abs(u - u_star).max() < 1e-10
+
+
+def test_sized_solve_matches_a_solve_per_column():
+    _, t, y = _problem(14, m=6, n=50)
+    m, k = y.shape
+    y0 = project_hyperplane(t, y)
+    gram = t.s @ t.s.T
+    rhs = t.f[:, None] - t.s @ y0
+    # Active sets of every size the finish meets, in mixed order.
+    rng = np.random.default_rng(14)
+    sizes = rng.permutation(np.resize([0, 1, 2, m - 1, m], k))
+    act = np.zeros((m, k), dtype=bool)
+    for j, p in enumerate(sizes):
+        act[rng.choice(m, p, replace=False), j] = True
+    lam = _solve_active(gram, rhs, act)
+    for j in range(k):
+        a = act[:, j]
+        if a.all():
+            # G = S S' is singular: the abundances cannot all be 0.
+            assert np.isnan(lam[:, j]).all()
+            continue
+        expected = np.zeros(m)
+        if a.any():
+            expected[a] = np.linalg.solve(gram[np.ix_(a, a)], rhs[a, j])
+        assert np.abs(lam[:, j] - expected).max() <= 1e-12 * max(
+            1.0, np.abs(expected).max()
+        )
+        assert (lam[~a, j] == 0.0).all()
+        # A column gets the same bits alone as inside the mixed batch.
+        alone = _solve_active(gram, rhs[:, [j]], act[:, [j]])[:, 0]
+        assert np.array_equal(alone, lam[:, j])
+    order = rng.permutation(k)
+    assert np.array_equal(
+        _solve_active(gram, rhs[:, order], act[:, order]), lam[:, order],
+        equal_nan=True,
+    )
+
+
+def test_finish_gives_a_column_the_same_bits_in_any_tile():
+    t, y, u_star, _ = _exact(14, m=6, n=80)
+    u, tau = _swept(t, y, 2)
+    u_all, tau_all = u.copy(), tau.copy()
+    certified = _finish_tile(t, y, u_all, tau_all, slice(None))
+    assert certified.all()
+    assert np.abs(u_all - u_star).max() < 1e-10
+    for j in range(y.shape[1]):
+        u_j, tau_j = u[:, [j]].copy(), tau[:, [j]].copy()
+        assert _finish_tile(t, y[:, [j]], u_j, tau_j, slice(None))[0]
+        assert np.array_equal(u_j[:, 0], u_all[:, j])
+        assert np.array_equal(tau_j[:, 0], tau_all[:, j])
+
+
+def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
+    t, y, _, _ = _exact(13)
+    u, tau = _swept(t, y, 2)
+    u_ref, tau_ref = u.copy(), tau.copy()
+    reference = _finish_tile(t, y, u_ref, tau_ref, slice(None))
+    solve = np.linalg.solve
+
+    def fail_on_pairs(a, b):
+        if a.shape[-1] == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_on_pairs)
+    u_new, tau_new = u.copy(), tau.copy()
+    certified = _finish_tile(t, y, u_new, tau_new, slice(None))
+    # The columns whose seed has two active constraints fail with their
+    # group and are left untouched; the other groups still certify,
+    # with the bits they get when no solve fails.
+    pairs = (tau > 0).sum(axis=0) == 2
+    assert pairs.any() and not certified[pairs].any()
+    assert reference.all() and certified[~pairs].all()
+    assert np.array_equal(u_new[:, ~certified], u[:, ~certified])
+    assert np.array_equal(tau_new[:, ~certified], tau[:, ~certified])
+    assert np.array_equal(u_new[:, certified], u_ref[:, certified])
+    assert np.array_equal(tau_new[:, certified], tau_ref[:, certified])
 
 
 def test_on_sweep_sees_every_live_iterate():
@@ -289,7 +375,7 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
     # the second also reaches the first checkpoint.
     m, n = 10, 20_000
     _, t, y = _problem(11, m=m, n=n)
-    for sweeps in (3, FIRST_CHECKPOINT + 1):
+    for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
         _, peak = traced_peak(lambda: dykstra_project(
             t, y, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
         ))
@@ -302,7 +388,7 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
     monkeypatch.setattr(dykstra, "TILE", 256)
     for layout in (np.ascontiguousarray, np.asfortranarray):
         y_laid = layout(y)
-        for sweeps in (3, FIRST_CHECKPOINT + 1):
+        for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
             _, peak = traced_peak(lambda: dykstra_project(
                 t, y_laid, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
             ))

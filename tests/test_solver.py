@@ -9,6 +9,7 @@ from sudap import (
     solve_oracle_activeset,
     solve_sudap,
 )
+from sudap.dykstra import FIRST_CHECKPOINT
 from sudap.errors import DimensionMismatch, RankDeficient, TooManyEndmembers
 from sudap.metrics import objective
 from sudap.model import AbundanceMatrix, column_feasibility
@@ -261,14 +262,17 @@ def test_ill_conditioned_endmembers_certify_within_a_small_budget():
     # cond(E'E) is about 1e7 here, so the abundances of active
     # constraints round to about -1e-12 rather than 0. An absolute
     # -CERT_TOL floor left 8 pixels uncertified until the sweep cap; a
-    # bound scaled by each abundance's rounding scale certifies them all
-    # at the sweep-160 checkpoint.
+    # bound scaled by each abundance's rounding scale, with 3m drop/add
+    # rounds, certifies them all at the first checkpoint.
     lib = make_synthetic_library(224, 24, seed=1)
-    _, e, _, x = make_scene(lib, 20, 5.0, (30, 30), 5.0, child_seeds(2, 3))
-    result = solve_sudap(e, x, DykstraConfig(max_sweeps=200, rel_tol=1e-12))
-    assert result.trace.converged
-    assert result.trace.uncertified[-1] == 0
-    assert result.trace.n_sweeps < 200
-    a = result.a_hat.data
-    assert a.min() >= -1e-10
-    assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-10
+    for snr in (0.0, 5.0):
+        _, e, _, x = make_scene(lib, 20, 5.0, (30, 30), snr,
+                                child_seeds(2, 3))
+        result = solve_sudap(e, x, DykstraConfig(max_sweeps=200,
+                                                 rel_tol=1e-12))
+        assert result.trace.converged
+        assert result.trace.uncertified[-1] == 0
+        assert result.trace.n_sweeps == FIRST_CHECKPOINT
+        a = result.a_hat.data
+        assert a.min() >= -1e-10
+        assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-10
