@@ -239,7 +239,8 @@ def _finish_tile(
 
     Works in place on the columns of the blocks u and tau in tile, with
     y the columns' data, which it drops onto S itself. The seed active
-    set of a column is {i : tau_i > 0}. A certified column gets its KKT
+    set of a column is {i : tau_i > 0}, less its smallest tau_i when
+    that is all m constraints. A certified column gets its KKT
     point in u and its multipliers in tau; any other column is left
     untouched. Returns the tile's certified flags. Products accumulate
     in a fixed order, so each column's result is its own, whatever the
@@ -250,6 +251,10 @@ def _finish_tile(
     gram = np.einsum("ir,jr->ij", t.s, t.s)
     rhs = t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
     act = tau > 0
+    # All m constraints tight is no point of the simplex; such a seed
+    # starts from its m - 1 largest multipliers instead.
+    full = np.flatnonzero(act.all(axis=0))
+    act[tau[:, full].argmin(axis=0), full] = False
     certified = np.zeros(k, dtype=bool)
     # The first round solves the whole tile on views of its blocks;
     # later ones solve the columns left, by index.

@@ -31,6 +31,17 @@ def _as_matrix(data, name: str) -> np.ndarray:
     return arr
 
 
+def sum_of_squares(arr: np.ndarray) -> float:
+    """The sum of the squares of every entry of arr.
+
+    One BLAS dot of the entries in memory order, which ravel(order="K")
+    views without a copy for a C- or Fortran-ordered array. NaN and
+    infinity propagate into the sum.
+    """
+    flat = arr.ravel(order="K")
+    return float(flat @ flat)
+
+
 @dataclass(frozen=True)
 class EndmemberMatrix:
     """Spectral signatures, one endmember per column (n_bands x m).

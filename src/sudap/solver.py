@@ -37,6 +37,7 @@ from .model import (
     AbundanceMatrix,
     EndmemberMatrix,
     ImageCube,
+    sum_of_squares,
     validate_dimensions,
 )
 from .subspace import (
@@ -168,7 +169,7 @@ def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
     t, y, stages = _transform_and_forward(e, x)
     x_sq = getattr(x, "sum_sq", None)
     if x_sq is None:
-        x_sq = float(np.einsum("ij,ij->", x.data, x.data))
+        x_sq = sum_of_squares(x.data)
     return ReducedCube(t, y, x_sq, x.shape, stages)
 
 

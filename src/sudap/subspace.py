@@ -136,12 +136,13 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
     pixel per column: an ImageCube or a plain array, which is one block,
     or a source with ``n_pixels`` and a ``tiles()`` method that yields
     the pixels in order as column blocks, as io.open_cube gives, which
-    is read one block at a time. Each block's columns of E'x go into one
-    m x n matrix, and the triangular system D'y = E'x is then solved
-    once, never an explicit Gram inverse. E'x of a column does not
-    depend on how the columns are cut into blocks, so a streamed file
-    and the same pixels in memory give the same bits. For noiseless
-    x = E a the output equals D a.
+    is read one block at a time. The m x bands map D^{-T} E' is formed
+    once, by one small triangular solve against E' (no explicit
+    inverse); each block is then one product with it, written straight
+    into its columns of y, so no triangular solve runs over the cube. A
+    column's product does not depend on how the columns are cut into
+    blocks, so a streamed file and the same pixels in memory give the
+    same bits. For noiseless x = E a the output equals D a.
     """
     e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
     if hasattr(x, "tiles"):
@@ -149,16 +150,23 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
     else:
         x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
         n, blocks = x_data.shape[1], (x_data,)
-    w = np.empty((e_data.shape[1], n))
+    fmap = scipy.linalg.solve_triangular(
+        t.d, e_data.T, trans="T", lower=False
+    )
+    y = np.empty((fmap.shape[0], n))
     lo = 0
     for block in blocks:
         if e_data.shape[0] != block.shape[0]:
             raise DimensionMismatch(e_data.shape[0], block.shape[0])
         hi = lo + block.shape[1]
-        np.matmul(e_data.T, block, out=w[:, lo:hi])
+        if hi - lo == 1:
+            # BLAS takes its matrix-vector path for one column, with
+            # other bits; a doubled column keeps the matrix product's.
+            y[:, lo] = (fmap @ np.repeat(block, 2, axis=1))[:, 0]
+        else:
+            np.matmul(fmap, block, out=y[:, lo:hi])
         lo = hi
-    block = None  # the last tile may view the reader's buffer; let it go
-    return scipy.linalg.solve_triangular(t.d, w, trans="T", lower=False)
+    return y
 
 
 def inverse_transform(t: SubspaceTransform, u: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sudap.cli as cli
+import sudap.io as sio
 from sudap import (
     DykstraConfig,
     EndmemberMatrix,
@@ -154,8 +155,10 @@ def test_unmix_is_bit_deterministic_across_thread_counts(tmp_path,
                                                          library_csv,
                                                          monkeypatch):
     # Tiles of 16 columns cut the 144 pixels into 9 tiles, so the
-    # threads have tiles to share.
+    # threads have tiles to share, and the reader streams them in 9
+    # tiles of 16 pixels too.
     monkeypatch.setattr(dykstra, "TILE", 16)
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 16 * 48 * 8)
     out = _simulate(tmp_path, library_csv, snr="5")
     blobs = []
     for run, threads in (("r1", "4"), ("r2", "4"), ("r3", "1")):
@@ -175,19 +178,12 @@ def test_unmix_is_bit_deterministic_across_thread_counts(tmp_path,
 def test_unmix_from_a_file_matches_the_in_memory_c_ordered_solve(
         tmp_path, library_csv, monkeypatch):
     # read_cube hands out a Fortran-ordered view of the pixel-major
-    # payload; the solve must not depend on that layout. Tiles of 16
-    # columns make the finish and the compaction cut the block too.
+    # payload; the solve must not depend on that layout, nor on how the
+    # reader cuts the 144 pixels: read tiles of 16, 13 (which leaves a
+    # one-column tail), 1 and all 144 pixels. Sweep tiles of 16 columns
+    # make the finish and the compaction cut the block too.
     monkeypatch.setattr(dykstra, "TILE", 16)
     out = _simulate(tmp_path, library_csv, snr="5")
-    est = tmp_path / "file.abund"
-    rc = cli.main([
-        "unmix", "--cube", f"{out}.cube",
-        "--endmembers", f"{out}.endmembers.csv",
-        "--solver", "sudap", "--out", str(est),
-        "--rel-tol", "1e-12", "--threads", "1",
-    ])
-    assert rc == 0
-
     read = read_cube(f"{out}.cube")
     assert read.data.flags.f_contiguous and not read.data.flags.c_contiguous
     cube = ImageCube(np.ascontiguousarray(read.data), read.shape)
@@ -196,36 +192,46 @@ def test_unmix_from_a_file_matches_the_in_memory_c_ordered_solve(
     result = solve_sudap(e, cube, DykstraConfig(rel_tol=1e-12))
     mem = tmp_path / "memory.abund"
     write_abundance(mem, result.a_hat)
-    assert est.read_bytes() == mem.read_bytes()
+    for width in (16, 13, 1, 144):
+        monkeypatch.setattr(sio, "READ_TILE_BYTES", width * 48 * 8)
+        est = tmp_path / f"file{width}.abund"
+        rc = cli.main([
+            "unmix", "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv",
+            "--solver", "sudap", "--out", str(est),
+            "--rel-tol", "1e-12", "--threads", "1",
+        ])
+        assert rc == 0
+        assert est.read_bytes() == mem.read_bytes(), f"read tile {width}"
 
 
 def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
                                                          library_csv):
-    # The cube is 48 bands x 25 600 pixels (9.8 MB), more than six tiles
-    # of 4096 pixels. Streamed, the run holds one tile of the file while
-    # it reads, then Y, U and tau and the finish's per-tile temporaries;
+    # The cube is 48 bands x 25 600 pixels (9.8 MB), more than six read
+    # tiles. Streamed, the run holds one read tile of the file while it
+    # reads, then Y, U and tau and the finish's per-tile temporaries;
     # a reader that held the cube would peak above the cube's own size,
     # and a second copy of Y or of the report's residual above 3 blocks.
     m, rows, cols, bands = 3, 160, 160, 48
     out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols)
     n = rows * cols
-    assert n > 6 * dykstra.TILE
+    assert bands * n * 8 > 6 * sio.READ_TILE_BYTES
     rc, peak = traced_peak(lambda: cli.main([
         "unmix", "--cube", f"{out}.cube",
         "--endmembers", f"{out}.endmembers.csv",
         "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
     ]))
     assert rc == 0
-    bound = 3 * m * n * 8 + dykstra.TILE * bands * 8
+    bound = 3 * m * n * 8 + sio.READ_TILE_BYTES
     assert bound < bands * n * 8
     assert peak < bound
 
 
 def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
         tmp_path, library_csv, monkeypatch):
-    # Tiles of 16 pixels cut the 144-pixel cube into 9; only the last
-    # pixel is NaN, so the streamed reader meets it in its last tile.
-    monkeypatch.setattr(dykstra, "TILE", 16)
+    # Read tiles of 16 pixels cut the 144-pixel cube into 9; only the
+    # last pixel is NaN, so the streamed reader meets it in its last tile.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 16 * 48 * 8)
     out = _simulate(tmp_path, library_csv)
     blob = bytearray((tmp_path / "scene.cube").read_bytes())
     blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
@@ -269,7 +275,8 @@ def test_a_cube_cut_in_a_later_tile_after_the_size_check_exits_23(
     import os
     from types import SimpleNamespace
 
-    monkeypatch.setattr(dykstra, "TILE", 16)
+    # Read tiles of 16 pixels.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 16 * 48 * 8)
     out = _simulate(tmp_path, library_csv)
     cube = tmp_path / "scene.cube"
     full = cube.stat().st_size

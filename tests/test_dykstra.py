@@ -163,15 +163,15 @@ def test_a_run_stopped_by_the_change_test_is_finished(monkeypatch):
 
 
 def test_thread_count_does_not_change_a_single_bit(monkeypatch):
-    # Points far outside the feasible set: some columns survive the
-    # first checkpoints, so the compacted block is what the threads
-    # split, and tiles of 3 columns leave several tiles on either side
-    # of the compaction.
+    # Points far outside the feasible set of a nearly square E: 22
+    # columns survive the first checkpoints, so the compacted block is
+    # what the threads split, and tiles of 3 columns leave several tiles
+    # on either side of the compaction.
     monkeypatch.setattr(dykstra, "TILE", 3)
-    _, t, y = _problem(6, n_bands=5, m=4, n=400, spread=100.0)
+    _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     results = []
     for threads in (1, 3, 4):
-        cfg = DykstraConfig(max_sweeps=300, rel_tol=1e-11, threads=threads)
+        cfg = DykstraConfig(max_sweeps=60, rel_tol=1e-11, threads=threads)
         u, trace = dykstra_project(t, y, cfg)
         results.append((u, trace))
     u_ref, trace_ref = results[0]
@@ -219,6 +219,21 @@ def _swept(t, y, sweeps):
         for i in range(t.n_endmembers):
             project_intersection_geometric(t, i, u, tau)
     return u, tau
+
+
+def test_finish_starts_a_seed_with_every_constraint_active():
+    # Points far outside the feasible set leave some columns with all m
+    # multipliers positive after two sweeps. All m constraints tight is
+    # no point of the simplex, so the finish drops the smallest one
+    # before its first solve, and certifies every column at the first
+    # checkpoint.
+    _, t, y = _problem(6, n_bands=5, m=4, n=400, spread=100.0)
+    u, tau = _swept(t, y, FIRST_CHECKPOINT)
+    assert (tau > 0).all(axis=0).sum() >= 10
+    assert _finish_tile(t, y, u, tau, slice(None)).all()
+    _, trace = dykstra_project(t, y)
+    assert trace.n_sweeps == FIRST_CHECKPOINT
+    assert trace.uncertified[-1] == 0 and trace.converged
 
 
 def test_finish_leaves_failing_columns_untouched(monkeypatch):

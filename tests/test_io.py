@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudap import ImageCube
-from sudap import dykstra
+from sudap import io as sio
 from sudap.errors import (
     BadMagic,
     EmptyFile,
@@ -128,7 +128,9 @@ def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
 
 def test_open_cube_streams_the_payload_through_one_tile_buffer(
         tmp_path, monkeypatch):
-    monkeypatch.setattr(dykstra, "TILE", 16)
+    # A tile holds as many whole 5-band pixels (40 bytes) as fit in the
+    # read tile's bytes: 16 in 640 or 679 bytes.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 640)
     rng = np.random.default_rng(78)
     cube = ImageCube(rng.standard_normal((5, 7 * 9)), (7, 9),
                      wavelengths=np.arange(5.0))
@@ -147,10 +149,16 @@ def test_open_cube_streams_the_payload_through_one_tile_buffer(
         # One buffer serves every tile.
         bases = {tile.base.ctypes.data for tile in source.tiles()}
         assert len(bases) == 1
+        monkeypatch.setattr(sio, "READ_TILE_BYTES", 679)
+        assert [tile.shape[1] for tile in source.tiles()] == [16, 16, 16, 15]
+        # A read tile smaller than one pixel still reads whole pixels.
+        monkeypatch.setattr(sio, "READ_TILE_BYTES", 8)
+        assert [tile.shape[1] for tile in source.tiles()] == [1] * 63
 
 
 def test_a_non_finite_value_fails_its_tile(tmp_path, monkeypatch):
-    monkeypatch.setattr(dykstra, "TILE", 4)
+    # Tiles of four 3-band pixels.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 4 * 3 * 8)
     data = np.ones((3, 12))
     path = tmp_path / "x.cube"
     for bad in (np.nan, np.inf, -np.inf):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sudap import EndmemberMatrix
+from sudap import EndmemberMatrix, ImageCube
+from sudap import io as sio
 from sudap.errors import DegenerateProblem, DimensionMismatch, RankDeficient
+from sudap.io import open_cube, write_cube
 from sudap.subspace import (
     build_transform,
     forward_transform,
@@ -71,6 +73,30 @@ def test_forward_transform_maps_mixture_to_scaled_abundance():
     assert np.allclose(u, t.d @ a, atol=1e-10)
     back = inverse_transform(t, u)
     assert np.allclose(back, a, atol=1e-10)
+
+
+def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut(
+        tmp_path, monkeypatch):
+    # The file's pixels streamed in read tiles of every width below
+    # (2, 4, 12 and 36 leave a one-column tail) give Y to the bit as the
+    # same pixels in memory, in either layout; so does a one-pixel cube.
+    rng = np.random.default_rng(16)
+    bands, n = 30, 37
+    e = random_endmembers(rng, bands, 6)
+    t = build_transform(e)
+    x = rng.standard_normal((bands, n))
+    y = forward_transform(t, e, x)
+    assert np.array_equal(forward_transform(t, e, np.asfortranarray(x)), y)
+    path = tmp_path / "x.cube"
+    write_cube(path, ImageCube(x, (1, n)))
+    for width in (1, 2, 4, 12, 36, 37):
+        monkeypatch.setattr(sio, "READ_TILE_BYTES", width * bands * 8)
+        with open_cube(path) as source:
+            assert np.array_equal(forward_transform(t, e, source), y), width
+    write_cube(path, ImageCube(x[:, 4:5], (1, 1)))
+    with open_cube(path) as source:
+        assert np.array_equal(forward_transform(t, e, source), y[:, 4:5])
+    assert np.array_equal(forward_transform(t, e, x[:, 4:5]), y[:, 4:5])
 
 
 def test_forward_transform_checks_band_count():
