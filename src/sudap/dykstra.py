@@ -28,6 +28,16 @@ Hildreth's dual coordinate ascent,
 
 which keeps U = Y0 + S'tau, with S the m x m array of rows s_i.
 
+Many pixels need no sweep at all: when every abundance of Y0 is
+non-negative, Y0 is already the projection (the first step of FCLS,
+Heinz & Chang 2001). Before sweep 1 the driver checks every column of
+Y0 against the finish's certificate, below, with no constraint active
+(lam = 0). If at least half of the columns pass, they are final, with
+the bits the finish would give them, and the rest are gathered into the
+block that is swept; otherwise the check certifies none, and the whole
+of U is swept. The half keeps the gathered U and tau no larger than the
+full-width tau they replace.
+
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
 sweeps (FIRST_CHECKPOINT, then every doubling of it), and on the sweep
@@ -46,18 +56,20 @@ drop/add rounds on its active set (the active-set method of FCLS); if it
 still fails, it goes back to sweeping with its tau unchanged. Certified
 columns leave the sweep: after each finish the rest are gathered into a
 dense block, and the sweep and the stop bookkeeping run on that block
-only. The run stops when every column is certified, when the block's
-relative change falls to rel_tol, or after max_sweeps sweeps.
+only. The finish reads the block's data in place, through the list of
+its columns, so Y is never gathered. The run stops when every column is
+certified, when the block's relative change falls to rel_tol, or after
+max_sweeps sweeps.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
 driver cuts the block into tiles of TILE columns, whatever the thread
-count, and runs the sweep, its bookkeeping and the finish tile by tile,
-on as many tiles at once as there are threads. The per-tile sums of the
-change test are added in tile order, so the result and the trace are the
-same to the bit at every thread count. The sweep and the finish do each
-column's arithmetic on its own, so a column's result does not depend on
-the tile either.
+count, and runs the interior check, the sweep, its bookkeeping and the
+finish tile by tile, on as many tiles at once as there are threads. The
+per-tile sums of the change test are added in tile order, so the result
+and the trace are the same to the bit at every thread count. The check,
+the sweep and the finish do each column's arithmetic on its own, so a
+column's result does not depend on the tile either.
 """
 
 from __future__ import annotations
@@ -139,28 +151,39 @@ class DykstraTrace:
     """Per-sweep records of one run; row k belongs to sweep k + 1.
 
     Under compaction a sweep runs only on the columns still uncertified
-    when it starts: all n for the first sweep, uncertified[k - 1] for
-    sweep k + 1. Row k describes that sweep over that block. elapsed_s
-    is the cumulative time spent in the sweep kernel, the finish and the
-    stop bookkeeping only; the on_sweep observer runs off the clock, so
-    observed runs time like plain ones. rel_change is the block's
-    relative change over the sweep (the change test's quantity), and
-    uncertified the number of columns not yet certified after the sweep
-    and its finish, if one ran, which is the width of the block the
-    next sweep runs on. uncertified falls only at checkpoints and on the
+    when it starts: for the first sweep, all n or those the interior
+    check left, and uncertified[k - 1] for sweep k + 1. Row k describes
+    that sweep over that block. elapsed_s is the cumulative time spent
+    in the interior check (on sweep 1's row), the sweep kernel, the
+    finish and the stop bookkeeping only; the on_sweep observer runs off
+    the clock, so observed runs time like plain ones. finish_s is the
+    part of elapsed_s[-1] spent in the interior check and the finishes.
+    rel_change is the block's relative change over the sweep (the change
+    test's quantity), and uncertified the number of columns not yet
+    certified after the sweep and its finish, if one ran, which is the
+    width of the block the next sweep runs on. uncertified falls at
+    sweep 1, where the interior check runs, at checkpoints and on the
     last sweep, where the finish runs, so its last entry counts the
-    columns the finish could not certify. Whatever the sweep count, the
-    driver's state is U and tau, two m x n blocks.
+    columns the finish could not certify. When the check certifies every
+    column, sweep 1 has nothing to sweep: its row reads rel_change 0 and
+    uncertified 0, and the run has converged. Whatever the sweep count,
+    the driver's state is U and tau, two m x n blocks, or U and a
+    gathered U and tau at most half as wide.
     """
 
     elapsed_s: np.ndarray
     rel_change: np.ndarray
     uncertified: np.ndarray
     converged: bool = False
+    finish_s: float = 0.0
 
     @property
     def n_sweeps(self) -> int:
         return len(self.elapsed_s)
+
+
+def _tiles(width: int) -> list[slice]:
+    return [slice(lo, lo + TILE) for lo in range(0, width, TILE)]
 
 
 def _sweep_tile(
@@ -228,25 +251,54 @@ def _solve_active(
     return lam
 
 
+def _cert_slack(t: SubspaceTransform, u: np.ndarray) -> np.ndarray:
+    """Each abundance of the points u plus its certificate bound.
+
+    Negative where the abundance p_norms_i (s_i'u - f_i) is below
+    -CERT_TOL times its rounding scale max(1, p_norms_i (|u| + |f_i|)).
+    """
+    bound = np.sqrt(_row_dot(u, u))
+    bound = t.p_norms[:, None] * (bound + np.abs(t.f)[:, None])
+    np.maximum(bound, 1.0, out=bound)
+    bound *= CERT_TOL
+    slack = _row_dot(t.s.T[:, :, None], u)
+    slack -= t.f[:, None]
+    slack *= t.p_norms[:, None]
+    slack += bound
+    return slack
+
+
+def _interior_tile(t: SubspaceTransform, y0: np.ndarray, tile: slice):
+    """Flags of the columns of y0 in tile that are their own projection.
+
+    y0 holds points on S. A column whose abundances all pass the
+    certificate with no constraint active (lam = 0) is the finish's KKT
+    point for the empty active set, so the sweeps have nothing to add.
+    """
+    return _cert_slack(t, y0[:, tile]).min(axis=0) >= 0.0
+
+
 def _finish_tile(
     t: SubspaceTransform,
     y: np.ndarray,
     u: np.ndarray,
     tau: np.ndarray,
     tile: slice,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Replace each column by its exact projection where that certifies.
 
-    Works in place on the columns of the blocks u and tau in tile, with
-    y the columns' data, which it drops onto S itself. The seed active
-    set of a column is {i : tau_i > 0}, less its smallest tau_i when
-    that is all m constraints. A certified column gets its KKT
-    point in u and its multipliers in tau; any other column is left
-    untouched. Returns the tile's certified flags. Products accumulate
-    in a fixed order, so each column's result is its own, whatever the
-    tile.
+    Works in place on the columns of the blocks u and tau in tile. Their
+    data are the columns cols[tile] of y (tile itself when cols is
+    None), which it drops onto S itself. The seed active set of a column
+    is {i : tau_i > 0}, less its smallest tau_i when that is all m
+    constraints. A certified column gets its KKT point in u and its
+    multipliers in tau; any other column is left untouched. Returns the
+    tile's certified flags. Products accumulate in a fixed order, so
+    each column's result is its own, whatever the tile.
     """
-    y0, u, tau = project_hyperplane(t, y[:, tile]), u[:, tile], tau[:, tile]
+    y0 = project_hyperplane(t, y[:, tile if cols is None else cols[tile]])
+    u, tau = u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
     rhs = t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
@@ -264,19 +316,7 @@ def _finish_tile(
         cand = _row_dot(t.s[:, :, None], lam)
         cand += y0[:, todo]
         with np.errstate(invalid="ignore"):
-            # Each abundance plus its certificate bound, negative where
-            # the abundance fails the bound. The bound is never below
-            # CERT_TOL, so its scale is needed only in columns that
-            # fail that floor.
-            abund = _row_dot(t.s.T[:, :, None], cand)
-            abund -= t.f[:, None]
-            abund *= t.p_norms[:, None]
-            slack = abund + CERT_TOL
-            low = np.flatnonzero(slack.min(axis=0) < 0.0)
-            u_norm = np.sqrt(_row_dot(cand[:, low], cand[:, low]))
-            slack[:, low] = abund[:, low] + CERT_TOL * np.maximum(
-                1.0, t.p_norms[:, None] * (u_norm + np.abs(t.f)[:, None])
-            )
+            slack = _cert_slack(t, cand)
             good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
         # Failing columns drop their most negative multiplier or, when
         # every multiplier is non-negative, add their most violated
@@ -355,11 +395,6 @@ def dykstra_project(
     u = project_hyperplane(t, y)
     u_seen = u.view()
     u_seen.flags.writeable = False
-    # The swept block: its iterate, multipliers and data, u, tau and y
-    # themselves until the first finish certifies a column. After that,
-    # cols lists the block's columns in u, and the block is gathered.
-    cols = None
-    ub, tb, yb = u, np.zeros((m, n)), y
 
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     run = map if executor is None else executor.map
@@ -368,32 +403,54 @@ def dykstra_project(
     rel_changes: list[float] = []
     uncertified: list[int] = []
 
-    clock = 0.0
     checkpoint = FIRST_CHECKPOINT
     converged = False
     try:
+        # The interior check runs on sweep 1's clock. Until it or a
+        # finish certifies a column, the swept block is u itself with a
+        # full-width tau; after that it is gathered, and cols lists its
+        # columns in u. The check gathers only when it certifies at
+        # least half, so a gathered u and tau never outgrow the
+        # full-width tau they replace.
+        tic = time.perf_counter()
+        cols = None
+        interior = np.concatenate(
+            list(run(partial(_interior_tile, t, u), _tiles(n)))
+        )
+        if 2 * np.count_nonzero(interior) >= n:
+            cols = np.flatnonzero(~interior)
+        ub = u if cols is None else u[:, cols]
+        tb = np.zeros_like(ub)
+        clock = finish = time.perf_counter() - tic
+
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
-            tiles = [
-                slice(lo, lo + TILE) for lo in range(0, ub.shape[1], TILE)
-            ]
-            sums = list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
-            step_sq, u_sq = (sum(col) for col in zip(*sums))
-            rel = math.sqrt(step_sq) / max(math.sqrt(u_sq), REL_CHANGE_EPS)
-            last = rel <= cfg.rel_tol or sweep == cfg.max_sweeps
-
+            tiles = _tiles(ub.shape[1])
+            rel = 0.0
             certified = None
-            if sweep == checkpoint or last:
-                checkpoint *= 2
-                certified = np.concatenate(
-                    list(run(partial(_finish_tile, t, yb, ub, tb), tiles))
+            if tiles:
+                sums = list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
+                step_sq, u_sq = (sum(col) for col in zip(*sums))
+                rel = math.sqrt(step_sq) / max(
+                    math.sqrt(u_sq), REL_CHANGE_EPS
                 )
+                last = rel <= cfg.rel_tol or sweep == cfg.max_sweeps
+                if sweep == checkpoint or last:
+                    checkpoint *= 2
+                    mid = time.perf_counter()
+                    certified = np.concatenate(list(run(
+                        partial(_finish_tile, t, y, ub, tb, cols=cols), tiles
+                    )))
+                    finish += time.perf_counter() - mid
             if cols is not None:
                 u[:, cols] = ub
             if certified is not None and certified.any():
                 keep = np.flatnonzero(~certified)
                 cols = keep if cols is None else cols[keep]
-                ub, tb, yb = ub[:, keep], tb[:, keep], yb[:, keep]
+                # One block at a time, so that only one gathered copy
+                # lives beside the blocks it replaces.
+                ub = ub[:, keep]
+                tb = tb[:, keep]
             clock += time.perf_counter() - tic
 
             elapsed.append(clock)
@@ -414,5 +471,6 @@ def dykstra_project(
         rel_change=np.asarray(rel_changes),
         uncertified=np.asarray(uncertified, dtype=np.int64),
         converged=converged,
+        finish_s=finish,
     )
     return u, trace

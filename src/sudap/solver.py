@@ -67,9 +67,11 @@ class SolveResult:
     wall_time is the run's seconds, and stages splits solve_sudap's
     between "transform" (build_transform), "forward" (the forward map,
     with the streamed read when the cube comes from a file), "project"
-    (dykstra_project, with its on_sweep observer) and "inverse";
-    their sum never exceeds wall_time. The other solvers, and
-    solve_sudap with one endmember, leave stages empty.
+    (dykstra_project's sweeps and their bookkeeping, with its on_sweep
+    observer), "finish" (its interior check and exact finishes, from
+    its trace) and "inverse"; their sum never exceeds wall_time. The
+    other solvers, and solve_sudap with one endmember, leave stages
+    empty.
     """
 
     a_hat: AbundanceMatrix
@@ -204,7 +206,11 @@ def solve_sudap(
     mid = time.perf_counter()
     a = AbundanceMatrix(inverse_transform(t, u), x.shape)
     toc = time.perf_counter()
-    stages.update(project=mid - tic, inverse=toc - mid)
+    stages.update(
+        project=mid - tic - trace.finish_s,
+        finish=trace.finish_s,
+        inverse=toc - mid,
+    )
     return SolveResult(a, trace, "sudap", toc - t0, stages)
 
 

@@ -6,7 +6,11 @@ verdicts). The first three pipeline checks share one batch of seeded
 instances, built once per session.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,7 +278,9 @@ def test_repeated_runs_write_identical_bytes(tmp_path):
         lib_path, make_synthetic_library(n_bands=64, seed=111)
     )
     prefix = tmp_path / "scene"
-    # 128 x 128 pixels span four tiles, so the threads split the sweep.
+    # 128 x 128 pixels span four tiles, so the threads split the
+    # interior check, and the pixels it leaves span more than one tile
+    # of the sweep.
     assert 128 * 128 >= 4 * TILE
     rc = cli.main([
         "simulate", "--library", str(lib_path), "--m", "6",
@@ -301,4 +307,45 @@ def test_repeated_runs_write_identical_bytes(tmp_path):
         f"abundance files ({len(blobs[0])} bytes each)"
         if ok
         else "outputs differ across thread counts",
+    )
+
+
+# Solves perfbench's deep-m14 scene (pixel seed 1) in memory and saves
+# the abundances; argv: perfbench's directory, the output .npy path.
+_SOLVE_DEEP_M14 = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from scenes import WORKLOADS, make_scene
+from sudap import solve_sudap
+scene = make_scene(WORKLOADS["deep-m14"], 1)
+np.save(sys.argv[2], solve_sudap(scene.e, scene.cube).a_hat.data)
+"""
+
+
+def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
+    # --threads never changes a bit, but the BLAS thread count can,
+    # through the products of the forward and inverse maps. It is fixed
+    # when BLAS loads, so each count gets its own process.
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   OMP_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = tmp_path / f"blas{blas_threads}.npy"
+        subprocess.run(
+            [sys.executable, "-c", _SOLVE_DEEP_M14,
+             str(root / "perfbench"), str(out)],
+            env=env, check=True,
+        )
+        outs.append(np.load(out))
+    worst = float(np.abs(outs[0] - outs[1]).max())
+    _report(
+        "BLAS-thread drift",
+        worst <= 1e-14,
+        f"deep-m14 abundances at one and two OpenBLAS threads differ by "
+        f"at most {worst:.1e} (bound 1e-14)",
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sudap.cli as cli
 from sudap import DykstraConfig, EndmemberMatrix, ImageCube
 from sudap import dykstra
 from sudap.dykstra import (
@@ -10,8 +11,9 @@ from sudap.dykstra import (
     dykstra_project,
 )
 from sudap.errors import NonFinite, ShapeMismatch
+from sudap.io import write_cube, write_library_csv
 from sudap.projectors import project_hyperplane, project_intersection_geometric
-from sudap.simdata import make_instance
+from sudap.simdata import SpectralLibrary, make_instance
 from sudap.solver import solve_oracle_activeset
 from sudap.subspace import (
     build_transform,
@@ -107,16 +109,35 @@ def _finish_sweeps(trace):
     return sweeps
 
 
-def _check_bookkeeping(trace, cfg, n):
+def _interior(t, y):
+    """The columns whose Y0 passes the certificate with no active set."""
+    y0 = project_hyperplane(t, y)
+    return dykstra._cert_slack(t, y0).min(axis=0) >= 0.0
+
+
+def _check_bookkeeping(t, y, u, trace, cfg):
+    n = y.shape[1]
     k = trace.n_sweeps
     assert len(trace.rel_change) == len(trace.uncertified) == k
     assert (np.diff(trace.elapsed_s) >= 0).all()
-    # Columns are only certified where the finish runs, and never come
-    # back.
+    assert 0.0 <= trace.finish_s <= trace.elapsed_s[-1]
+    # Columns are only certified where the finish runs, or at sweep 1 by
+    # the interior check, and never come back.
     diff = np.diff(trace.uncertified, prepend=n)
     assert (diff <= 0).all()
-    drops = np.flatnonzero(diff < 0) + 1
+    drops = np.flatnonzero(diff[1:] < 0) + 2
     assert set(drops.tolist()) <= _finish_sweeps(trace)
+    # The check certifies exactly the columns whose Y0 passes the
+    # certificate, and only when they are at least half of them; those
+    # columns keep Y0 to the bit.
+    interior = _interior(t, y)
+    if 2 * interior.sum() < n:
+        interior[:] = False
+    if 1 not in _finish_sweeps(trace):
+        assert -diff[0] == interior.sum()
+    assert np.array_equal(
+        u[:, interior], project_hyperplane(t, y)[:, interior]
+    )
     # The run converged iff its last sweep certified the last column or
     # brought the change down to rel_tol.
     stop = (trace.uncertified == 0) | (trace.rel_change <= cfg.rel_tol)
@@ -128,7 +149,7 @@ def test_trace_bookkeeping_is_consistent():
     _, t, y = _problem(4)
     cfg = DykstraConfig(max_sweeps=400, rel_tol=1e-12)
     u, trace = dykstra_project(t, y, cfg)
-    _check_bookkeeping(trace, cfg, y.shape[1])
+    _check_bookkeeping(t, y, u, trace, cfg)
     assert trace.converged
 
 
@@ -140,10 +161,10 @@ def test_zero_tolerance_runs_to_the_sweep_budget(monkeypatch):
     _, t, y = _problem(5, n=25)
     budget = 4
     cfg = DykstraConfig(max_sweeps=budget, rel_tol=0.0)
-    _, trace = dykstra_project(t, y, cfg)
+    u, trace = dykstra_project(t, y, cfg)
     assert trace.n_sweeps == budget
     assert (trace.uncertified[:-1] == y.shape[1]).all()
-    _check_bookkeeping(trace, cfg, y.shape[1])
+    _check_bookkeeping(t, y, u, trace, cfg)
 
 
 def test_a_run_stopped_by_the_change_test_is_finished(monkeypatch):
@@ -155,11 +176,107 @@ def test_a_run_stopped_by_the_change_test_is_finished(monkeypatch):
     t = build_transform(e)
     y = forward_transform(t, e, cube)
     cfg = DykstraConfig(rel_tol=1e-12)
-    _, trace = dykstra_project(t, y, cfg)
+    u, trace = dykstra_project(t, y, cfg)
     assert trace.n_sweeps == 2
     assert trace.rel_change[-1] <= cfg.rel_tol
     assert trace.uncertified[-1] == 0
-    _check_bookkeeping(trace, cfg, y.shape[1])
+    _check_bookkeeping(t, y, u, trace, cfg)
+
+
+def _mostly_interior(seed, m=5, n=200, n_bands=24, noise=0.02):
+    """Noisy mixtures of E: most of their Y0 are their own projection."""
+    rng = np.random.default_rng(seed)
+    e = random_endmembers(rng, n_bands, m)
+    a = rng.dirichlet(np.ones(m), size=n).T
+    x = e.data @ a + noise * rng.standard_normal((n_bands, n))
+    t = build_transform(e)
+    return t, forward_transform(t, e, x)
+
+
+def _swept_widths(monkeypatch):
+    """sweep -> width of the block that sweep ran on, as runs go."""
+    widths = {}
+    sweep_tile = dykstra._sweep_tile
+
+    def recorded(t, u, tau, sweep, tile):
+        widths[sweep] = u.shape[1]
+        return sweep_tile(t, u, tau, sweep, tile)
+
+    monkeypatch.setattr(dykstra, "_sweep_tile", recorded)
+    return widths
+
+
+def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
+    t, y = _mostly_interior(20)
+    n = y.shape[1]
+    interior = _interior(t, y)
+    assert n / 2 <= interior.sum() < n
+    widths = _swept_widths(monkeypatch)
+    cfg = DykstraConfig(rel_tol=1e-12)
+    u, trace = dykstra_project(t, y, cfg)
+    assert np.array_equal(
+        u[:, interior], project_hyperplane(t, y)[:, interior]
+    )
+    assert widths[1] == trace.uncertified[0] == n - interior.sum()
+    assert trace.converged and trace.uncertified[-1] == 0
+    _check_bookkeeping(t, y, u, trace, cfg)
+    # With the check stubbed out, the interior columns are swept and
+    # finished with the rest, and every column gets the same bits.
+    monkeypatch.setattr(
+        dykstra, "_interior_tile",
+        lambda t, y0, tile: np.zeros(y0[:, tile].shape[1], dtype=bool),
+    )
+    u_swept, trace_swept = dykstra_project(t, y, cfg)
+    assert trace_swept.uncertified[0] == n
+    assert np.array_equal(u_swept, u)
+
+
+def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
+    # Fewer than half of the columns are interior, so the check
+    # certifies none of them, and with the checkpoints put off every
+    # sweep runs on all n columns.
+    monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
+    _, t, y = _problem(4)
+    n = y.shape[1]
+    assert 0 < _interior(t, y).sum() < n / 2
+    widths = _swept_widths(monkeypatch)
+    cfg = DykstraConfig(max_sweeps=4, rel_tol=0.0)
+    u, trace = dykstra_project(t, y, cfg)
+    assert trace.uncertified[0] == n
+    assert (trace.uncertified[:-1] == n).all()
+    assert widths == {1: n, 2: n, 3: n, 4: n}
+    _check_bookkeeping(t, y, u, trace, cfg)
+
+
+def test_an_all_interior_cube_records_one_converged_sweep(
+    tmp_path, monkeypatch, capsys
+):
+    rng = np.random.default_rng(21)
+    e = random_endmembers(rng, 24, 4)
+    a = rng.dirichlet(np.ones(4) * 5.0, size=30).T
+    cube = ImageCube(e.data @ a, (5, 6))
+    t = build_transform(e)
+    y = forward_transform(t, e, cube)
+    assert _interior(t, y).all()
+    widths = _swept_widths(monkeypatch)
+    seen = []
+    u, trace = dykstra_project(t, y, on_sweep=lambda s, _u: seen.append(s))
+    assert widths == {} and seen == [1]
+    assert trace.n_sweeps == 1 and trace.converged
+    assert trace.rel_change[0] == 0.0 and trace.uncertified[0] == 0
+    assert np.array_equal(u, project_hyperplane(t, y))
+    write_cube(tmp_path / "scene.cube", cube)
+    write_library_csv(
+        tmp_path / "scene.csv", SpectralLibrary(e.data, ("a", "b", "c", "d"))
+    )
+    rc = cli.main([
+        "unmix", "--cube", str(tmp_path / "scene.cube"),
+        "--endmembers", str(tmp_path / "scene.csv"),
+        "--solver", "sudap", "--out", str(tmp_path / "est.abund"),
+    ])
+    assert rc == 0
+    assert "sweeps: 1 (converged: True)" in capsys.readouterr().out
+    assert widths == {}
 
 
 def test_thread_count_does_not_change_a_single_bit(monkeypatch):
@@ -386,28 +503,38 @@ def test_corrections_make_the_limit_the_nearest_point():
 def test_driver_memory_does_not_grow_with_m(monkeypatch):
     # The driver keeps the iterate and one multiplier per constraint and
     # pixel, not one m x n correction matrix per constraint, so its peak
-    # is a few m x n blocks whatever m is. Both runs end in the finish;
-    # the second also reaches the first checkpoint.
+    # is a few m x n blocks whatever m is. Every run ends in the finish;
+    # the longer ones also reach the first checkpoint. Nearly every
+    # column of the first problem is outside the simplex, so its interior
+    # check gathers nothing; most of the second's are inside, so the
+    # check gathers the rest into a narrower block.
     m, n = 10, 20_000
     _, t, y = _problem(11, m=m, n=n)
-    for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
-        _, peak = traced_peak(lambda: dykstra_project(
-            t, y, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
-        ))
-        assert peak < 8 * m * n * 8, (
-            f"{sweeps} sweeps: peak {peak / (m * n * 8):.2f} m*n floats"
-        )
-    # On tiles of 256 columns the finish's temporaries are small, so the
-    # peak shows the state itself: U and tau, with no copy of Y in
-    # either layout and no stored Y0.
-    monkeypatch.setattr(dykstra, "TILE", 256)
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        y_laid = layout(y)
+    t_in, y_in = _mostly_interior(11, m=m, n=n)
+    assert _interior(t, y).sum() < n / 2 <= _interior(t_in, y_in).sum()
+    problems = (("exterior", t, y), ("interior", t_in, y_in))
+    for name, t_k, y_k in problems:
         for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
             _, peak = traced_peak(lambda: dykstra_project(
-                t, y_laid, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
+                t_k, y_k, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
             ))
-            assert peak < 2.5 * m * n * 8, (
-                f"{layout.__name__}, {sweeps} sweeps: "
+            assert peak < 8 * m * n * 8, (
+                f"{name}, {sweeps} sweeps: "
                 f"peak {peak / (m * n * 8):.2f} m*n floats"
             )
+    # On tiles of 256 columns the finish's temporaries are small, so the
+    # peak shows the state itself: U and tau, or U and a gathered U and
+    # tau no wider than half of it, with no copy of Y in either layout
+    # and no stored Y0.
+    monkeypatch.setattr(dykstra, "TILE", 256)
+    for name, t_k, y_k in problems:
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            y_laid = layout(y_k)
+            for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
+                _, peak = traced_peak(lambda: dykstra_project(
+                    t_k, y_laid, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
+                ))
+                assert peak < 2.5 * m * n * 8, (
+                    f"{name}, {layout.__name__}, {sweeps} sweeps: "
+                    f"peak {peak / (m * n * 8):.2f} m*n floats"
+                )

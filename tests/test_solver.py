@@ -130,7 +130,7 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     e, _, x = _random_problem(40, m=5, n=300)
     cfg = DykstraConfig(rel_tol=1e-12)
     direct = solve_sudap(e, x, cfg)
-    stages = ("transform", "forward", "project", "inverse")
+    stages = ("transform", "forward", "project", "finish", "inverse")
     assert tuple(direct.stages) == stages
     assert min(direct.stages.values()) >= 0.0
     assert sum(direct.stages.values()) <= direct.wall_time
