@@ -47,19 +47,21 @@ uncertified pixel: it solves the equality-constrained projection
     U = Y0 + S_A' lam,   (S_A S_A') lam = f_A - S_A Y0,
 
 with one |A| x |A| system per pixel, the pixels of one |A| solved as a
-batch (as FC-NNLS groups them). It certifies the result when lam >= 0
-and every abundance p_norms_i (s_i'U - f_i) is at least -CERT_TOL times
-its rounding scale max(1, p_norms_i (|U| + |f_i|)). Those two conditions
-are the KKT conditions of the projection, so a certified column is the
-projection itself, up to rounding. A column that fails gets up to 3m
-drop/add rounds on its active set (the active-set method of FCLS); if it
-still fails, it goes back to sweeping with its tau unchanged. Certified
-columns leave the sweep: after each finish the rest are gathered into a
-dense block, and the sweep and the stop bookkeeping run on that block
-only. The finish reads the block's data in place, through the list of
-its columns, so Y is never gathered. The run stops when every column is
-certified, when the block's relative change falls to rel_tol, or after
-max_sweeps sweeps.
+batch (as FC-NNLS groups them). The certificate reads the abundances off
+the multipliers, a = p_norms o (G lam - rhs) with G = S S' and
+rhs = f - S Y0. A column passes when lam >= 0 and no a_i is below
+-CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)), the rounding bound
+of a_i's inner product (Higham 2002, sec. 3.1), as |G_ij| <= 1 for unit
+s_i. These are the projection's KKT conditions, so a passing column's
+U = Y0 + S'lam, the only U formed, is the projection up to rounding. A
+column that fails gets up to 3m drop/add rounds on its active set (the
+active-set method of FCLS); if it still fails, it goes back to sweeping
+with its tau unchanged. Certified columns leave the sweep: after each
+finish the rest are gathered into a dense block, and the sweep and the
+stop bookkeeping run on that block only. The finish reads the block's
+data in place, through the list of its columns, so Y is never gathered.
+The run stops when every column is certified, when the block's relative
+change falls to rel_tol, or after max_sweeps sweeps.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -110,10 +112,10 @@ FIRST_CHECKPOINT = 2
 # about ten m x TILE blocks.
 TILE = 4096
 
-# A finished column is primal feasible when no abundance a_i is below
-# -CERT_TOL times its rounding scale max(1, p_norms_i (|u| + |f_i|)):
-# a_i = p_norms_i (s_i'u - f_i) with s_i a unit vector, so its rounding
-# error grows with |u| and |f_i|, which an ill-conditioned E makes large.
+# A certified column has no abundance p_norms_i ((G lam)_i - rhs_i) below
+# -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)): the forward-error
+# bound of that inner product, with |G_ij| <= 1 for unit s_i, so it grows
+# with the multipliers, which points far from the simplex make large.
 CERT_TOL = 1e-12
 
 
@@ -166,9 +168,7 @@ class DykstraTrace:
     last sweep, where the finish runs, so its last entry counts the
     columns the finish could not certify. When the check certifies every
     column, sweep 1 has nothing to sweep: its row reads rel_change 0 and
-    uncertified 0, and the run has converged. Whatever the sweep count,
-    the driver's state is U and tau, two m x n blocks, or U and a
-    gathered U and tau at most half as wide.
+    uncertified 0, and the run has converged.
     """
 
     elapsed_s: np.ndarray
@@ -251,31 +251,36 @@ def _solve_active(
     return lam
 
 
-def _cert_slack(t: SubspaceTransform, u: np.ndarray) -> np.ndarray:
-    """Each abundance of the points u plus its certificate bound.
+def _rhs(t: SubspaceTransform, y0: np.ndarray) -> np.ndarray:
+    """f - S y0 for the points y0 on S, in a fixed order."""
+    return t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
 
-    Negative where the abundance p_norms_i (s_i'u - f_i) is below
-    -CERT_TOL times its rounding scale max(1, p_norms_i (|u| + |f_i|)).
+
+def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, gram=None, lam=None):
+    """Each abundance of the multipliers lam (0 when None) plus its bound.
+
+    rhs holds the columns' f - S y0 and gram is G = S S'. The abundances
+    of y0 + S'lam are p_norms (G lam - rhs), bounded as CERT_TOL says.
     """
-    bound = np.sqrt(_row_dot(u, u))
-    bound = t.p_norms[:, None] * (bound + np.abs(t.f)[:, None])
-    np.maximum(bound, 1.0, out=bound)
-    bound *= CERT_TOL
-    slack = _row_dot(t.s.T[:, :, None], u)
-    slack -= t.f[:, None]
+    slack, scale = -rhs, np.abs(rhs)
+    if lam is not None:
+        slack += _row_dot(gram[:, :, None], lam)
+        scale += _row_dot(np.ones(len(lam)), lam)
+    scale *= t.p_norms[:, None]
+    np.maximum(scale, 1.0, out=scale)
+    scale *= CERT_TOL
     slack *= t.p_norms[:, None]
-    slack += bound
+    slack += scale
     return slack
 
 
 def _interior_tile(t: SubspaceTransform, y0: np.ndarray, tile: slice):
     """Flags of the columns of y0 in tile that are their own projection.
 
-    y0 holds points on S. A column whose abundances all pass the
-    certificate with no constraint active (lam = 0) is the finish's KKT
-    point for the empty active set, so the sweeps have nothing to add.
+    y0 holds points on S. A column that passes the certificate at lam = 0
+    is the finish's KKT point for the empty active set.
     """
-    return _cert_slack(t, y0[:, tile]).min(axis=0) >= 0.0
+    return _cert_slack(t, _rhs(t, y0[:, tile])).min(axis=0) >= 0.0
 
 
 def _finish_tile(
@@ -301,7 +306,7 @@ def _finish_tile(
     u, tau = u[:, tile], tau[:, tile]
     m, k = u.shape
     gram = np.einsum("ir,jr->ij", t.s, t.s)
-    rhs = t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
+    rhs = _rhs(t, y0)
     act = tau > 0
     # All m constraints tight is no point of the simplex; such a seed
     # starts from its m - 1 largest multipliers instead.
@@ -313,29 +318,26 @@ def _finish_tile(
     todo = slice(None)
     for _ in range(3 * m):
         lam = _solve_active(gram, rhs[:, todo], act[:, todo])
-        cand = _row_dot(t.s[:, :, None], lam)
-        cand += y0[:, todo]
         with np.errstate(invalid="ignore"):
-            slack = _cert_slack(t, cand)
+            slack = _cert_slack(t, rhs[:, todo], gram, lam)
             good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
+        cols = np.arange(k)[todo]
+        done = cols[good]
+        u[:, done] = _row_dot(t.s[:, :, None], lam[:, good]) + y0[:, done]
+        tau[:, done] = lam[:, good]
+        certified[done] = True
         # Failing columns drop their most negative multiplier or, when
         # every multiplier is non-negative, add their most violated
         # inactive constraint, then are solved again. A column with
         # neither (it fails on an active constraint's rounding, or its
         # solve failed) stops.
         bad = ~good
-        cols, lam_bad = np.arange(k)[todo][bad], lam[:, bad]
+        cols, lam_bad = cols[bad], lam[:, bad]
         viol = np.where(act[:, cols], np.inf, slack[:, bad])
         drop = lam_bad.min(axis=0) < 0.0
         add = ~drop & (viol.min(axis=0) < 0.0)
         act[lam_bad.argmin(axis=0)[drop], cols[drop]] = False
         act[viol.argmin(axis=0)[add], cols[add]] = True
-        # Certified columns take their point and multipliers; the others
-        # are written back as they were.
-        np.copyto(cand, u[:, todo], where=bad)
-        np.copyto(lam, tau[:, todo], where=bad)
-        u[:, todo], tau[:, todo] = cand, lam
-        certified[todo] = good
         todo = cols[drop | add]
         if todo.size == 0:
             break
@@ -409,9 +411,7 @@ def dykstra_project(
         # The interior check runs on sweep 1's clock. Until it or a
         # finish certifies a column, the swept block is u itself with a
         # full-width tau; after that it is gathered, and cols lists its
-        # columns in u. The check gathers only when it certifies at
-        # least half, so a gathered u and tau never outgrow the
-        # full-width tau they replace.
+        # columns in u.
         tic = time.perf_counter()
         cols = None
         interior = np.concatenate(

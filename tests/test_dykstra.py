@@ -14,7 +14,7 @@ from sudap.errors import NonFinite, ShapeMismatch
 from sudap.io import write_cube, write_library_csv
 from sudap.projectors import project_hyperplane, project_intersection_geometric
 from sudap.simdata import SpectralLibrary, make_instance
-from sudap.solver import solve_oracle_activeset
+from sudap.solver import _oracle_abundances, solve_oracle_activeset
 from sudap.subspace import (
     build_transform,
     forward_transform,
@@ -111,8 +111,8 @@ def _finish_sweeps(trace):
 
 def _interior(t, y):
     """The columns whose Y0 passes the certificate with no active set."""
-    y0 = project_hyperplane(t, y)
-    return dykstra._cert_slack(t, y0).min(axis=0) >= 0.0
+    rhs = dykstra._rhs(t, project_hyperplane(t, y))
+    return dykstra._cert_slack(t, rhs).min(axis=0) >= 0.0
 
 
 def _check_bookkeeping(t, y, u, trace, cfg):
@@ -279,12 +279,26 @@ def test_an_all_interior_cube_records_one_converged_sweep(
     assert widths == {}
 
 
+def _fail_pair_solves(monkeypatch):
+    """Make every batched 2 x 2 solve raise, as a singular system does."""
+    solve = np.linalg.solve
+
+    def fail_on_pairs(a, b):
+        if a.shape[-1] == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_on_pairs)
+
+
 def test_thread_count_does_not_change_a_single_bit(monkeypatch):
-    # Points far outside the feasible set of a nearly square E: 22
-    # columns survive the first checkpoints, so the compacted block is
-    # what the threads split, and tiles of 3 columns leave several tiles
-    # on either side of the compaction.
+    # Points far outside the feasible set of a nearly square E, with
+    # every 2 x 2 solve failing: the columns whose seed has two active
+    # constraints survive the first checkpoints, so the compacted block
+    # is what the threads split, and tiles of 3 columns leave several
+    # tiles on either side of the compaction.
     monkeypatch.setattr(dykstra, "TILE", 3)
+    _fail_pair_solves(monkeypatch)
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     results = []
     for threads in (1, 3, 4):
@@ -300,6 +314,46 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
         assert trace.n_sweeps == trace_ref.n_sweeps
         assert np.array_equal(trace.rel_change, trace_ref.rel_change)
         assert np.array_equal(trace.uncertified, trace_ref.uncertified)
+
+
+@pytest.mark.parametrize("seed, n_bands, m", [(1, 7, 6), (0, 11, 10)])
+def test_points_far_outside_the_simplex_certify_and_match_the_oracle(
+    seed, n_bands, m
+):
+    # Pixels of norm about 1e3 have multipliers up to about 1e4, and
+    # their active abundances round in proportion. A bound that grew
+    # with |U| and |f_i| only left 22 and 280 of these columns
+    # uncertified, the second run at the sweep cap.
+    e, t, y, x = _problem(
+        seed, n_bands=n_bands, m=m, n=400, spread=1000.0, with_x=True
+    )
+    u, trace = dykstra_project(t, y)
+    assert trace.converged and trace.uncertified[-1] == 0
+    a_star = _oracle_abundances(e.data, x)
+    assert np.abs(inverse_transform(t, u) - a_star).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "m, n_bands", [(m, b) for m in (4, 6, 10) for b in (m + 1, 24)]
+)
+def test_every_spread_certifies_at_the_first_checkpoint(m, n_bands):
+    # The certificate's bound follows the multipliers, so pixels near the
+    # simplex and pixels a thousand times farther out certify alike. The
+    # spreads share E, so the oracle runs once on all their columns.
+    spreads = (1.0, 10.0, 100.0, 1000.0)
+    xs, estimates = [], []
+    for spread in spreads:
+        e, t, y, x = _problem(2, n_bands=n_bands, m=m, n=8, spread=spread,
+                              with_x=True)
+        u, trace = dykstra_project(t, y)
+        assert trace.n_sweeps <= FIRST_CHECKPOINT
+        assert trace.uncertified[-1] == 0
+        xs.append(x)
+        estimates.append(inverse_transform(t, u))
+    a_star = np.split(_oracle_abundances(e.data, np.hstack(xs)), len(spreads),
+                      axis=1)
+    for spread, a_hat, a in zip(spreads, estimates, a_star):
+        assert np.abs(a_hat - a).max() <= 1e-11 * spread
 
 
 def _exact(seed, m=5, n=60):
@@ -422,14 +476,7 @@ def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
     u, tau = _swept(t, y, 2)
     u_ref, tau_ref = u.copy(), tau.copy()
     reference = _finish_tile(t, y, u_ref, tau_ref, slice(None))
-    solve = np.linalg.solve
-
-    def fail_on_pairs(a, b):
-        if a.shape[-1] == 2:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", fail_on_pairs)
+    _fail_pair_solves(monkeypatch)
     u_new, tau_new = u.copy(), tau.copy()
     certified = _finish_tile(t, y, u_new, tau_new, slice(None))
     # The columns whose seed has two active constraints fail with their
