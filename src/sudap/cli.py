@@ -262,9 +262,7 @@ def _benchmark_instance(lib, m, n, snr_db, min_angle, stop_re_db, cfg,
         ref = solve_oracle_activeset(e, cube)
     else:
         ref = solve_sudap(
-            e, cube, dataclasses.replace(
-                cfg, max_sweeps=4 * cfg.max_sweeps, rel_tol=1e-13
-            )
+            e, cube, dataclasses.replace(cfg, max_sweeps=4 * cfg.max_sweeps)
         )
         if not ref.trace.converged:
             raise errors.NotConverged(
@@ -411,9 +409,8 @@ def cmd_validate(args) -> int:
         np.random.default_rng(args.seed), 10 * args.instances
     )
     worst_re, worst_sum, converged = -np.inf, 0.0, True
-    cfg = DykstraConfig(rel_tol=1e-12)
     for _, e, cube, a_oracle in oracle_runs(args.seed, args.instances):
-        result = solve_sudap(e, cube, cfg)
+        result = solve_sudap(e, cube)
         worst_re = max(worst_re, relative_error_db(result.a_hat, a_oracle))
         worst_sum = max(
             worst_sum, column_feasibility(result.a_hat).max_sum_violation
@@ -476,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--solver", required=True,
                     choices=["sudap", "ls", "ls-sum1", "oracle"])
     un.add_argument("--out", required=True, help="abundance output file")
-    un.add_argument("--rel-tol", type=float, default=1e-10)
+    un.add_argument("--rel-tol", type=float, default=1e-10,
+                    help="ignored; the certificate decides the stop "
+                    "(kept so that existing command lines still parse)")
     un.add_argument("--max-sweeps", type=int, default=2000)
     un.add_argument("--reference",
                     help="abundance file of the exact optimizer, for RE")
@@ -506,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--min-angle", type=_at_least(0.0), default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
     be.add_argument("--threads", type=int, default=threads)
-    # Benchmark runs solve to a fixed tolerance.
-    be.set_defaults(func=cmd_benchmark, rel_tol=1e-12)
+    be.set_defaults(func=cmd_benchmark)
 
     va = sub.add_parser("validate", help="run seeded self-checks")
     va.add_argument("--seed", type=_at_least(0), default=0)
@@ -529,7 +527,6 @@ def main(argv=None) -> int:
         try:
             args.cfg = DykstraConfig(
                 max_sweeps=args.max_sweeps,
-                rel_tol=args.rel_tol,
                 threads=args.threads,
             )
         except ValueError as exc:

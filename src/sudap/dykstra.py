@@ -57,21 +57,23 @@ U = Y0 + S'lam, the only U formed, is the projection up to rounding. A
 column that fails gets up to 3m drop/add rounds on its active set (the
 active-set method of FCLS); if it still fails, it goes back to sweeping
 with its tau unchanged. Certified columns leave the sweep: after each
-finish the rest are gathered into a dense block, and the sweep and the
-stop bookkeeping run on that block only. The finish reads the block's
-data in place, through the list of its columns, so Y is never gathered.
-The run stops when every column is certified, when the block's relative
-change falls to rel_tol, or after max_sweeps sweeps.
+finish the rest are gathered into a dense block, and the sweep runs on
+that block only. The finish reads the block's data in place, through
+the list of its columns, so Y is never gathered.
+The run stops when every column is certified, or after max_sweeps
+sweeps; only the first counts as converged. A run is never stopped
+because its iterate stopped changing: that says nothing of how far the
+iterate is from the projection.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
 driver cuts the block into tiles of TILE columns, whatever the thread
-count, and runs the interior check, the sweep, its bookkeeping and the
-finish tile by tile, on as many tiles at once as there are threads. The
-per-tile sums of the change test are added in tile order, so the result
-and the trace are the same to the bit at every thread count. The check,
-the sweep and the finish do each column's arithmetic on its own, so a
-column's result does not depend on the tile either.
+count, and runs the interior check, the sweep with its finiteness scan
+and the finish tile by tile, on as many tiles at once as there are
+threads. The check, the sweep and the finish do each column's
+arithmetic on its own, and the tiles' flags are joined in tile order,
+so the result and the trace are the same to the bit at every thread
+count, and a column's result does not depend on its tile.
 """
 
 from __future__ import annotations
@@ -92,9 +94,6 @@ from .projectors import (
 )
 from .subspace import SubspaceTransform
 
-# Guard against a zero-norm iterate in the relative-change denominator.
-REL_CHANGE_EPS = 1e-300
-
 # The exact finish runs after this sweep, and after every doubling of it
 # (2, 4, 8, 16, ...). Two sweeps seed it well enough to certify every
 # pixel of the benchmark scenes and of the ill-conditioned m=20 ones.
@@ -103,7 +102,7 @@ REL_CHANGE_EPS = 1e-300
 # by the finish's whole cost.
 FIRST_CHECKPOINT = 2
 
-# The sweep, its bookkeeping and the finish run on tiles of this many
+# The interior check, the sweep and the finish run on tiles of this many
 # columns, whatever the thread count, so the result does not depend on
 # the count and their temporaries are bounded by the tile. Wider tiles
 # make fewer kernel calls and sweep faster (m=10: 4.6 ms per 40 000
@@ -124,15 +123,12 @@ class DykstraConfig:
     """Run controls for dykstra_project.
 
     The run stops once every column is certified by the exact finish,
-    after max_sweeps sweeps, or earlier once the uncertified block's
-    relative change over one sweep, |U_k - U_{k-1}|_F / |U_k|_F, is at
-    most rel_tol. rel_tol = 0 turns the change test off in practice (it
-    only fires on an exact fixed point), but a run still stops at the
-    checkpoint where its last column is certified, so it no longer gives
-    a fixed-sweep run. threads is how many tiles of TILE columns run at
-    once; it never changes how the columns are cut, and the result is
-    the same to the bit at any count. To watch a run, use
-    dykstra_project's on_sweep.
+    or after max_sweeps sweeps. rel_tol is ignored; the certificate
+    decides the stop. It is kept, with its check, so that callers that
+    still pass it, and the unmix option of the same name, keep working.
+    threads is how many tiles of TILE columns run at once; it never
+    changes how the columns are cut, and the result is the same to the
+    bit at any count. To watch a run, use dykstra_project's on_sweep.
     """
 
     max_sweeps: int = 2000
@@ -157,29 +153,30 @@ class DykstraTrace:
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
     in the interior check (on sweep 1's row), the sweep kernel, the
-    finish and the stop bookkeeping only; the on_sweep observer runs off
+    finish and the compaction only; the on_sweep observer runs off
     the clock, so observed runs time like plain ones. finish_s is the
     part of elapsed_s[-1] spent in the interior check and the finishes.
-    rel_change is the block's relative change over the sweep (the change
-    test's quantity), and uncertified the number of columns not yet
-    certified after the sweep and its finish, if one ran, which is the
-    width of the block the next sweep runs on. uncertified falls at
-    sweep 1, where the interior check runs, at checkpoints and on the
-    last sweep, where the finish runs, so its last entry counts the
-    columns the finish could not certify. When the check certifies every
-    column, sweep 1 has nothing to sweep: its row reads rel_change 0 and
-    uncertified 0, and the run has converged.
+    uncertified is the number of columns not yet certified after the
+    sweep and its finish, if one ran, which is the width of the block
+    the next sweep runs on. uncertified falls at sweep 1, where the
+    interior check runs, at checkpoints and on the last sweep, where the
+    finish runs, so its last entry counts the columns the finish could
+    not certify. When the check certifies every column, sweep 1 has
+    nothing to sweep: its row reads uncertified 0. The run converged
+    when no column is left uncertified (a trace with no rows has none).
     """
 
     elapsed_s: np.ndarray
-    rel_change: np.ndarray
     uncertified: np.ndarray
-    converged: bool = False
     finish_s: float = 0.0
 
     @property
     def n_sweeps(self) -> int:
         return len(self.elapsed_s)
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.uncertified.size == 0 or self.uncertified[-1] == 0)
 
 
 def _tiles(width: int) -> list[slice]:
@@ -192,24 +189,13 @@ def _sweep_tile(
     tau: np.ndarray,
     sweep: int,
     tile: slice,
-) -> tuple[float, float]:
-    """Run one sweep, in place, on the columns of u and tau in tile.
-
-    Returns the tile's sums of |step|^2 and |U|^2 for the change test.
-    They use einsum: np.linalg.norm, and b @ u on wide blocks, wake
-    BLAS's thread pool, which stalled sweeps by 3-15 ms on a 2-CPU host.
-    """
+) -> None:
+    """Run one sweep, in place, on the columns of u and tau in tile."""
     uv, tv = u[:, tile], tau[:, tile]
-    step = uv.copy()
     for i in range(t.n_endmembers):
         project_intersection_geometric(t, i, uv, tv)
     if not np.all(np.isfinite(uv)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
-    step -= uv  # the sweep's step, negated
-    return (
-        np.einsum("ij,ij->", step, step),
-        np.einsum("ij,ij->", uv, uv),
-    )
 
 
 def _solve_active(
@@ -371,8 +357,8 @@ def dykstra_project(
     (u_hat, trace)
         u_hat is m x n with every column on the sum hyperplane to
         roundoff. Certified columns are the exact projection to
-        rounding; on any other column, negative half-space slack
-        shrinks with rel_tol.
+        rounding; any other column is the last sweep's iterate, whose
+        negative half-space slack shrinks as the sweeps go on.
 
     Raises
     ------
@@ -402,11 +388,9 @@ def dykstra_project(
     run = map if executor is None else executor.map
 
     elapsed: list[float] = []
-    rel_changes: list[float] = []
     uncertified: list[int] = []
 
     checkpoint = FIRST_CHECKPOINT
-    converged = False
     try:
         # The interior check runs on sweep 1's clock. Until it or a
         # finish certifies a column, the swept block is u itself with a
@@ -426,16 +410,10 @@ def dykstra_project(
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
             tiles = _tiles(ub.shape[1])
-            rel = 0.0
             certified = None
             if tiles:
-                sums = list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
-                step_sq, u_sq = (sum(col) for col in zip(*sums))
-                rel = math.sqrt(step_sq) / max(
-                    math.sqrt(u_sq), REL_CHANGE_EPS
-                )
-                last = rel <= cfg.rel_tol or sweep == cfg.max_sweeps
-                if sweep == checkpoint or last:
+                list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
+                if sweep == checkpoint or sweep == cfg.max_sweeps:
                     checkpoint *= 2
                     mid = time.perf_counter()
                     certified = np.concatenate(list(run(
@@ -454,13 +432,11 @@ def dykstra_project(
             clock += time.perf_counter() - tic
 
             elapsed.append(clock)
-            rel_changes.append(rel)
             uncertified.append(ub.shape[1])
             if on_sweep is not None:
                 on_sweep(sweep, u_seen)
 
-            if ub.shape[1] == 0 or rel <= cfg.rel_tol:
-                converged = True
+            if ub.shape[1] == 0:
                 break
     finally:
         if executor is not None:
@@ -468,9 +444,7 @@ def dykstra_project(
 
     trace = DykstraTrace(
         elapsed_s=np.asarray(elapsed),
-        rel_change=np.asarray(rel_changes),
         uncertified=np.asarray(uncertified, dtype=np.int64),
-        converged=converged,
         finish_s=finish,
     )
     return u, trace

@@ -86,8 +86,7 @@ class SolveResult:
 
 
 def _empty_trace() -> DykstraTrace:
-    z = np.zeros(0)
-    return DykstraTrace(z, z, np.zeros(0, dtype=np.int64), converged=True)
+    return DykstraTrace(np.zeros(0), np.zeros(0, dtype=np.int64))
 
 
 def _gram_factor(e: EndmemberMatrix):
@@ -184,11 +183,12 @@ def solve_sudap(
     """Fully constrained unmixing through the projected subspace.
 
     x is an ImageCube, or a ReducedCube from reduce_cube for the same E,
-    whose stages and seconds then count towards the result's. With the
-    tolerance driven to zero the output is the unique minimizer of
-    |X - EA|_F^2 over the simplex. Column sums are exact to roundoff at
-    any tolerance; small negative entries can remain when the run stops
-    early and are reported as-is (see clip_negatives).
+    whose stages and seconds then count towards the result's. When the
+    trace reports converged, every pixel is certified as the unique
+    minimizer of |X - EA|_F^2 over the simplex, to rounding. Column sums
+    are exact to roundoff in any case; small negative entries can remain
+    when the run stops at max_sweeps uncertified and are reported as-is
+    (see clip_negatives).
     """
     t0 = time.perf_counter()
     if isinstance(x, ReducedCube):

@@ -64,20 +64,21 @@ def pipeline_runs():
     """50 seeded scenes solved by both routes, with per-run telemetry."""
     runs = []
     started = time.perf_counter()
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
     for m, e, cube, a_oracle in cli.oracle_runs(1000, N_INSTANCES):
         iterates = []
         sudap = solve_sudap(
-            e, cube, cfg, on_sweep=lambda _s, u: iterates.append(u.copy())
+            e, cube, on_sweep=lambda _s, u: iterates.append(u.copy())
         )
         # The exact finish ends most runs at its first checkpoint, before
         # the sweeps show a decay, so the decay is measured on a second
-        # run with the finish put off until the run's last sweep.
+        # run of a fixed 200 sweeps, with the finish put off until the
+        # last of them.
         swept = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
             solve_sudap(
-                e, cube, cfg, on_sweep=lambda _s, u: swept.append(u.copy())
+                e, cube, DykstraConfig(max_sweeps=200),
+                on_sweep=lambda _s, u: swept.append(u.copy()),
             )
         report = column_feasibility(sudap.a_hat)
         b = build_transform(e).b
@@ -241,7 +242,7 @@ def test_noiseless_scenes_are_recovered_exactly():
     _, e, a_true, cube = make_scene(
         lib, 5, 10.0, (64, 64), np.inf, (88, 89, 0)
     )
-    result = solve_sudap(e, cube, DykstraConfig(rel_tol=1e-12))
+    result = solve_sudap(e, cube)
     err = nmse_db(result.a_hat.data, a_true.data)
     ok = err <= -160.0
     _report(
@@ -257,9 +258,8 @@ def test_survey_scale_scene_reaches_the_stopping_error():
         lib, 5, 10.0, (100, 100), 30.0, (99, 100, 101)
     )
     oracle = solve_oracle_activeset(e, cube)
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
     result, hit, time_to, _ = cli.time_to_re(
-        e, cube, oracle.a_hat, cfg, -100.0
+        e, cube, oracle.a_hat, DykstraConfig(), -100.0
     )
     ok = hit > 0
     _report(

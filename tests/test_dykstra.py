@@ -44,7 +44,7 @@ def test_config_rejects_bad_values():
 
 def test_output_stays_on_sum_hyperplane_every_sweep():
     _, t, y = _problem(0)
-    cfg = DykstraConfig(max_sweeps=500, rel_tol=1e-12)
+    cfg = DykstraConfig(max_sweeps=500)
     worst = []
     u, trace = dykstra_project(
         t, y, cfg,
@@ -57,9 +57,7 @@ def test_output_stays_on_sum_hyperplane_every_sweep():
 
 def test_limit_is_feasible_in_abundance_space():
     _, t, y = _problem(1)
-    u, trace = dykstra_project(
-        t, y, DykstraConfig(max_sweeps=3000, rel_tol=1e-13)
-    )
+    u, trace = dykstra_project(t, y, DykstraConfig(max_sweeps=3000))
     assert trace.converged
     a = inverse_transform(t, u)
     assert np.abs(a.sum(axis=0) - 1.0).max() < 1e-11
@@ -76,9 +74,7 @@ def test_limit_matches_exact_segment_minimizer_for_two_endmembers():
     x = rng.standard_normal((12, 80)) * 2.0
     t = build_transform(e)
     y = forward_transform(t, e, x)
-    u, _ = dykstra_project(
-        t, y, DykstraConfig(max_sweeps=5000, rel_tol=1e-14)
-    )
+    u, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
     a_hat = inverse_transform(t, u)
     d = e.data[:, 0] - e.data[:, 1]
     t_star = np.clip((d @ (x - e.data[:, [1]])) / (d @ d), 0.0, 1.0)
@@ -92,7 +88,7 @@ def test_feasible_input_is_a_fixed_point():
     t = build_transform(e)
     a = rng.dirichlet(np.ones(4) * 5.0, size=30).T
     y = t.d @ a
-    u, trace = dykstra_project(t, y, DykstraConfig(rel_tol=1e-12))
+    u, trace = dykstra_project(t, y)
     assert trace.converged
     assert trace.n_sweeps <= 2
     assert np.abs(u - y).max() < 1e-10
@@ -118,7 +114,7 @@ def _interior(t, y):
 def _check_bookkeeping(t, y, u, trace, cfg):
     n = y.shape[1]
     k = trace.n_sweeps
-    assert len(trace.rel_change) == len(trace.uncertified) == k
+    assert len(trace.uncertified) == k
     assert (np.diff(trace.elapsed_s) >= 0).all()
     assert 0.0 <= trace.finish_s <= trace.elapsed_s[-1]
     # Columns are only certified where the finish runs, or at sweep 1 by
@@ -138,48 +134,56 @@ def _check_bookkeeping(t, y, u, trace, cfg):
     assert np.array_equal(
         u[:, interior], project_hyperplane(t, y)[:, interior]
     )
-    # The run converged iff its last sweep certified the last column or
-    # brought the change down to rel_tol.
-    stop = (trace.uncertified == 0) | (trace.rel_change <= cfg.rel_tol)
+    # The run converged iff its last sweep certified the last column;
+    # only that, or the sweep budget, ends it.
+    stop = trace.uncertified == 0
     assert trace.converged == stop[-1]
     assert not stop[:-1].any()
+    assert trace.converged or k == cfg.max_sweeps
 
 
 def test_trace_bookkeeping_is_consistent():
     _, t, y = _problem(4)
-    cfg = DykstraConfig(max_sweeps=400, rel_tol=1e-12)
+    cfg = DykstraConfig(max_sweeps=400)
     u, trace = dykstra_project(t, y, cfg)
     _check_bookkeeping(t, y, u, trace, cfg)
     assert trace.converged
 
 
-def test_zero_tolerance_runs_to_the_sweep_budget(monkeypatch):
-    # With the checkpoints put off, no column can be certified before
-    # the last sweep, and far-from-feasible input cannot hit an exact
-    # fixed point, so the run must use the whole budget.
+def _settled_scene():
+    """Scene 9 of cli.oracle_runs(1000, 50): its sweeps settle by sweep 2."""
+    e, _, cube = make_instance(6, (32, 32), 30.0, 1009)
+    t = build_transform(e)
+    return t, forward_transform(t, e, cube)
+
+
+def test_a_run_without_checkpoints_uses_its_whole_budget(monkeypatch):
+    # The sweeps stop changing long before the budget, but only the
+    # certificate ends a run early: with the checkpoints put off, no
+    # column can be certified before the last sweep, whose finish then
+    # certifies every one.
     monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
-    _, t, y = _problem(5, n=25)
-    budget = 4
-    cfg = DykstraConfig(max_sweeps=budget, rel_tol=0.0)
+    t, y = _settled_scene()
+    cfg = DykstraConfig(max_sweeps=8)
     u, trace = dykstra_project(t, y, cfg)
-    assert trace.n_sweeps == budget
-    assert (trace.uncertified[:-1] == y.shape[1]).all()
+    assert trace.n_sweeps == cfg.max_sweeps
+    assert (trace.uncertified[:-1] == trace.uncertified[0]).all()
+    assert trace.uncertified[0] > 0 and trace.converged
     _check_bookkeeping(t, y, u, trace, cfg)
 
 
-def test_a_run_stopped_by_the_change_test_is_finished(monkeypatch):
-    # Scene 9 of cli.oracle_runs(1000, 50) stops on rel_tol at sweep 2.
-    # With the checkpoints put off, that stop comes before the first
-    # one, and the finish on its last sweep still certifies every pixel.
-    monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
-    e, _, cube = make_instance(6, (32, 32), 30.0, 1009)
-    t = build_transform(e)
-    y = forward_transform(t, e, cube)
-    cfg = DykstraConfig(rel_tol=1e-12)
+def test_a_settled_uncertified_run_is_not_converged(monkeypatch):
+    # A certificate that refuses every point (no abundance can be 1 or
+    # more) leaves every column uncertified. The sweeps have stopped
+    # changing, yet the run must go on to its budget and report it has
+    # not converged.
+    monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+    t, y = _settled_scene()
+    cfg = DykstraConfig(max_sweeps=50)
     u, trace = dykstra_project(t, y, cfg)
-    assert trace.n_sweeps == 2
-    assert trace.rel_change[-1] <= cfg.rel_tol
-    assert trace.uncertified[-1] == 0
+    assert trace.n_sweeps == cfg.max_sweeps
+    assert not trace.converged
+    assert trace.uncertified[-1] == y.shape[1] == 1024
     _check_bookkeeping(t, y, u, trace, cfg)
 
 
@@ -212,7 +216,7 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     interior = _interior(t, y)
     assert n / 2 <= interior.sum() < n
     widths = _swept_widths(monkeypatch)
-    cfg = DykstraConfig(rel_tol=1e-12)
+    cfg = DykstraConfig()
     u, trace = dykstra_project(t, y, cfg)
     assert np.array_equal(
         u[:, interior], project_hyperplane(t, y)[:, interior]
@@ -240,7 +244,7 @@ def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
     n = y.shape[1]
     assert 0 < _interior(t, y).sum() < n / 2
     widths = _swept_widths(monkeypatch)
-    cfg = DykstraConfig(max_sweeps=4, rel_tol=0.0)
+    cfg = DykstraConfig(max_sweeps=4)
     u, trace = dykstra_project(t, y, cfg)
     assert trace.uncertified[0] == n
     assert (trace.uncertified[:-1] == n).all()
@@ -263,7 +267,7 @@ def test_an_all_interior_cube_records_one_converged_sweep(
     u, trace = dykstra_project(t, y, on_sweep=lambda s, _u: seen.append(s))
     assert widths == {} and seen == [1]
     assert trace.n_sweeps == 1 and trace.converged
-    assert trace.rel_change[0] == 0.0 and trace.uncertified[0] == 0
+    assert trace.uncertified[0] == 0
     assert np.array_equal(u, project_hyperplane(t, y))
     write_cube(tmp_path / "scene.cube", cube)
     write_library_csv(
@@ -302,7 +306,7 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     results = []
     for threads in (1, 3, 4):
-        cfg = DykstraConfig(max_sweeps=60, rel_tol=1e-11, threads=threads)
+        cfg = DykstraConfig(max_sweeps=60, threads=threads)
         u, trace = dykstra_project(t, y, cfg)
         results.append((u, trace))
     u_ref, trace_ref = results[0]
@@ -312,7 +316,6 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     for u, trace in results[1:]:
         assert np.array_equal(u, u_ref)
         assert trace.n_sweeps == trace_ref.n_sweeps
-        assert np.array_equal(trace.rel_change, trace_ref.rel_change)
         assert np.array_equal(trace.uncertified, trace_ref.uncertified)
 
 
@@ -494,7 +497,7 @@ def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
 def test_on_sweep_sees_every_live_iterate():
     _, t, y = _problem(7, n=20)
     seen = []
-    cfg = DykstraConfig(max_sweeps=50, rel_tol=1e-10)
+    cfg = DykstraConfig(max_sweeps=50)
     u, trace = dykstra_project(
         t, y, cfg, on_sweep=lambda s, v: seen.append((s, v.copy()))
     )
@@ -504,7 +507,7 @@ def test_on_sweep_sees_every_live_iterate():
 
 def test_on_sweep_cannot_write_the_iterate():
     _, t, y = _problem(7, n=20)
-    cfg = DykstraConfig(max_sweeps=50, rel_tol=1e-10)
+    cfg = DykstraConfig(max_sweeps=50)
 
     def meddle(_sweep, u):
         u[0, 0] = 0.0
@@ -533,9 +536,7 @@ def test_corrections_make_the_limit_the_nearest_point():
     # be farther than the cyclic-projection limit, and on instances with
     # several active constraints it is strictly closer.
     _, t, y = _problem(10, n=30, spread=3.0)
-    u_dyk, _ = dykstra_project(
-        t, y, DykstraConfig(max_sweeps=5000, rel_tol=1e-14)
-    )
+    u_dyk, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
     # Plain cyclic projection is the same step with tau reset to 0.
     v = project_hyperplane(t, y)
     for _ in range(5000):
@@ -563,7 +564,7 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
     for name, t_k, y_k in problems:
         for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
             _, peak = traced_peak(lambda: dykstra_project(
-                t_k, y_k, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
+                t_k, y_k, DykstraConfig(max_sweeps=sweeps)
             ))
             assert peak < 8 * m * n * 8, (
                 f"{name}, {sweeps} sweeps: "
@@ -579,7 +580,7 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
             y_laid = layout(y_k)
             for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
                 _, peak = traced_peak(lambda: dykstra_project(
-                    t_k, y_laid, DykstraConfig(max_sweeps=sweeps, rel_tol=0.0)
+                    t_k, y_laid, DykstraConfig(max_sweeps=sweeps)
                 ))
                 assert peak < 2.5 * m * n * 8, (
                     f"{name}, {layout.__name__}, {sweeps} sweeps: "

@@ -5,7 +5,6 @@ import pytest
 
 from sudap import (
     CurveRecorder,
-    DykstraConfig,
     EndmemberMatrix,
     ImageCube,
     relative_error_db,
@@ -116,8 +115,7 @@ def _recorded_run(every, with_refs=True):
         iterates.append(u.copy())
         recorder(sweep, u)
 
-    cfg = DykstraConfig(max_sweeps=2000, rel_tol=1e-12)
-    _, trace = dykstra_project(t, y, cfg, on_sweep=observe)
+    _, trace = dykstra_project(t, y, on_sweep=observe)
     return e, a_true, cube, t, trace, a_star, recorder, iterates
 
 

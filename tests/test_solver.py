@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sudap.cli as cli
 from sudap import (
     DykstraConfig,
     EndmemberMatrix,
@@ -104,7 +105,7 @@ def test_oracle_beats_every_feasible_competitor():
 def test_sudap_agrees_with_oracle():
     for seed, m in ((35, 3), (36, 5), (37, 8)):
         e, _, x = _random_problem(seed, m=m, n=100)
-        cfg = DykstraConfig(max_sweeps=5000, rel_tol=1e-12)
+        cfg = DykstraConfig(max_sweeps=5000)
         sudap = solve_sudap(e, x, cfg)
         oracle = solve_oracle_activeset(e, x)
         assert relative_error_db(sudap.a_hat, oracle.a_hat) < -120.0
@@ -122,14 +123,13 @@ def test_sudap_output_is_exact_on_clean_interior_data():
     e = random_endmembers(rng, 40, 6)
     a = rng.dirichlet(np.ones(6) * 8.0, size=70).T
     x = ImageCube(e.data @ a, (1, 70))
-    result = solve_sudap(e, x, DykstraConfig(rel_tol=1e-13))
+    result = solve_sudap(e, x)
     assert np.abs(result.a_hat.data - a).max() < 1e-10
 
 
 def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     e, _, x = _random_problem(40, m=5, n=300)
-    cfg = DykstraConfig(rel_tol=1e-12)
-    direct = solve_sudap(e, x, cfg)
+    direct = solve_sudap(e, x)
     stages = ("transform", "forward", "project", "finish", "inverse")
     assert tuple(direct.stages) == stages
     assert min(direct.stages.values()) >= 0.0
@@ -139,7 +139,7 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     reduced = reduce_cube(e, x)
     assert reduced.x_sq == pytest.approx(np.linalg.norm(x.data) ** 2,
                                          rel=1e-13)
-    staged = solve_sudap(e, reduced, cfg)
+    staged = solve_sudap(e, reduced)
     assert np.array_equal(staged.a_hat.data, direct.a_hat.data)
     assert tuple(staged.stages) == stages
     assert staged.stages["forward"] == reduced.stages["forward"]
@@ -147,7 +147,7 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     assert solve_ls(e, x).stages == {}
     other = EndmemberMatrix(e.data[:, :4])
     with pytest.raises(DimensionMismatch):
-        solve_sudap(other, reduced, cfg)
+        solve_sudap(other, reduced)
 
 
 def test_single_endmember_short_circuits():
@@ -268,11 +268,55 @@ def test_ill_conditioned_endmembers_certify_within_a_small_budget():
     for snr in (0.0, 5.0):
         _, e, _, x = make_scene(lib, 20, 5.0, (30, 30), snr,
                                 child_seeds(2, 3))
-        result = solve_sudap(e, x, DykstraConfig(max_sweeps=200,
-                                                 rel_tol=1e-12))
+        result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
         assert result.trace.converged
         assert result.trace.uncertified[-1] == 0
         assert result.trace.n_sweeps == FIRST_CHECKPOINT
         a = result.a_hat.data
         assert a.min() >= -1e-10
         assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-10
+
+
+def _conditioned(seed, m, cond, spread, smallest=1.0, n=200):
+    """E with cond(E'E) = cond, its singular values log-spaced upwards
+    from smallest, and n pixels of N(0, spread^2) noise in 24 bands."""
+    rng = np.random.default_rng(
+        [seed, m, round(np.log10(cond)), round(spread)]
+    )
+    q1, _ = np.linalg.qr(rng.standard_normal((24, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    sv = smallest * np.logspace(0.0, 0.5 * np.log10(cond), m)
+    e = EndmemberMatrix(q1 @ np.diag(sv) @ q2.T)
+    return e, ImageCube(rng.standard_normal((24, n)) * spread, (1, n))
+
+
+@pytest.mark.parametrize("spread", (1.0, 100.0))
+@pytest.mark.parametrize("cond", (1e2, 1e5, 1e8))
+@pytest.mark.parametrize("m", (4, 8))
+def test_a_converged_run_matches_the_oracle_at_any_conditioning(
+    m, cond, spread
+):
+    # A run may end loud (not converged) on an ill-conditioned E, but a
+    # run that reports converged must be the exact answer.
+    e, x = _conditioned(0, m, cond, spread)
+    result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
+    if result.trace.converged:
+        a_star = solve_oracle_activeset(e, x).a_hat
+        assert relative_error_db(result.a_hat, a_star) <= cli.ORACLE_RE_DB
+
+
+@pytest.mark.xfail(strict=True, reason="the certificate's bound grows "
+                   "with the multipliers, which reach 3e5 here")
+def test_far_out_pixels_of_an_ill_conditioned_e_certify_off_the_oracle():
+    # With E's singular values from 1e-4 to 1, pixels of norm about 500
+    # have multipliers up to 3e5, and the certificate's bound on their
+    # abundances, CERT_TOL p_norms_i (|rhs_i| + sum_j lam_j), reaches
+    # about 1e-3. A vertex pixel is certified with active abundances
+    # near -3e-6 instead of 0, so the run reports converged 1e-6 off the
+    # oracle (-112 dB). A 60-digit solve of the same problem agrees
+    # with the oracle to -288 dB.
+    e, x = _conditioned(0, 8, 1e8, 100.0, smallest=1e-4)
+    result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
+    assert result.trace.converged
+    a_star = solve_oracle_activeset(e, x).a_hat
+    assert relative_error_db(result.a_hat, a_star) <= cli.ORACLE_RE_DB
