@@ -32,7 +32,7 @@ import numpy as np
 
 from . import errors
 from . import io as sio
-from .dykstra import DykstraConfig
+from .dykstra import DykstraConfig, _form_u, _rhs
 from .metrics import (
     ConvergenceCurve,
     CurveRecorder,
@@ -48,7 +48,7 @@ from .model import (
 )
 from .projectors import (
     project_hyperplane,
-    project_intersection_geometric,
+    project_intersection_dual,
     project_intersection_kkt,
 )
 from .simdata import (
@@ -372,7 +372,8 @@ def projector_gap(rng, n_triples: int) -> float:
     """Worst |geometric - KKT| projection over random (E, i, Z) triples.
 
     The geometric route is the solver's own step: drop Z onto the
-    hyperplane, then one project_intersection_geometric with tau = 0.
+    hyperplane, giving Y0, take one project_intersection_dual from
+    tau = 0 on rhs = f - S Y0, and form U = Y0 + S'tau as the solver does.
     """
     worst = 0.0
     for _ in range(n_triples):
@@ -385,8 +386,9 @@ def projector_gap(rng, n_triples: int) -> float:
             (m, int(rng.integers(1, 33)))
         )
         i = int(rng.integers(0, m))
-        geo = project_hyperplane(t, z)
-        project_intersection_geometric(t, i, geo, np.zeros_like(geo))
+        tau = np.zeros_like(z)
+        project_intersection_dual(t, i, _rhs(t, project_hyperplane(t, z)), tau)
+        geo = _form_u(t, z, tau)
         kkt = project_intersection_kkt(t, i, z)
         worst = max(worst, float(np.max(np.abs(geo - kkt))))
     return worst

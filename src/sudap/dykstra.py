@@ -19,14 +19,15 @@ that lies on S. On S, P_i(Z) only slides Z along the unit in-plane
 normal s_i of N_i, by tau = max(0, f_i - s_i'Z) per column, so every
 correction is Q_i = Z - P_i(Z) = -s_i tau_i: one scalar per
 constraint per pixel. Carrying tau instead of Q turns the sweep into
-Hildreth's dual coordinate ascent,
+Hildreth's dual coordinate ascent, which keeps U = Y0 + S'tau, with S
+the m x m array of rows s_i. With G = S S' and rhs = f - S Y0, the
+step on N_i reads s_i'U = f_i - rhs_i + (G tau)_i, so the sweep needs
+only tau and rhs:
 
     for i = 1..m:
-        tau_new = max(0, f_i - s_i'U + tau_i)
-        U      <- U + s_i (tau_new - tau_i)
-        tau_i  <- tau_new
+        tau_i <- max(0, rhs_i + tau_i - (G tau)_i)
 
-which keeps U = Y0 + S'tau, with S the m x m array of rows s_i.
+which is m row operations per constraint where carrying U makes 2m.
 
 Many pixels need no sweep at all: when every abundance of Y0 is
 non-negative, Y0 is already the projection (the first step of FCLS,
@@ -34,9 +35,9 @@ Heinz & Chang 2001). Before sweep 1 the driver checks every column of
 Y0 against the finish's certificate, below, with no constraint active
 (lam = 0). If at least half of the columns pass, they are final, with
 the bits the finish would give them, and the rest are gathered into the
-block that is swept; otherwise the check certifies none, and the whole
-of U is swept. The half keeps the gathered U and tau no larger than the
-full-width tau they replace.
+block that is swept; otherwise the check certifies none, and every
+column is swept. The half keeps the gathered rhs and tau no larger than
+the full-width tau they replace.
 
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
@@ -53,17 +54,25 @@ rhs = f - S Y0. A column passes when lam >= 0 and no a_i is below
 -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)), the rounding bound
 of a_i's inner product (Higham 2002, sec. 3.1), as |G_ij| <= 1 for unit
 s_i. These are the projection's KKT conditions, so a passing column's
-U = Y0 + S'lam, the only U formed, is the projection up to rounding. A
-column that fails gets up to 3m drop/add rounds on its active set (the
-active-set method of FCLS); if it still fails, it goes back to sweeping
-with its tau unchanged. Certified columns leave the sweep: after each
-finish the rest are gathered into a dense block, and the sweep runs on
-that block only. The finish reads the block's data in place, through
-the list of its columns, so Y is never gathered.
-The run stops when every column is certified, or after max_sweeps
-sweeps; only the first counts as converged. A run is never stopped
-because its iterate stopped changing: that says nothing of how far the
-iterate is from the projection.
+U = Y0 + S'lam is the projection up to rounding. A column that fails
+gets up to 3m drop/add rounds on its active set (the active-set method
+of FCLS); if it still fails, it goes back to sweeping with its tau
+unchanged. Certified columns leave the sweep: after each finish the
+rest are gathered into a dense block, and the sweep runs on that block
+only. The run stops when every column is certified, or after
+max_sweeps sweeps; only the first counts as converged. A run is never
+stopped because its iterate stopped changing: that says nothing of how
+far the iterate is from the projection.
+
+The driver's m x n state is tau and one block, which holds Y0 at
+first, then rhs for the columns still swept and U for the others.
+U = Y0 + S'tau is formed only for the columns the finish certifies,
+for the columns it did not once the sweep budget is spent, and after
+every sweep of a watched run; it drops the columns of Y onto S again,
+read in place through the list of the block's columns, so Y is never
+copied and no Y0 is kept beside rhs. The m x m products (S Y0, G lam and
+S'tau) go through projectors._block_product; the sweep's row products
+keep _row_dot's fixed order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -88,11 +97,17 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
 from .projectors import (
+    _block_product,
     _row_dot,
     project_hyperplane,
-    project_intersection_geometric,
+    project_intersection_dual,
 )
 from .subspace import SubspaceTransform
+
+# The sweep's kernel, bound to the name of the step on U that it
+# replaced: perfbench's tracer times the sweep kernel at
+# sudap.dykstra.project_intersection_geometric.
+project_intersection_geometric = project_intersection_dual
 
 # The exact finish runs after this sweep, and after every doubling of it
 # (2, 4, 8, 16, ...). Two sweeps seed it well enough to certify every
@@ -105,8 +120,8 @@ FIRST_CHECKPOINT = 2
 # The interior check, the sweep and the finish run on tiles of this many
 # columns, whatever the thread count, so the result does not depend on
 # the count and their temporaries are bounded by the tile. Wider tiles
-# make fewer kernel calls and sweep faster (m=10: 4.6 ms per 40 000
-# columns at 8192 against 5.7 ms here), but the finish holds about
+# make fewer kernel calls and sweep faster (m=10: 4.3 ms per 40 000
+# columns at 8192 against 5.4 ms here), but the finish holds about
 # 17 |A|^2 bytes per column of a tile for its batched solves, besides
 # about ten m x TILE blocks.
 TILE = 4096
@@ -152,9 +167,11 @@ class DykstraTrace:
     when it starts: for the first sweep, all n or those the interior
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
-    in the interior check (on sweep 1's row), the sweep kernel, the
-    finish and the compaction only; the on_sweep observer runs off
-    the clock, so observed runs time like plain ones. finish_s is the
+    in the interior check with the drop onto S that it reads (on sweep
+    1's row), the sweep kernel, the finish and the compaction only.
+    Forming U of the columns still uncertified, after every sweep of a
+    watched run and at the sweep budget, and the on_sweep observer run
+    off the clock, so watched runs time like plain ones. finish_s is the
     part of elapsed_s[-1] spent in the interior check and the finishes.
     uncertified is the number of columns not yet certified after the
     sweep and its finish, if one ran, which is the width of the block
@@ -185,16 +202,22 @@ def _tiles(width: int) -> list[slice]:
 
 def _sweep_tile(
     t: SubspaceTransform,
-    u: np.ndarray,
+    rhs: np.ndarray,
     tau: np.ndarray,
     sweep: int,
     tile: slice,
 ) -> None:
-    """Run one sweep, in place, on the columns of u and tau in tile."""
-    uv, tv = u[:, tile], tau[:, tile]
+    """Run one sweep, in place, on the multipliers tau in tile.
+
+    rhs holds the same columns' f - S y0. Each step is Hildreth's on the
+    multipliers alone, tau_i <- max(0, rhs_i + tau_i - (G tau)_i), so
+    the iterate y0 + S'tau is never formed; a non-finite tau means a
+    non-finite iterate.
+    """
+    rv, tv = rhs[:, tile], tau[:, tile]
     for i in range(t.n_endmembers):
-        project_intersection_geometric(t, i, uv, tv)
-    if not np.all(np.isfinite(uv)):
+        project_intersection_geometric(t, i, rv, tv)
+    if not np.all(np.isfinite(tv)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
 
@@ -238,19 +261,41 @@ def _solve_active(
 
 
 def _rhs(t: SubspaceTransform, y0: np.ndarray) -> np.ndarray:
-    """f - S y0 for the points y0 on S, in a fixed order."""
-    return t.f[:, None] - _row_dot(t.s.T[:, :, None], y0)
+    """f - S y0 for the points y0 on S."""
+    return t.f[:, None] - _block_product(t.s, y0)
 
 
-def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, gram=None, lam=None):
+def _to_rhs(t: SubspaceTransform, y0: np.ndarray, tile: slice) -> None:
+    """Overwrite the points y0 on S in tile with their f - S y0."""
+    y0[:, tile] = _rhs(t, y0[:, tile])
+
+
+def _form_u(t: SubspaceTransform, y: np.ndarray, tau: np.ndarray):
+    """U = Y0 + S'tau for the data y and their multipliers tau."""
+    u = project_hyperplane(t, y)
+    u += _block_product(t.s.T, tau)
+    return u
+
+
+def _form_tile(t, y, u, tau, tile, cols=None):
+    """Write U of the block's columns in tile into their columns of u.
+
+    tau is the block's multipliers; the block's columns are cols[tile]
+    of y and u (tile itself when cols is None).
+    """
+    where = tile if cols is None else cols[tile]
+    u[:, where] = _form_u(t, y[:, where], tau[:, tile])
+
+
+def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam=None):
     """Each abundance of the multipliers lam (0 when None) plus its bound.
 
-    rhs holds the columns' f - S y0 and gram is G = S S'. The abundances
-    of y0 + S'lam are p_norms (G lam - rhs), bounded as CERT_TOL says.
+    rhs holds the columns' f - S y0. The abundances of y0 + S'lam are
+    p_norms (G lam - rhs), bounded as CERT_TOL says.
     """
     slack, scale = -rhs, np.abs(rhs)
     if lam is not None:
-        slack += _row_dot(gram[:, :, None], lam)
+        slack += _block_product(t.gram, lam)
         scale += _row_dot(np.ones(len(lam)), lam)
     scale *= t.p_norms[:, None]
     np.maximum(scale, 1.0, out=scale)
@@ -260,39 +305,41 @@ def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, gram=None, lam=None):
     return slack
 
 
-def _interior_tile(t: SubspaceTransform, y0: np.ndarray, tile: slice):
-    """Flags of the columns of y0 in tile that are their own projection.
+def _interior_tile(
+    t: SubspaceTransform, y: np.ndarray, u: np.ndarray, tile: slice
+):
+    """Write Y0 = P(Y) of the columns in tile into u and flag those that
+    are their own projection.
 
-    y0 holds points on S. A column that passes the certificate at lam = 0
-    is the finish's KKT point for the empty active set.
+    A column whose Y0 passes the certificate at lam = 0 is the finish's
+    KKT point for the empty active set.
     """
-    return _cert_slack(t, _rhs(t, y0[:, tile])).min(axis=0) >= 0.0
+    u[:, tile] = project_hyperplane(t, y[:, tile])
+    return _cert_slack(t, _rhs(t, u[:, tile])).min(axis=0) >= 0.0
 
 
 def _finish_tile(
     t: SubspaceTransform,
     y: np.ndarray,
     u: np.ndarray,
+    rhs: np.ndarray,
     tau: np.ndarray,
     tile: slice,
     cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Replace each column by its exact projection where that certifies.
+    """Certify what columns of the block it can, with their exact projection.
 
-    Works in place on the columns of the blocks u and tau in tile. Their
-    data are the columns cols[tile] of y (tile itself when cols is
-    None), which it drops onto S itself. The seed active set of a column
-    is {i : tau_i > 0}, less its smallest tau_i when that is all m
-    constraints. A certified column gets its KKT point in u and its
-    multipliers in tau; any other column is left untouched. Returns the
-    tile's certified flags. Products accumulate in a fixed order, so
-    each column's result is its own, whatever the tile.
+    Works on the columns in tile of the block's rhs (f - S y0) and
+    multipliers tau, whose data are the columns cols[tile] of y (tile
+    itself when cols is None). The seed active set of a column is
+    {i : tau_i > 0}, less its smallest tau_i when that is all m
+    constraints. A certified column gets its multipliers in tau and its
+    KKT point y0 + S'lam in its column of u; any other column is left
+    untouched, and rhs is only read. Returns the tile's certified flags.
+    Each column's result is its own, whatever the tile.
     """
-    y0 = project_hyperplane(t, y[:, tile if cols is None else cols[tile]])
-    u, tau = u[:, tile], tau[:, tile]
-    m, k = u.shape
-    gram = np.einsum("ir,jr->ij", t.s, t.s)
-    rhs = _rhs(t, y0)
+    rhs, tau = rhs[:, tile], tau[:, tile]
+    m, k = tau.shape
     act = tau > 0
     # All m constraints tight is no point of the simplex; such a seed
     # starts from its m - 1 largest multipliers instead.
@@ -301,15 +348,18 @@ def _finish_tile(
     certified = np.zeros(k, dtype=bool)
     # The first round solves the whole tile on views of its blocks;
     # later ones solve the columns left, by index.
-    todo = slice(None)
+    whole = todo = slice(None)
     for _ in range(3 * m):
-        lam = _solve_active(gram, rhs[:, todo], act[:, todo])
+        lam = _solve_active(t.gram, rhs[:, todo], act[:, todo])
         with np.errstate(invalid="ignore"):
-            slack = _cert_slack(t, rhs[:, todo], gram, lam)
+            slack = _cert_slack(t, rhs[:, todo], lam)
             good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
-        cols = np.arange(k)[todo]
-        done = cols[good]
-        u[:, done] = _row_dot(t.s[:, :, None], lam[:, good]) + y0[:, done]
+        if todo is whole and good.all():
+            tau[...] = lam
+            certified[...] = True
+            break
+        idx = np.arange(k)[todo]
+        done = idx[good]
         tau[:, done] = lam[:, good]
         certified[done] = True
         # Failing columns drop their most negative multiplier or, when
@@ -318,15 +368,22 @@ def _finish_tile(
         # neither (it fails on an active constraint's rounding, or its
         # solve failed) stops.
         bad = ~good
-        cols, lam_bad = cols[bad], lam[:, bad]
-        viol = np.where(act[:, cols], np.inf, slack[:, bad])
+        idx, lam_bad = idx[bad], lam[:, bad]
+        viol = np.where(act[:, idx], np.inf, slack[:, bad])
         drop = lam_bad.min(axis=0) < 0.0
         add = ~drop & (viol.min(axis=0) < 0.0)
-        act[lam_bad.argmin(axis=0)[drop], cols[drop]] = False
-        act[viol.argmin(axis=0)[add], cols[add]] = True
-        todo = cols[drop | add]
+        act[lam_bad.argmin(axis=0)[drop], idx[drop]] = False
+        act[viol.argmin(axis=0)[add], idx[add]] = True
+        todo = idx[drop | add]
         if todo.size == 0:
             break
+    # A tile certified whole is written by slice when it can be.
+    where = tile if cols is None else cols[tile]
+    if not certified.all():
+        where = np.arange(u.shape[1])[where][certified]
+        tau = tau[:, certified]
+    if certified.any():
+        u[:, where] = _form_u(t, y[:, where], tau)
     return certified
 
 
@@ -380,7 +437,7 @@ def dykstra_project(
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
-    u = project_hyperplane(t, y)
+    u = np.empty((m, n))
     u_seen = u.view()
     u_seen.flags.writeable = False
 
@@ -392,51 +449,61 @@ def dykstra_project(
 
     checkpoint = FIRST_CHECKPOINT
     try:
-        # The interior check runs on sweep 1's clock. Until it or a
-        # finish certifies a column, the swept block is u itself with a
-        # full-width tau; after that it is gathered, and cols lists its
-        # columns in u.
+        # The interior check, with the drop onto S that it reads, runs
+        # on sweep 1's clock. Until it or a finish certifies a column,
+        # the swept block's rhs is u itself (a copy of it in a watched
+        # run, whose u shows every sweep's iterate), with a full-width
+        # tau; after that it is gathered, and cols lists its columns in u.
         tic = time.perf_counter()
         cols = None
         interior = np.concatenate(
-            list(run(partial(_interior_tile, t, u), _tiles(n)))
+            list(run(partial(_interior_tile, t, y, u), _tiles(n)))
         )
         if 2 * np.count_nonzero(interior) >= n:
             cols = np.flatnonzero(~interior)
-        ub = u if cols is None else u[:, cols]
-        tb = np.zeros_like(ub)
-        clock = finish = time.perf_counter() - tic
+        finish = time.perf_counter() - tic
+        if cols is not None:
+            rb = u.take(cols, axis=1)
+        else:
+            rb = u if on_sweep is None else u.copy()
+        list(run(partial(_to_rhs, t, rb), _tiles(rb.shape[1])))
+        tb = np.zeros_like(rb)
+        clock = time.perf_counter() - tic
 
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
-            tiles = _tiles(ub.shape[1])
+            tiles = _tiles(rb.shape[1])
             certified = None
             if tiles:
-                list(run(partial(_sweep_tile, t, ub, tb, sweep), tiles))
+                list(run(partial(_sweep_tile, t, rb, tb, sweep), tiles))
                 if sweep == checkpoint or sweep == cfg.max_sweeps:
                     checkpoint *= 2
                     mid = time.perf_counter()
-                    certified = np.concatenate(list(run(
-                        partial(_finish_tile, t, y, ub, tb, cols=cols), tiles
-                    )))
+                    certified = np.concatenate(list(run(partial(
+                        _finish_tile, t, y, u, rb, tb, cols=cols
+                    ), tiles)))
                     finish += time.perf_counter() - mid
-            if cols is not None:
-                u[:, cols] = ub
             if certified is not None and certified.any():
                 keep = np.flatnonzero(~certified)
                 cols = keep if cols is None else cols[keep]
                 # One block at a time, so that only one gathered copy
-                # lives beside the blocks it replaces.
-                ub = ub[:, keep]
-                tb = tb[:, keep]
+                # lives beside the blocks it replaces. take, unlike
+                # rb[:, keep], gathers into C order, whose rows the
+                # sweep reads without a stride.
+                rb = rb.take(keep, axis=1)
+                tb = tb.take(keep, axis=1)
             clock += time.perf_counter() - tic
+            if on_sweep is not None or sweep == cfg.max_sweeps:
+                # The columns still uncertified get U = Y0 + S'tau in u.
+                list(run(partial(_form_tile, t, y, u, tb, cols=cols),
+                         _tiles(rb.shape[1])))
 
             elapsed.append(clock)
-            uncertified.append(ub.shape[1])
+            uncertified.append(rb.shape[1])
             if on_sweep is not None:
                 on_sweep(sweep, u_seen)
 
-            if ub.shape[1] == 0:
+            if rb.shape[1] == 0:
                 break
     finally:
         if executor is not None:

@@ -27,6 +27,41 @@ def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+# BLAS blocks for _block_product, in columns. On OpenBLAS 0.3.31
+# (Haswell kernels) a column's bits from a @ z depend on z's width:
+# at m >= 20, widths w with w mod 8 in 1..4 take an edge kernel, and a
+# Fortran-ordered block of 511 columns differs at m = 14. Multiples of 8
+# columns all take the main kernel. Blocks of at most 512 columns also
+# never wake the BLAS thread pool, which stalled a 20 x 4096 product
+# for milliseconds at two threads.
+BLAS_BLOCK = 512
+BLAS_PAD = 8
+
+
+def _block_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a small matrix a, each column's bits its own.
+
+    z's columns go to BLAS in blocks of BLAS_BLOCK, passed as views; the
+    last, narrower block is copied into a zeroed block whose width is a
+    multiple of BLAS_PAD. So a column's result is the same whatever the
+    width, offset and layout of the z it came in, as with _row_dot, at
+    a fraction of its cost; test_projectors probes the rule on the
+    installed BLAS.
+    """
+    width = z.shape[1]
+    out = np.empty((a.shape[0], width))
+    full = width - width % BLAS_BLOCK
+    for lo in range(0, full, BLAS_BLOCK):
+        hi = lo + BLAS_BLOCK
+        np.matmul(a, z[:, lo:hi], out=out[:, lo:hi])
+    tail = width - full
+    if tail:
+        pad = np.zeros((z.shape[0], -(-tail // BLAS_PAD) * BLAS_PAD))
+        pad[:, :tail] = z[:, full:]
+        out[:, full:] = (a @ pad)[:, :tail]
+    return out
+
+
 def _check_index(t: SubspaceTransform, i: int) -> None:
     if not 0 <= i < t.n_endmembers:
         raise IndexOutOfRange(
@@ -60,7 +95,8 @@ def project_intersection_geometric(
         tau_i   = tau_new
 
     With tau = 0 this is the plain projection of u. u is updated one
-    row at a time, so no m x n temporary is made.
+    row at a time, so no m x n temporary is made. The solver runs the
+    same step on the multipliers alone (project_intersection_dual).
     """
     _check_index(t, i)
     s, tau_i = t.s[i], tau[i]
@@ -73,6 +109,26 @@ def project_intersection_geometric(
         u[k] += s[k] * delta
 
 
+def project_intersection_dual(
+    t: SubspaceTransform, i: int, rhs: np.ndarray, tau: np.ndarray
+) -> None:
+    """project_intersection_geometric's step, in place on tau alone.
+
+    rhs holds f - S y0 for m x n points y0 on the sum hyperplane, and
+    tau the multipliers of the points u = y0 + S'tau, which are never
+    formed. With G = S S' (t.gram), s_i'u = f_i - rhs_i + (G tau)_i, so
+    the step on half space i is
+
+        tau_i <- max(0, rhs_i + tau_i - (G tau)_i),
+
+    m row operations where the step on u makes 2m.
+    """
+    _check_index(t, i)
+    tau_new = rhs[i] - _row_dot(t.gram[i], tau)
+    tau_new += tau[i]
+    np.maximum(tau_new, 0.0, out=tau[i])
+
+
 def project_intersection_kkt(
     t: SubspaceTransform, i: int, z: np.ndarray
 ) -> np.ndarray:
@@ -82,9 +138,10 @@ def project_intersection_kkt(
     d_i'u >= 0 directly: the equality multiplier gives the shift
     z~ = c (b'z - 1), and the inequality multiplier is active exactly
     when the shifted point has (D^{-1}(z - z~))_i < 0. Kept as an
-    independent route for cross-checking project_intersection_geometric,
-    which gives the same point, to rounding, for
-    u = project_hyperplane(z) and tau = 0.
+    independent route for cross-checking the solver's step,
+    project_intersection_dual, which gives the same point, to rounding,
+    as y0 + S'tau from y0 = project_hyperplane(z), rhs = f - S y0 and
+    tau = 0.
     """
     _check_index(t, i)
     z = np.asarray(z, dtype=np.float64)

@@ -58,6 +58,10 @@ class SubspaceTransform:
         hyperplane iff s_i'u >= f_i.
     p_norms : np.ndarray
         Norms |P d_i| used to build s and f.
+    gram : np.ndarray
+        G = S S', the m x m Gram matrix of the unit normals s_i (unit
+        diagonal to rounding). Every step and certificate that works on
+        the multipliers alone reads it.
     """
 
     d: np.ndarray
@@ -67,6 +71,7 @@ class SubspaceTransform:
     s: np.ndarray
     f: np.ndarray
     p_norms: np.ndarray
+    gram: np.ndarray
 
     @property
     def n_endmembers(self) -> int:
@@ -125,7 +130,8 @@ def build_transform(e: EndmemberMatrix) -> SubspaceTransform:
     s = pd / p_norms[:, None]
     f = -(d_inv @ c) / p_norms
     return SubspaceTransform(
-        d=d, d_inv=d_inv, b=b, c=c, s=s, f=f, p_norms=p_norms
+        d=d, d_inv=d_inv, b=b, c=c, s=s, f=f, p_norms=p_norms,
+        gram=np.einsum("ir,jr->ij", s, s),
     )
 
 

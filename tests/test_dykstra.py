@@ -202,9 +202,9 @@ def _swept_widths(monkeypatch):
     widths = {}
     sweep_tile = dykstra._sweep_tile
 
-    def recorded(t, u, tau, sweep, tile):
-        widths[sweep] = u.shape[1]
-        return sweep_tile(t, u, tau, sweep, tile)
+    def recorded(t, rhs, tau, sweep, tile):
+        widths[sweep] = rhs.shape[1]
+        return sweep_tile(t, rhs, tau, sweep, tile)
 
     monkeypatch.setattr(dykstra, "_sweep_tile", recorded)
     return widths
@@ -226,9 +226,10 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     _check_bookkeeping(t, y, u, trace, cfg)
     # With the check stubbed out, the interior columns are swept and
     # finished with the rest, and every column gets the same bits.
+    interior_tile = dykstra._interior_tile
     monkeypatch.setattr(
         dykstra, "_interior_tile",
-        lambda t, y0, tile: np.zeros(y0[:, tile].shape[1], dtype=bool),
+        lambda t, y, u, tile: interior_tile(t, y, u, tile) & False,
     )
     u_swept, trace_swept = dykstra_project(t, y, cfg)
     assert trace_swept.uncertified[0] == n
@@ -374,25 +375,24 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     extra = int(np.flatnonzero(~zero[:, j])[0])
     tau = zero[:, [j]].astype(float)
     tau[extra] = 1.0
-    y0 = project_hyperplane(t, y[:, [j]])
+    rhs = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
     # The seed's own solve fails on a negative multiplier, so only a
     # drop round can certify the column.
-    lam = _solve_active(t.s @ t.s.T, t.f[:, None] - t.s @ y0, tau > 0)
+    lam = _solve_active(t.gram, rhs, tau > 0)
     assert lam.min() < 0.0
-    u = y0.copy()
-    assert _finish_tile(t, y[:, [j]], u, tau, slice(None)).all()
+    u = np.zeros_like(rhs)
+    assert _finish_tile(t, y[:, [j]], u, rhs, tau, slice(None)).all()
     assert np.abs(u - u_star[:, [j]]).max() < 1e-10
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
 
 def _swept(t, y, sweeps):
-    """The iterate and multipliers after a few full sweeps."""
-    u = project_hyperplane(t, y)
-    tau = np.zeros_like(u)
-    for _ in range(sweeps):
-        for i in range(t.n_endmembers):
-            project_intersection_geometric(t, i, u, tau)
-    return u, tau
+    """The block's rhs and its multipliers after a few full sweeps."""
+    rhs = dykstra._rhs(t, project_hyperplane(t, y))
+    tau = np.zeros_like(rhs)
+    for sweep in range(1, sweeps + 1):
+        dykstra._sweep_tile(t, rhs, tau, sweep, slice(None))
+    return rhs, tau
 
 
 def test_finish_starts_a_seed_with_every_constraint_active():
@@ -402,9 +402,10 @@ def test_finish_starts_a_seed_with_every_constraint_active():
     # before its first solve, and certifies every column at the first
     # checkpoint.
     _, t, y = _problem(6, n_bands=5, m=4, n=400, spread=100.0)
-    u, tau = _swept(t, y, FIRST_CHECKPOINT)
+    rhs, tau = _swept(t, y, FIRST_CHECKPOINT)
     assert (tau > 0).all(axis=0).sum() >= 10
-    assert _finish_tile(t, y, u, tau, slice(None)).all()
+    u = np.zeros_like(rhs)
+    assert _finish_tile(t, y, u, rhs, tau, slice(None)).all()
     _, trace = dykstra_project(t, y)
     assert trace.n_sweeps == FIRST_CHECKPOINT
     assert trace.uncertified[-1] == 0 and trace.converged
@@ -412,24 +413,25 @@ def test_finish_starts_a_seed_with_every_constraint_active():
 
 def test_finish_leaves_failing_columns_untouched(monkeypatch):
     t, y, u_star, _ = _exact(13)
-    u, tau = _swept(t, y, 3)
-    u_before, tau_before = u.copy(), tau.copy()
+    rhs, tau = _swept(t, y, 3)
+    rhs_before, tau_before = rhs.copy(), tau.copy()
+    u = np.zeros_like(rhs)
     # No point can pass a certificate asking for abundances of 1 or more.
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
-    assert not _finish_tile(t, y, u, tau, slice(None)).any()
-    assert np.array_equal(u, u_before)
+    assert not _finish_tile(t, y, u, rhs, tau, slice(None)).any()
+    assert (u == 0.0).all()
     assert np.array_equal(tau, tau_before)
     monkeypatch.undo()
-    assert _finish_tile(t, y, u, tau, slice(None)).all()
+    assert _finish_tile(t, y, u, rhs, tau, slice(None)).all()
     assert np.abs(u - u_star).max() < 1e-10
+    assert np.array_equal(rhs, rhs_before)
 
 
 def test_sized_solve_matches_a_solve_per_column():
     _, t, y = _problem(14, m=6, n=50)
     m, k = y.shape
-    y0 = project_hyperplane(t, y)
-    gram = t.s @ t.s.T
-    rhs = t.f[:, None] - t.s @ y0
+    gram = t.gram
+    rhs = dykstra._rhs(t, project_hyperplane(t, y))
     # Active sets of every size the finish meets, in mixed order.
     rng = np.random.default_rng(14)
     sizes = rng.permutation(np.resize([0, 1, 2, m - 1, m], k))
@@ -462,36 +464,102 @@ def test_sized_solve_matches_a_solve_per_column():
 
 def test_finish_gives_a_column_the_same_bits_in_any_tile():
     t, y, u_star, _ = _exact(14, m=6, n=80)
-    u, tau = _swept(t, y, 2)
-    u_all, tau_all = u.copy(), tau.copy()
-    certified = _finish_tile(t, y, u_all, tau_all, slice(None))
+    rhs, tau = _swept(t, y, 2)
+    u_all, tau_all = np.zeros_like(rhs), tau.copy()
+    certified = _finish_tile(t, y, u_all, rhs, tau_all, slice(None))
     assert certified.all()
     assert np.abs(u_all - u_star).max() < 1e-10
     for j in range(y.shape[1]):
-        u_j, tau_j = u[:, [j]].copy(), tau[:, [j]].copy()
-        assert _finish_tile(t, y[:, [j]], u_j, tau_j, slice(None))[0]
+        # A column's rhs, taken alone, has the bits it has in the block.
+        rhs_j = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
+        assert np.array_equal(rhs_j, rhs[:, [j]])
+        u_j, tau_j = np.zeros_like(rhs_j), tau[:, [j]].copy()
+        assert _finish_tile(t, y[:, [j]], u_j, rhs_j, tau_j, slice(None))[0]
         assert np.array_equal(u_j[:, 0], u_all[:, j])
         assert np.array_equal(tau_j[:, 0], tau_all[:, j])
 
 
 def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
     t, y, _, _ = _exact(13)
-    u, tau = _swept(t, y, 2)
-    u_ref, tau_ref = u.copy(), tau.copy()
-    reference = _finish_tile(t, y, u_ref, tau_ref, slice(None))
+    rhs, tau = _swept(t, y, 2)
+    u_ref, tau_ref = np.zeros_like(rhs), tau.copy()
+    reference = _finish_tile(t, y, u_ref, rhs, tau_ref, slice(None))
     _fail_pair_solves(monkeypatch)
-    u_new, tau_new = u.copy(), tau.copy()
-    certified = _finish_tile(t, y, u_new, tau_new, slice(None))
+    u_new, tau_new = np.zeros_like(rhs), tau.copy()
+    certified = _finish_tile(t, y, u_new, rhs, tau_new, slice(None))
     # The columns whose seed has two active constraints fail with their
     # group and are left untouched; the other groups still certify,
     # with the bits they get when no solve fails.
     pairs = (tau > 0).sum(axis=0) == 2
     assert pairs.any() and not certified[pairs].any()
     assert reference.all() and certified[~pairs].all()
-    assert np.array_equal(u_new[:, ~certified], u[:, ~certified])
+    assert (u_new[:, ~certified] == 0.0).all()
     assert np.array_equal(tau_new[:, ~certified], tau[:, ~certified])
     assert np.array_equal(u_new[:, certified], u_ref[:, certified])
     assert np.array_equal(tau_new[:, certified], tau_ref[:, certified])
+
+
+def _cyclic_sweeps(t, y, sweeps):
+    """Hildreth's sweeps carried on U, as the driver ran them before."""
+    u = project_hyperplane(t, y)
+    tau = np.zeros_like(u)
+    for _ in range(sweeps):
+        for i in range(t.n_endmembers):
+            project_intersection_geometric(t, i, u, tau)
+    return u
+
+
+def _watched_and_plain(t, y, cfg):
+    seen = []
+    watched = dykstra_project(
+        t, y, cfg, on_sweep=lambda s, v: seen.append(v.copy())
+    )
+    return watched, dykstra_project(t, y, cfg), seen
+
+
+@pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
+def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
+    # A watched run forms U of the swept columns after every sweep, a
+    # plain one only for the columns the finish certifies and, at the
+    # sweep budget, for the rest. Both give each column the same bits.
+    # "mixed" stops at its budget with some columns certified and the
+    # rest in a gathered block; "uncertified" certifies none, so its
+    # swept block is u itself in the plain run.
+    if case == "certified":
+        t, y = _mostly_interior(22, n=300)
+        cfg = DykstraConfig()
+    elif case == "mixed":
+        monkeypatch.setattr(dykstra, "TILE", 7)
+        _fail_pair_solves(monkeypatch)
+        _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
+        cfg = DykstraConfig(max_sweeps=3)
+    else:
+        monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+        t, y = _settled_scene()
+        cfg = DykstraConfig(max_sweeps=5)
+    (u_w, trace_w), (u_p, trace_p), seen = _watched_and_plain(t, y, cfg)
+    assert np.array_equal(u_w, u_p)
+    assert np.array_equal(seen[-1], u_p)
+    assert trace_w.n_sweeps == trace_p.n_sweeps == len(seen)
+    assert np.array_equal(trace_w.uncertified, trace_p.uncertified)
+    _check_bookkeeping(t, y, u_p, trace_p, cfg)
+    left = trace_p.uncertified[-1]
+    if case == "certified":
+        assert left == 0 and trace_p.uncertified[0] < y.shape[1]
+        return
+    assert trace_p.n_sweeps == cfg.max_sweeps
+    assert 0 < left and (case == "uncertified") == (left == y.shape[1])
+    # An uncertified column's U is formed from its multipliers: the
+    # iterate the same sweeps reach on U. The certified columns are far
+    # from that iterate, so exactly the uncertified ones agree with it.
+    u_cyc = _cyclic_sweeps(t, y, cfg.max_sweeps)
+    off = np.abs(u_p - u_cyc).max(axis=0)
+    assert (off <= 1e-12 * np.abs(u_cyc).max()).sum() == left
+    if case == "uncertified":
+        # With nothing certified, every watched sweep shows that iterate.
+        for sweep, v in enumerate(seen, 1):
+            u_k = _cyclic_sweeps(t, y, sweep)
+            assert np.abs(v - u_k).max() <= 1e-12 * np.abs(u_k).max()
 
 
 def test_on_sweep_sees_every_live_iterate():
@@ -549,8 +617,8 @@ def test_corrections_make_the_limit_the_nearest_point():
 
 
 def test_driver_memory_does_not_grow_with_m(monkeypatch):
-    # The driver keeps the iterate and one multiplier per constraint and
-    # pixel, not one m x n correction matrix per constraint, so its peak
+    # The driver keeps one m x n block and one multiplier per constraint
+    # and pixel, not one m x n correction matrix per constraint, so its peak
     # is a few m x n blocks whatever m is. Every run ends in the finish;
     # the longer ones also reach the first checkpoint. Nearly every
     # column of the first problem is outside the simplex, so its interior
@@ -571,9 +639,9 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
                 f"peak {peak / (m * n * 8):.2f} m*n floats"
             )
     # On tiles of 256 columns the finish's temporaries are small, so the
-    # peak shows the state itself: U and tau, or U and a gathered U and
-    # tau no wider than half of it, with no copy of Y in either layout
-    # and no stored Y0.
+    # peak shows the state itself: u (Y0, then rhs or U) and tau, or u
+    # and a gathered rhs and tau no wider than half of it, with no copy
+    # of Y in either layout and no Y0 kept beside rhs.
     monkeypatch.setattr(dykstra, "TILE", 256)
     for name, t_k, y_k in problems:
         for layout in (np.ascontiguousarray, np.asfortranarray):

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sudap.errors import IndexOutOfRange
 from sudap.projectors import (
     project_hyperplane,
+    project_intersection_dual,
     project_intersection_geometric,
     project_intersection_kkt,
 )
@@ -98,6 +105,78 @@ def test_kkt_and_geometric_routes_agree():
         assert np.abs(step_u - expected).max() < 1e-12
         assert (step_tau >= 0).all()
         assert np.array_equal(np.delete(step_tau, i, 0), np.delete(tau, i, 0))
+
+
+def test_the_step_on_the_multipliers_is_the_step_on_u():
+    # u = y0 + S'tau for any multipliers tau >= 0; one step on half space
+    # i moves tau_i alike whether it reads u or only rhs = f - S y0.
+    t = _transform(16)
+    rng = np.random.default_rng(17)
+    y0 = project_hyperplane(t, rng.standard_normal((6, 300)) * 4.0)
+    tau = rng.exponential(2.0, size=y0.shape) * (rng.random(y0.shape) < 0.5)
+    rhs = t.f[:, None] - t.s @ y0
+    for i in range(6):
+        u_geo, tau_geo = y0 + t.s.T @ tau, tau.copy()
+        project_intersection_geometric(t, i, u_geo, tau_geo)
+        tau_dual = tau.copy()
+        project_intersection_dual(t, i, rhs, tau_dual)
+        assert np.abs(tau_dual - tau_geo).max() < 1e-12
+        assert np.abs(y0 + t.s.T @ tau_dual - u_geo).max() < 1e-12
+        assert np.array_equal(np.delete(tau_dual, i, 0), np.delete(tau, i, 0))
+    with pytest.raises(IndexOutOfRange):
+        project_intersection_dual(t, 6, rhs, tau)
+
+
+# Probes projectors._block_product on the installed BLAS. Every column of
+# every case (m, width, offset, layout of z, and a as given or as the
+# transpose of a C array, as S' is) must get the bits it gets alone.
+# Prints the mismatch count, the case count and a digest of those bits.
+_PROBE_BLOCK_PRODUCT = """
+import hashlib, json
+import numpy as np
+from sudap.projectors import _block_product
+rng = np.random.default_rng(5)
+widths = list(range(1, 70)) + [255, 511, 512, 513, 1025, 2047]
+bad = cases = 0
+digest = hashlib.sha256()
+for m in (2, 5, 10, 14, 20, 24, 30):
+    wide = rng.standard_normal((m, 2200))
+    for a in (rng.standard_normal((m, m)), rng.standard_normal((m, m)).T):
+        alone = np.hstack([_block_product(a, wide[:, [j]])
+                           for j in range(wide.shape[1])])
+        digest.update(alone.tobytes())
+        for w in widths:
+            for lo in (0, 1, 3, 8, 100):
+                z = wide[:, lo:lo + w]
+                spread = np.zeros((m, 2 * w))
+                spread[:, ::2] = z
+                for laid in (np.ascontiguousarray(z), np.asfortranarray(z),
+                             z, spread[:, ::2]):
+                    cases += 1
+                    bad += not np.array_equal(_block_product(a, laid),
+                                              alone[:, lo:lo + w])
+print(json.dumps([bad, cases, digest.hexdigest()]))
+"""
+
+
+def test_block_product_gives_each_column_its_own_bits_on_this_blas():
+    root = Path(__file__).resolve().parent.parent
+    results = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   OMP_NUM_THREADS=blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE_BLOCK_PRODUCT],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        results.append(json.loads(proc.stdout.splitlines()[-1]))
+    for bad, cases, _ in results:
+        assert cases == 2 * 7 * 75 * 5 * 4
+        assert bad == 0, f"{bad} of {cases} cases changed a column's bits"
+    assert results[0][2] == results[1][2]
 
 
 def test_kkt_route_invariant_to_offset_shift():
