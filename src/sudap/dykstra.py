@@ -66,13 +66,15 @@ far the iterate is from the projection.
 
 The driver's m x n state is tau and one block, which holds Y0 at
 first, then rhs for the columns still swept and U for the others.
-U = Y0 + S'tau is formed only for the columns the finish certifies,
-for the columns it did not once the sweep budget is spent, and after
-every sweep of a watched run; it drops the columns of Y onto S again,
-read in place through the list of the block's columns, so Y is never
-copied and no Y0 is kept beside rhs. The m x m products (S Y0, G lam and
-S'tau) go through projectors._block_product; the sweep's row products
-keep _row_dot's fixed order.
+The finish only certifies, writing lam into tau. After the interior
+check, one function, _form_tile, writes U = Y0 + S'tau: for the columns
+each finish certifies, on its clock, and off it for the columns still
+uncertified, after every sweep of a watched run and at the sweep
+budget. It drops those columns of Y onto S again, gathered a tile at a
+time through cols, the index in Y of each block column, so Y is never
+copied whole and no Y0 is kept beside rhs. The m x m products (S Y0,
+G lam and S'tau) go through projectors._block_product; the sweep's row
+products keep _row_dot's fixed order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -168,7 +170,8 @@ class DykstraTrace:
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
     in the interior check with the drop onto S that it reads (on sweep
-    1's row), the sweep kernel, the finish and the compaction only.
+    1's row), the sweep kernel, the finish (with U of the columns it
+    certifies) and the compaction only.
     Forming U of the columns still uncertified, after every sweep of a
     watched run and at the sweep budget, and the on_sweep observer run
     off the clock, so watched runs time like plain ones. finish_s is the
@@ -277,14 +280,15 @@ def _form_u(t: SubspaceTransform, y: np.ndarray, tau: np.ndarray):
     return u
 
 
-def _form_tile(t, y, u, tau, tile, cols=None):
-    """Write U of the block's columns in tile into their columns of u.
+def _form_tile(t, y, u, tau, cols, pick, tile):
+    """Write U = Y0 + S'tau of the block columns pick[tile] into u.
 
-    tau is the block's multipliers; the block's columns are cols[tile]
-    of y and u (tile itself when cols is None).
+    tau holds the block's multipliers; block column j is column cols[j]
+    of y and u. Gathers one tile, so its temporaries are bounded by it.
     """
-    where = tile if cols is None else cols[tile]
-    u[:, where] = _form_u(t, y[:, where], tau[:, tile])
+    where = pick[tile]
+    into = cols[where]
+    u[:, into] = _form_u(t, y[:, into], tau[:, where])
 
 
 def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam=None):
@@ -319,24 +323,17 @@ def _interior_tile(
 
 
 def _finish_tile(
-    t: SubspaceTransform,
-    y: np.ndarray,
-    u: np.ndarray,
-    rhs: np.ndarray,
-    tau: np.ndarray,
-    tile: slice,
-    cols: np.ndarray | None = None,
+    t: SubspaceTransform, rhs: np.ndarray, tau: np.ndarray, tile: slice
 ) -> np.ndarray:
-    """Certify what columns of the block it can, with their exact projection.
+    """Certify what columns of the block it can, by their exact multipliers.
 
     Works on the columns in tile of the block's rhs (f - S y0) and
-    multipliers tau, whose data are the columns cols[tile] of y (tile
-    itself when cols is None). The seed active set of a column is
-    {i : tau_i > 0}, less its smallest tau_i when that is all m
-    constraints. A certified column gets its multipliers in tau and its
-    KKT point y0 + S'lam in its column of u; any other column is left
-    untouched, and rhs is only read. Returns the tile's certified flags.
-    Each column's result is its own, whatever the tile.
+    multipliers tau. The seed active set of a column is {i : tau_i > 0},
+    less its smallest tau_i when that is all m constraints. A certified
+    column gets its KKT multipliers lam in tau, and the driver then
+    forms its U with _form_tile; any other column is left untouched,
+    and rhs is only read. Returns the tile's certified flags. Each
+    column's result is its own, whatever the tile.
     """
     rhs, tau = rhs[:, tile], tau[:, tile]
     m, k = tau.shape
@@ -377,13 +374,6 @@ def _finish_tile(
         todo = idx[drop | add]
         if todo.size == 0:
             break
-    # A tile certified whole is written by slice when it can be.
-    where = tile if cols is None else cols[tile]
-    if not certified.all():
-        where = np.arange(u.shape[1])[where][certified]
-        tau = tau[:, certified]
-    if certified.any():
-        u[:, where] = _form_u(t, y[:, where], tau)
     return certified
 
 
@@ -453,16 +443,15 @@ def dykstra_project(
         # on sweep 1's clock. Until it or a finish certifies a column,
         # the swept block's rhs is u itself (a copy of it in a watched
         # run, whose u shows every sweep's iterate), with a full-width
-        # tau; after that it is gathered, and cols lists its columns in u.
+        # tau; after that it is gathered. cols lists its columns in u.
         tic = time.perf_counter()
-        cols = None
         interior = np.concatenate(
             list(run(partial(_interior_tile, t, y, u), _tiles(n)))
         )
-        if 2 * np.count_nonzero(interior) >= n:
-            cols = np.flatnonzero(~interior)
+        gather = 2 * np.count_nonzero(interior) >= n
+        cols = np.flatnonzero(~interior) if gather else np.arange(n)
         finish = time.perf_counter() - tic
-        if cols is not None:
+        if gather:
             rb = u.take(cols, axis=1)
         else:
             rb = u if on_sweep is None else u.copy()
@@ -479,13 +468,16 @@ def dykstra_project(
                 if sweep == checkpoint or sweep == cfg.max_sweeps:
                     checkpoint *= 2
                     mid = time.perf_counter()
-                    certified = np.concatenate(list(run(partial(
-                        _finish_tile, t, y, u, rb, tb, cols=cols
-                    ), tiles)))
+                    certified = np.concatenate(list(run(
+                        partial(_finish_tile, t, rb, tb), tiles
+                    )))
+                    done = np.flatnonzero(certified)
+                    list(run(partial(_form_tile, t, y, u, tb, cols, done),
+                             _tiles(done.size)))
                     finish += time.perf_counter() - mid
             if certified is not None and certified.any():
                 keep = np.flatnonzero(~certified)
-                cols = keep if cols is None else cols[keep]
+                cols = cols[keep]
                 # One block at a time, so that only one gathered copy
                 # lives beside the blocks it replaces. take, unlike
                 # rb[:, keep], gathers into C order, whose rows the
@@ -495,8 +487,9 @@ def dykstra_project(
             clock += time.perf_counter() - tic
             if on_sweep is not None or sweep == cfg.max_sweeps:
                 # The columns still uncertified get U = Y0 + S'tau in u.
-                list(run(partial(_form_tile, t, y, u, tb, cols=cols),
-                         _tiles(rb.shape[1])))
+                left = np.arange(rb.shape[1])
+                list(run(partial(_form_tile, t, y, u, tb, cols, left),
+                         _tiles(left.size)))
 
             elapsed.append(clock)
             uncertified.append(rb.shape[1])

@@ -28,7 +28,9 @@ held whole). read_cube and read_abundance instead fill the whole
 channels x pixels view in Fortran order, with no copy; a short read
 fails there too, and the ImageCube or AbundanceMatrix that wraps the
 matrix checks it for non-finite values, once, in an error that names
-the file. The writer writes that pixel-major buffer as it is.
+the file. Both are model.finite_sum_of_squares, whose pass is |X|^2
+(ContainerReader.sum_sq, ImageCube.sum_sq). The writer writes that
+pixel-major buffer as it is.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
@@ -37,7 +39,6 @@ float64 round trips.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import struct
 
@@ -52,7 +53,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .metrics import ConvergenceCurve
-from .model import AbundanceMatrix, ImageCube, sum_of_squares
+from .model import AbundanceMatrix, ImageCube, finite_sum_of_squares
 from .simdata import SpectralLibrary
 
 _HEADER = struct.Struct("<4sIIIII")
@@ -268,24 +269,14 @@ class ContainerReader:
         self.sum_sq = 0.0
         for lo in range(0, n, width):
             tile = _read_exactly(self._fh, self.path, buf[:min(width, n - lo)])
-            self.sum_sq += self._check_finite(tile, lo)
+            try:
+                self.sum_sq += finite_sum_of_squares(tile, "tile")
+            except NonFinite:
+                raise NonFinite(
+                    f"{self.path}: non-finite value among pixels "
+                    f"{lo}..{lo + tile.shape[0] - 1}"
+                ) from None
             yield tile.T
-
-    def _check_finite(self, tile: np.ndarray, lo: int) -> float:
-        """The tile's sum of squares, or NonFinite on a NaN or infinity.
-
-        A finite sum proves every entry finite in one pass; a sum that
-        overflowed on finite entries is told apart by the extremes.
-        """
-        sq = sum_of_squares(tile)
-        if not math.isfinite(sq) and not (
-            np.isfinite(tile.min()) and np.isfinite(tile.max())
-        ):
-            raise NonFinite(
-                f"{self.path}: non-finite value among pixels "
-                f"{lo}..{lo + tile.shape[0] - 1}"
-            )
-        return sq
 
     def read(self) -> np.ndarray:
         """The whole payload as a channels x pixels matrix.

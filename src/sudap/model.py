@@ -3,11 +3,15 @@
 Pixels are columns throughout: an image cube is an n_bands x n_pixels
 matrix plus (rows, cols) metadata, abundances are m x n_pixels. All types
 are immutable after construction and safe to share across workers.
+
+One finiteness check, finite_sum_of_squares, serves every matrix here
+and every tile io streams; its pass is the sum of squares, |X|^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,26 +24,35 @@ EPS_SUM = 1e-9
 EPS_NEG = 1e-7
 
 
-def _as_matrix(data, name: str) -> np.ndarray:
+def sum_of_squares(arr: np.ndarray) -> float:
+    """One BLAS dot of arr's entries, in memory order: ravel(order="K")
+    copies no C- or Fortran-ordered array. NaN and infinity propagate."""
+    flat = arr.ravel(order="K")
+    return float(flat @ flat)
+
+
+def finite_sum_of_squares(arr: np.ndarray, name: str) -> float:
+    """arr's sum of squares, or NonFinite naming it on a NaN or infinity.
+
+    A finite sum proves every entry finite in one pass. Only a sum that
+    is not finite reads the extremes, which tell an overflow of finite
+    entries (the sum is then inf, and no error) from a NaN or infinity.
+    """
+    with np.errstate(over="ignore"):
+        sq = sum_of_squares(arr)
+    if not math.isfinite(sq) and not (
+        np.isfinite(arr.min()) and np.isfinite(arr.max())
+    ):
+        raise NonFinite(f"{name} contains non-finite entries")
+    return sq
+
+
+def _as_matrix(data, name: str) -> tuple[np.ndarray, float]:
+    """data as a float64 matrix, checked finite, and its sum of squares."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    # NaN propagates through min and max, and an infinity is an extreme,
-    # so this is exact without an isfinite temporary of the matrix's size.
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise NonFinite(f"{name} contains non-finite entries")
-    return arr
-
-
-def sum_of_squares(arr: np.ndarray) -> float:
-    """The sum of the squares of every entry of arr.
-
-    One BLAS dot of the entries in memory order, which ravel(order="K")
-    views without a copy for a C- or Fortran-ordered array. NaN and
-    infinity propagate into the sum.
-    """
-    flat = arr.ravel(order="K")
-    return float(flat @ flat)
+    return arr, finite_sum_of_squares(arr, name)
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,7 @@ class EndmemberMatrix:
     wavelengths: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "endmember matrix")
+        arr, _ = _as_matrix(self.data, "endmember matrix")
         object.__setattr__(self, "data", arr)
         n_bands, m = arr.shape
         if m < 1:
@@ -85,15 +98,19 @@ class ImageCube:
     The (rows, cols) shape is metadata only; all math treats the cube as a
     flat pixel list. data need not be C-contiguous: io.read_cube hands
     out the Fortran-ordered transpose of the pixel-major file payload.
+    sum_sq is |X|_F^2, from the finiteness check on construction, as
+    io.ContainerReader.sum_sq is for a streamed cube.
     """
 
     data: np.ndarray
     shape: tuple[int, int]
     wavelengths: np.ndarray | None = None
+    sum_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "image cube")
+        arr, sum_sq = _as_matrix(self.data, "image cube")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "sum_sq", sum_sq)
         rows, cols = self.shape
         object.__setattr__(self, "shape", (int(rows), int(cols)))
         if rows < 1 or cols < 1 or rows * cols != arr.shape[1]:
@@ -128,7 +145,7 @@ class AbundanceMatrix:
     feasible: bool = False
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, "abundance matrix")
+        arr, _ = _as_matrix(self.data, "abundance matrix")
         object.__setattr__(self, "data", arr)
         rows, cols = self.shape
         object.__setattr__(self, "shape", (int(rows), int(cols)))

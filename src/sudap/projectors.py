@@ -136,16 +136,15 @@ def project_intersection_kkt(
 
     Solves the stationarity conditions of min |u - z|^2 s.t. b'u = 1,
     d_i'u >= 0 directly: the equality multiplier gives the shift
-    z~ = c (b'z - 1), and the inequality multiplier is active exactly
-    when the shifted point has (D^{-1}(z - z~))_i < 0. Kept as an
-    independent route for cross-checking the solver's step,
-    project_intersection_dual, which gives the same point, to rounding,
-    as y0 + S'tau from y0 = project_hyperplane(z), rhs = f - S y0 and
-    tau = 0.
+    z~ = c (b'z - 1), made by project_hyperplane, and the inequality
+    multiplier is active exactly when the shifted point has
+    (D^{-1}(z - z~))_i < 0. Kept as an independent route for
+    cross-checking the solver's step, project_intersection_dual, which
+    gives the same point, to rounding, as y0 + S'tau from
+    y0 = project_hyperplane(z), rhs = f - S y0 and tau = 0.
     """
     _check_index(t, i)
-    z = np.asarray(z, dtype=np.float64)
-    w = z - np.outer(t.c, _row_dot(t.b, z) - 1.0)
+    w = project_hyperplane(t, z)
     tau = -_row_dot(t.d_inv[i], w) / t.p_norms[i]
     np.maximum(tau, 0.0, out=tau)
     return w + np.outer(t.s[i], tau)

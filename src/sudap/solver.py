@@ -4,9 +4,9 @@ Four solvers share one result type:
 
 * solve_sudap: the subspace route. Transform, project with Dykstra's
   scheme, map back. Handles both constraints. Its first two stages,
-  the transform and the forward map, are also reduce_cube, which can
-  stream the cube from a file: the solver sees the cube only through
-  its reduced form.
+  the transform and the forward map, are reduce_cube, which every cube
+  enters through, in memory or streamed from a file: the solver sees
+  the cube only through its reduced form.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   closed form.
@@ -37,7 +37,6 @@ from .model import (
     AbundanceMatrix,
     EndmemberMatrix,
     ImageCube,
-    sum_of_squares,
     validate_dimensions,
 )
 from .subspace import (
@@ -144,22 +143,15 @@ class ReducedCube:
         return self.y.shape[1]
 
 
-def _transform_and_forward(e: EndmemberMatrix, x):
-    tic = time.perf_counter()
-    t = build_transform(e)
-    mid = time.perf_counter()
-    y = forward_transform(t, e, x)
-    stages = {"transform": mid - tic, "forward": time.perf_counter() - mid}
-    return t, y, stages
-
-
 def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
     """Transform and forward map: the cube reduced to the subspace.
 
     x is an ImageCube, or a cube file opened with io.open_cube, which is
-    read here one tile at a time and never held whole; |X|^2 then comes
-    from the reader's per-tile sums. Pass the result to solve_sudap, to
-    metrics.objective and to metrics.CurveRecorder.
+    read here one tile at a time and never held whole. Either source
+    carries |X|^2 as sum_sq, from the finiteness check it made (on
+    construction, or tile by tile as it is read), so the cube is not
+    summed again. Pass the result to solve_sudap, to metrics.objective
+    and to metrics.CurveRecorder.
 
     Raises
     ------
@@ -167,11 +159,12 @@ def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
         As build_transform; one endmember is degenerate here.
     """
     validate_dimensions(e, x)
-    t, y, stages = _transform_and_forward(e, x)
-    x_sq = getattr(x, "sum_sq", None)
-    if x_sq is None:
-        x_sq = sum_of_squares(x.data)
-    return ReducedCube(t, y, x_sq, x.shape, stages)
+    tic = time.perf_counter()
+    t = build_transform(e)
+    mid = time.perf_counter()
+    y = forward_transform(t, e, x)
+    stages = {"transform": mid - tic, "forward": time.perf_counter() - mid}
+    return ReducedCube(t, y, x.sum_sq, x.shape, stages)
 
 
 def solve_sudap(
@@ -182,25 +175,26 @@ def solve_sudap(
 ) -> SolveResult:
     """Fully constrained unmixing through the projected subspace.
 
-    x is an ImageCube, or a ReducedCube from reduce_cube for the same E,
-    whose stages and seconds then count towards the result's. When the
-    trace reports converged, every pixel is certified as the unique
-    minimizer of |X - EA|_F^2 over the simplex, to rounding. Column sums
-    are exact to roundoff in any case; small negative entries can remain
-    when the run stops at max_sweeps uncertified and are reported as-is
-    (see clip_negatives).
+    x is a ReducedCube from reduce_cube for the same E, whose stages
+    and seconds then count towards the result's, or an ImageCube, which
+    is reduced here by reduce_cube (unless E has one endmember, which
+    makes every abundance 1). When the trace reports converged, every
+    pixel is certified as the unique minimizer of |X - EA|_F^2 over the
+    simplex, to rounding. Column sums are exact to roundoff in any case;
+    small negative entries can remain when the run stops at max_sweeps
+    uncertified and are reported as-is (see clip_negatives).
     """
     t0 = time.perf_counter()
     if isinstance(x, ReducedCube):
         if x.y.shape[0] != e.n_endmembers:
             raise DimensionMismatch(e.n_endmembers, x.y.shape[0])
-        t, y, stages = x.t, x.y, dict(x.stages)
-        t0 -= sum(stages.values())
+        t0 -= sum(x.stages.values())
     else:
         validate_dimensions(e, x)
         if e.n_endmembers == 1:
             return _ones_result(x, "sudap", t0)
-        t, y, stages = _transform_and_forward(e, x)
+        x = reduce_cube(e, x)
+    t, y, stages = x.t, x.y, dict(x.stages)
     tic = time.perf_counter()
     u, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
     mid = time.perf_counter()

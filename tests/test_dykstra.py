@@ -367,6 +367,16 @@ def _exact(seed, m=5, n=60):
     return t, y, t.d @ a_star, a_star == 0.0
 
 
+def _finish(t, y, rhs, tau):
+    """The finish's flags, and U of the columns it certified (0 elsewhere),
+    formed as the driver forms it."""
+    certified = _finish_tile(t, rhs, tau, slice(None))
+    u = np.zeros_like(rhs)
+    dykstra._form_tile(t, y, u, tau, np.arange(y.shape[1]),
+                       np.flatnonzero(certified), slice(None))
+    return certified, u
+
+
 def test_finish_certifies_a_seed_with_one_extra_constraint():
     t, y, u_star, zero = _exact(12)
     m = t.n_endmembers
@@ -380,8 +390,8 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     # drop round can certify the column.
     lam = _solve_active(t.gram, rhs, tau > 0)
     assert lam.min() < 0.0
-    u = np.zeros_like(rhs)
-    assert _finish_tile(t, y[:, [j]], u, rhs, tau, slice(None)).all()
+    certified, u = _finish(t, y[:, [j]], rhs, tau)
+    assert certified.all()
     assert np.abs(u - u_star[:, [j]]).max() < 1e-10
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
@@ -404,8 +414,7 @@ def test_finish_starts_a_seed_with_every_constraint_active():
     _, t, y = _problem(6, n_bands=5, m=4, n=400, spread=100.0)
     rhs, tau = _swept(t, y, FIRST_CHECKPOINT)
     assert (tau > 0).all(axis=0).sum() >= 10
-    u = np.zeros_like(rhs)
-    assert _finish_tile(t, y, u, rhs, tau, slice(None)).all()
+    assert _finish_tile(t, rhs, tau, slice(None)).all()
     _, trace = dykstra_project(t, y)
     assert trace.n_sweeps == FIRST_CHECKPOINT
     assert trace.uncertified[-1] == 0 and trace.converged
@@ -415,14 +424,13 @@ def test_finish_leaves_failing_columns_untouched(monkeypatch):
     t, y, u_star, _ = _exact(13)
     rhs, tau = _swept(t, y, 3)
     rhs_before, tau_before = rhs.copy(), tau.copy()
-    u = np.zeros_like(rhs)
     # No point can pass a certificate asking for abundances of 1 or more.
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
-    assert not _finish_tile(t, y, u, rhs, tau, slice(None)).any()
-    assert (u == 0.0).all()
+    assert not _finish_tile(t, rhs, tau, slice(None)).any()
     assert np.array_equal(tau, tau_before)
     monkeypatch.undo()
-    assert _finish_tile(t, y, u, rhs, tau, slice(None)).all()
+    certified, u = _finish(t, y, rhs, tau)
+    assert certified.all()
     assert np.abs(u - u_star).max() < 1e-10
     assert np.array_equal(rhs, rhs_before)
 
@@ -465,16 +473,17 @@ def test_sized_solve_matches_a_solve_per_column():
 def test_finish_gives_a_column_the_same_bits_in_any_tile():
     t, y, u_star, _ = _exact(14, m=6, n=80)
     rhs, tau = _swept(t, y, 2)
-    u_all, tau_all = np.zeros_like(rhs), tau.copy()
-    certified = _finish_tile(t, y, u_all, rhs, tau_all, slice(None))
+    tau_all = tau.copy()
+    certified, u_all = _finish(t, y, rhs, tau_all)
     assert certified.all()
     assert np.abs(u_all - u_star).max() < 1e-10
     for j in range(y.shape[1]):
         # A column's rhs, taken alone, has the bits it has in the block.
         rhs_j = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
         assert np.array_equal(rhs_j, rhs[:, [j]])
-        u_j, tau_j = np.zeros_like(rhs_j), tau[:, [j]].copy()
-        assert _finish_tile(t, y[:, [j]], u_j, rhs_j, tau_j, slice(None))[0]
+        tau_j = tau[:, [j]].copy()
+        certified_j, u_j = _finish(t, y[:, [j]], rhs_j, tau_j)
+        assert certified_j[0]
         assert np.array_equal(u_j[:, 0], u_all[:, j])
         assert np.array_equal(tau_j[:, 0], tau_all[:, j])
 
@@ -482,11 +491,11 @@ def test_finish_gives_a_column_the_same_bits_in_any_tile():
 def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
     t, y, _, _ = _exact(13)
     rhs, tau = _swept(t, y, 2)
-    u_ref, tau_ref = np.zeros_like(rhs), tau.copy()
-    reference = _finish_tile(t, y, u_ref, rhs, tau_ref, slice(None))
+    tau_ref = tau.copy()
+    reference, u_ref = _finish(t, y, rhs, tau_ref)
     _fail_pair_solves(monkeypatch)
-    u_new, tau_new = np.zeros_like(rhs), tau.copy()
-    certified = _finish_tile(t, y, u_new, rhs, tau_new, slice(None))
+    tau_new = tau.copy()
+    certified, u_new = _finish(t, y, rhs, tau_new)
     # The columns whose seed has two active constraints fail with their
     # group and are left untouched; the other groups still certify,
     # with the bits they get when no solve fails.
@@ -560,6 +569,42 @@ def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
         for sweep, v in enumerate(seen, 1):
             u_k = _cyclic_sweeps(t, y, sweep)
             assert np.abs(v - u_k).max() <= 1e-12 * np.abs(u_k).max()
+
+
+@pytest.mark.parametrize("case", ["interior", "budget"])
+def test_a_plain_run_forms_each_swept_column_once(monkeypatch, case):
+    # U is formed for the columns each finish certifies and, at the
+    # budget, for the rest; the interior check's columns keep Y0. So in a
+    # plain run the widths formed add up to the columns the check left.
+    if case == "interior":
+        t, y = _mostly_interior(20)
+        cfg = DykstraConfig()
+    else:
+        monkeypatch.setattr(dykstra, "TILE", 7)
+        _fail_pair_solves(monkeypatch)
+        _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
+        cfg = DykstraConfig(max_sweeps=3)
+    formed = []
+    form_u = dykstra._form_u
+
+    def recorded(t, y, tau):
+        formed.append(tau.shape[1])
+        return form_u(t, y, tau)
+
+    monkeypatch.setattr(dykstra, "_form_u", recorded)
+    n = y.shape[1]
+    interior = _interior(t, y).sum()
+    if 2 * interior < n:
+        interior = 0
+    u, trace = dykstra_project(t, y, cfg)
+    if case == "interior":
+        assert interior > 0 and trace.converged
+        assert trace.n_sweeps == FIRST_CHECKPOINT
+    else:
+        assert interior == 0 and not trace.converged
+        assert 0 < trace.uncertified[-1] < trace.uncertified[0] == n
+    assert sum(formed) == n - interior
+    _check_bookkeeping(t, y, u, trace, cfg)
 
 
 def test_on_sweep_sees_every_live_iterate():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import sudap.cli as cli
+from sudap import io, metrics, model, solver
 from sudap import (
     DykstraConfig,
     EndmemberMatrix,
@@ -148,6 +151,32 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     other = EndmemberMatrix(e.data[:, :4])
     with pytest.raises(DimensionMismatch):
         solve_sudap(other, reduced)
+
+
+def test_an_image_cube_enters_the_solve_through_reduce_cube(monkeypatch):
+    # The finiteness check made on construction gives the cube its
+    # |X|^2, so neither the solve nor the objective sums the cube again.
+    # (The abundance matrix the solve returns is checked, and summed, as
+    # every matrix is.)
+    e, _, x = _random_problem(41, m=5, n=300)
+    assert x.sum_sq == model.sum_of_squares(x.data)
+    summed = []
+    for module in (model, solver, io, metrics):
+        real = getattr(module, "sum_of_squares", None)
+        if real is not None:
+            monkeypatch.setattr(
+                module, "sum_of_squares",
+                lambda arr, real=real: summed.append(arr.shape) or real(arr),
+            )
+    direct = solve_sudap(e, x)
+    objective(e, x, direct.a_hat)
+    assert summed and x.data.shape not in summed
+    # Finite entries whose squares overflow: no error and no warning,
+    # and |X|^2 is inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = ImageCube(np.full((3, 12), 1e300), (3, 4))
+    assert huge.sum_sq == np.inf
 
 
 def test_single_endmember_short_circuits():
