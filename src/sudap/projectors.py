@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .subspace import SubspaceTransform
+# _block_product lives with the transform, whose inverse map uses it;
+# the driver imports it from here with the projectors' row products.
+from .subspace import SubspaceTransform, _block_product
 
 
 def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -24,41 +26,6 @@ def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = v[0] * z[0]
     for k in range(1, v.shape[0]):
         out += v[k] * z[k]
-    return out
-
-
-# BLAS blocks for _block_product, in columns. On OpenBLAS 0.3.31
-# (Haswell kernels) a column's bits from a @ z depend on z's width:
-# at m >= 20, widths w with w mod 8 in 1..4 take an edge kernel, and a
-# Fortran-ordered block of 511 columns differs at m = 14. Multiples of 8
-# columns all take the main kernel. Blocks of at most 512 columns also
-# never wake the BLAS thread pool, which stalled a 20 x 4096 product
-# for milliseconds at two threads.
-BLAS_BLOCK = 512
-BLAS_PAD = 8
-
-
-def _block_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a small matrix a, each column's bits its own.
-
-    z's columns go to BLAS in blocks of BLAS_BLOCK, passed as views; the
-    last, narrower block is copied into a zeroed block whose width is a
-    multiple of BLAS_PAD. So a column's result is the same whatever the
-    width, offset and layout of the z it came in, as with _row_dot, at
-    a fraction of its cost; test_projectors probes the rule on the
-    installed BLAS.
-    """
-    width = z.shape[1]
-    out = np.empty((a.shape[0], width))
-    full = width - width % BLAS_BLOCK
-    for lo in range(0, full, BLAS_BLOCK):
-        hi = lo + BLAS_BLOCK
-        np.matmul(a, z[:, lo:hi], out=out[:, lo:hi])
-    tail = width - full
-    if tail:
-        pad = np.zeros((z.shape[0], -(-tail // BLAS_PAD) * BLAS_PAD))
-        pad[:, :tail] = z[:, full:]
-        out[:, full:] = (a @ pad)[:, :tail]
     return out
 
 

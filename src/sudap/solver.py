@@ -253,38 +253,52 @@ def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
         [ 1'    0 ] [mu ] = [ 1 ],   G = E'E,  h = E'x.
 
     A candidate wins if a_F >= -PRIMAL_TOL and the multipliers of the
-    pinned coordinates, (G a - h)_Z + mu, all clear -DUAL_TOL. The true
-    solution is unique, so the first winner is the answer.
+    pinned coordinates, lambda = G_ZF a_F - h_Z + mu, all clear
+    -DUAL_TOL. The true solution is unique, so the first winner is the
+    answer.
 
-    Each candidate system is factored once and solved for every pixel
-    still unresolved, which keeps the subset loop off the per-pixel
-    path.
+    Each candidate system is factored once and solved for the r pixels
+    still unresolved. Their columns of h are gathered once and shrink
+    with them, so a set costs O(m r) beyond its factorization, not
+    O(m n): the work follows the unresolved pixels, as in FC-NNLS (Van
+    Benthem & Keenan 2004).
     """
     m = e.shape[1]
-    n = x.shape[1]
     g = e.T @ e
     h = e.T @ x
 
-    def bordered(free: tuple) -> np.ndarray:
-        f = len(free)
+    def bordered(free: np.ndarray) -> np.ndarray:
+        f = free.size
         k = np.zeros((f + 1, f + 1))
-        k[:f, :f] = g[np.ix_(free, free)]
+        k[:f, :f] = g[free[:, None], free]
         k[:f, f] = 1.0
         k[f, :f] = 1.0
         return k
 
-    a_hat = np.empty((m, n))
-    every = tuple(range(m))
+    def solve(lu, h_free: np.ndarray) -> np.ndarray:
+        # The right-hand side is built in LAPACK's column order, which
+        # lu_solve then overwrites with the solution instead of copying.
+        # g and h are finite (E and X were checked), so neither call
+        # scans its operands again.
+        f, r = h_free.shape
+        rhs = np.empty((f + 1, r), order="F")
+        rhs[:f] = h_free
+        rhs[f] = 1.0
+        return scipy.linalg.lu_solve(
+            lu, rhs, overwrite_b=True, check_finite=False
+        )
+
+    every = np.arange(m)
     try:
-        lu = scipy.linalg.lu_factor(bordered(every))
+        lu = scipy.linalg.lu_factor(bordered(every), check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NoKKTPoint(f"stationarity system is singular: {exc}") from None
-    rhs = np.vstack([h, np.ones((1, n))])
-    sol = scipy.linalg.lu_solve(lu, rhs)
-    a0 = sol[:m]
-    interior = (a0 >= -PRIMAL_TOL).all(axis=0)
-    a_hat[:, interior] = a0[:, interior]
-    remaining = np.flatnonzero(~interior)
+    a0 = solve(lu, h)[:m]
+    # The full-set solve is the answer for every interior pixel; the
+    # others' columns are overwritten as their sets are found.
+    a_hat = np.ascontiguousarray(a0)
+    remaining = np.flatnonzero(~(a0 >= -PRIMAL_TOL).all(axis=0))
+    h_r = h[:, remaining]
 
     for size in range(1, m):
         if remaining.size == 0:
@@ -292,29 +306,29 @@ def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
         for zeroed in itertools.combinations(range(m), size):
             if remaining.size == 0:
                 break
-            free = tuple(i for i in every if i not in zeroed)
+            pinned = np.array(zeroed)
+            free = np.delete(every, pinned)
             try:
-                lu = scipy.linalg.lu_factor(bordered(free))
+                lu = scipy.linalg.lu_factor(
+                    bordered(free), check_finite=False
+                )
             except scipy.linalg.LinAlgError:
                 continue
-            f = len(free)
-            rhs = np.vstack(
-                [h[free, :][:, remaining], np.ones((1, remaining.size))]
-            )
-            sol = scipy.linalg.lu_solve(lu, rhs)
+            f = free.size
+            sol = solve(lu, h_r[free])
             a_free = sol[:f]
-            mu = sol[f]
             primal = (a_free >= -PRIMAL_TOL).all(axis=0)
-            a_cand = np.zeros((m, remaining.size))
-            a_cand[free, :] = a_free
-            lam = g[list(zeroed), :] @ a_cand - h[list(zeroed), :][:, remaining]
-            lam += mu
-            dual = (lam >= -DUAL_TOL).all(axis=0)
-            accept = primal & dual
+            lam = g[pinned[:, None], free] @ a_free - h_r[pinned]
+            lam += sol[f]
+            accept = primal & (lam >= -DUAL_TOL).all(axis=0)
             if not np.any(accept):
                 continue
-            a_hat[:, remaining[accept]] = a_cand[:, accept]
-            remaining = remaining[~accept]
+            cols = remaining[accept]
+            a_hat[pinned[:, None], cols] = 0.0
+            a_hat[free[:, None], cols] = a_free[:, accept]
+            keep = ~accept
+            remaining = remaining[keep]
+            h_r = h_r[:, keep]
 
     if remaining.size:
         raise NoKKTPoint(

@@ -36,6 +36,41 @@ from .model import EndmemberMatrix
 # numerically rank deficient.
 RANK_TOL = 1e-12
 
+# BLAS blocks for _block_product, in columns. On OpenBLAS 0.3.31
+# (Haswell kernels) a column's bits from a @ z depend on z's width:
+# at m >= 20, widths w with w mod 8 in 1..4 take an edge kernel, and a
+# Fortran-ordered block of 511 columns differs at m = 14. Multiples of 8
+# columns all take the main kernel. Blocks of at most 512 columns also
+# never wake the BLAS thread pool, which stalled a 20 x 4096 product
+# for milliseconds at two threads.
+BLAS_BLOCK = 512
+BLAS_PAD = 8
+
+
+def _block_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a small matrix a, each column's bits its own.
+
+    z's columns go to BLAS as views, in blocks of at most BLAS_BLOCK
+    whose widths are multiples of BLAS_PAD; only the last
+    width % BLAS_PAD columns are copied, into a zeroed block of BLAS_PAD
+    columns. So a column's result is the same whatever the width, offset
+    and layout of the z it came in, as with projectors._row_dot, at a
+    fraction of its cost; test_projectors probes the rule on the
+    installed BLAS.
+    """
+    width = z.shape[1]
+    out = np.empty((a.shape[0], width))
+    tail = width % BLAS_PAD
+    full = width - tail
+    for lo in range(0, full, BLAS_BLOCK):
+        hi = min(lo + BLAS_BLOCK, full)
+        np.matmul(a, z[:, lo:hi], out=out[:, lo:hi])
+    if tail:
+        pad = np.zeros((z.shape[0], BLAS_PAD))
+        pad[:, :tail] = z[:, full:]
+        out[:, full:] = (a @ pad)[:, :tail]
+    return out
+
 
 @dataclass(frozen=True)
 class SubspaceTransform:
@@ -176,5 +211,10 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
 
 
 def inverse_transform(t: SubspaceTransform, u: np.ndarray) -> np.ndarray:
-    """Recover abundances from subspace coefficients: a = D^{-1} u."""
-    return scipy.linalg.solve_triangular(t.d, u, lower=False)
+    """Recover abundances from subspace coefficients: a = D^{-1} u.
+
+    One product with the explicit inverse that already defines the
+    half-space normals, through _block_product: a C-ordered block whose
+    columns keep their bits at any width, layout or BLAS thread count.
+    """
+    return _block_product(t.d_inv, u)

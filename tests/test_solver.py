@@ -14,7 +14,12 @@ from sudap import (
     solve_sudap,
 )
 from sudap.dykstra import FIRST_CHECKPOINT
-from sudap.errors import DimensionMismatch, RankDeficient, TooManyEndmembers
+from sudap.errors import (
+    DimensionMismatch,
+    NoKKTPoint,
+    RankDeficient,
+    TooManyEndmembers,
+)
 from sudap.metrics import objective
 from sudap.model import AbundanceMatrix, column_feasibility
 from sudap.simdata import (
@@ -73,22 +78,36 @@ def test_ls_sum1_sums_to_one_and_is_stationary():
 def test_oracle_output_satisfies_kkt_certificate():
     # Independent verification of the oracle itself: feasibility plus
     # complementary slackness checked directly from G and E'x, with no
-    # reference to how the solver found its active sets.
+    # reference to how the solver found its active sets. The second
+    # problem's pixels resolve at six sizes of the pinned set, 0 to 5
+    # (7, 56, 127, 141, 61 and 8 pixels), so the unresolved columns
+    # shrink at every size the enumeration passes through.
+    for e, _, x in (_random_problem(32, m=6, n=120),
+                    _random_problem(7, m=8, n=400, snr_db=5.0)):
+        result = solve_oracle_activeset(e, x)
+        a = result.a_hat.data
+        assert a.min() >= -1e-12
+        assert np.abs(a.sum(axis=0) - 1.0).max() < 1e-9
+        g = e.data.T @ e.data
+        r = g @ a - e.data.T @ x.data
+        for j in range(a.shape[1]):
+            free = a[:, j] > 1e-10
+            assert free.any()
+            mu = -r[free, j]
+            assert mu.max() - mu.min() < 1e-8 * max(1.0, np.abs(mu).max())
+            if (~free).any():
+                lam = r[~free, j] + mu.mean()
+                assert lam.min() > -1e-8
+
+
+def test_oracle_names_every_pixel_without_a_kkt_point(monkeypatch):
+    # A dual slack no multiplier can clear leaves exactly the exterior
+    # pixels, the 28 whose full-set solve has a negative abundance,
+    # unresolved after every candidate set.
     e, _, x = _random_problem(32, m=6, n=120)
-    result = solve_oracle_activeset(e, x)
-    a = result.a_hat.data
-    assert a.min() >= -1e-12
-    assert np.abs(a.sum(axis=0) - 1.0).max() < 1e-9
-    g = e.data.T @ e.data
-    r = g @ a - e.data.T @ x.data
-    for j in range(a.shape[1]):
-        free = a[:, j] > 1e-10
-        assert free.any()
-        mu = -r[free, j]
-        assert mu.max() - mu.min() < 1e-8 * max(1.0, np.abs(mu).max())
-        if (~free).any():
-            lam = r[~free, j] + mu.mean()
-            assert lam.min() > -1e-8
+    monkeypatch.setattr(solver, "DUAL_TOL", -1e300)
+    with pytest.raises(NoKKTPoint, match=r"^28 pixel\(s\) admitted no"):
+        solve_oracle_activeset(e, x)
 
 
 def test_oracle_beats_every_feasible_competitor():
