@@ -32,7 +32,7 @@ import numpy as np
 
 from . import errors
 from . import io as sio
-from .dykstra import DykstraConfig, _form_u, _rhs
+from .dykstra import DykstraConfig, _rhs
 from .metrics import (
     ConvergenceCurve,
     CurveRecorder,
@@ -373,7 +373,7 @@ def projector_gap(rng, n_triples: int) -> float:
 
     The geometric route is the solver's own step: drop Z onto the
     hyperplane, giving Y0, take one project_intersection_dual from
-    tau = 0 on rhs = f - S Y0, and form U = Y0 + S'tau as the solver does.
+    tau = 0 on rhs = f - S Y0, and form U = Y0 + S'tau.
     """
     worst = 0.0
     for _ in range(n_triples):
@@ -386,9 +386,10 @@ def projector_gap(rng, n_triples: int) -> float:
             (m, int(rng.integers(1, 33)))
         )
         i = int(rng.integers(0, m))
+        y0 = project_hyperplane(t, z)
         tau = np.zeros_like(z)
-        project_intersection_dual(t, i, _rhs(t, project_hyperplane(t, z)), tau)
-        geo = _form_u(t, z, tau)
+        project_intersection_dual(t, i, _rhs(t, y0), tau)
+        geo = y0 + t.s.T @ tau
         kkt = project_intersection_kkt(t, i, z)
         worst = max(worst, float(np.max(np.abs(geo - kkt))))
     return worst

@@ -50,11 +50,12 @@ uncertified pixel: it solves the equality-constrained projection
 with one |A| x |A| system per pixel, the pixels of one |A| solved as a
 batch (as FC-NNLS groups them). The certificate reads the abundances off
 the multipliers, a = p_norms o (G lam - rhs) with G = S S' and
-rhs = f - S Y0. A column passes when lam >= 0 and no a_i is below
+rhs = f - S Y0: abundance i is d_i'U = p_norms_i (s_i'U - f_i). A column
+passes when lam >= 0 and no a_i is below
 -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)), the rounding bound
 of a_i's inner product (Higham 2002, sec. 3.1), as |G_ij| <= 1 for unit
 s_i. These are the projection's KKT conditions, so a passing column's
-U = Y0 + S'lam is the projection up to rounding. A column that fails
+a is the projection's abundances up to rounding. A column that fails
 gets up to 3m drop/add rounds on its active set (the active-set method
 of FCLS); if it still fails, it goes back to sweeping with its tau
 unchanged. Certified columns leave the sweep: after each finish the
@@ -64,17 +65,28 @@ max_sweeps sweeps; only the first counts as converged. A run is never
 stopped because its iterate stopped changing: that says nothing of how
 far the iterate is from the projection.
 
-The driver's m x n state is tau and one block, which holds Y0 at
-first, then rhs for the columns still swept and U for the others.
-The finish only certifies, writing lam into tau. After the interior
-check, one function, _form_tile, writes U = Y0 + S'tau: for the columns
-each finish certifies, on its clock, and off it for the columns still
-uncertified, after every sweep of a watched run and at the sweep
-budget. It drops those columns of Y onto S again, gathered a tile at a
-time through cols, the index in Y of each block column, so Y is never
-copied whole and no Y0 is kept beside rhs. The m x m products (S Y0,
-G lam and S'tau) go through projectors._block_product; the sweep's row
-products keep _row_dot's fixed order.
+dykstra_project returns abundances, not points of the subspace, and one
+function, _abundances, forms them by the certificate's own formula, so
+a certified column's output is bit for bit what its certificate
+passed: the interior check's columns at lam = 0, the columns each
+finish certifies from their lam, and, at the sweep budget, the rest
+from tau. There is no second pass over Y and no map back through
+D^{-1}, whose condition number would amplify the rounding of a point
+that is exact in the subspace.
+
+dykstra_project's m x n state is the output a and tau. The interior check
+drops each tile of Y onto S, the only read of Y in a run, and keeps no
+Y0: it writes rhs = f - S Y0 into a. That is the swept block itself (a
+copy of it in a watched run, which writes a after every sweep), unless
+the check certifies at least half of the columns: then the rest are
+gathered into a block of their own first, and one pass turns all of a
+into abundances at lam = 0, which later writes replace for the
+gathered columns. cols gives the column of a that each block column
+belongs to. A watched run also holds the observer's U, off the trace
+clock: Y0 for the columns the interior check made final, and U = D a
+for the columns whose abundances were just written. The m x m products
+(S Y0, G lam and D a) go through subspace._block_product; the sweep's
+row products keep _row_dot's fixed order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -99,12 +111,11 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
 from .projectors import (
-    _block_product,
     _row_dot,
     project_hyperplane,
     project_intersection_dual,
 )
-from .subspace import SubspaceTransform
+from .subspace import SubspaceTransform, _block_product
 
 # The sweep's kernel, bound to the name of the step on U that it
 # replaced: perfbench's tracer times the sweep kernel at
@@ -170,12 +181,13 @@ class DykstraTrace:
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
     in the interior check with the drop onto S that it reads (on sweep
-    1's row), the sweep kernel, the finish (with U of the columns it
-    certifies) and the compaction only.
-    Forming U of the columns still uncertified, after every sweep of a
-    watched run and at the sweep budget, and the on_sweep observer run
-    off the clock, so watched runs time like plain ones. finish_s is the
-    part of elapsed_s[-1] spent in the interior check and the finishes.
+    1's row), the sweep kernel, the finish (with the abundances of the
+    columns it certifies) and the compaction only. The abundances of the
+    columns still uncertified, written after every sweep of a watched
+    run and at the sweep budget, a watched run's U, and the on_sweep
+    observer are off the clock, so watched runs time like plain ones.
+    finish_s is the part of elapsed_s[-1] spent in the interior check
+    and the finishes.
     uncertified is the number of columns not yet certified after the
     sweep and its finish, if one ran, which is the width of the block
     the next sweep runs on. uncertified falls at sweep 1, where the
@@ -263,63 +275,83 @@ def _solve_active(
     return lam
 
 
-def _rhs(t: SubspaceTransform, y0: np.ndarray) -> np.ndarray:
-    """f - S y0 for the points y0 on S."""
-    return t.f[:, None] - _block_product(t.s, y0)
+def _rhs(t: SubspaceTransform, y0: np.ndarray, out=None) -> np.ndarray:
+    """f - S y0 for the points y0 on S, into out if given."""
+    return np.subtract(t.f[:, None], _block_product(t.s, y0), out=out)
 
 
-def _to_rhs(t: SubspaceTransform, y0: np.ndarray, tile: slice) -> None:
-    """Overwrite the points y0 on S in tile with their f - S y0."""
-    y0[:, tile] = _rhs(t, y0[:, tile])
+def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam=None, out=None):
+    """The abundances p_norms o (G lam - rhs) of y0 + S'lam (lam 0 when None).
 
-
-def _form_u(t: SubspaceTransform, y: np.ndarray, tau: np.ndarray):
-    """U = Y0 + S'tau for the data y and their multipliers tau."""
-    u = project_hyperplane(t, y)
-    u += _block_product(t.s.T, tau)
-    return u
-
-
-def _form_tile(t, y, u, tau, cols, pick, tile):
-    """Write U = Y0 + S'tau of the block columns pick[tile] into u.
-
-    tau holds the block's multipliers; block column j is column cols[j]
-    of y and u. Gathers one tile, so its temporaries are bounded by it.
+    rhs holds the columns' f - S y0; out, if given, may be rhs itself.
+    The certificate checks these values and dykstra_project outputs them, so
+    they are computed here alone.
     """
-    where = pick[tile]
-    into = cols[where]
-    u[:, into] = _form_u(t, y[:, into], tau[:, where])
+    a = np.negative(rhs, out=out)
+    if lam is not None:
+        a += _block_product(t.gram, lam)
+    a *= t.p_norms[:, None]
+    return a
 
 
 def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam=None):
     """Each abundance of the multipliers lam (0 when None) plus its bound.
 
-    rhs holds the columns' f - S y0. The abundances of y0 + S'lam are
-    p_norms (G lam - rhs), bounded as CERT_TOL says.
+    rhs holds the columns' f - S y0; the bound is as CERT_TOL says.
     """
-    slack, scale = -rhs, np.abs(rhs)
+    scale = np.abs(rhs)
     if lam is not None:
-        slack += _block_product(t.gram, lam)
         scale += _row_dot(np.ones(len(lam)), lam)
     scale *= t.p_norms[:, None]
     np.maximum(scale, 1.0, out=scale)
     scale *= CERT_TOL
-    slack *= t.p_norms[:, None]
+    slack = _abundances(t, rhs, lam)
     slack += scale
     return slack
 
 
-def _interior_tile(
-    t: SubspaceTransform, y: np.ndarray, u: np.ndarray, tile: slice
-):
-    """Write Y0 = P(Y) of the columns in tile into u and flag those that
-    are their own projection.
+def _write_tile(t, a, rhs, lam, cols, pick, tile):
+    """Write the abundances of the block columns pick[tile] into a, or of
+    those in tile when pick is None.
 
-    A column whose Y0 passes the certificate at lam = 0 is the finish's
-    KKT point for the empty active set.
+    rhs and lam hold the block's f - S y0 and multipliers; block column
+    j is column cols[j] of a. Gathers one tile, so its temporaries are
+    bounded by it.
     """
-    u[:, tile] = project_hyperplane(t, y[:, tile])
-    return _cert_slack(t, _rhs(t, u[:, tile])).min(axis=0) >= 0.0
+    where = tile if pick is None else pick[tile]
+    a[:, cols[where]] = _abundances(t, rhs[:, where], lam[:, where])
+
+
+def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
+    """Overwrite f - S Y0 in a's tile with the abundances at lam = 0.
+
+    They are final for the columns the interior check certified;
+    dykstra_project has gathered the others' f - S Y0 by then, and writes their
+    abundances over these when it certifies them or at the sweep budget.
+    One pass over the whole tile costs less than picking the columns.
+    """
+    _abundances(t, a[:, tile], out=a[:, tile])
+
+
+def _observe_tile(t: SubspaceTransform, a, u, cols, tile) -> None:
+    """Write U = D a of the columns cols[tile] of a into u."""
+    into = cols[tile]
+    u[:, into] = _block_product(t.d, a[:, into])
+
+
+def _interior_tile(t: SubspaceTransform, y, a, u, tile: slice):
+    """Write f - S Y0 of the columns in tile into a, with Y0 = P(Y), and
+    flag those that are their own projection.
+
+    Y0 also goes into u, unless u is None. A column whose Y0 passes the
+    certificate at lam = 0 is the finish's KKT point for the empty
+    active set.
+    """
+    y0 = project_hyperplane(t, y[:, tile])
+    if u is not None:
+        u[:, tile] = y0
+    rhs = _rhs(t, y0, out=a[:, tile])
+    return _cert_slack(t, rhs).min(axis=0) >= 0.0
 
 
 def _finish_tile(
@@ -331,8 +363,8 @@ def _finish_tile(
     multipliers tau. The seed active set of a column is {i : tau_i > 0},
     less its smallest tau_i when that is all m constraints. A certified
     column gets its KKT multipliers lam in tau, and the driver then
-    forms its U with _form_tile; any other column is left untouched,
-    and rhs is only read. Returns the tile's certified flags. Each
+    writes its abundances with _write_tile; any other column is left
+    untouched, and rhs is only read. Returns the tile's certified flags. Each
     column's result is its own, whatever the tile.
     """
     rhs, tau = rhs[:, tile], tau[:, tile]
@@ -383,29 +415,35 @@ def dykstra_project(
     cfg: DykstraConfig | None = None,
     on_sweep=None,
 ) -> tuple[np.ndarray, DykstraTrace]:
-    """Project every column of Y onto the transformed feasible set.
+    """Project every column of Y onto the transformed feasible set, and
+    return the projections' abundances.
 
     Parameters
     ----------
     t : SubspaceTransform
     y : np.ndarray
-        Transformed observations, m x n, in any layout; never copied.
+        Transformed observations, m x n, in any layout; read once and
+        never copied.
     cfg : DykstraConfig, optional
     on_sweep : callable, optional
         Called as on_sweep(sweep, u) after each of sweeps 1..n, off the
-        trace clock. u is a read-only view of the live m x n iterate,
-        certified columns included, the same array on every call: it
-        changes as the run goes on, so copy it to keep an iterate, and
-        writing into it raises ValueError. An exception from on_sweep
+        trace clock. u is a read-only view of the live m x n iterate in
+        the subspace, certified columns included, the same array on
+        every call: it changes as the run goes on, so copy it to keep an
+        iterate, and writing into it raises ValueError. A column's u is
+        Y0 while the interior check holds it final, and D a of its
+        abundances a once they are written. An exception from on_sweep
         ends the run and propagates.
 
     Returns
     -------
-    (u_hat, trace)
-        u_hat is m x n with every column on the sum hyperplane to
-        roundoff. Certified columns are the exact projection to
-        rounding; any other column is the last sweep's iterate, whose
-        negative half-space slack shrinks as the sweeps go on.
+    (a_hat, trace)
+        a_hat is m x n, each column a = p_norms o (G lam - rhs) of its
+        multipliers, so its sum is 1 to rounding. A certified column is
+        what its certificate passed: the abundances of the exact
+        projection to rounding. Any other column is that of the last
+        sweep's multipliers, whose negative abundances shrink as the
+        sweeps go on.
 
     Raises
     ------
@@ -427,9 +465,12 @@ def dykstra_project(
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
-    u = np.empty((m, n))
-    u_seen = u.view()
-    u_seen.flags.writeable = False
+    a = np.empty((m, n))
+    u = None
+    if on_sweep is not None:
+        u = np.empty((m, n))
+        u_seen = u.view()
+        u_seen.flags.writeable = False
 
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     run = map if executor is None else executor.map
@@ -440,22 +481,23 @@ def dykstra_project(
     checkpoint = FIRST_CHECKPOINT
     try:
         # The interior check, with the drop onto S that it reads, runs
-        # on sweep 1's clock. Until it or a finish certifies a column,
-        # the swept block's rhs is u itself (a copy of it in a watched
-        # run, whose u shows every sweep's iterate), with a full-width
-        # tau; after that it is gathered. cols lists its columns in u.
+        # on sweep 1's clock and leaves f - S Y0 in a. Until it or a
+        # finish certifies a column, the swept block's rhs is a itself
+        # (a copy of it in a watched run, which writes a after every
+        # sweep), with a full-width tau; after that it is gathered.
         tic = time.perf_counter()
         interior = np.concatenate(
-            list(run(partial(_interior_tile, t, y, u), _tiles(n)))
+            list(run(partial(_interior_tile, t, y, a, u), _tiles(n)))
         )
         gather = 2 * np.count_nonzero(interior) >= n
-        cols = np.flatnonzero(~interior) if gather else np.arange(n)
-        finish = time.perf_counter() - tic
         if gather:
-            rb = u.take(cols, axis=1)
+            cols = np.flatnonzero(~interior)
+            rb = a.take(cols, axis=1)
+            list(run(partial(_write_interior_tile, t, a), _tiles(n)))
         else:
-            rb = u if on_sweep is None else u.copy()
-        list(run(partial(_to_rhs, t, rb), _tiles(rb.shape[1])))
+            cols = np.arange(n)
+            rb = a if on_sweep is None else a.copy()
+        finish = time.perf_counter() - tic
         tb = np.zeros_like(rb)
         clock = time.perf_counter() - tic
 
@@ -463,6 +505,7 @@ def dykstra_project(
             tic = time.perf_counter()
             tiles = _tiles(rb.shape[1])
             certified = None
+            written = []
             if tiles:
                 list(run(partial(_sweep_tile, t, rb, tb, sweep), tiles))
                 if sweep == checkpoint or sweep == cfg.max_sweeps:
@@ -472,8 +515,9 @@ def dykstra_project(
                         partial(_finish_tile, t, rb, tb), tiles
                     )))
                     done = np.flatnonzero(certified)
-                    list(run(partial(_form_tile, t, y, u, tb, cols, done),
+                    list(run(partial(_write_tile, t, a, rb, tb, cols, done),
                              _tiles(done.size)))
+                    written.append(cols[done])
                     finish += time.perf_counter() - mid
             if certified is not None and certified.any():
                 keep = np.flatnonzero(~certified)
@@ -486,14 +530,18 @@ def dykstra_project(
                 tb = tb.take(keep, axis=1)
             clock += time.perf_counter() - tic
             if on_sweep is not None or sweep == cfg.max_sweeps:
-                # The columns still uncertified get U = Y0 + S'tau in u.
-                left = np.arange(rb.shape[1])
-                list(run(partial(_form_tile, t, y, u, tb, cols, left),
-                         _tiles(left.size)))
+                # The columns still uncertified get the abundances of
+                # their tau.
+                list(run(partial(_write_tile, t, a, rb, tb, cols, None),
+                         _tiles(rb.shape[1])))
+                written.append(cols)
 
             elapsed.append(clock)
             uncertified.append(rb.shape[1])
             if on_sweep is not None:
+                for into in written:
+                    list(run(partial(_observe_tile, t, a, u, into),
+                             _tiles(into.size)))
                 on_sweep(sweep, u_seen)
 
             if rb.shape[1] == 0:
@@ -507,4 +555,4 @@ def dykstra_project(
         uncertified=np.asarray(uncertified, dtype=np.int64),
         finish_s=finish,
     )
-    return u, trace
+    return a, trace

@@ -17,9 +17,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 
-# Feasibility tolerances. Dykstra reaches the feasible set only
-# asymptotically, so the non-negativity slack is looser than the
-# structurally enforced sum constraint.
+# Feasibility tolerances. A certified sudap output is the certificate's
+# own abundances, exact to rounding: its column sums and its zeros are
+# off by rounding alone, far inside both slacks unless E is badly
+# conditioned. EPS_NEG now serves runs that stop uncertified at
+# max_sweeps, whose sweeps reach the feasible set only asymptotically,
+# so it is looser than the sum slack.
 EPS_SUM = 1e-9
 EPS_NEG = 1e-7
 

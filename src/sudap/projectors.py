@@ -9,9 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange
-# _block_product lives with the transform, whose inverse map uses it;
-# the driver imports it from here with the projectors' row products.
-from .subspace import SubspaceTransform, _block_product
+from .subspace import SubspaceTransform
 
 
 def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientCandidates, NonFinite
-from .model import AbundanceMatrix, EndmemberMatrix, ImageCube
+from .errors import DimensionMismatch, InsufficientCandidates
+from .model import (
+    AbundanceMatrix,
+    EndmemberMatrix,
+    ImageCube,
+    finite_sum_of_squares,
+)
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,7 @@ class SpectralLibrary:
         sig = np.asarray(self.signatures, dtype=np.float64)
         if sig.ndim != 2 or sig.shape[1] < 1:
             raise ValueError("library needs at least one signature column")
-        if not np.all(np.isfinite(sig)):
-            raise NonFinite("library contains non-finite entries")
+        finite_sum_of_squares(sig, "library")
         norms = np.linalg.norm(sig, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("library contains a zero-norm signature")

@@ -2,8 +2,9 @@
 
 Four solvers share one result type:
 
-* solve_sudap: the subspace route. Transform, project with Dykstra's
-  scheme, map back. Handles both constraints. Its first two stages,
+* solve_sudap: the subspace route. Transform, then project with
+  Dykstra's scheme (dykstra_project), which returns the abundances its
+  certificate checked. Handles both constraints. Its first two stages,
   the transform and the forward map, are reduce_cube, which every cube
   enters through, in memory or streamed from a file: the solver sees
   the cube only through its reduced form.
@@ -44,8 +45,11 @@ from .subspace import (
     SubspaceTransform,
     build_transform,
     forward_transform,
-    inverse_transform,
 )
+# Not called here since dykstra_project returns abundances: perfbench's
+# tracer wraps sudap.solver.inverse_transform, and a missing target
+# would drop the solver's self time from its metrics.
+from .subspace import inverse_transform  # noqa: F401
 
 SOLVER_IDS = frozenset({"sudap", "ls", "ls_sum1", "oracle"})
 
@@ -67,10 +71,10 @@ class SolveResult:
     between "transform" (build_transform), "forward" (the forward map,
     with the streamed read when the cube comes from a file), "project"
     (dykstra_project's sweeps and their bookkeeping, with its on_sweep
-    observer), "finish" (its interior check and exact finishes, from
-    its trace) and "inverse"; their sum never exceeds wall_time. The
-    other solvers, and solve_sudap with one endmember, leave stages
-    empty.
+    observer) and "finish" (its interior check and exact finishes, with
+    the abundances they certify, from its trace); their sum never
+    exceeds wall_time. The other solvers, and solve_sudap with one
+    endmember, leave stages empty.
     """
 
     a_hat: AbundanceMatrix
@@ -196,16 +200,13 @@ def solve_sudap(
         x = reduce_cube(e, x)
     t, y, stages = x.t, x.y, dict(x.stages)
     tic = time.perf_counter()
-    u, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
-    mid = time.perf_counter()
-    a = AbundanceMatrix(inverse_transform(t, u), x.shape)
-    toc = time.perf_counter()
+    a, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
     stages.update(
-        project=mid - tic - trace.finish_s,
+        project=time.perf_counter() - tic - trace.finish_s,
         finish=trace.finish_s,
-        inverse=toc - mid,
     )
-    return SolveResult(a, trace, "sudap", toc - t0, stages)
+    a = AbundanceMatrix(a, x.shape)
+    return SolveResult(a, trace, "sudap", time.perf_counter() - t0, stages)
 
 
 def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:

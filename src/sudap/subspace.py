@@ -180,10 +180,14 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
     is read one block at a time. The m x bands map D^{-T} E' is formed
     once, by one small triangular solve against E' (no explicit
     inverse); each block is then one product with it, written straight
-    into its columns of y, so no triangular solve runs over the cube. A
-    column's product does not depend on how the columns are cut into
-    blocks, so a streamed file and the same pixels in memory give the
-    same bits. For noiseless x = E a the output equals D a.
+    into its columns of y, so no triangular solve runs over the cube.
+    Which BLAS kernel a column's product takes can depend on the width
+    of its block, so a streamed file and the same pixels in memory need
+    not give the same bits: at m = 14 and 224 bands, with BLAS at one
+    thread, the last column of each 585-pixel read tile takes an edge
+    kernel (7 of deep-m14's 4096 pixels differ, by 2.4e-15), though
+    narrow problems such as m = 6 at 30 bands agree at every tile width.
+    For noiseless x = E a the output equals D a.
     """
     e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
     if hasattr(x, "tiles"):

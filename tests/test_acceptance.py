@@ -328,8 +328,8 @@ def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
     # --threads never changes a bit, but the BLAS thread count can,
     # through the forward map's one product over an in-memory cube: at
     # one and two OpenBLAS threads Y differs by 8.9e-16 on this scene
-    # while the Gram matrix and D^{-1} are identical, and the inverse
-    # map's blocked products keep each column's bits. The count is fixed
+    # while the Gram matrix and D^{-1} are identical, and the solver's
+    # blocked m x m products keep each column's bits. The count is fixed
     # when BLAS loads, so each count gets its own process.
     root = Path(__file__).resolve().parent.parent
     outs = []

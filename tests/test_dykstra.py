@@ -15,11 +15,7 @@ from sudap.io import write_cube, write_library_csv
 from sudap.projectors import project_hyperplane, project_intersection_geometric
 from sudap.simdata import SpectralLibrary, make_instance
 from sudap.solver import _oracle_abundances, solve_oracle_activeset
-from sudap.subspace import (
-    build_transform,
-    forward_transform,
-    inverse_transform,
-)
+from sudap.subspace import _block_product, build_transform, forward_transform
 from conftest import random_endmembers, traced_peak
 
 
@@ -46,20 +42,19 @@ def test_output_stays_on_sum_hyperplane_every_sweep():
     _, t, y = _problem(0)
     cfg = DykstraConfig(max_sweeps=500)
     worst = []
-    u, trace = dykstra_project(
+    a, trace = dykstra_project(
         t, y, cfg,
         on_sweep=lambda _s, u_k: worst.append(np.abs(t.b @ u_k - 1.0).max()),
     )
-    assert np.abs(t.b @ u - 1.0).max() < 1e-11
+    assert np.abs(t.b @ (t.d @ a) - 1.0).max() < 1e-11
     assert len(worst) == trace.n_sweeps
     assert max(worst) < 1e-11
 
 
 def test_limit_is_feasible_in_abundance_space():
     _, t, y = _problem(1)
-    u, trace = dykstra_project(t, y, DykstraConfig(max_sweeps=3000))
+    a, trace = dykstra_project(t, y, DykstraConfig(max_sweeps=3000))
     assert trace.converged
-    a = inverse_transform(t, u)
     assert np.abs(a.sum(axis=0) - 1.0).max() < 1e-11
     assert a.min() > -1e-9
 
@@ -74,8 +69,7 @@ def test_limit_matches_exact_segment_minimizer_for_two_endmembers():
     x = rng.standard_normal((12, 80)) * 2.0
     t = build_transform(e)
     y = forward_transform(t, e, x)
-    u, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
-    a_hat = inverse_transform(t, u)
+    a_hat, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
     d = e.data[:, 0] - e.data[:, 1]
     t_star = np.clip((d @ (x - e.data[:, [1]])) / (d @ d), 0.0, 1.0)
     a_star = np.vstack([t_star, 1.0 - t_star])
@@ -88,10 +82,10 @@ def test_feasible_input_is_a_fixed_point():
     t = build_transform(e)
     a = rng.dirichlet(np.ones(4) * 5.0, size=30).T
     y = t.d @ a
-    u, trace = dykstra_project(t, y)
+    a_hat, trace = dykstra_project(t, y)
     assert trace.converged
     assert trace.n_sweeps <= 2
-    assert np.abs(u - y).max() < 1e-10
+    assert np.abs(t.d @ a_hat - y).max() < 1e-10
 
 
 def _finish_sweeps(trace):
@@ -111,7 +105,30 @@ def _interior(t, y):
     return dykstra._cert_slack(t, rhs).min(axis=0) >= 0.0
 
 
-def _check_bookkeeping(t, y, u, trace, cfg):
+def _final_interior(t, y):
+    """The columns the interior check makes final: those that pass it,
+    when they are at least half of the columns, else none."""
+    interior = _interior(t, y)
+    if 2 * interior.sum() < y.shape[1]:
+        interior[:] = False
+    return interior
+
+
+def _at_lam_zero(t, y):
+    """The abundances of Y0, formed as the certificate forms them."""
+    return dykstra._abundances(t, dykstra._rhs(t, project_hyperplane(t, y)))
+
+
+def _observed(t, y, a):
+    """The U an observer sees once a run has written a: Y0 for the columns
+    the interior check made final, D a for the others."""
+    u = _block_product(t.d, a)
+    interior = _final_interior(t, y)
+    u[:, interior] = project_hyperplane(t, y)[:, interior]
+    return u
+
+
+def _check_bookkeeping(t, y, a, trace, cfg):
     n = y.shape[1]
     k = trace.n_sweeps
     assert len(trace.uncertified) == k
@@ -125,15 +142,11 @@ def _check_bookkeeping(t, y, u, trace, cfg):
     assert set(drops.tolist()) <= _finish_sweeps(trace)
     # The check certifies exactly the columns whose Y0 passes the
     # certificate, and only when they are at least half of them; those
-    # columns keep Y0 to the bit.
-    interior = _interior(t, y)
-    if 2 * interior.sum() < n:
-        interior[:] = False
+    # columns get the abundances it checked, to the bit.
+    interior = _final_interior(t, y)
     if 1 not in _finish_sweeps(trace):
         assert -diff[0] == interior.sum()
-    assert np.array_equal(
-        u[:, interior], project_hyperplane(t, y)[:, interior]
-    )
+    assert np.array_equal(a[:, interior], _at_lam_zero(t, y)[:, interior])
     # The run converged iff its last sweep certified the last column;
     # only that, or the sweep budget, ends it.
     stop = trace.uncertified == 0
@@ -145,8 +158,8 @@ def _check_bookkeeping(t, y, u, trace, cfg):
 def test_trace_bookkeeping_is_consistent():
     _, t, y = _problem(4)
     cfg = DykstraConfig(max_sweeps=400)
-    u, trace = dykstra_project(t, y, cfg)
-    _check_bookkeeping(t, y, u, trace, cfg)
+    a, trace = dykstra_project(t, y, cfg)
+    _check_bookkeeping(t, y, a, trace, cfg)
     assert trace.converged
 
 
@@ -165,11 +178,11 @@ def test_a_run_without_checkpoints_uses_its_whole_budget(monkeypatch):
     monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 10**9)
     t, y = _settled_scene()
     cfg = DykstraConfig(max_sweeps=8)
-    u, trace = dykstra_project(t, y, cfg)
+    a, trace = dykstra_project(t, y, cfg)
     assert trace.n_sweeps == cfg.max_sweeps
     assert (trace.uncertified[:-1] == trace.uncertified[0]).all()
     assert trace.uncertified[0] > 0 and trace.converged
-    _check_bookkeeping(t, y, u, trace, cfg)
+    _check_bookkeeping(t, y, a, trace, cfg)
 
 
 def test_a_settled_uncertified_run_is_not_converged(monkeypatch):
@@ -180,11 +193,11 @@ def test_a_settled_uncertified_run_is_not_converged(monkeypatch):
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
     t, y = _settled_scene()
     cfg = DykstraConfig(max_sweeps=50)
-    u, trace = dykstra_project(t, y, cfg)
+    a, trace = dykstra_project(t, y, cfg)
     assert trace.n_sweeps == cfg.max_sweeps
     assert not trace.converged
     assert trace.uncertified[-1] == y.shape[1] == 1024
-    _check_bookkeeping(t, y, u, trace, cfg)
+    _check_bookkeeping(t, y, a, trace, cfg)
 
 
 def _mostly_interior(seed, m=5, n=200, n_bands=24, noise=0.02):
@@ -217,23 +230,21 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     assert n / 2 <= interior.sum() < n
     widths = _swept_widths(monkeypatch)
     cfg = DykstraConfig()
-    u, trace = dykstra_project(t, y, cfg)
-    assert np.array_equal(
-        u[:, interior], project_hyperplane(t, y)[:, interior]
-    )
+    a, trace = dykstra_project(t, y, cfg)
+    assert np.array_equal(a[:, interior], _at_lam_zero(t, y)[:, interior])
     assert widths[1] == trace.uncertified[0] == n - interior.sum()
     assert trace.converged and trace.uncertified[-1] == 0
-    _check_bookkeeping(t, y, u, trace, cfg)
+    _check_bookkeeping(t, y, a, trace, cfg)
     # With the check stubbed out, the interior columns are swept and
     # finished with the rest, and every column gets the same bits.
     interior_tile = dykstra._interior_tile
     monkeypatch.setattr(
         dykstra, "_interior_tile",
-        lambda t, y, u, tile: interior_tile(t, y, u, tile) & False,
+        lambda t, y, a, u, tile: interior_tile(t, y, a, u, tile) & False,
     )
-    u_swept, trace_swept = dykstra_project(t, y, cfg)
+    a_swept, trace_swept = dykstra_project(t, y, cfg)
     assert trace_swept.uncertified[0] == n
-    assert np.array_equal(u_swept, u)
+    assert np.array_equal(a_swept, a)
 
 
 def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
@@ -246,11 +257,11 @@ def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
     assert 0 < _interior(t, y).sum() < n / 2
     widths = _swept_widths(monkeypatch)
     cfg = DykstraConfig(max_sweeps=4)
-    u, trace = dykstra_project(t, y, cfg)
+    a, trace = dykstra_project(t, y, cfg)
     assert trace.uncertified[0] == n
     assert (trace.uncertified[:-1] == n).all()
     assert widths == {1: n, 2: n, 3: n, 4: n}
-    _check_bookkeeping(t, y, u, trace, cfg)
+    _check_bookkeeping(t, y, a, trace, cfg)
 
 
 def test_an_all_interior_cube_records_one_converged_sweep(
@@ -265,11 +276,15 @@ def test_an_all_interior_cube_records_one_converged_sweep(
     assert _interior(t, y).all()
     widths = _swept_widths(monkeypatch)
     seen = []
-    u, trace = dykstra_project(t, y, on_sweep=lambda s, _u: seen.append(s))
-    assert widths == {} and seen == [1]
+    a_hat, trace = dykstra_project(
+        t, y, on_sweep=lambda s, u: seen.append((s, u.copy()))
+    )
+    assert widths == {} and [s for s, _ in seen] == [1]
     assert trace.n_sweeps == 1 and trace.converged
     assert trace.uncertified[0] == 0
-    assert np.array_equal(u, project_hyperplane(t, y))
+    assert np.array_equal(a_hat, _at_lam_zero(t, y))
+    # The observer sees Y0 itself, which the check already formed.
+    assert np.array_equal(seen[0][1], project_hyperplane(t, y))
     write_cube(tmp_path / "scene.cube", cube)
     write_library_csv(
         tmp_path / "scene.csv", SpectralLibrary(e.data, ("a", "b", "c", "d"))
@@ -308,14 +323,14 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     results = []
     for threads in (1, 3, 4):
         cfg = DykstraConfig(max_sweeps=60, threads=threads)
-        u, trace = dykstra_project(t, y, cfg)
-        results.append((u, trace))
-    u_ref, trace_ref = results[0]
+        a, trace = dykstra_project(t, y, cfg)
+        results.append((a, trace))
+    a_ref, trace_ref = results[0]
     width = trace_ref.uncertified[FIRST_CHECKPOINT - 1]
     assert 2 * dykstra.TILE < width < y.shape[1]
     assert trace_ref.n_sweeps > FIRST_CHECKPOINT
-    for u, trace in results[1:]:
-        assert np.array_equal(u, u_ref)
+    for a, trace in results[1:]:
+        assert np.array_equal(a, a_ref)
         assert trace.n_sweeps == trace_ref.n_sweeps
         assert np.array_equal(trace.uncertified, trace_ref.uncertified)
 
@@ -331,10 +346,10 @@ def test_points_far_outside_the_simplex_certify_and_match_the_oracle(
     e, t, y, x = _problem(
         seed, n_bands=n_bands, m=m, n=400, spread=1000.0, with_x=True
     )
-    u, trace = dykstra_project(t, y)
+    a, trace = dykstra_project(t, y)
     assert trace.converged and trace.uncertified[-1] == 0
     a_star = _oracle_abundances(e.data, x)
-    assert np.abs(inverse_transform(t, u) - a_star).max() <= 1e-9
+    assert np.abs(a - a_star).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -349,11 +364,11 @@ def test_every_spread_certifies_at_the_first_checkpoint(m, n_bands):
     for spread in spreads:
         e, t, y, x = _problem(2, n_bands=n_bands, m=m, n=8, spread=spread,
                               with_x=True)
-        u, trace = dykstra_project(t, y)
+        a, trace = dykstra_project(t, y)
         assert trace.n_sweeps <= FIRST_CHECKPOINT
         assert trace.uncertified[-1] == 0
         xs.append(x)
-        estimates.append(inverse_transform(t, u))
+        estimates.append(a)
     a_star = np.split(_oracle_abundances(e.data, np.hstack(xs)), len(spreads),
                       axis=1)
     for spread, a_hat, a in zip(spreads, estimates, a_star):
@@ -367,14 +382,14 @@ def _exact(seed, m=5, n=60):
     return t, y, t.d @ a_star, a_star == 0.0
 
 
-def _finish(t, y, rhs, tau):
-    """The finish's flags, and U of the columns it certified (0 elsewhere),
-    formed as the driver forms it."""
+def _finish(t, rhs, tau):
+    """The finish's flags, and the abundances of the columns it certified
+    (0 elsewhere), written as dykstra_project writes them."""
     certified = _finish_tile(t, rhs, tau, slice(None))
-    u = np.zeros_like(rhs)
-    dykstra._form_tile(t, y, u, tau, np.arange(y.shape[1]),
-                       np.flatnonzero(certified), slice(None))
-    return certified, u
+    a = np.zeros_like(rhs)
+    dykstra._write_tile(t, a, rhs, tau, np.arange(rhs.shape[1]),
+                        np.flatnonzero(certified), slice(None))
+    return certified, a
 
 
 def test_finish_certifies_a_seed_with_one_extra_constraint():
@@ -390,9 +405,9 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     # drop round can certify the column.
     lam = _solve_active(t.gram, rhs, tau > 0)
     assert lam.min() < 0.0
-    certified, u = _finish(t, y[:, [j]], rhs, tau)
+    certified, a = _finish(t, rhs, tau)
     assert certified.all()
-    assert np.abs(u - u_star[:, [j]]).max() < 1e-10
+    assert np.abs(t.d @ a - u_star[:, [j]]).max() < 1e-10
     assert np.array_equal(tau[:, 0] > 0, zero[:, j])
 
 
@@ -429,9 +444,9 @@ def test_finish_leaves_failing_columns_untouched(monkeypatch):
     assert not _finish_tile(t, rhs, tau, slice(None)).any()
     assert np.array_equal(tau, tau_before)
     monkeypatch.undo()
-    certified, u = _finish(t, y, rhs, tau)
+    certified, a = _finish(t, rhs, tau)
     assert certified.all()
-    assert np.abs(u - u_star).max() < 1e-10
+    assert np.abs(t.d @ a - u_star).max() < 1e-10
     assert np.array_equal(rhs, rhs_before)
 
 
@@ -474,17 +489,17 @@ def test_finish_gives_a_column_the_same_bits_in_any_tile():
     t, y, u_star, _ = _exact(14, m=6, n=80)
     rhs, tau = _swept(t, y, 2)
     tau_all = tau.copy()
-    certified, u_all = _finish(t, y, rhs, tau_all)
+    certified, a_all = _finish(t, rhs, tau_all)
     assert certified.all()
-    assert np.abs(u_all - u_star).max() < 1e-10
+    assert np.abs(t.d @ a_all - u_star).max() < 1e-10
     for j in range(y.shape[1]):
         # A column's rhs, taken alone, has the bits it has in the block.
         rhs_j = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
         assert np.array_equal(rhs_j, rhs[:, [j]])
         tau_j = tau[:, [j]].copy()
-        certified_j, u_j = _finish(t, y[:, [j]], rhs_j, tau_j)
+        certified_j, a_j = _finish(t, rhs_j, tau_j)
         assert certified_j[0]
-        assert np.array_equal(u_j[:, 0], u_all[:, j])
+        assert np.array_equal(a_j[:, 0], a_all[:, j])
         assert np.array_equal(tau_j[:, 0], tau_all[:, j])
 
 
@@ -492,19 +507,19 @@ def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
     t, y, _, _ = _exact(13)
     rhs, tau = _swept(t, y, 2)
     tau_ref = tau.copy()
-    reference, u_ref = _finish(t, y, rhs, tau_ref)
+    reference, a_ref = _finish(t, rhs, tau_ref)
     _fail_pair_solves(monkeypatch)
     tau_new = tau.copy()
-    certified, u_new = _finish(t, y, rhs, tau_new)
+    certified, a_new = _finish(t, rhs, tau_new)
     # The columns whose seed has two active constraints fail with their
     # group and are left untouched; the other groups still certify,
     # with the bits they get when no solve fails.
     pairs = (tau > 0).sum(axis=0) == 2
     assert pairs.any() and not certified[pairs].any()
     assert reference.all() and certified[~pairs].all()
-    assert (u_new[:, ~certified] == 0.0).all()
+    assert (a_new[:, ~certified] == 0.0).all()
     assert np.array_equal(tau_new[:, ~certified], tau[:, ~certified])
-    assert np.array_equal(u_new[:, certified], u_ref[:, certified])
+    assert np.array_equal(a_new[:, certified], a_ref[:, certified])
     assert np.array_equal(tau_new[:, certified], tau_ref[:, certified])
 
 
@@ -526,43 +541,53 @@ def _watched_and_plain(t, y, cfg):
     return watched, dykstra_project(t, y, cfg), seen
 
 
-@pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
-def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
-    # A watched run forms U of the swept columns after every sweep, a
-    # plain one only for the columns the finish certifies and, at the
-    # sweep budget, for the rest. Both give each column the same bits.
-    # "mixed" stops at its budget with some columns certified and the
-    # rest in a gathered block; "uncertified" certifies none, so its
-    # swept block is u itself in the plain run.
+def _run_case(monkeypatch, case):
+    """A problem and budget for each way a run can end.
+
+    "certified" converges, with the interior check certifying most
+    columns; "mixed" stops at its budget with some columns certified and
+    the rest in a gathered block; "uncertified" certifies none, so its
+    swept block is the output array itself in a plain run.
+    """
     if case == "certified":
         t, y = _mostly_interior(22, n=300)
-        cfg = DykstraConfig()
-    elif case == "mixed":
+        return t, y, DykstraConfig()
+    if case == "mixed":
         monkeypatch.setattr(dykstra, "TILE", 7)
         _fail_pair_solves(monkeypatch)
         _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
-        cfg = DykstraConfig(max_sweeps=3)
-    else:
-        monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
-        t, y = _settled_scene()
-        cfg = DykstraConfig(max_sweeps=5)
-    (u_w, trace_w), (u_p, trace_p), seen = _watched_and_plain(t, y, cfg)
-    assert np.array_equal(u_w, u_p)
-    assert np.array_equal(seen[-1], u_p)
+        return t, y, DykstraConfig(max_sweeps=3)
+    monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+    t, y = _settled_scene()
+    return t, y, DykstraConfig(max_sweeps=5)
+
+
+@pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
+def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
+    # A watched run writes the abundances of the swept columns after
+    # every sweep, a plain one only for the columns the finish certifies
+    # and, at the sweep budget, for the rest. Both give each column the
+    # same bits, and the observer's last U is D a, or Y0 for the columns
+    # the interior check made final.
+    t, y, cfg = _run_case(monkeypatch, case)
+    (a_w, trace_w), (a_p, trace_p), seen = _watched_and_plain(t, y, cfg)
+    assert np.array_equal(a_w, a_p)
+    assert np.array_equal(seen[-1], _observed(t, y, a_p))
     assert trace_w.n_sweeps == trace_p.n_sweeps == len(seen)
     assert np.array_equal(trace_w.uncertified, trace_p.uncertified)
-    _check_bookkeeping(t, y, u_p, trace_p, cfg)
+    _check_bookkeeping(t, y, a_p, trace_p, cfg)
     left = trace_p.uncertified[-1]
     if case == "certified":
         assert left == 0 and trace_p.uncertified[0] < y.shape[1]
         return
     assert trace_p.n_sweeps == cfg.max_sweeps
     assert 0 < left and (case == "uncertified") == (left == y.shape[1])
-    # An uncertified column's U is formed from its multipliers: the
-    # iterate the same sweeps reach on U. The certified columns are far
-    # from that iterate, so exactly the uncertified ones agree with it.
+    # An uncertified column's abundances are formed from its
+    # multipliers, and D a is the iterate the same sweeps reach on U.
+    # The certified columns are far from that iterate, so exactly the
+    # uncertified ones agree with it.
     u_cyc = _cyclic_sweeps(t, y, cfg.max_sweeps)
-    off = np.abs(u_p - u_cyc).max(axis=0)
+    off = np.abs(t.d @ a_p - u_cyc).max(axis=0)
     assert (off <= 1e-12 * np.abs(u_cyc).max()).sum() == left
     if case == "uncertified":
         # With nothing certified, every watched sweep shows that iterate.
@@ -573,9 +598,9 @@ def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["interior", "budget"])
 def test_a_plain_run_forms_each_swept_column_once(monkeypatch, case):
-    # U is formed for the columns each finish certifies and, at the
-    # budget, for the rest; the interior check's columns keep Y0. So in a
-    # plain run the widths formed add up to the columns the check left.
+    # A plain run writes each column of its output exactly once: the
+    # interior check's columns at lam = 0, the columns each finish
+    # certifies and, at the budget, the rest.
     if case == "interior":
         t, y = _mostly_interior(20)
         cfg = DykstraConfig()
@@ -584,38 +609,74 @@ def test_a_plain_run_forms_each_swept_column_once(monkeypatch, case):
         _fail_pair_solves(monkeypatch)
         _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
         cfg = DykstraConfig(max_sweeps=3)
-    formed = []
-    form_u = dykstra._form_u
+    written = []
+    write_tile = dykstra._write_tile
+    write_interior_tile = dykstra._write_interior_tile
 
-    def recorded(t, y, tau):
-        formed.append(tau.shape[1])
-        return form_u(t, y, tau)
+    def recorded(t, a, rhs, lam, cols, pick, tile):
+        written.extend(cols[tile if pick is None else pick[tile]].tolist())
+        return write_tile(t, a, rhs, lam, cols, pick, tile)
 
-    monkeypatch.setattr(dykstra, "_form_u", recorded)
+    def recorded_interior(t, a, tile):
+        # The pass covers whole tiles, but is final only for the columns
+        # the check certified; _write_tile later writes over the others.
+        cols = np.arange(a.shape[1])[tile]
+        written.extend(cols[final[tile]].tolist())
+        return write_interior_tile(t, a, tile)
+
+    monkeypatch.setattr(dykstra, "_write_tile", recorded)
+    monkeypatch.setattr(dykstra, "_write_interior_tile", recorded_interior)
     n = y.shape[1]
-    interior = _interior(t, y).sum()
-    if 2 * interior < n:
-        interior = 0
-    u, trace = dykstra_project(t, y, cfg)
+    final = _final_interior(t, y)
+    interior = final.sum()
+    a, trace = dykstra_project(t, y, cfg)
     if case == "interior":
         assert interior > 0 and trace.converged
         assert trace.n_sweeps == FIRST_CHECKPOINT
     else:
         assert interior == 0 and not trace.converged
         assert 0 < trace.uncertified[-1] < trace.uncertified[0] == n
-    assert sum(formed) == n - interior
-    _check_bookkeeping(t, y, u, trace, cfg)
+    assert sorted(written) == list(range(n))
+    _check_bookkeeping(t, y, a, trace, cfg)
+
+
+@pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
+def test_a_plain_run_reads_y_once(monkeypatch, case):
+    # Only the interior check drops Y onto S, once per column: the
+    # finishes and the budget's last write work from rhs and the
+    # multipliers alone.
+    t, y, cfg = _run_case(monkeypatch, case)
+    dropped, inside = [], []
+    hyperplane = dykstra.project_hyperplane
+    interior_tile = dykstra._interior_tile
+
+    def recorded(t, z):
+        dropped.append((z.shape[1], bool(inside)))
+        return hyperplane(t, z)
+
+    def checked(*args):
+        inside.append(True)
+        try:
+            return interior_tile(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dykstra, "project_hyperplane", recorded)
+    monkeypatch.setattr(dykstra, "_interior_tile", checked)
+    dykstra_project(t, y, cfg)
+    assert all(by_check for _, by_check in dropped)
+    assert sum(width for width, _ in dropped) == y.shape[1]
 
 
 def test_on_sweep_sees_every_live_iterate():
     _, t, y = _problem(7, n=20)
     seen = []
     cfg = DykstraConfig(max_sweeps=50)
-    u, trace = dykstra_project(
+    a, trace = dykstra_project(
         t, y, cfg, on_sweep=lambda s, v: seen.append((s, v.copy()))
     )
     assert [s for s, _ in seen] == list(range(1, trace.n_sweeps + 1))
-    assert np.array_equal(seen[-1][1], u)
+    assert np.array_equal(seen[-1][1], _observed(t, y, a))
 
 
 def test_on_sweep_cannot_write_the_iterate():
@@ -649,13 +710,13 @@ def test_corrections_make_the_limit_the_nearest_point():
     # be farther than the cyclic-projection limit, and on instances with
     # several active constraints it is strictly closer.
     _, t, y = _problem(10, n=30, spread=3.0)
-    u_dyk, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
+    a_dyk, _ = dykstra_project(t, y, DykstraConfig(max_sweeps=5000))
     # Plain cyclic projection is the same step with tau reset to 0.
     v = project_hyperplane(t, y)
     for _ in range(5000):
         for i in range(t.n_endmembers):
             project_intersection_geometric(t, i, v, np.zeros_like(v))
-    d_dyk = np.linalg.norm(y - u_dyk, axis=0)
+    d_dyk = np.linalg.norm(y - t.d @ a_dyk, axis=0)
     d_cyc = np.linalg.norm(y - v, axis=0)
     assert (d_dyk <= d_cyc + 1e-9).all()
     assert (d_cyc - d_dyk).max() > 1e-6
@@ -684,9 +745,9 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
                 f"peak {peak / (m * n * 8):.2f} m*n floats"
             )
     # On tiles of 256 columns the finish's temporaries are small, so the
-    # peak shows the state itself: u (Y0, then rhs or U) and tau, or u
-    # and a gathered rhs and tau no wider than half of it, with no copy
-    # of Y in either layout and no Y0 kept beside rhs.
+    # peak shows the state itself: the output (rhs, then abundances) and
+    # tau, or the output and a gathered rhs and tau no wider than half of
+    # it, with no copy of Y in either layout and no Y0 kept.
     monkeypatch.setattr(dykstra, "TILE", 256)
     for name, t_k, y_k in problems:
         for layout in (np.ascontiguousarray, np.asfortranarray):

@@ -127,14 +127,14 @@ def test_the_step_on_the_multipliers_is_the_step_on_u():
         project_intersection_dual(t, 6, rhs, tau)
 
 
-# Probes projectors._block_product on the installed BLAS. Every column of
+# Probes subspace._block_product on the installed BLAS. Every column of
 # every case (m, width, offset, layout of z, and a as given or as the
-# transpose of a C array, as S' is) must get the bits it gets alone.
+# transpose of a C array) must get the bits it gets alone.
 # Prints the mismatch count, the case count and a digest of those bits.
 _PROBE_BLOCK_PRODUCT = """
 import hashlib, json
 import numpy as np
-from sudap.projectors import _block_product
+from sudap.subspace import _block_product
 rng = np.random.default_rng(5)
 widths = list(range(1, 70)) + [255, 511, 512, 513, 1025, 2047]
 bad = cases = 0

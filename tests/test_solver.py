@@ -152,7 +152,7 @@ def test_sudap_output_is_exact_on_clean_interior_data():
 def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     e, _, x = _random_problem(40, m=5, n=300)
     direct = solve_sudap(e, x)
-    stages = ("transform", "forward", "project", "finish", "inverse")
+    stages = ("transform", "forward", "project", "finish")
     assert tuple(direct.stages) == stages
     assert min(direct.stages.values()) >= 0.0
     assert sum(direct.stages.values()) <= direct.wall_time
@@ -338,31 +338,40 @@ def _conditioned(seed, m, cond, spread, smallest=1.0, n=200):
     return e, ImageCube(rng.standard_normal((24, n)) * spread, (1, n))
 
 
-@pytest.mark.parametrize("spread", (1.0, 100.0))
-@pytest.mark.parametrize("cond", (1e2, 1e5, 1e8))
-@pytest.mark.parametrize("m", (4, 8))
+# The grid of (m, cond, spread) at smallest = 1, seed 0, then the far-out
+# pixels of an E whose singular values run from 1e-4 to 1, seeds 0-11.
+_CONDITIONING = [
+    pytest.param(0, m, cond, spread, 1.0, id=f"{m}-{cond}-{spread}")
+    for m in (4, 8) for cond in (1e2, 1e5, 1e8) for spread in (1.0, 100.0)
+] + [
+    pytest.param(seed, 8, 1e8, 100.0, 1e-4, id=f"smallest1e-4-seed{seed}")
+    for seed in range(12)
+]
+
+
+@pytest.mark.parametrize("seed, m, cond, spread, smallest", _CONDITIONING)
 def test_a_converged_run_matches_the_oracle_at_any_conditioning(
-    m, cond, spread
+    seed, m, cond, spread, smallest
 ):
     # A run may end loud (not converged) on an ill-conditioned E, but a
     # run that reports converged must be the exact answer.
-    e, x = _conditioned(0, m, cond, spread)
+    e, x = _conditioned(seed, m, cond, spread, smallest=smallest)
     result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
     if result.trace.converged:
         a_star = solve_oracle_activeset(e, x).a_hat
         assert relative_error_db(result.a_hat, a_star) <= cli.ORACLE_RE_DB
 
 
-@pytest.mark.xfail(strict=True, reason="the certificate's bound grows "
-                   "with the multipliers, which reach 3e5 here")
-def test_far_out_pixels_of_an_ill_conditioned_e_certify_off_the_oracle():
+def test_far_out_pixels_of_an_ill_conditioned_e_certify_on_the_oracle():
     # With E's singular values from 1e-4 to 1, pixels of norm about 500
     # have multipliers up to 3e5, and the certificate's bound on their
     # abundances, CERT_TOL p_norms_i (|rhs_i| + sum_j lam_j), reaches
-    # about 1e-3. A vertex pixel is certified with active abundances
-    # near -3e-6 instead of 0, so the run reports converged 1e-6 off the
-    # oracle (-112 dB). A 60-digit solve of the same problem agrees
-    # with the oracle to -288 dB.
+    # about 1e-3. Mapping the certified point back through D^{-1}, whose
+    # condition number is 1e4 here, left a vertex pixel's active
+    # abundances near -3e-6 instead of 0, 1e-6 off the oracle (-112 dB).
+    # The output is now the certificate's own abundances, and agrees
+    # with the oracle (which a 60-digit solve of the same problem
+    # confirms to -288 dB).
     e, x = _conditioned(0, 8, 1e8, 100.0, smallest=1e-4)
     result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
     assert result.trace.converged

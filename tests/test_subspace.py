@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +102,53 @@ def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut(
     with open_cube(path) as source:
         assert np.array_equal(forward_transform(t, e, source), y[:, 4:5])
     assert np.array_equal(forward_transform(t, e, x[:, 4:5]), y[:, 4:5])
+
+
+# Counts the columns whose Y differs between the cube file streamed in
+# the reader's own tiles and the same pixels in memory, at deep-m14's
+# sizes (14 endmembers, 224 bands); argv: the cube file to write.
+_COUNT_STREAMED_MISMATCHES = """
+import sys
+import numpy as np
+from sudap import EndmemberMatrix, ImageCube
+from sudap import io as sio
+from sudap.io import open_cube, write_cube
+from sudap.subspace import build_transform, forward_transform
+rng = np.random.default_rng(18)
+bands, n = 224, 3 * 585
+e = EndmemberMatrix(rng.standard_normal((bands, 14)))
+t = build_transform(e)
+x = rng.standard_normal((bands, n))
+write_cube(sys.argv[1], ImageCube(x, (1, n)))
+assert sio.READ_TILE_BYTES // (bands * 8) == 585
+with open_cube(sys.argv[1]) as source:
+    streamed = forward_transform(t, e, source)
+print(int((streamed != forward_transform(t, e, x)).any(axis=0).sum()))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a read tile's width decides which "
+                   "BLAS kernel a column takes, and so its bits")
+def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut_at_m14(
+        tmp_path):
+    # The case above at deep-m14's sizes, in the reader's own 1 MiB tiles
+    # of 585 pixels, at one OpenBLAS thread. 585 mod 8 = 1, and the last
+    # column of each full tile takes BLAS's edge kernel, with other bits
+    # than the same column in memory (7 of deep-m14's 4096 pixels, by
+    # 2.4e-15). At two BLAS threads this cube happens to agree, so the
+    # count is fixed in a process of its own.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_STREAMED_MISMATCHES,
+         str(tmp_path / "x.cube")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert int(proc.stdout.split()[-1]) == 0
 
 
 def test_forward_transform_checks_band_count():
