@@ -29,8 +29,11 @@ channels x pixels view in Fortran order, with no copy; a short read
 fails there too, and the ImageCube or AbundanceMatrix that wraps the
 matrix checks it for non-finite values, once, in an error that names
 the file. Both are model.finite_sum_of_squares, whose pass is |X|^2
-(ContainerReader.sum_sq, ImageCube.sum_sq). The writer writes that
-pixel-major buffer as it is.
+(ContainerReader.sum_sq, ImageCube.sum_sq). The writer writes the
+payload in the same tiles, each the transpose of a channels x pixels
+slice, so it copies one tile at a time, never the whole matrix, and
+nothing when the transpose is already contiguous, as it is for what
+read_cube and read_abundance hand out.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
@@ -158,18 +161,24 @@ def write_library_csv(path, lib: SpectralLibrary) -> None:
 # ------------------------------------------------------- binary containers
 
 
+def _tile_width(n_channels: int) -> int:
+    """Whole pixels per tile of READ_TILE_BYTES, and at least one."""
+    return max(1, READ_TILE_BYTES // (8 * n_channels))
+
+
 def _write_container(path, magic, data, rows, cols, wavelengths) -> None:
     data = np.asarray(data, dtype=np.float64)
-    n_channels = data.shape[0]
+    n_channels, n = data.shape
     flags = FLAG_WAVELENGTHS if wavelengths is not None else 0
-    # Pixel-major is data.T; for a container read by ContainerReader it
-    # is already contiguous and is written without a copy.
-    payload = np.ascontiguousarray(data.T, dtype="<f8")
+    width = _tile_width(n_channels)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, VERSION, n_channels, rows, cols, flags))
         if wavelengths is not None:
             fh.write(np.asarray(wavelengths, dtype="<f8").tobytes())
-        fh.write(memoryview(payload))
+        # The payload is data.T, one tile at a time (module docstring).
+        for lo in range(0, n, width):
+            tile = data[:, lo:lo + width].T
+            fh.write(memoryview(np.ascontiguousarray(tile, dtype="<f8")))
 
 
 def _read_exactly(fh, path, out: np.ndarray) -> np.ndarray:
@@ -263,7 +272,7 @@ class ContainerReader:
         raises NonFinite. Every call starts again at the first pixel.
         """
         n = self.n_pixels
-        width = max(1, READ_TILE_BYTES // (8 * self.n_channels))
+        width = _tile_width(self.n_channels)
         buf = np.empty((min(width, n), self.n_channels), dtype="<f8")
         self._fh.seek(self._payload_at)
         self.sum_sq = 0.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dykstra import DykstraTrace
+from .dykstra import TILE, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
 from .solver import ReducedCube, reduce_cube
@@ -58,14 +58,18 @@ def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
     With E'E = D'D and Y = D^{-T} E'X, the residual splits as
     |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
     X outside the span of E, computed once here and clamped at 0
-    against rounding; each call then costs one m x n product.
+    against rounding. Each call then sums |Y - D A|^2 over blocks of
+    dykstra.TILE columns, so its only temporary is one m x TILE block.
     """
     out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
 
     def residual(a: np.ndarray) -> float:
-        r = d @ a
-        r -= y  # in place: one m x n temporary, the same squares
-        return out_of_span + float(np.einsum("ij,ij->", r, r))
+        in_span = 0.0
+        for lo in range(0, y.shape[1], TILE):
+            r = d @ a[:, lo:lo + TILE]
+            r -= y[:, lo:lo + TILE]
+            in_span += float(np.einsum("ij,ij->", r, r))
+        return out_of_span + in_span
 
     return residual
 
@@ -75,8 +79,10 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
 
     x is an ImageCube, reduced here by solver.reduce_cube, or a
     ReducedCube of the cube for this E, whose Y and |X|^2 are then used
-    as they are. No band x pixel temporary is formed, except with one
-    endmember, where there is no subspace to reduce to.
+    as they are; the residual is then summed block by block, and no
+    temporary larger than m x dykstra.TILE is formed. With one
+    endmember there is no subspace to reduce to, and the band x pixel
+    residual is formed whole.
     """
     a_data = _data(a_hat)
     expected = (e.n_endmembers, x.n_pixels)

@@ -115,6 +115,51 @@ def test_abundance_round_trip_is_bit_exact(tmp_path):
     assert back.shape == (4, 5)
 
 
+def _one_shot(magic, data, rows, cols, wavelengths=None) -> bytes:
+    """A container with its whole pixel-major payload transposed at once."""
+    flags = 0 if wavelengths is None else sio.FLAG_WAVELENGTHS
+    head = sio._HEADER.pack(magic, sio.VERSION, data.shape[0], rows, cols,
+                            flags)
+    if wavelengths is not None:
+        head += np.asarray(wavelengths, dtype="<f8").tobytes()
+    return head + np.ascontiguousarray(data.T, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 5, 16, 23])
+def test_the_chunked_writer_writes_the_one_shot_bytes(tmp_path, monkeypatch,
+                                                      order, n):
+    # Chunks of 8 four-channel pixels: n = 1, below one chunk, two
+    # whole chunks, and two chunks with a ragged third.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 8 * 4 * 8)
+    rng = np.random.default_rng(79)
+    a = AbundanceMatrix(np.asarray(rng.dirichlet(np.ones(4), size=n).T,
+                                   order=order), (1, n))
+    cube = ImageCube(np.asarray(rng.standard_normal((4, n)), order=order),
+                     (n, 1), wavelengths=np.arange(4.0))
+    write_abundance(tmp_path / "a.abund", a)
+    write_cube(tmp_path / "x.cube", cube)
+    assert (tmp_path / "a.abund").read_bytes() == _one_shot(
+        sio.MAGIC_ABUNDANCE, a.data, 1, n)
+    assert (tmp_path / "x.cube").read_bytes() == _one_shot(
+        sio.MAGIC_CUBE, cube.data, n, 1, cube.wavelengths)
+
+
+def test_the_writer_holds_one_chunk_not_the_matrix(tmp_path, monkeypatch):
+    # 5 x 20 000 abundances are 800 kB; a chunk is 8 KiB. The open
+    # file's own buffer and bookkeeping took 5.5 kB more. A matrix
+    # whose transpose is pixel-major is written with no copy at all.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 13)
+    rng = np.random.default_rng(80)
+    path = tmp_path / "a.abund"
+    for order in ("C", "F"):
+        a = AbundanceMatrix(np.asarray(
+            rng.dirichlet(np.ones(5), size=20000).T, order=order), (100, 200))
+        _, peak = traced_peak(lambda: write_abundance(path, a))
+        assert peak < sio.READ_TILE_BYTES + (1 << 13)
+        assert np.array_equal(read_abundance(path).data, a.data)
+
+
 def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
     rng = np.random.default_rng(76)
     cube = ImageCube(rng.standard_normal((64, 100 * 100)), (100, 100),

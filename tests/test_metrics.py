@@ -81,6 +81,18 @@ def test_objective_matches_the_image_space_residual():
         assert objective(e, cube, a) == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, dykstra.TILE - 1, 2 * dykstra.TILE + 37])
+def test_the_blocked_residual_matches_the_image_space_one(n):
+    # One pixel, fewer than one block of dykstra.TILE columns, and two
+    # whole blocks with a ragged third.
+    e, a_true, cube = make_instance(4, (1, n), 25.0, 63, n_bands=24)
+    rng = np.random.default_rng(63)
+    x = reduce_cube(e, cube)
+    for a in (a_true.data, rng.dirichlet(np.ones(4), size=n).T):
+        direct = np.linalg.norm(cube.data - e.data @ a) ** 2
+        assert objective(e, x, a) == pytest.approx(direct, rel=1e-12)
+
+
 def test_curve_columns_must_line_up():
     n = np.arange(3)
     z = np.zeros(3)

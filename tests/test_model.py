@@ -114,3 +114,16 @@ def test_column_feasibility_is_scale_sensitive():
     report = column_feasibility(doubled)
     assert not report.feasible
     assert report.max_sum_violation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0, 0.0])
+def test_column_feasibility_reads_the_sum_violation_off_the_extremes(side):
+    # Sums all above 1, all below, and on both sides: the report is the
+    # same float as max |s - 1| over every column sum s.
+    rng = np.random.default_rng(95)
+    a = rng.dirichlet(np.ones(6), size=500).T
+    sign = side or rng.choice([-1.0, 1.0], 500)
+    shift = rng.uniform(0.0, 1e-8, 500) * sign
+    a = _wrap(a * (1.0 + shift))
+    old = float(np.max(np.abs(a.data.sum(axis=0) - 1.0)))
+    assert column_feasibility(a).max_sum_violation == old

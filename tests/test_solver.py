@@ -377,3 +377,19 @@ def test_far_out_pixels_of_an_ill_conditioned_e_certify_on_the_oracle():
     assert result.trace.converged
     a_star = solve_oracle_activeset(e, x).a_hat
     assert relative_error_db(result.a_hat, a_star) <= cli.ORACLE_RE_DB
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="abundances read off multipliers up to 3e5 round "
+                   "outside EPS_SUM and EPS_NEG")
+def test_a_converged_run_on_an_ill_conditioned_e_is_feasible():
+    # The far-out pixels above, at the seed with the worst rounding: the
+    # run is certified and agrees with the oracle, but its column sums
+    # are 2.2e-6 off 1 and its smallest abundance is -1.1e-6, where the
+    # oracle's are exact. A re-solve of each certified pixel's free set
+    # in abundance space would make this pass.
+    e, x = _conditioned(4, 8, 1e8, 100.0, smallest=1e-4)
+    result = solve_sudap(e, x, DykstraConfig(max_sweeps=200))
+    if not result.trace.converged:
+        pytest.fail("the run no longer converges, so it shows nothing here")
+    assert column_feasibility(result.a_hat).feasible
