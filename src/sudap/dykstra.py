@@ -74,19 +74,19 @@ from tau. There is no second pass over Y and no map back through
 D^{-1}, whose condition number would amplify the rounding of a point
 that is exact in the subspace.
 
-dykstra_project's m x n state is the output a and tau. The interior check
-drops each tile of Y onto S, the only read of Y in a run, and keeps no
-Y0: it writes rhs = f - S Y0 into a. That is the swept block itself (a
-copy of it in a watched run, which writes a after every sweep), unless
-the check certifies at least half of the columns: then the rest are
-gathered into a block of their own first, and one pass turns all of a
-into abundances at lam = 0, which later writes replace for the
-gathered columns. cols gives the column of a that each block column
-belongs to. A watched run also holds the observer's U, off the trace
-clock: Y0 for the columns the interior check made final, and U = D a
-for the columns whose abundances were just written. The m x m products
-(S Y0, G lam and D a) go through subspace._block_product; the sweep's
-row products keep _row_dot's fixed order.
+dykstra_project's m x n state is the output a and tau. The interior
+check drops each tile of Y onto S, the only read of Y in a run, and
+keeps no Y0: it writes rhs = f - S Y0 into a. That is the swept block
+itself, unless the check certifies at least half of the columns: then
+the rest are gathered into a block of their own first, and one pass
+turns all of a into abundances at lam = 0, which later writes replace
+for the gathered columns. cols gives the column of a that each block
+column belongs to. A watched run does what a plain one does, and also
+holds the observer's U: Y0 for the columns the interior check made
+final, and D a for the others, formed off the trace clock after each
+sweep from the block's rhs and multipliers. The m x m products (S Y0, G
+lam and D a) go through subspace._block_product; the sweep's row
+products keep _row_dot's fixed order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -182,9 +182,8 @@ class DykstraTrace:
     that sweep over that block. elapsed_s is the cumulative time spent
     in the interior check with the drop onto S that it reads (on sweep
     1's row), the sweep kernel, the finish (with the abundances of the
-    columns it certifies) and the compaction only. The abundances of the
-    columns still uncertified, written after every sweep of a watched
-    run and at the sweep budget, a watched run's U, and the on_sweep
+    columns it certifies) and the compaction only. The sweep budget's
+    write of the uncertified columns, a watched run's U and the on_sweep
     observer are off the clock, so watched runs time like plain ones.
     finish_s is the part of elapsed_s[-1] spent in the interior check
     and the finishes.
@@ -333,10 +332,10 @@ def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
     _abundances(t, a[:, tile], out=a[:, tile])
 
 
-def _observe_tile(t: SubspaceTransform, a, u, cols, tile) -> None:
-    """Write U = D a of the columns cols[tile] of a into u."""
-    into = cols[tile]
-    u[:, into] = _block_product(t.d, a[:, into])
+def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
+    """Write U = D a of the block columns in tile into u's columns."""
+    a = _abundances(t, rhs[:, tile], lam[:, tile])
+    u[:, cols[tile]] = _block_product(t.d, a)
 
 
 def _interior_tile(t: SubspaceTransform, y, a, u, tile: slice):
@@ -431,9 +430,9 @@ def dykstra_project(
         the subspace, certified columns included, the same array on
         every call: it changes as the run goes on, so copy it to keep an
         iterate, and writing into it raises ValueError. A column's u is
-        Y0 while the interior check holds it final, and D a of its
-        abundances a once they are written. An exception from on_sweep
-        ends the run and propagates.
+        Y0 if the interior check made it final, else D a of the
+        abundances of its multipliers after the last sweep it was in.
+        An exception from on_sweep ends the run and propagates.
 
     Returns
     -------
@@ -482,9 +481,8 @@ def dykstra_project(
     try:
         # The interior check, with the drop onto S that it reads, runs
         # on sweep 1's clock and leaves f - S Y0 in a. Until it or a
-        # finish certifies a column, the swept block's rhs is a itself
-        # (a copy of it in a watched run, which writes a after every
-        # sweep), with a full-width tau; after that it is gathered.
+        # finish certifies a column, the swept block's rhs is a itself,
+        # with a full-width tau; after that it is gathered.
         tic = time.perf_counter()
         interior = np.concatenate(
             list(run(partial(_interior_tile, t, y, a, u), _tiles(n)))
@@ -496,7 +494,7 @@ def dykstra_project(
             list(run(partial(_write_interior_tile, t, a), _tiles(n)))
         else:
             cols = np.arange(n)
-            rb = a if on_sweep is None else a.copy()
+            rb = a
         finish = time.perf_counter() - tic
         tb = np.zeros_like(rb)
         clock = time.perf_counter() - tic
@@ -505,7 +503,6 @@ def dykstra_project(
             tic = time.perf_counter()
             tiles = _tiles(rb.shape[1])
             certified = None
-            written = []
             if tiles:
                 list(run(partial(_sweep_tile, t, rb, tb, sweep), tiles))
                 if sweep == checkpoint or sweep == cfg.max_sweeps:
@@ -514,12 +511,18 @@ def dykstra_project(
                     certified = np.concatenate(list(run(
                         partial(_finish_tile, t, rb, tb), tiles
                     )))
-                    done = np.flatnonzero(certified)
-                    list(run(partial(_write_tile, t, a, rb, tb, cols, done),
-                             _tiles(done.size)))
-                    written.append(cols[done])
                     finish += time.perf_counter() - mid
+            clock += time.perf_counter() - tic
+            if u is not None:
+                # The observer's U, off the clock, before the certified
+                # writes, which overwrite their rhs when rb is a.
+                list(run(partial(_observe_tile, t, rb, tb, u, cols), tiles))
+            tic = time.perf_counter()
             if certified is not None and certified.any():
+                done = np.flatnonzero(certified)
+                list(run(partial(_write_tile, t, a, rb, tb, cols, done),
+                         _tiles(done.size)))
+                finish += time.perf_counter() - tic
                 keep = np.flatnonzero(~certified)
                 cols = cols[keep]
                 # One block at a time, so that only one gathered copy
@@ -529,19 +532,14 @@ def dykstra_project(
                 rb = rb.take(keep, axis=1)
                 tb = tb.take(keep, axis=1)
             clock += time.perf_counter() - tic
-            if on_sweep is not None or sweep == cfg.max_sweeps:
-                # The columns still uncertified get the abundances of
-                # their tau.
+            if sweep == cfg.max_sweeps:
+                # The uncertified columns get the abundances of their tau.
                 list(run(partial(_write_tile, t, a, rb, tb, cols, None),
                          _tiles(rb.shape[1])))
-                written.append(cols)
 
             elapsed.append(clock)
             uncertified.append(rb.shape[1])
             if on_sweep is not None:
-                for into in written:
-                    list(run(partial(_observe_tile, t, a, u, into),
-                             _tiles(into.size)))
                 on_sweep(sweep, u_seen)
 
             if rb.shape[1] == 0:

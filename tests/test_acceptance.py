@@ -42,7 +42,12 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _decay_profile(iterates):
-    """Distance of every sweep's iterate to the run's final one."""
+    """Distance of every sweep's iterate to the run's final one.
+
+    The final iterate is the last sweep's finish point, so the hit
+    sweep is looked for among the sweeps before it: the finish alone
+    cannot meet the gate.
+    """
     u_final = iterates[-1]
     ks = np.arange(1, len(iterates) + 1, dtype=float)
     es = np.array([float(np.linalg.norm(u - u_final)) for u in iterates])
@@ -54,7 +59,7 @@ def _decay_profile(iterates):
         if keep.sum() >= 2
         else -np.inf
     )
-    hits = np.flatnonzero(es <= 1e-10 * es[0])
+    hits = np.flatnonzero(es[:-1] <= 1e-10 * es[0])
     hit_sweep = int(ks[hits[0]]) if hits.size else None
     return slope, hit_sweep
 
@@ -171,7 +176,7 @@ def test_iterates_converge_geometrically(pipeline_runs):
     )
 
 
-def _per_sweep_seconds(m: int, n: int, seed: int, sweeps: int = 20) -> float:
+def _sweep_problem(m: int, n: int, seed: int):
     # Full-width sweeps of the solver's kernel, on the multipliers tau
     # and rhs = f - S Y0: the driver itself stops sweeping certified
     # columns after the first checkpoint.
@@ -179,23 +184,29 @@ def _per_sweep_seconds(m: int, n: int, seed: int, sweeps: int = 20) -> float:
     e = EndmemberMatrix(rng.standard_normal((m + 24, m)))
     t = build_transform(e)
     y = 2.0 * rng.standard_normal((m, n))
-    rhs = dykstra._rhs(t, project_hyperplane(t, y))
-    best = np.inf
-    for _ in range(3):
-        tau = np.zeros((m, n))
-        started = time.perf_counter()
-        for sweep in range(1, sweeps + 1):
-            dykstra._sweep_tile(t, rhs, tau, sweep, slice(None))
-        best = min(best, (time.perf_counter() - started) / sweeps)
-    return best
+    return t, dykstra._rhs(t, project_hyperplane(t, y))
+
+
+def _per_sweep_seconds(t, rhs, sweeps: int = 20) -> float:
+    tau = np.zeros_like(rhs)
+    started = time.perf_counter()
+    for sweep in range(1, sweeps + 1):
+        dykstra._sweep_tile(t, rhs, tau, sweep, slice(None))
+    return (time.perf_counter() - started) / sweeps
 
 
 def test_sweep_cost_scales_with_pixels_and_endmembers():
     started = time.perf_counter()
-    _per_sweep_seconds(8, 40_000, 0, sweeps=5)  # warm the kernels
-    t_base = _per_sweep_seconds(8, 10_000, 1)
-    t_pixels = _per_sweep_seconds(8, 40_000, 2)
-    t_members = _per_sweep_seconds(16, 10_000, 3)
+    _per_sweep_seconds(*_sweep_problem(8, 40_000, 0), sweeps=5)  # warm up
+    sizes = [_sweep_problem(8, 10_000, 1), _sweep_problem(8, 40_000, 2),
+             _sweep_problem(16, 10_000, 3)]
+    # The sizes take turns, best of 5 rounds each, so that a spell of
+    # load on the host slows every size alike.
+    best = [np.inf] * len(sizes)
+    for _ in range(5):
+        for k, problem in enumerate(sizes):
+            best[k] = min(best[k], _per_sweep_seconds(*problem))
+    t_base, t_pixels, t_members = best
     elapsed = time.perf_counter() - started
     r_pixels = t_pixels / t_base
     r_members = t_members / t_base

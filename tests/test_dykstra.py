@@ -564,11 +564,10 @@ def _run_case(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
 def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
-    # A watched run writes the abundances of the swept columns after
-    # every sweep, a plain one only for the columns the finish certifies
-    # and, at the sweep budget, for the rest. Both give each column the
-    # same bits, and the observer's last U is D a, or Y0 for the columns
-    # the interior check made final.
+    # A watched run is a plain run plus, after each sweep, U formed from
+    # the swept block's multipliers for the observer. Both give each
+    # column the same bits, and the observer's last U is D a, or Y0 for
+    # the columns the interior check made final.
     t, y, cfg = _run_case(monkeypatch, case)
     (a_w, trace_w), (a_p, trace_p), seen = _watched_and_plain(t, y, cfg)
     assert np.array_equal(a_w, a_p)
@@ -596,11 +595,13 @@ def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
             assert np.abs(v - u_k).max() <= 1e-12 * np.abs(u_k).max()
 
 
+@pytest.mark.parametrize("watched", ["plain", "watched"])
 @pytest.mark.parametrize("case", ["interior", "budget"])
-def test_a_plain_run_forms_each_swept_column_once(monkeypatch, case):
-    # A plain run writes each column of its output exactly once: the
-    # interior check's columns at lam = 0, the columns each finish
-    # certifies and, at the budget, the rest.
+def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
+    # A run, watched or not, writes each column of its output exactly
+    # once: the interior check's columns at lam = 0, the columns each
+    # finish certifies and, at the budget, the rest. The observer's U is
+    # formed from the swept block, not read back from the output.
     if case == "interior":
         t, y = _mostly_interior(20)
         cfg = DykstraConfig()
@@ -629,7 +630,8 @@ def test_a_plain_run_forms_each_swept_column_once(monkeypatch, case):
     n = y.shape[1]
     final = _final_interior(t, y)
     interior = final.sum()
-    a, trace = dykstra_project(t, y, cfg)
+    on_sweep = None if watched == "plain" else (lambda s, u: None)
+    a, trace = dykstra_project(t, y, cfg, on_sweep)
     if case == "interior":
         assert interior > 0 and trace.converged
         assert trace.n_sweeps == FIRST_CHECKPOINT
@@ -747,16 +749,22 @@ def test_driver_memory_does_not_grow_with_m(monkeypatch):
     # On tiles of 256 columns the finish's temporaries are small, so the
     # peak shows the state itself: the output (rhs, then abundances) and
     # tau, or the output and a gathered rhs and tau no wider than half of
-    # it, with no copy of Y in either layout and no Y0 kept.
+    # it, with no copy of Y in either layout and no Y0 kept. A watched
+    # run holds one block more, the U it shows, and no copy of the
+    # swept block.
     monkeypatch.setattr(dykstra, "TILE", 256)
+    watchers = ((None, 2.5), (lambda s, u: None, 2.5 + 1))
     for name, t_k, y_k in problems:
         for layout in (np.ascontiguousarray, np.asfortranarray):
             y_laid = layout(y_k)
             for sweeps in (FIRST_CHECKPOINT - 1, FIRST_CHECKPOINT + 1):
-                _, peak = traced_peak(lambda: dykstra_project(
-                    t_k, y_laid, DykstraConfig(max_sweeps=sweeps)
-                ))
-                assert peak < 2.5 * m * n * 8, (
-                    f"{name}, {layout.__name__}, {sweeps} sweeps: "
-                    f"peak {peak / (m * n * 8):.2f} m*n floats"
-                )
+                for on_sweep, bound in watchers:
+                    _, peak = traced_peak(lambda: dykstra_project(
+                        t_k, y_laid, DykstraConfig(max_sweeps=sweeps),
+                        on_sweep,
+                    ))
+                    assert peak < bound * m * n * 8, (
+                        f"{name}, {layout.__name__}, {sweeps} sweeps, "
+                        f"watched {on_sweep is not None}: "
+                        f"peak {peak / (m * n * 8):.2f} m*n floats"
+                    )
