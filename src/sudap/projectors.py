@@ -61,7 +61,8 @@ def project_intersection_geometric(
 
     With tau = 0 this is the plain projection of u. u is updated one
     row at a time, so no m x n temporary is made. The solver runs the
-    same step on the multipliers alone (project_intersection_dual).
+    same step on the multipliers alone (project_intersection_dual); this
+    step on u is kept as the reference the tests compare that one with.
     """
     _check_index(t, i)
     s, tau_i = t.s[i], tau[i]

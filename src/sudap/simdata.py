@@ -76,7 +76,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if np.isnan(self.snr_db):
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
             raise ValueError("snr_db must be a number or +inf")
 
 

@@ -10,11 +10,12 @@ Four solvers share one result type:
   the cube only through its reduced form.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
-  closed form.
+  one bordered solve (_sum_to_one).
 * solve_oracle_activeset: exact fully constrained solution by active-set
-  enumeration. Deliberately built in abundance space directly on E, with
-  its own factorizations, so it shares no code path with the subspace
-  solver it is used to verify.
+  enumeration, one _sum_to_one solve per candidate set. Deliberately
+  built in abundance space directly on E, with its own factorizations,
+  so it shares no code path with the subspace solver it is used to
+  verify.
 """
 
 from __future__ import annotations
@@ -115,10 +116,33 @@ def _gram_factor(e: EndmemberMatrix):
     return factor
 
 
-def _least_squares(e: EndmemberMatrix, x: ImageCube):
-    """The Gram factor and the unconstrained solution (E'E)^{-1} E'X."""
-    factor = _gram_factor(e)
-    return factor, scipy.linalg.cho_solve(factor, e.data.T @ x.data)
+def _sum_to_one(g: np.ndarray, h: np.ndarray):
+    """Least squares under the sum-to-one constraint alone, per column.
+
+    For G = E'E (f x f) and h = E'X (f x r), the stationarity conditions
+    of min |x - Ea| subject to 1'a = 1 are the bordered linear system
+
+        [ G   1 ] [a ]   [h]
+        [ 1'  0 ] [mu] = [1],
+
+    factored once by LU and solved for every column. Returns a (f x r)
+    and the multipliers mu (r).
+    """
+    f, r = h.shape
+    k = np.zeros((f + 1, f + 1))
+    k[:f, :f] = g
+    k[:f, f] = 1.0
+    k[f, :f] = 1.0
+    lu = scipy.linalg.lu_factor(k, check_finite=False)
+    # The right-hand side is built in LAPACK's column order, which
+    # lu_solve then overwrites with the solution instead of copying.
+    # g and h are finite (E and X were checked), so neither call scans
+    # its operands again.
+    rhs = np.empty((f + 1, r), order="F")
+    rhs[:f] = h
+    rhs[f] = 1.0
+    sol = scipy.linalg.lu_solve(lu, rhs, overwrite_b=True, check_finite=False)
+    return sol[:f], sol[f]
 
 
 def _ones_result(x: ImageCube, solver_id: str, t0: float) -> SolveResult:
@@ -213,7 +237,7 @@ def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     """Unconstrained least squares, A = (E'E)^{-1} E'X."""
     t0 = time.perf_counter()
     validate_dimensions(e, x)
-    _, a = _least_squares(e, x)
+    a = scipy.linalg.cho_solve(_gram_factor(e), e.data.T @ x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(result, _empty_trace(), "ls", time.perf_counter() - t0)
 
@@ -221,21 +245,16 @@ def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
 def solve_ls_sum1(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     """Least squares under the sum-to-one constraint alone.
 
-    Closed form: shift the unconstrained solution along (E'E)^{-1} 1
-    until columns sum to one,
-
-        a = a_ls - (E'E)^{-1} 1 (1'a_ls - 1) / (1'(E'E)^{-1} 1).
+    The oracle's full-set solve (_sum_to_one on E'E and E'X), so its
+    columns are the oracle's own wherever the oracle's answer is
+    interior.
     """
     t0 = time.perf_counter()
     validate_dimensions(e, x)
     if e.n_endmembers == 1:
         return _ones_result(x, "ls_sum1", t0)
-    factor, a_ls = _least_squares(e, x)
-    g_inv_one = scipy.linalg.cho_solve(
-        factor, np.ones(e.n_endmembers)
-    )
-    shift = (a_ls.sum(axis=0) - 1.0) / g_inv_one.sum()
-    a = a_ls - np.outer(g_inv_one, shift)
+    _gram_factor(e)
+    a, _ = _sum_to_one(e.data.T @ e.data, e.data.T @ x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(
         result, _empty_trace(), "ls_sum1", time.perf_counter() - t0
@@ -247,60 +266,33 @@ def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Enumerates candidate sets Z of abundances pinned to zero, smallest
     sets first and in index order within a size. For each Z the
-    stationarity conditions on the free coordinates F reduce to the
-    bordered linear system
-
-        [ G_FF  1 ] [a_F]   [h_F]
-        [ 1'    0 ] [mu ] = [ 1 ],   G = E'E,  h = E'x.
-
-    A candidate wins if a_F >= -PRIMAL_TOL and the multipliers of the
-    pinned coordinates, lambda = G_ZF a_F - h_Z + mu, all clear
-    -DUAL_TOL. The true solution is unique, so the first winner is the
-    answer.
+    stationarity conditions on the free coordinates F are least squares
+    under the sum constraint alone, on G_FF and h_F (_sum_to_one; G = E'E,
+    h = E'x), with multiplier mu. A candidate wins if a_F >= -PRIMAL_TOL
+    and the multipliers of the pinned coordinates,
+    lambda = G_ZF a_F - h_Z + mu, all clear -DUAL_TOL. The true solution
+    is unique, so the first winner is the answer.
 
     Each candidate system is factored once and solved for the r pixels
     still unresolved. Their columns of h are gathered once and shrink
     with them, so a set costs O(m r) beyond its factorization, not
     O(m n): the work follows the unresolved pixels, as in FC-NNLS (Van
     Benthem & Keenan 2004).
+
+    G is positive definite (the caller checks its rank), so every
+    bordered system is nonsingular.
     """
     m = e.shape[1]
     g = e.T @ e
     h = e.T @ x
-
-    def bordered(free: np.ndarray) -> np.ndarray:
-        f = free.size
-        k = np.zeros((f + 1, f + 1))
-        k[:f, :f] = g[free[:, None], free]
-        k[:f, f] = 1.0
-        k[f, :f] = 1.0
-        return k
-
-    def solve(lu, h_free: np.ndarray) -> np.ndarray:
-        # The right-hand side is built in LAPACK's column order, which
-        # lu_solve then overwrites with the solution instead of copying.
-        # g and h are finite (E and X were checked), so neither call
-        # scans its operands again.
-        f, r = h_free.shape
-        rhs = np.empty((f + 1, r), order="F")
-        rhs[:f] = h_free
-        rhs[f] = 1.0
-        return scipy.linalg.lu_solve(
-            lu, rhs, overwrite_b=True, check_finite=False
-        )
-
-    every = np.arange(m)
-    try:
-        lu = scipy.linalg.lu_factor(bordered(every), check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NoKKTPoint(f"stationarity system is singular: {exc}") from None
-    a0 = solve(lu, h)[:m]
     # The full-set solve is the answer for every interior pixel; the
     # others' columns are overwritten as their sets are found.
+    a0, _ = _sum_to_one(g, h)
     a_hat = np.ascontiguousarray(a0)
     remaining = np.flatnonzero(~(a0 >= -PRIMAL_TOL).all(axis=0))
     h_r = h[:, remaining]
 
+    every = np.arange(m)
     for size in range(1, m):
         if remaining.size == 0:
             break
@@ -309,18 +301,10 @@ def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
                 break
             pinned = np.array(zeroed)
             free = np.delete(every, pinned)
-            try:
-                lu = scipy.linalg.lu_factor(
-                    bordered(free), check_finite=False
-                )
-            except scipy.linalg.LinAlgError:
-                continue
-            f = free.size
-            sol = solve(lu, h_r[free])
-            a_free = sol[:f]
+            a_free, mu = _sum_to_one(g[free[:, None], free], h_r[free])
             primal = (a_free >= -PRIMAL_TOL).all(axis=0)
             lam = g[pinned[:, None], free] @ a_free - h_r[pinned]
-            lam += sol[f]
+            lam += mu
             accept = primal & (lam >= -DUAL_TOL).all(axis=0)
             if not np.any(accept):
                 continue

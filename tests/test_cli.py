@@ -526,10 +526,12 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
         (benchmark + ["--values", "abc"], "--values"),
         (benchmark + ["--values", "3,,4"], "--values"),
         (benchmark + ["--values", "3", "--repeats", "0"], "--repeats"),
+        (benchmark + ["--sweep-var", "snr", "--values=-inf"], "--values"),
         (simulate + ["--rows", "0"], "--rows"),
         (simulate + ["--m", "0"], "--m"),
         (simulate + ["--min-angle", "-1"], "--min-angle"),
         (simulate + ["--snr-db", "nan"], "--snr-db"),
+        (simulate + ["--snr-db=-inf"], "--snr-db"),
         (["validate", "--instances", "0"], "--instances"),
         (["validate", "--seed", "-1"], "--seed"),
     ):

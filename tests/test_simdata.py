@@ -114,9 +114,10 @@ def test_cube_generation_rejects_mismatched_endmember_count():
         synthesize_cube(e, a, NoiseSpec(30.0, 0), (1, 10))
 
 
-def test_noise_spec_rejects_nan():
-    with pytest.raises(ValueError):
-        NoiseSpec(np.nan, 0)
+def test_noise_spec_rejects_nan_and_minus_inf():
+    for snr_db in (np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            NoiseSpec(snr_db, 0)
     NoiseSpec(np.inf, 0)
 
 

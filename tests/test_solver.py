@@ -75,6 +75,16 @@ def test_ls_sum1_sums_to_one_and_is_stationary():
     assert objective(e, x, a) <= objective(e, x, fcls.a_hat) + 1e-9
 
 
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_ls_sum1_is_the_oracle_on_interior_pixels(m):
+    # One sum-to-one solve serves both: where every abundance of the
+    # answer is positive, ls_sum1's columns are the oracle's, bit for bit.
+    e, _, x = make_instance(m, (1, 200), np.inf, 0)
+    oracle = solve_oracle_activeset(e, x).a_hat.data
+    assert (oracle > 0.0).all()
+    assert np.array_equal(solve_ls_sum1(e, x).a_hat.data, oracle)
+
+
 def test_oracle_output_satisfies_kkt_certificate():
     # Independent verification of the oracle itself: feasibility plus
     # complementary slackness checked directly from G and E'x, with no
@@ -218,10 +228,9 @@ def test_rank_deficient_endmembers_are_rejected():
     col = np.linspace(0.5, 1.5, 16)
     e = EndmemberMatrix(np.column_stack([col, 2.0 * col, col ** 2]))
     x = ImageCube(np.ones((16, 3)), (1, 3))
-    with pytest.raises(RankDeficient):
-        solve_ls(e, x)
-    with pytest.raises(RankDeficient):
-        solve_oracle_activeset(e, x)
+    for solve in (solve_ls, solve_ls_sum1, solve_oracle_activeset):
+        with pytest.raises(RankDeficient):
+            solve(e, x)
     with pytest.raises(RankDeficient):
         objective(e, x, np.full((3, 3), 1.0 / 3.0))
 
