@@ -12,10 +12,10 @@ Four solvers share one result type:
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   one bordered solve (_sum_to_one).
 * solve_oracle_activeset: exact fully constrained solution by active-set
-  enumeration, one _sum_to_one solve per candidate set. Deliberately
-  built in abundance space directly on E, with its own factorizations,
-  so it shares no code path with the subspace solver it is used to
-  verify.
+  enumeration, one stacked _sum_to_one solve per chunk of candidate
+  sets of one size. Deliberately built in abundance space directly on
+  E, with its own factorizations, so it shares no code path with the
+  subspace solver it is used to verify.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _empty_trace() -> DykstraTrace:
 
 
 def _gram_factor(e: EndmemberMatrix):
-    """Cholesky-factor E'E for the normal-equation solvers.
+    """E'E and its Cholesky factor, after a rank check on the pivots.
 
     Local to this module on purpose: the direct solvers and the oracle
     must not borrow the subspace module's factorization.
@@ -113,7 +113,7 @@ def _gram_factor(e: EndmemberMatrix):
             "endmember matrix is numerically rank deficient: "
             f"smallest Cholesky pivot {pivots.min():.3e}"
         )
-    return factor
+    return g, factor
 
 
 def _sum_to_one(g: np.ndarray, h: np.ndarray):
@@ -125,24 +125,27 @@ def _sum_to_one(g: np.ndarray, h: np.ndarray):
         [ G   1 ] [a ]   [h]
         [ 1'  0 ] [mu] = [1],
 
-    factored once by LU and solved for every column. Returns a (f x r)
-    and the multipliers mu (r).
+    whose matrix is inverted once and applied to every column. Returns
+    a (f x r) and the multipliers mu (r), each the product of its own
+    rows of the inverse, so that a is an array of its own and a caller
+    keeping it keeps no multiplier row. g and h may also be stacks,
+    (k x f x f) and (k x f x r), of k such systems, each inverted on its
+    own; a is then (k x f x r) and mu (k x r).
+
+    With G positive definite the bordered matrix is nonsingular: its
+    Schur complement, -1'G^{-1}1, is negative.
     """
-    f, r = h.shape
-    k = np.zeros((f + 1, f + 1))
-    k[:f, :f] = g
-    k[:f, f] = 1.0
-    k[f, :f] = 1.0
-    lu = scipy.linalg.lu_factor(k, check_finite=False)
-    # The right-hand side is built in LAPACK's column order, which
-    # lu_solve then overwrites with the solution instead of copying.
-    # g and h are finite (E and X were checked), so neither call scans
-    # its operands again.
-    rhs = np.empty((f + 1, r), order="F")
-    rhs[:f] = h
-    rhs[f] = 1.0
-    sol = scipy.linalg.lu_solve(lu, rhs, overwrite_b=True, check_finite=False)
-    return sol[:f], sol[f]
+    f = g.shape[-1]
+    k = np.zeros(g.shape[:-2] + (f + 1, f + 1))
+    k[..., :f, :f] = g
+    k[..., :f, f] = 1.0
+    k[..., f, :f] = 1.0
+    ki = np.linalg.inv(k)
+    a = ki[..., :f, :f] @ h
+    a += ki[..., :f, f:]
+    mu = ki[..., f:, :f] @ h
+    mu += ki[..., f:, f:]
+    return a, mu[..., 0, :]
 
 
 def _ones_result(x: ImageCube, solver_id: str, t0: float) -> SolveResult:
@@ -237,7 +240,8 @@ def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     """Unconstrained least squares, A = (E'E)^{-1} E'X."""
     t0 = time.perf_counter()
     validate_dimensions(e, x)
-    a = scipy.linalg.cho_solve(_gram_factor(e), e.data.T @ x.data)
+    _, factor = _gram_factor(e)
+    a = scipy.linalg.cho_solve(factor, e.data.T @ x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(result, _empty_trace(), "ls", time.perf_counter() - t0)
 
@@ -253,65 +257,76 @@ def solve_ls_sum1(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
     validate_dimensions(e, x)
     if e.n_endmembers == 1:
         return _ones_result(x, "ls_sum1", t0)
-    _gram_factor(e)
-    a, _ = _sum_to_one(e.data.T @ e.data, e.data.T @ x.data)
+    g, _ = _gram_factor(e)
+    a, _ = _sum_to_one(g, e.data.T @ x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(
         result, _empty_trace(), "ls_sum1", time.perf_counter() - t0
     )
 
 
-def _oracle_abundances(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _oracle_abundances(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Exact simplex-constrained least squares per pixel.
 
-    Enumerates candidate sets Z of abundances pinned to zero, smallest
-    sets first and in index order within a size. For each Z the
+    For G = E'E (m x m) and h = E'X (m x n), enumerates candidate sets Z
+    of abundances pinned to zero, smallest sets first and in
+    itertools.combinations order within a size. For each Z the
     stationarity conditions on the free coordinates F are least squares
-    under the sum constraint alone, on G_FF and h_F (_sum_to_one; G = E'E,
-    h = E'x), with multiplier mu. A candidate wins if a_F >= -PRIMAL_TOL
-    and the multipliers of the pinned coordinates,
-    lambda = G_ZF a_F - h_Z + mu, all clear -DUAL_TOL. The true solution
-    is unique, so the first winner is the answer.
+    under the sum constraint alone, on G_FF and h_F (_sum_to_one), with
+    multiplier mu. A candidate wins if a_F >= -PRIMAL_TOL and the
+    multipliers of the pinned coordinates, lambda = G_ZF a_F - h_Z + mu,
+    all clear -DUAL_TOL. The true solution is unique, so the first
+    winner is the answer.
 
-    Each candidate system is factored once and solved for the r pixels
-    still unresolved. Their columns of h are gathered once and shrink
-    with them, so a set costs O(m r) beyond its factorization, not
-    O(m n): the work follows the unresolved pixels, as in FC-NNLS (Van
-    Benthem & Keenan 2004).
+    The sets of one size are solved in chunks, each one stacked
+    _sum_to_one call on the r pixels still unresolved. A chunk holds as
+    many sets as fit in h.size floats at h_r.size (the unresolved
+    columns of h) per set, so its temporaries stay within a few copies
+    of h and chunks grow as pixels resolve. Within a chunk each pixel
+    takes the first set that accepts it, which is the winner a set-by-set
+    loop picks; resolved pixels leave after every chunk. The work thus
+    follows the unresolved pixels, as in FC-NNLS (Van Benthem & Keenan
+    2004).
 
-    G is positive definite (the caller checks its rank), so every
-    bordered system is nonsingular.
+    G is positive definite (the caller checks its rank), so each G_FF
+    is too, and every bordered system is nonsingular.
     """
-    m = e.shape[1]
-    g = e.T @ e
-    h = e.T @ x
+    m = g.shape[0]
     # The full-set solve is the answer for every interior pixel; the
     # others' columns are overwritten as their sets are found.
-    a0, _ = _sum_to_one(g, h)
-    a_hat = np.ascontiguousarray(a0)
-    remaining = np.flatnonzero(~(a0 >= -PRIMAL_TOL).all(axis=0))
+    a_hat, _ = _sum_to_one(g, h)
+    remaining = np.flatnonzero(~(a_hat >= -PRIMAL_TOL).all(axis=0))
     h_r = h[:, remaining]
 
-    every = np.arange(m)
     for size in range(1, m):
         if remaining.size == 0:
             break
-        for zeroed in itertools.combinations(range(m), size):
-            if remaining.size == 0:
-                break
-            pinned = np.array(zeroed)
-            free = np.delete(every, pinned)
-            a_free, mu = _sum_to_one(g[free[:, None], free], h_r[free])
-            primal = (a_free >= -PRIMAL_TOL).all(axis=0)
-            lam = g[pinned[:, None], free] @ a_free - h_r[pinned]
-            lam += mu
-            accept = primal & (lam >= -DUAL_TOL).all(axis=0)
-            if not np.any(accept):
+        pinned = np.array(list(itertools.combinations(range(m), size)))
+        is_free = np.ones((len(pinned), m), dtype=bool)
+        np.put_along_axis(is_free, pinned, False, axis=1)
+        free = np.nonzero(is_free)[1].reshape(len(pinned), m - size)
+        start = 0
+        while start < len(pinned) and remaining.size:
+            stop = start + max(1, h.size // h_r.size)
+            z, fr = pinned[start:stop], free[start:stop]
+            start = stop
+            a_free, mu = _sum_to_one(
+                g[fr[:, :, None], fr[:, None, :]], h_r[fr]
+            )
+            lam = g[z[:, :, None], fr[:, None, :]] @ a_free
+            lam -= h_r[z]
+            lam += mu[:, None, :]
+            accept = (a_free >= -PRIMAL_TOL).all(axis=1)
+            accept &= (lam >= -DUAL_TOL).all(axis=1)
+            won = accept.any(axis=0)
+            if not won.any():
                 continue
-            cols = remaining[accept]
-            a_hat[pinned[:, None], cols] = 0.0
-            a_hat[free[:, None], cols] = a_free[:, accept]
-            keep = ~accept
+            j = np.flatnonzero(won)
+            first = accept[:, j].argmax(axis=0)
+            cols = remaining[j]
+            a_hat[:, cols] = 0.0
+            a_hat[fr[first], cols[:, None]] = a_free[first, :, j]
+            keep = ~won
             remaining = remaining[keep]
             h_r = h_r[:, keep]
 
@@ -347,8 +362,8 @@ def solve_oracle_activeset(e: EndmemberMatrix, x: ImageCube) -> SolveResult:
         )
     if m == 1:
         return _ones_result(x, "oracle", t0)
-    _gram_factor(e)
-    a = _oracle_abundances(e.data, x.data)
+    g, _ = _gram_factor(e)
+    a = _oracle_abundances(g, e.data.T @ x.data)
     result = AbundanceMatrix(a, x.shape)
     return SolveResult(
         result, _empty_trace(), "oracle", time.perf_counter() - t0

@@ -348,7 +348,7 @@ def test_points_far_outside_the_simplex_certify_and_match_the_oracle(
     )
     a, trace = dykstra_project(t, y)
     assert trace.converged and trace.uncertified[-1] == 0
-    a_star = _oracle_abundances(e.data, x)
+    a_star = _oracle_abundances(e.data.T @ e.data, e.data.T @ x)
     assert np.abs(a - a_star).max() <= 1e-9
 
 
@@ -369,8 +369,10 @@ def test_every_spread_certifies_at_the_first_checkpoint(m, n_bands):
         assert trace.uncertified[-1] == 0
         xs.append(x)
         estimates.append(a)
-    a_star = np.split(_oracle_abundances(e.data, np.hstack(xs)), len(spreads),
-                      axis=1)
+    a_star = np.split(
+        _oracle_abundances(e.data.T @ e.data, e.data.T @ np.hstack(xs)),
+        len(spreads), axis=1,
+    )
     for spread, a_hat, a in zip(spreads, estimates, a_star):
         assert np.abs(a_hat - a).max() <= 1e-11 * spread
 

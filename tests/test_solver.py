@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -118,6 +119,53 @@ def test_oracle_names_every_pixel_without_a_kkt_point(monkeypatch):
     monkeypatch.setattr(solver, "DUAL_TOL", -1e300)
     with pytest.raises(NoKKTPoint, match=r"^28 pixel\(s\) admitted no"):
         solve_oracle_activeset(e, x)
+
+
+def _first_kkt_point(g, h):
+    """The set-by-set enumeration for one pixel (G = E'E, h = E'x): the
+    first candidate set, smallest first and in combinations order, whose
+    bordered solve passes the oracle's checks, and its abundances."""
+    m = g.shape[0]
+    for size in range(m):
+        for zeroed in itertools.combinations(range(m), size):
+            pinned = np.array(zeroed, dtype=int)
+            free = np.setdiff1d(np.arange(m), pinned)
+            f = free.size
+            k = np.zeros((f + 1, f + 1))
+            k[:f, :f] = g[np.ix_(free, free)]
+            k[:f, f] = k[f, :f] = 1.0
+            sol = np.linalg.solve(k, np.append(h[free], 1.0))
+            lam = g[np.ix_(pinned, free)] @ sol[:f] - h[pinned] + sol[f]
+            if (sol[:f].min() >= -solver.PRIMAL_TOL
+                    and (lam >= -solver.DUAL_TOL).all()):
+                a = np.zeros(m)
+                a[free] = sol[:f]
+                return a
+    raise AssertionError("no candidate set passes")
+
+
+def test_stacked_enumeration_picks_the_set_by_set_winner():
+    # Pixels resolve at six pinned-set sizes here, in chunks that grow
+    # from one set to dozens as pixels resolve; every pixel must take
+    # the set a one-by-one loop accepts first.
+    e, _, x = _random_problem(7, m=8, n=400, snr_db=5.0)
+    a = solve_oracle_activeset(e, x).a_hat.data
+    g, h = e.data.T @ e.data, e.data.T @ x.data
+    ref = np.column_stack([_first_kkt_point(g, h[:, j])
+                           for j in range(h.shape[1])])
+    assert np.array_equal(a == 0.0, ref == 0.0)
+    assert np.abs(a - ref).max() <= 1e-12
+
+
+def test_oracle_stacks_the_candidate_sets_of_a_size(monkeypatch):
+    # One _sum_to_one call per candidate set made 215 calls here.
+    e, _, x = _random_problem(7, m=8, n=400, snr_db=5.0)
+    calls = []
+    real = solver._sum_to_one
+    monkeypatch.setattr(solver, "_sum_to_one",
+                        lambda g, h: calls.append(g.shape) or real(g, h))
+    solve_oracle_activeset(e, x)
+    assert len(calls) < 100
 
 
 def test_oracle_beats_every_feasible_competitor():
@@ -369,6 +417,19 @@ def test_a_converged_run_matches_the_oracle_at_any_conditioning(
     if result.trace.converged:
         a_star = solve_oracle_activeset(e, x).a_hat
         assert relative_error_db(result.a_hat, a_star) <= cli.ORACLE_RE_DB
+
+
+@pytest.mark.parametrize("seed, m, cond, spread, smallest", _CONDITIONING)
+def test_oracle_columns_sum_to_one_at_any_conditioning(
+    seed, m, cond, spread, smallest
+):
+    # Each bordered system is solved through its explicit inverse, which
+    # holds the sum row only to rounding: the worst column is 1.7e-12
+    # off 1 (m = 8, cond 1e8, spread 100).
+    e, x = _conditioned(seed, m, cond, spread, smallest=smallest)
+    a = solve_oracle_activeset(e, x).a_hat.data
+    assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-11
+    assert a.min() >= 0.0
 
 
 def test_far_out_pixels_of_an_ill_conditioned_e_certify_on_the_oracle():
