@@ -32,7 +32,7 @@ import numpy as np
 
 from . import errors
 from . import io as sio
-from .dykstra import DykstraConfig, _rhs
+from .dykstra import DykstraConfig
 from .metrics import (
     ConvergenceCurve,
     CurveRecorder,
@@ -388,7 +388,7 @@ def projector_gap(rng, n_triples: int) -> float:
         i = int(rng.integers(0, m))
         y0 = project_hyperplane(t, z)
         tau = np.zeros_like(z)
-        project_intersection_dual(t, i, _rhs(t, y0), tau)
+        project_intersection_dual(t, i, t.f[:, None] - t.s @ y0, tau)
         geo = y0 + t.s.T @ tau
         kkt = project_intersection_kkt(t, i, z)
         worst = max(worst, float(np.max(np.abs(geo - kkt))))

@@ -12,7 +12,7 @@ Y itself:
         U   <- P_i(Z)
         Q_i <- Z - U
 
-Y is first dropped onto S once, giving Y0. The limit is unchanged (the
+Y is first dropped onto S, giving Y0. The limit is unchanged (the
 feasible set lies inside S, and projecting onto a subset of an affine
 set through the set's own projection is exact), and every U and Z after
 that lies on S. On S, P_i(Z) only slides Z along the unit in-plane
@@ -31,13 +31,15 @@ which is m row operations per constraint where carrying U makes 2m.
 
 Many pixels need no sweep at all: when every abundance of Y0 is
 non-negative, Y0 is already the projection (the first step of FCLS,
-Heinz & Chang 2001). Before sweep 1 the driver checks every column of
-Y0 against the finish's certificate, below, with no constraint active
-(lam = 0). If at least half of the columns pass, they are final, with
-the bits the finish would give them, and the rest are gathered into the
-block that is swept; otherwise the check certifies none, and every
-column is swept. The half keeps the gathered rhs and tau no larger than
-the full-width tau they replace.
+Heinz & Chang 2001). Before sweep 1 the driver forms them in one affine
+pass over Y, a0 = D^{-1} Y0 = K Y + k with K = D^{-1} P, P = I - c b'
+and k = D^{-1} c. A column passes when no a0_i is below -CERT_TOL: the
+finish's certificate, below, at lam = 0, whose bound CERT_TOL
+max(1, |a_i|) passes no a_i below -CERT_TOL. If at least half of the
+columns pass, their a0 is final and the rest are gathered into the
+block that is swept, from rhs = -a0 / p_norms (abundance i is
+p_norms_i (s_i'Y0 - f_i)); otherwise every column is swept. The half
+keeps the gathered rhs and tau no larger than the full-width tau.
 
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
@@ -65,27 +67,24 @@ max_sweeps sweeps; only the first counts as converged. A run is never
 stopped because its iterate stopped changing: that says nothing of how
 far the iterate is from the projection.
 
-dykstra_project returns abundances, not points of the subspace, and one
-function, _abundances, forms them by the certificate's own formula, so
-a certified column's output is bit for bit what its certificate
-passed: the interior check's columns at lam = 0, the columns each
-finish certifies from their lam, and, at the sweep budget, the rest
-from tau. There is no second pass over Y and no map back through
-D^{-1}, whose condition number would amplify the rounding of a point
-that is exact in the subspace.
+dykstra_project returns abundances, not points of the subspace, and a
+certified column's output is bit for bit what its certificate passed:
+the interior check's a0, or what one function, _abundances, forms by
+the certificate's own formula from the multipliers of the columns each
+finish certifies (and, at the sweep budget, of the rest). There is no
+second pass over Y and no map back through D^{-1}, whose condition
+number would amplify the rounding of a point that is exact in the
+subspace.
 
 dykstra_project's m x n state is the output a and tau. The interior
-check drops each tile of Y onto S, the only read of Y in a run, and
-keeps no Y0: it writes rhs = f - S Y0 into a. That is the swept block
-itself, unless the check certifies at least half of the columns: then
-the rest are gathered into a block of their own first, and one pass
-turns all of a into abundances at lam = 0, which later writes replace
-for the gathered columns. cols gives the column of a that each block
-column belongs to. A watched run does what a plain one does, and also
-holds the observer's U: Y0 for the columns the interior check made
-final, and D a for the others, formed off the trace clock after each
-sweep from the block's rhs and multipliers. The m x m products (S Y0, G
-lam and D a) go through subspace._block_product; the sweep's row
+check writes a0 into a, in the only read of Y in a run. The swept
+block is a itself, or, if the check certified at least half of the
+columns, the rest gathered; its a0 then becomes its rhs in place. cols
+gives the column of a that each block column belongs to. A watched run
+also holds the observer's U = D a: the interior check forms it from
+a0, and after each sweep the block's columns get it again, off the
+trace clock, from their rhs and multipliers. The m x m products (K Y,
+G lam and D a) go through subspace._block_product; the sweep's row
 products keep _row_dot's fixed order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
@@ -110,11 +109,10 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .projectors import (
-    _row_dot,
-    project_hyperplane,
-    project_intersection_dual,
-)
+from .projectors import project_intersection_dual
+# perfbench's tracer records its projectors.hyperplane span at this name,
+# which no step of the driver calls any more: the span reads 0.
+from .projectors import project_hyperplane  # noqa: F401
 from .subspace import SubspaceTransform, _block_product
 
 # The sweep's kernel, bound to the name of the step on U that it
@@ -180,11 +178,11 @@ class DykstraTrace:
     when it starts: for the first sweep, all n or those the interior
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
-    in the interior check with the drop onto S that it reads (on sweep
-    1's row), the sweep kernel, the finish (with the abundances of the
-    columns it certifies) and the compaction only. The sweep budget's
-    write of the uncertified columns, a watched run's U and the on_sweep
-    observer are off the clock, so watched runs time like plain ones.
+    in the interior check (on sweep 1's row), the sweep kernel, the
+    finish (with the abundances of the columns it certifies) and the
+    compaction only. The sweep budget's write of the uncertified
+    columns, a watched run's U (but for its interior check's D a0) and
+    the on_sweep observer are off the clock.
     finish_s is the part of elapsed_s[-1] spent in the interior check
     and the finishes.
     uncertified is the number of columns not yet certified after the
@@ -274,33 +272,36 @@ def _solve_active(
     return lam
 
 
-def _rhs(t: SubspaceTransform, y0: np.ndarray, out=None) -> np.ndarray:
-    """f - S y0 for the points y0 on S, into out if given."""
-    return np.subtract(t.f[:, None], _block_product(t.s, y0), out=out)
+def _interior_abundances(t: SubspaceTransform, y: np.ndarray, out=None):
+    """The abundances D^{-1} Y0 = K y + k of the drop Y0 of y onto S, into
+    out if given; K = D^{-1} P, with P = I - c b', and k = D^{-1} c."""
+    k = t.d_inv @ t.c
+    a = _block_product(t.d_inv - np.outer(k, t.b), y, out=out)
+    a += k[:, None]
+    return a
 
 
-def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam=None, out=None):
-    """The abundances p_norms o (G lam - rhs) of y0 + S'lam (lam 0 when None).
+def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
+    """The abundances p_norms o (G lam - rhs) of y0 + S'lam.
 
-    rhs holds the columns' f - S y0; out, if given, may be rhs itself.
-    The certificate checks these values and dykstra_project outputs them, so
-    they are computed here alone.
+    rhs holds the columns' f - S y0. The certificate checks these values
+    and dykstra_project outputs them, so they are computed here alone.
     """
-    a = np.negative(rhs, out=out)
-    if lam is not None:
-        a += _block_product(t.gram, lam)
+    a = _block_product(t.gram, lam)
+    a -= rhs
     a *= t.p_norms[:, None]
     return a
 
 
-def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam=None):
-    """Each abundance of the multipliers lam (0 when None) plus its bound.
-
-    rhs holds the columns' f - S y0; the bound is as CERT_TOL says.
+def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
+    """Each abundance of the multipliers lam plus its bound, as CERT_TOL
+    says; rhs holds the columns' f - S y0, and lam is summed in row order.
     """
+    total = lam[0].copy()
+    for row in lam[1:]:
+        total += row
     scale = np.abs(rhs)
-    if lam is not None:
-        scale += _row_dot(np.ones(len(lam)), lam)
+    scale += total
     scale *= t.p_norms[:, None]
     np.maximum(scale, 1.0, out=scale)
     scale *= CERT_TOL
@@ -321,17 +322,6 @@ def _write_tile(t, a, rhs, lam, cols, pick, tile):
     a[:, cols[where]] = _abundances(t, rhs[:, where], lam[:, where])
 
 
-def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
-    """Overwrite f - S Y0 in a's tile with the abundances at lam = 0.
-
-    They are final for the columns the interior check certified;
-    dykstra_project has gathered the others' f - S Y0 by then, and writes their
-    abundances over these when it certifies them or at the sweep budget.
-    One pass over the whole tile costs less than picking the columns.
-    """
-    _abundances(t, a[:, tile], out=a[:, tile])
-
-
 def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
     """Write U = D a of the block columns in tile into u's columns."""
     a = _abundances(t, rhs[:, tile], lam[:, tile])
@@ -339,18 +329,15 @@ def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
 
 
 def _interior_tile(t: SubspaceTransform, y, a, u, tile: slice):
-    """Write f - S Y0 of the columns in tile into a, with Y0 = P(Y), and
-    flag those that are their own projection.
+    """Write the abundances a0 of Y0 of the columns in tile into a, and
+    flag those that are their own projection (module docstring).
 
-    Y0 also goes into u, unless u is None. A column whose Y0 passes the
-    certificate at lam = 0 is the finish's KKT point for the empty
-    active set.
+    U = D a0 also goes into u, unless u is None.
     """
-    y0 = project_hyperplane(t, y[:, tile])
+    a0 = _interior_abundances(t, y[:, tile], out=a[:, tile])
     if u is not None:
-        u[:, tile] = y0
-    rhs = _rhs(t, y0, out=a[:, tile])
-    return _cert_slack(t, rhs).min(axis=0) >= 0.0
+        _block_product(t.d, a0, out=u[:, tile])
+    return a0.min(axis=0) >= -CERT_TOL
 
 
 def _finish_tile(
@@ -430,8 +417,9 @@ def dykstra_project(
         the subspace, certified columns included, the same array on
         every call: it changes as the run goes on, so copy it to keep an
         iterate, and writing into it raises ValueError. A column's u is
-        Y0 if the interior check made it final, else D a of the
-        abundances of its multipliers after the last sweep it was in.
+        D a: of the a0 of the interior check if that made it final,
+        else of the abundances of its multipliers after the last sweep
+        it was in.
         An exception from on_sweep ends the run and propagates.
 
     Returns
@@ -479,22 +467,20 @@ def dykstra_project(
 
     checkpoint = FIRST_CHECKPOINT
     try:
-        # The interior check, with the drop onto S that it reads, runs
-        # on sweep 1's clock and leaves f - S Y0 in a. Until it or a
-        # finish certifies a column, the swept block's rhs is a itself,
-        # with a full-width tau; after that it is gathered.
+        # The interior check runs on sweep 1's clock and leaves a0 in a.
+        # The swept block's rhs, -a0 / p_norms, is a itself when it
+        # certifies none, else the other columns gathered.
         tic = time.perf_counter()
         interior = np.concatenate(
             list(run(partial(_interior_tile, t, y, a, u), _tiles(n)))
         )
-        gather = 2 * np.count_nonzero(interior) >= n
-        if gather:
+        if 2 * np.count_nonzero(interior) >= n:
             cols = np.flatnonzero(~interior)
             rb = a.take(cols, axis=1)
-            list(run(partial(_write_interior_tile, t, a), _tiles(n)))
         else:
             cols = np.arange(n)
             rb = a
+        rb /= -t.p_norms[:, None]
         finish = time.perf_counter() - tic
         tb = np.zeros_like(rb)
         clock = time.perf_counter() - tic

@@ -19,8 +19,8 @@ container. It reads the header alone first and checks its magic,
 version and dimensions, then the file's size against the size the
 header implies, and fails with clean errors on truncated or oversized
 files before any payload is read. open_cube then streams the payload
-in tiles of as many whole pixels as fit in READ_TILE_BYTES, through
-one reused buffer, each tile checked for a short read and for
+in tiles of whole pixels that fit in READ_TILE_BYTES, through one
+reused buffer, each tile checked for a short read and for
 non-finite values as it arrives (the subspace solver's forward map
 consumes each tile while it is still in cache, so the cube is never
 held whole). read_cube and read_abundance instead fill the whole
@@ -65,12 +65,11 @@ MAGIC_ABUNDANCE = b"SUAB"
 VERSION = 1
 FLAG_WAVELENGTHS = 0x1
 
-# Bytes of payload per streamed tile. Small enough that a tile is still
-# in a core's L2 when the reader's check and the forward map's product
-# pass over it after the read. Streaming a 102 400-pixel, 224-band cube
-# through solver.reduce_cube took 69-71 ms in 4 MiB tiles and 45-53 ms
-# in 256 KiB-1 MiB ones (a Xeon with 2 MiB of L2 per core, one pinned
-# CPU, BLAS at one thread, best of 9).
+# Bytes of payload per streamed tile, at most, so that a tile is still in
+# a core's L2 when the reader's check and the forward map's product pass
+# over it. Streaming a 102 400-pixel, 224-band cube through reduce_cube
+# took 69-71 ms in 4 MiB tiles and 45-53 ms in 256 KiB-1 MiB ones (a Xeon,
+# one pinned CPU, best of 9), also as products grew past SMALL_PRODUCT.
 READ_TILE_BYTES = 1 << 20
 
 
@@ -259,11 +258,13 @@ class ContainerReader:
     def n_bands(self) -> int:
         return self.n_channels
 
-    def tiles(self):
+    def tiles(self, width=None):
         """Read the payload in order, one tile of pixels at a time.
 
-        A tile is as many whole pixels as fit in READ_TILE_BYTES, and at
-        least one: 585 pixels of a 224-band cube. Yields each tile as a
+        A tile is ``width`` pixels: by default as many as fit in
+        READ_TILE_BYTES, and at least one; the forward map asks for
+        subspace.forward_width, 584, 440, 312 and 216 pixels of a 224-band
+        cube at m = 5, 10, 14 and 20. Yields each tile as a
         channels x pixels view, the transpose of its pixel-major rows.
         Every tile is read into one reused buffer, so a yielded view
         holds its values only until the next tile is read. Each tile is
@@ -272,7 +273,7 @@ class ContainerReader:
         raises NonFinite. Every call starts again at the first pixel.
         """
         n = self.n_pixels
-        width = _tile_width(self.n_channels)
+        width = width or _tile_width(self.n_channels)
         buf = np.empty((min(width, n), self.n_channels), dtype="<f8")
         self._fh.seek(self._payload_at)
         self.sum_sq = 0.0

@@ -45,31 +45,47 @@ RANK_TOL = 1e-12
 # for milliseconds at two threads.
 BLAS_BLOCK = 512
 BLAS_PAD = 8
+# Multiply-adds per product of the forward map's tiles. Above about
+# 1e6, OpenBLAS packs its operands, which a few rows cannot repay: at
+# m = 5 and 224 bands a hot block took 79 ns/pixel at 888 columns and
+# 129 at 896 (a Xeon, SkylakeX kernels, one pinned CPU, best of 15).
+SMALL_PRODUCT = 1_000_000
 
 
-def _block_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a small matrix a, each column's bits its own.
+def _block_product(a: np.ndarray, z: np.ndarray, out=None,
+                   block: int = BLAS_BLOCK) -> np.ndarray:
+    """a @ z for a small matrix a, each column's bits its own, into out.
 
-    z's columns go to BLAS as views, in blocks of at most BLAS_BLOCK
-    whose widths are multiples of BLAS_PAD; only the last
-    width % BLAS_PAD columns are copied, into a zeroed block of BLAS_PAD
-    columns. So a column's result is the same whatever the width, offset
-    and layout of the z it came in, as with projectors._row_dot, at a
-    fraction of its cost; test_projectors probes the rule on the
-    installed BLAS.
+    z's columns go to BLAS as views, in blocks of at most ``block`` (a
+    multiple of BLAS_PAD, or z's width or more) whose widths are
+    multiples of BLAS_PAD; only the last width % BLAS_PAD columns are
+    copied, into a zeroed block of BLAS_PAD columns. So a column's result
+    is the same whatever the width, offset and layout of the z it came
+    in, as with projectors._row_dot, at a fraction of its cost;
+    test_projectors probes the rule on the installed BLAS.
     """
     width = z.shape[1]
-    out = np.empty((a.shape[0], width))
+    if out is None:
+        out = np.empty((a.shape[0], width))
     tail = width % BLAS_PAD
     full = width - tail
-    for lo in range(0, full, BLAS_BLOCK):
-        hi = min(lo + BLAS_BLOCK, full)
+    for lo in range(0, full, block):
+        hi = min(lo + block, full)
         np.matmul(a, z[:, lo:hi], out=out[:, lo:hi])
     if tail:
         pad = np.zeros((z.shape[0], BLAS_PAD))
         pad[:, :tail] = z[:, full:]
-        out[:, full:] = (a @ pad)[:, :tail]
+        out[:, full:] = np.matmul(a, pad)[:, :tail]
     return out
+
+
+def forward_width(m: int, bands: int) -> int:
+    """Pixels per tile of the forward map: the largest multiple of
+    BLAS_PAD (at least one) whose tile fits in io.READ_TILE_BYTES and
+    whose product makes at most SMALL_PRODUCT multiply-adds."""
+    from . import io  # io imports this module, through metrics
+    fit = min(io.READ_TILE_BYTES // (8 * bands), SMALL_PRODUCT // (m * bands))
+    return max(BLAS_PAD, fit - fit % BLAS_PAD)
 
 
 @dataclass(frozen=True)
@@ -174,42 +190,38 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
     """Map observations into the subspace: y = D^{-T} E' x.
 
     ``e`` may be the model wrapper or a plain array. ``x`` holds one
-    pixel per column: an ImageCube or a plain array, which is one block,
-    or a source with ``n_pixels`` and a ``tiles()`` method that yields
-    the pixels in order as column blocks, as io.open_cube gives, which
-    is read one block at a time. The m x bands map D^{-T} E' is formed
-    once, by one small triangular solve against E' (no explicit
-    inverse); each block is then one product with it, written straight
-    into its columns of y, so no triangular solve runs over the cube.
-    Which BLAS kernel a column's product takes can depend on the width
-    of its block, so a streamed file and the same pixels in memory need
-    not give the same bits: at m = 14 and 224 bands, with BLAS at one
-    thread, the last column of each 585-pixel read tile takes an edge
-    kernel (7 of deep-m14's 4096 pixels differ, by 2.4e-15), though
-    narrow problems such as m = 6 at 30 bands agree at every tile width.
+    pixel per column: an ImageCube or a plain array, or a source with
+    ``n_pixels`` and a ``tiles(width)`` method that yields the pixels in
+    order as column blocks of that width, as io.open_cube gives. The
+    m x bands map D^{-T} E' is formed once, by one small triangular
+    solve against E'; the pixels then go through _block_product with it,
+    straight into their columns of y, in tiles of forward_width pixels:
+    a file's read tiles, or views of a pixel-major (Fortran-ordered)
+    cube in memory. Any other cube is one product: a band-major cube
+    reads faster whole than cut. Every tile but the last is a multiple
+    of BLAS_PAD wide, and each product pads its last width % BLAS_PAD
+    pixels, so a pixel's bits depend on neither the cut nor the layout.
     For noiseless x = E a the output equals D a.
     """
     e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
-    if hasattr(x, "tiles"):
-        n, blocks = x.n_pixels, x.tiles()
-    else:
-        x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
-        n, blocks = x_data.shape[1], (x_data,)
     fmap = scipy.linalg.solve_triangular(
         t.d, e_data.T, trans="T", lower=False
     )
+    width = forward_width(*fmap.shape)
+    if hasattr(x, "tiles"):
+        n, blocks = x.n_pixels, x.tiles(width)
+    else:
+        x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+        n, blocks = x_data.shape[1], (x_data,)
+        if not x_data.flags.f_contiguous:
+            width = max(n, 1)
     y = np.empty((fmap.shape[0], n))
     lo = 0
     for block in blocks:
         if e_data.shape[0] != block.shape[0]:
             raise DimensionMismatch(e_data.shape[0], block.shape[0])
         hi = lo + block.shape[1]
-        if hi - lo == 1:
-            # BLAS takes its matrix-vector path for one column, with
-            # other bits; a doubled column keeps the matrix product's.
-            y[:, lo] = (fmap @ np.repeat(block, 2, axis=1))[:, 0]
-        else:
-            np.matmul(fmap, block, out=y[:, lo:hi])
+        _block_product(fmap, block, out=y[:, lo:hi], block=width)
         lo = hi
     return y
 

@@ -28,7 +28,6 @@ from sudap.dykstra import TILE
 from sudap.io import write_library_csv
 from sudap.metrics import nmse_db
 from sudap.model import EPS_NEG, EPS_SUM, column_feasibility
-from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance, make_scene, make_synthetic_library
 from sudap.solver import solve_ls
 from sudap.subspace import build_transform, forward_transform
@@ -184,7 +183,7 @@ def _sweep_problem(m: int, n: int, seed: int):
     e = EndmemberMatrix(rng.standard_normal((m + 24, m)))
     t = build_transform(e)
     y = 2.0 * rng.standard_normal((m, n))
-    return t, dykstra._rhs(t, project_hyperplane(t, y))
+    return t, dykstra._interior_abundances(t, y) / -t.p_norms[:, None]
 
 
 def _per_sweep_seconds(t, rhs, sweeps: int = 20) -> float:

@@ -99,10 +99,20 @@ def _finish_sweeps(trace):
     return sweeps
 
 
+def _at_lam_zero(t, y):
+    """The abundances a0 of Y0, formed as the interior check forms them."""
+    return dykstra._interior_abundances(t, y)
+
+
+def _rhs(t, y):
+    """f - S Y0, read off a0 as the driver reads it."""
+    return _at_lam_zero(t, y) / -t.p_norms[:, None]
+
+
 def _interior(t, y):
-    """The columns whose Y0 passes the certificate with no active set."""
-    rhs = dykstra._rhs(t, project_hyperplane(t, y))
-    return dykstra._cert_slack(t, rhs).min(axis=0) >= 0.0
+    """The columns whose Y0 passes the certificate with no active set:
+    those with no abundance below -CERT_TOL."""
+    return _at_lam_zero(t, y).min(axis=0) >= -dykstra.CERT_TOL
 
 
 def _final_interior(t, y):
@@ -114,18 +124,21 @@ def _final_interior(t, y):
     return interior
 
 
-def _at_lam_zero(t, y):
-    """The abundances of Y0, formed as the certificate forms them."""
-    return dykstra._abundances(t, dykstra._rhs(t, project_hyperplane(t, y)))
+def _observed(t, a):
+    """The U an observer sees once a run has written a: D a, which for
+    the columns the interior check made final is D a0."""
+    return _block_product(t.d, a)
 
 
-def _observed(t, y, a):
-    """The U an observer sees once a run has written a: Y0 for the columns
-    the interior check made final, D a for the others."""
-    u = _block_product(t.d, a)
-    interior = _final_interior(t, y)
-    u[:, interior] = project_hyperplane(t, y)[:, interior]
-    return u
+def test_interior_pass_reads_y0_off_one_affine_map():
+    # a0 = K Y + k is D^{-1} Y0 with no Y0 formed, and -a0 / p_norms is
+    # the rhs f - S Y0 that the sweep is defined on, to rounding.
+    _, t, y = _problem(15, spread=10.0)
+    y0 = project_hyperplane(t, y)
+    scale = 1e-13 * np.abs(y).max()
+    assert np.abs(_at_lam_zero(t, y) - t.d_inv @ y0).max() <= scale * np.abs(
+        t.d_inv).max()
+    assert np.abs(_rhs(t, y) - (t.f[:, None] - t.s @ y0)).max() <= scale
 
 
 def _check_bookkeeping(t, y, a, trace, cfg):
@@ -236,7 +249,10 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     assert trace.converged and trace.uncertified[-1] == 0
     _check_bookkeeping(t, y, a, trace, cfg)
     # With the check stubbed out, the interior columns are swept and
-    # finished with the rest, and every column gets the same bits.
+    # finished with the rest. The other columns get the same bits; the
+    # finish certifies the interior ones at lam = 0, and reads their a0
+    # back off rhs = -a0 / p_norms as p_norms o (-rhs), two roundings
+    # from the a0 the check outputs.
     interior_tile = dykstra._interior_tile
     monkeypatch.setattr(
         dykstra, "_interior_tile",
@@ -244,7 +260,11 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     )
     a_swept, trace_swept = dykstra_project(t, y, cfg)
     assert trace_swept.uncertified[0] == n
-    assert np.array_equal(a_swept, a)
+    assert np.array_equal(a_swept[:, ~interior], a[:, ~interior])
+    assert np.array_equal(
+        a_swept[:, interior],
+        t.p_norms[:, None] * (a[:, interior] / t.p_norms[:, None]),
+    )
 
 
 def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
@@ -283,8 +303,8 @@ def test_an_all_interior_cube_records_one_converged_sweep(
     assert trace.n_sweeps == 1 and trace.converged
     assert trace.uncertified[0] == 0
     assert np.array_equal(a_hat, _at_lam_zero(t, y))
-    # The observer sees Y0 itself, which the check already formed.
-    assert np.array_equal(seen[0][1], project_hyperplane(t, y))
+    # The observer sees D a0, which the check formed from its a0.
+    assert np.array_equal(seen[0][1], _observed(t, a_hat))
     write_cube(tmp_path / "scene.cube", cube)
     write_library_csv(
         tmp_path / "scene.csv", SpectralLibrary(e.data, ("a", "b", "c", "d"))
@@ -402,7 +422,7 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
     extra = int(np.flatnonzero(~zero[:, j])[0])
     tau = zero[:, [j]].astype(float)
     tau[extra] = 1.0
-    rhs = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
+    rhs = _rhs(t, y[:, [j]])
     # The seed's own solve fails on a negative multiplier, so only a
     # drop round can certify the column.
     lam = _solve_active(t.gram, rhs, tau > 0)
@@ -415,7 +435,7 @@ def test_finish_certifies_a_seed_with_one_extra_constraint():
 
 def _swept(t, y, sweeps):
     """The block's rhs and its multipliers after a few full sweeps."""
-    rhs = dykstra._rhs(t, project_hyperplane(t, y))
+    rhs = _rhs(t, y)
     tau = np.zeros_like(rhs)
     for sweep in range(1, sweeps + 1):
         dykstra._sweep_tile(t, rhs, tau, sweep, slice(None))
@@ -456,7 +476,7 @@ def test_sized_solve_matches_a_solve_per_column():
     _, t, y = _problem(14, m=6, n=50)
     m, k = y.shape
     gram = t.gram
-    rhs = dykstra._rhs(t, project_hyperplane(t, y))
+    rhs = _rhs(t, y)
     # Active sets of every size the finish meets, in mixed order.
     rng = np.random.default_rng(14)
     sizes = rng.permutation(np.resize([0, 1, 2, m - 1, m], k))
@@ -496,7 +516,7 @@ def test_finish_gives_a_column_the_same_bits_in_any_tile():
     assert np.abs(t.d @ a_all - u_star).max() < 1e-10
     for j in range(y.shape[1]):
         # A column's rhs, taken alone, has the bits it has in the block.
-        rhs_j = dykstra._rhs(t, project_hyperplane(t, y[:, [j]]))
+        rhs_j = _rhs(t, y[:, [j]])
         assert np.array_equal(rhs_j, rhs[:, [j]])
         tau_j = tau[:, [j]].copy()
         certified_j, a_j = _finish(t, rhs_j, tau_j)
@@ -573,7 +593,7 @@ def test_a_watched_run_writes_the_bits_of_a_plain_one(monkeypatch, case):
     t, y, cfg = _run_case(monkeypatch, case)
     (a_w, trace_w), (a_p, trace_p), seen = _watched_and_plain(t, y, cfg)
     assert np.array_equal(a_w, a_p)
-    assert np.array_equal(seen[-1], _observed(t, y, a_p))
+    assert np.array_equal(seen[-1], _observed(t, a_p))
     assert trace_w.n_sweeps == trace_p.n_sweeps == len(seen)
     assert np.array_equal(trace_w.uncertified, trace_p.uncertified)
     _check_bookkeeping(t, y, a_p, trace_p, cfg)
@@ -614,21 +634,21 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
         cfg = DykstraConfig(max_sweeps=3)
     written = []
     write_tile = dykstra._write_tile
-    write_interior_tile = dykstra._write_interior_tile
+    interior_tile = dykstra._interior_tile
 
     def recorded(t, a, rhs, lam, cols, pick, tile):
         written.extend(cols[tile if pick is None else pick[tile]].tolist())
         return write_tile(t, a, rhs, lam, cols, pick, tile)
 
-    def recorded_interior(t, a, tile):
-        # The pass covers whole tiles, but is final only for the columns
-        # the check certified; _write_tile later writes over the others.
+    def recorded_interior(t, y, a, u, tile):
+        # The check writes a0 into whole tiles, but it is final only for
+        # the columns it certified; _write_tile later writes the others.
         cols = np.arange(a.shape[1])[tile]
         written.extend(cols[final[tile]].tolist())
-        return write_interior_tile(t, a, tile)
+        return interior_tile(t, y, a, u, tile)
 
     monkeypatch.setattr(dykstra, "_write_tile", recorded)
-    monkeypatch.setattr(dykstra, "_write_interior_tile", recorded_interior)
+    monkeypatch.setattr(dykstra, "_interior_tile", recorded_interior)
     n = y.shape[1]
     final = _final_interior(t, y)
     interior = final.sum()
@@ -646,17 +666,18 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
 
 @pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
 def test_a_plain_run_reads_y_once(monkeypatch, case):
-    # Only the interior check drops Y onto S, once per column: the
-    # finishes and the budget's last write work from rhs and the
-    # multipliers alone.
+    # Only the interior check reads Y, once per column, in its one
+    # product K Y: the finishes and the budget's last write work from
+    # rhs and the multipliers alone.
     t, y, cfg = _run_case(monkeypatch, case)
-    dropped, inside = [], []
-    hyperplane = dykstra.project_hyperplane
+    read, inside = [], []
+    block_product = dykstra._block_product
     interior_tile = dykstra._interior_tile
 
-    def recorded(t, z):
-        dropped.append((z.shape[1], bool(inside)))
-        return hyperplane(t, z)
+    def recorded(a, z, *args, **kwargs):
+        if np.shares_memory(z, y):
+            read.append((z.shape[1], bool(inside)))
+        return block_product(a, z, *args, **kwargs)
 
     def checked(*args):
         inside.append(True)
@@ -665,11 +686,11 @@ def test_a_plain_run_reads_y_once(monkeypatch, case):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(dykstra, "project_hyperplane", recorded)
+    monkeypatch.setattr(dykstra, "_block_product", recorded)
     monkeypatch.setattr(dykstra, "_interior_tile", checked)
     dykstra_project(t, y, cfg)
-    assert all(by_check for _, by_check in dropped)
-    assert sum(width for width, _ in dropped) == y.shape[1]
+    assert all(by_check for _, by_check in read)
+    assert sum(width for width, _ in read) == y.shape[1]
 
 
 def test_on_sweep_sees_every_live_iterate():
@@ -680,7 +701,7 @@ def test_on_sweep_sees_every_live_iterate():
         t, y, cfg, on_sweep=lambda s, v: seen.append((s, v.copy()))
     )
     assert [s for s, _ in seen] == list(range(1, trace.n_sweeps + 1))
-    assert np.array_equal(seen[-1][1], _observed(t, y, a))
+    assert np.array_equal(seen[-1][1], _observed(t, a))
 
 
 def test_on_sweep_cannot_write_the_iterate():

@@ -11,8 +11,11 @@ from sudap import io as sio
 from sudap.errors import DegenerateProblem, DimensionMismatch, RankDeficient
 from sudap.io import open_cube, write_cube
 from sudap.subspace import (
+    BLAS_PAD,
+    SMALL_PRODUCT,
     build_transform,
     forward_transform,
+    forward_width,
     inverse_transform,
 )
 from conftest import random_endmembers
@@ -80,10 +83,22 @@ def test_forward_transform_maps_mixture_to_scaled_abundance():
     assert np.allclose(back, a, atol=1e-10)
 
 
+class _Cut:
+    """A cube file read in tiles of a fixed width, whatever the forward
+    map asks for."""
+
+    def __init__(self, source, width):
+        self.source, self.width = source, width
+        self.n_pixels = source.n_pixels
+
+    def tiles(self, _width):
+        return self.source.tiles(self.width)
+
+
 def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut(
         tmp_path, monkeypatch):
     # The file's pixels streamed in read tiles of every width below
-    # (2, 4, 12 and 36 leave a one-column tail) give Y to the bit as the
+    # (each with a tail of width % 8 pixels) give Y to the bit as the
     # same pixels in memory, in either layout; so does a one-pixel cube.
     rng = np.random.default_rng(16)
     bands, n = 30, 37
@@ -94,58 +109,115 @@ def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut(
     assert np.array_equal(forward_transform(t, e, np.asfortranarray(x)), y)
     path = tmp_path / "x.cube"
     write_cube(path, ImageCube(x, (1, n)))
-    for width in (1, 2, 4, 12, 36, 37):
-        monkeypatch.setattr(sio, "READ_TILE_BYTES", width * bands * 8)
-        with open_cube(path) as source:
-            assert np.array_equal(forward_transform(t, e, source), y), width
+    with open_cube(path) as source:
+        assert np.array_equal(forward_transform(t, e, source), y)
+        for width in (1, 2, 4, 12, 36, 37):
+            cut = _Cut(source, width)
+            assert np.array_equal(forward_transform(t, e, cut), y), width
+    # Tiles of the forward map's own width, with the read tiles small.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 12 * bands * 8)
+    assert forward_width(6, bands) == 8
+    with open_cube(path) as source:
+        assert np.array_equal(forward_transform(t, e, source), y)
+    assert np.array_equal(
+        forward_transform(t, e, np.asfortranarray(x)), y
+    )
     write_cube(path, ImageCube(x[:, 4:5], (1, 1)))
     with open_cube(path) as source:
         assert np.array_equal(forward_transform(t, e, source), y[:, 4:5])
     assert np.array_equal(forward_transform(t, e, x[:, 4:5]), y[:, 4:5])
 
 
+def _widths_at(n: int, width: int) -> list:
+    """The widths a product over n pixels in tiles of width hands BLAS:
+    each tile's multiple of BLAS_PAD, then the cube's padded tail."""
+    last = n % width
+    widths = [width] * (n // width) + [last - last % BLAS_PAD]
+    return [w for w in widths if w] + [BLAS_PAD] * bool(n % BLAS_PAD)
+
+
+@pytest.mark.parametrize("m, width", [(5, 584), (10, 440), (14, 312),
+                                      (20, 216)])
+def test_forward_map_multiplies_pixel_major_cubes_in_small_products(
+        tmp_path, monkeypatch, m, width):
+    # The tile width is the largest multiple of BLAS_PAD whose tile fits
+    # in a read tile and whose product stays within SMALL_PRODUCT. A file
+    # and a pixel-major cube in memory are multiplied in tiles of it; a
+    # band-major cube is one product, and each pads its last n % 8 pixels.
+    bands, n = 224, 1300
+    assert forward_width(m, bands) == width
+    for w, fits in ((width, True), (width + BLAS_PAD, False)):
+        assert fits == (w * bands * 8 <= sio.READ_TILE_BYTES
+                        and m * w * bands <= SMALL_PRODUCT)
+    rng = np.random.default_rng(m)
+    e = EndmemberMatrix(rng.standard_normal((bands, m)))
+    t = build_transform(e)
+    x = rng.standard_normal((bands, n))
+    write_cube(tmp_path / "x.cube", ImageCube(x, (1, n)))
+    widths = []
+    matmul = np.matmul
+
+    def recorded(a, z, *args, **kwargs):
+        if a.shape == (m, bands):
+            widths.append(z.shape[1])
+        return matmul(a, z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    forward_transform(t, e, np.asfortranarray(x))
+    assert widths == _widths_at(n, width)
+    widths.clear()
+    with open_cube(tmp_path / "x.cube") as source:
+        forward_transform(t, e, source)
+    assert widths == _widths_at(n, width)
+    widths.clear()
+    forward_transform(t, e, x)
+    assert widths == [n - n % BLAS_PAD, BLAS_PAD]
+
+
 # Counts the columns whose Y differs between the cube file streamed in
-# the reader's own tiles and the same pixels in memory, at deep-m14's
-# sizes (14 endmembers, 224 bands); argv: the cube file to write.
-_COUNT_STREAMED_MISMATCHES = """
+# the forward map's own tiles, the same pixels in memory in band-major
+# (C) order and the same pixels in pixel-major (Fortran) order, at
+# deep-m14's sizes (224 bands) and at m = 20, over 1755 pixels
+# (1755 mod 8 = 3); argv: the cube file to write.
+_COUNT_MISMATCHES = """
 import sys
 import numpy as np
 from sudap import EndmemberMatrix, ImageCube
-from sudap import io as sio
 from sudap.io import open_cube, write_cube
-from sudap.subspace import build_transform, forward_transform
+from sudap.subspace import build_transform, forward_transform, forward_width
 rng = np.random.default_rng(18)
-bands, n = 224, 3 * 585
-e = EndmemberMatrix(rng.standard_normal((bands, 14)))
-t = build_transform(e)
+bands, n = 224, 1755
 x = rng.standard_normal((bands, n))
 write_cube(sys.argv[1], ImageCube(x, (1, n)))
-assert sio.READ_TILE_BYTES // (bands * 8) == 585
-with open_cube(sys.argv[1]) as source:
-    streamed = forward_transform(t, e, source)
-print(int((streamed != forward_transform(t, e, x)).any(axis=0).sum()))
+differ = 0
+for m, width in ((14, 312), (20, 216)):
+    assert forward_width(m, bands) == width
+    e = EndmemberMatrix(rng.standard_normal((bands, m)))
+    t = build_transform(e)
+    y = forward_transform(t, e, x)
+    with open_cube(sys.argv[1]) as source:
+        streamed = forward_transform(t, e, source)
+    fortran = forward_transform(t, e, np.asfortranarray(x))
+    differ += int(((streamed != y) | (fortran != y)).any(axis=0).sum())
+print(differ)
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a read tile's width decides which "
-                   "BLAS kernel a column takes, and so its bits")
 def test_forward_map_bits_do_not_depend_on_how_the_pixels_are_cut_at_m14(
         tmp_path):
-    # The case above at deep-m14's sizes, in the reader's own 1 MiB tiles
-    # of 585 pixels, at one OpenBLAS thread. 585 mod 8 = 1, and the last
-    # column of each full tile takes BLAS's edge kernel, with other bits
-    # than the same column in memory (7 of deep-m14's 4096 pixels, by
-    # 2.4e-15). At two BLAS threads this cube happens to agree, so the
-    # count is fixed in a process of its own.
+    # The case above at deep-m14's sizes and at m = 20, at one OpenBLAS
+    # thread, where a product's width can decide which BLAS kernel a
+    # column takes: the last column of each 585-pixel read tile once
+    # took an edge kernel at m = 14 (585 mod 8 = 1). Every tile is now a
+    # multiple of BLAS_PAD pixels wide and every tail is padded. The
+    # count is taken in a process of its own, to pin the BLAS threads.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_STREAMED_MISMATCHES,
-         str(tmp_path / "x.cube")],
+        [sys.executable, "-c", _COUNT_MISMATCHES, str(tmp_path / "x.cube")],
         env=env, check=True, capture_output=True, text=True,
     )
     assert int(proc.stdout.split()[-1]) == 0
