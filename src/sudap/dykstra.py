@@ -31,15 +31,14 @@ which is m row operations per constraint where carrying U makes 2m.
 
 Many pixels need no sweep at all: when every abundance of Y0 is
 non-negative, Y0 is already the projection (the first step of FCLS,
-Heinz & Chang 2001). Before sweep 1 the driver forms them in one affine
-pass over Y, a0 = D^{-1} Y0 = K Y + k with K = D^{-1} P, P = I - c b'
-and k = D^{-1} c. A column passes when no a0_i is below -CERT_TOL: the
-finish's certificate, below, at lam = 0, whose bound CERT_TOL
-max(1, |a_i|) passes no a_i below -CERT_TOL. If at least half of the
-columns pass, their a0 is final and the rest are gathered into the
-block that is swept, from rhs = -a0 / p_norms (abundance i is
-p_norms_i (s_i'Y0 - f_i)); otherwise every column is swept. The half
-keeps the gathered rhs and tau no larger than the full-width tau.
+Heinz & Chang 2001). Before sweep 1 the driver forms rhs = f - S Y0 in
+one pass over Y, as f - S Y (each s_i is orthogonal to b), and checks
+the abundances a0 = p_norms o (-rhs) of Y0 against the finish's
+certificate at lam = 0, below, which passes a column iff no a0_i is
+below -CERT_TOL. If at least half of the columns pass, a0 is final for
+them, with the finish's bits, and the rest are gathered into the block
+that is swept; otherwise every column is swept. The half keeps the
+gathered rhs and tau no larger than the full-width tau.
 
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
@@ -69,23 +68,22 @@ far the iterate is from the projection.
 
 dykstra_project returns abundances, not points of the subspace, and a
 certified column's output is bit for bit what its certificate passed:
-the interior check's a0, or what one function, _abundances, forms by
-the certificate's own formula from the multipliers of the columns each
-finish certifies (and, at the sweep budget, of the rest). There is no
-second pass over Y and no map back through D^{-1}, whose condition
-number would amplify the rounding of a point that is exact in the
-subspace.
+_abundances of the multipliers of the columns each finish certifies
+(and, at the sweep budget, of the rest), or its bits at lam = 0 from
+_at_lam_zero for the interior check's. There is no second pass over Y
+and no map back through D^{-1}, whose condition number would amplify
+the rounding of a point that is exact in the subspace.
 
 dykstra_project's m x n state is the output a and tau. The interior
-check writes a0 into a, in the only read of Y in a run. The swept
-block is a itself, or, if the check certified at least half of the
-columns, the rest gathered; its a0 then becomes its rhs in place. cols
-gives the column of a that each block column belongs to. A watched run
-also holds the observer's U = D a: the interior check forms it from
-a0, and after each sweep the block's columns get it again, off the
-trace clock, from their rhs and multipliers. The m x m products (K Y,
-G lam and D a) go through subspace._block_product; the sweep's row
-products keep _row_dot's fixed order.
+check writes rhs into a, in the only read of Y in a run. That is the
+swept block, unless the check certified at least half of the columns:
+then the rest are gathered first, and one pass turns all of a into
+abundances at lam = 0, which later writes replace for the gathered
+columns. cols maps block columns to columns of a. A watched run also
+holds the observer's U = D a: from a0 in the interior check, and after
+each sweep, off the trace clock, from the block's rhs and multipliers.
+The m x m products (S Y, G lam and D a) go through
+subspace._block_product; the sweep's row products keep _row_dot's order.
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
@@ -272,13 +270,14 @@ def _solve_active(
     return lam
 
 
-def _interior_abundances(t: SubspaceTransform, y: np.ndarray, out=None):
-    """The abundances D^{-1} Y0 = K y + k of the drop Y0 of y onto S, into
-    out if given; K = D^{-1} P, with P = I - c b', and k = D^{-1} c."""
-    k = t.d_inv @ t.c
-    a = _block_product(t.d_inv - np.outer(k, t.b), y, out=out)
-    a += k[:, None]
-    return a
+def _rhs(t: SubspaceTransform, y: np.ndarray, out=None) -> np.ndarray:
+    """f - S y0 for y0 the drop of y onto S, as f - S y, into out if given."""
+    return np.subtract(t.f[:, None], _block_product(t.s, y), out=out)
+
+
+def _at_lam_zero(t: SubspaceTransform, rhs: np.ndarray, out=None):
+    """_abundances' bits at lam = 0, p_norms o (-rhs), into out if given."""
+    return np.multiply(rhs, -t.p_norms[:, None], out=out)
 
 
 def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
@@ -329,15 +328,18 @@ def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
 
 
 def _interior_tile(t: SubspaceTransform, y, a, u, tile: slice):
-    """Write the abundances a0 of Y0 of the columns in tile into a, and
-    flag those that are their own projection (module docstring).
-
-    U = D a0 also goes into u, unless u is None.
-    """
-    a0 = _interior_abundances(t, y[:, tile], out=a[:, tile])
+    """Write f - S Y0 of the columns in tile into a, and flag those whose
+    abundances a0 pass at lam = 0; U = D a0 goes into u, unless u is None."""
+    a0 = _at_lam_zero(t, _rhs(t, y[:, tile], out=a[:, tile]))
     if u is not None:
         _block_product(t.d, a0, out=u[:, tile])
     return a0.min(axis=0) >= -CERT_TOL
+
+
+def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
+    """Turn f - S Y0 in a's tile into abundances at lam = 0, final for the
+    columns the interior check certified (module docstring)."""
+    _at_lam_zero(t, a[:, tile], out=a[:, tile])
 
 
 def _finish_tile(
@@ -467,9 +469,9 @@ def dykstra_project(
 
     checkpoint = FIRST_CHECKPOINT
     try:
-        # The interior check runs on sweep 1's clock and leaves a0 in a.
-        # The swept block's rhs, -a0 / p_norms, is a itself when it
-        # certifies none, else the other columns gathered.
+        # The interior check runs on sweep 1's clock and leaves f - S Y0
+        # in a, the swept block's rhs until it or a finish certifies a
+        # column; after that the block is gathered.
         tic = time.perf_counter()
         interior = np.concatenate(
             list(run(partial(_interior_tile, t, y, a, u), _tiles(n)))
@@ -477,10 +479,10 @@ def dykstra_project(
         if 2 * np.count_nonzero(interior) >= n:
             cols = np.flatnonzero(~interior)
             rb = a.take(cols, axis=1)
+            list(run(partial(_write_interior_tile, t, a), _tiles(n)))
         else:
             cols = np.arange(n)
             rb = a
-        rb /= -t.p_norms[:, None]
         finish = time.perf_counter() - tic
         tb = np.zeros_like(rb)
         clock = time.perf_counter() - tic

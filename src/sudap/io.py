@@ -258,13 +258,12 @@ class ContainerReader:
     def n_bands(self) -> int:
         return self.n_channels
 
-    def tiles(self, width=None):
-        """Read the payload in order, one tile of pixels at a time.
+    def tiles(self, width: int):
+        """Read the payload in order, one tile of ``width`` pixels at a time.
 
-        A tile is ``width`` pixels: by default as many as fit in
-        READ_TILE_BYTES, and at least one; the forward map asks for
-        subspace.forward_width, 584, 440, 312 and 216 pixels of a 224-band
-        cube at m = 5, 10, 14 and 20. Yields each tile as a
+        The forward map asks for subspace.forward_width, which keeps a
+        tile within READ_TILE_BYTES: 584, 440, 312 and 216 pixels of a
+        224-band cube at m = 5, 10, 14 and 20. Yields each tile as a
         channels x pixels view, the transpose of its pixel-major rows.
         Every tile is read into one reused buffer, so a yielded view
         holds its values only until the next tile is read. Each tile is
@@ -273,7 +272,6 @@ class ContainerReader:
         raises NonFinite. Every call starts again at the first pixel.
         """
         n = self.n_pixels
-        width = width or _tile_width(self.n_channels)
         buf = np.empty((min(width, n), self.n_channels), dtype="<f8")
         self._fh.seek(self._payload_at)
         self.sum_sq = 0.0

@@ -183,7 +183,7 @@ def _sweep_problem(m: int, n: int, seed: int):
     e = EndmemberMatrix(rng.standard_normal((m + 24, m)))
     t = build_transform(e)
     y = 2.0 * rng.standard_normal((m, n))
-    return t, dykstra._interior_abundances(t, y) / -t.p_norms[:, None]
+    return t, dykstra._rhs(t, y)
 
 
 def _per_sweep_seconds(t, rhs, sweeps: int = 20) -> float:

@@ -99,20 +99,21 @@ def _finish_sweeps(trace):
     return sweeps
 
 
-def _at_lam_zero(t, y):
-    """The abundances a0 of Y0, formed as the interior check forms them."""
-    return dykstra._interior_abundances(t, y)
-
-
 def _rhs(t, y):
-    """f - S Y0, read off a0 as the driver reads it."""
-    return _at_lam_zero(t, y) / -t.p_norms[:, None]
+    """f - S Y0, formed from Y as the interior check forms it."""
+    return dykstra._rhs(t, y)
+
+
+def _at_lam_zero(t, y):
+    """The abundances of Y0, formed as the certificate forms them."""
+    rhs = _rhs(t, y)
+    return dykstra._abundances(t, rhs, np.zeros_like(rhs))
 
 
 def _interior(t, y):
-    """The columns whose Y0 passes the certificate with no active set:
-    those with no abundance below -CERT_TOL."""
-    return _at_lam_zero(t, y).min(axis=0) >= -dykstra.CERT_TOL
+    """The columns whose Y0 passes the certificate with no active set."""
+    rhs = _rhs(t, y)
+    return dykstra._cert_slack(t, rhs, np.zeros_like(rhs)).min(axis=0) >= 0.0
 
 
 def _final_interior(t, y):
@@ -130,15 +131,26 @@ def _observed(t, a):
     return _block_product(t.d, a)
 
 
-def test_interior_pass_reads_y0_off_one_affine_map():
-    # a0 = K Y + k is D^{-1} Y0 with no Y0 formed, and -a0 / p_norms is
-    # the rhs f - S Y0 that the sweep is defined on, to rounding.
+def test_interior_check_reads_rhs_off_y_with_no_drop():
+    # f - S Y is the rhs f - S Y0 that the sweep is defined on, to
+    # rounding, as S Y0 = S Y; the check's abundances at lam = 0 are
+    # D^{-1} Y0 to rounding and the certificate's to the bit, and it
+    # flags the columns that the certificate passes at lam = 0.
     _, t, y = _problem(15, spread=10.0)
     y0 = project_hyperplane(t, y)
     scale = 1e-13 * np.abs(y).max()
-    assert np.abs(_at_lam_zero(t, y) - t.d_inv @ y0).max() <= scale * np.abs(
-        t.d_inv).max()
-    assert np.abs(_rhs(t, y) - (t.f[:, None] - t.s @ y0)).max() <= scale
+    rhs = _rhs(t, y)
+    assert np.abs(rhs - (t.f[:, None] - t.s @ y0)).max() <= scale
+    a0 = dykstra._at_lam_zero(t, rhs)
+    assert np.abs(a0 - t.d_inv @ y0).max() <= scale * np.abs(t.d_inv).max()
+    assert np.array_equal(a0, _at_lam_zero(t, y))
+    t, y = _mostly_interior(20)
+    rhs = _rhs(t, y)
+    a = np.empty_like(y)
+    flags = dykstra._interior_tile(t, y, a, None, slice(None))
+    assert np.array_equal(a, rhs)
+    assert 0 < flags.sum() < y.shape[1]
+    assert np.array_equal(flags, _interior(t, y))
 
 
 def _check_bookkeeping(t, y, a, trace, cfg):
@@ -249,10 +261,7 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     assert trace.converged and trace.uncertified[-1] == 0
     _check_bookkeeping(t, y, a, trace, cfg)
     # With the check stubbed out, the interior columns are swept and
-    # finished with the rest. The other columns get the same bits; the
-    # finish certifies the interior ones at lam = 0, and reads their a0
-    # back off rhs = -a0 / p_norms as p_norms o (-rhs), two roundings
-    # from the a0 the check outputs.
+    # finished with the rest, and every column gets the same bits.
     interior_tile = dykstra._interior_tile
     monkeypatch.setattr(
         dykstra, "_interior_tile",
@@ -260,11 +269,7 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     )
     a_swept, trace_swept = dykstra_project(t, y, cfg)
     assert trace_swept.uncertified[0] == n
-    assert np.array_equal(a_swept[:, ~interior], a[:, ~interior])
-    assert np.array_equal(
-        a_swept[:, interior],
-        t.p_norms[:, None] * (a[:, interior] / t.p_norms[:, None]),
-    )
+    assert np.array_equal(a_swept, a)
 
 
 def test_a_mostly_exterior_block_is_swept_whole(monkeypatch):
@@ -634,21 +639,21 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
         cfg = DykstraConfig(max_sweeps=3)
     written = []
     write_tile = dykstra._write_tile
-    interior_tile = dykstra._interior_tile
+    write_interior_tile = dykstra._write_interior_tile
 
     def recorded(t, a, rhs, lam, cols, pick, tile):
         written.extend(cols[tile if pick is None else pick[tile]].tolist())
         return write_tile(t, a, rhs, lam, cols, pick, tile)
 
-    def recorded_interior(t, y, a, u, tile):
-        # The check writes a0 into whole tiles, but it is final only for
-        # the columns it certified; _write_tile later writes the others.
+    def recorded_interior(t, a, tile):
+        # The pass covers whole tiles, but is final only for the columns
+        # the check certified; _write_tile later writes over the others.
         cols = np.arange(a.shape[1])[tile]
         written.extend(cols[final[tile]].tolist())
-        return interior_tile(t, y, a, u, tile)
+        return write_interior_tile(t, a, tile)
 
     monkeypatch.setattr(dykstra, "_write_tile", recorded)
-    monkeypatch.setattr(dykstra, "_interior_tile", recorded_interior)
+    monkeypatch.setattr(dykstra, "_write_interior_tile", recorded_interior)
     n = y.shape[1]
     final = _final_interior(t, y)
     interior = final.sum()
@@ -667,7 +672,7 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
 @pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
 def test_a_plain_run_reads_y_once(monkeypatch, case):
     # Only the interior check reads Y, once per column, in its one
-    # product K Y: the finishes and the budget's last write work from
+    # product S Y: the finishes and the budget's last write work from
     # rhs and the multipliers alone.
     t, y, cfg = _run_case(monkeypatch, case)
     read, inside = [], []

@@ -171,6 +171,11 @@ def test_cube_reader_holds_one_copy_of_the_payload(tmp_path):
     assert peak <= 1.1 * cube.data.nbytes
 
 
+def _tiles(source):
+    """The source's tiles as wide as READ_TILE_BYTES allows."""
+    return source.tiles(sio._tile_width(source.n_bands))
+
+
 def test_open_cube_streams_the_payload_through_one_tile_buffer(
         tmp_path, monkeypatch):
     # A tile holds as many whole 5-band pixels (40 bytes) as fit in the
@@ -186,19 +191,19 @@ def test_open_cube_streams_the_payload_through_one_tile_buffer(
         assert source.shape == (7, 9)
         assert np.array_equal(source.wavelengths, cube.wavelengths)
         for _ in range(2):  # every pass starts at the first pixel
-            tiles = [tile.copy() for tile in source.tiles()]
+            tiles = [tile.copy() for tile in _tiles(source)]
             assert [tile.shape[1] for tile in tiles] == [16, 16, 16, 15]
             assert np.array_equal(np.hstack(tiles), cube.data)
             assert source.sum_sq == pytest.approx(
                 np.sum(cube.data ** 2), rel=1e-14)
         # One buffer serves every tile.
-        bases = {tile.base.ctypes.data for tile in source.tiles()}
+        bases = {tile.base.ctypes.data for tile in _tiles(source)}
         assert len(bases) == 1
         monkeypatch.setattr(sio, "READ_TILE_BYTES", 679)
-        assert [tile.shape[1] for tile in source.tiles()] == [16, 16, 16, 15]
+        assert [tile.shape[1] for tile in _tiles(source)] == [16, 16, 16, 15]
         # A read tile smaller than one pixel still reads whole pixels.
         monkeypatch.setattr(sio, "READ_TILE_BYTES", 8)
-        assert [tile.shape[1] for tile in source.tiles()] == [1] * 63
+        assert [tile.shape[1] for tile in _tiles(source)] == [1] * 63
 
 
 def test_a_non_finite_value_fails_its_tile(tmp_path, monkeypatch):
@@ -217,7 +222,7 @@ def test_a_non_finite_value_fails_its_tile(tmp_path, monkeypatch):
         with open_cube(path) as source:
             seen = []
             with pytest.raises(NonFinite, match="pixels 8..11"):
-                for tile in source.tiles():
+                for tile in _tiles(source):
                     seen.append(tile.shape[1])
             assert seen == [4, 4]
         with pytest.raises(NonFinite):
