@@ -34,7 +34,6 @@ from . import errors
 from . import io as sio
 from .dykstra import DykstraConfig
 from .metrics import (
-    ConvergenceCurve,
     CurveRecorder,
     nmse_db,
     objective,
@@ -89,11 +88,6 @@ EXIT_CODES = {
     errors.NotConverged: 25,
 }
 OS_ERROR_CODE = 30
-
-# Hook point for the self-check machinery; tests may swap it for a
-# deliberately broken builder to confirm validate actually detects
-# faults.
-_make_transform = build_transform
 
 
 def _at_least(low):
@@ -199,7 +193,7 @@ def cmd_unmix(args) -> int:
     if args.curve:
         sio.write_curve_csv(
             recorder.curve(result.trace) if recorder
-            else ConvergenceCurve(*[np.zeros(0)] * 6),
+            else sio.ConvergenceCurve(*[np.zeros(0)] * 6),
             args.curve,
         )
 
@@ -381,7 +375,7 @@ def projector_gap(rng, n_triples: int) -> float:
         e = EndmemberMatrix(
             rng.standard_normal((m + int(rng.integers(0, 25)), m))
         )
-        t = _make_transform(e)
+        t = build_transform(e)
         z = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(
             (m, int(rng.integers(1, 33)))
         )

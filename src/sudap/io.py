@@ -37,6 +37,12 @@ read_cube and read_abundance hand out.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
+
+io is a leaf of the package: it imports errors, model and simdata
+alone. The checks of what it reads are model's (finiteness, grid and
+wavelengths); the tile-bytes rule is _tile_width's here, which
+subspace.forward_width takes as its first bound. ConvergenceCurve
+lives here, beside the curve CSV that holds it.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +62,6 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .metrics import ConvergenceCurve
 from .model import AbundanceMatrix, ImageCube, finite_sum_of_squares
 from .simdata import SpectralLibrary
 
@@ -142,19 +148,14 @@ def read_library_csv(path) -> SpectralLibrary:
 
 def write_library_csv(path, lib: SpectralLibrary) -> None:
     """Inverse of read_library_csv; always writes a header row."""
+    header, table = lib.names, lib.signatures
+    if lib.wavelengths is not None:
+        header = ("wavelength",) + header
+        table = np.column_stack((lib.wavelengths, table))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if lib.wavelengths is not None:
-            writer.writerow(("wavelength",) + lib.names)
-            for k in range(lib.n_bands):
-                writer.writerow(
-                    [_fmt(lib.wavelengths[k])]
-                    + [_fmt(v) for v in lib.signatures[k]]
-                )
-        else:
-            writer.writerow(lib.names)
-            for k in range(lib.n_bands):
-                writer.writerow([_fmt(v) for v in lib.signatures[k]])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in table)
 
 
 # ------------------------------------------------------- binary containers
@@ -343,6 +344,36 @@ def read_abundance(path) -> AbundanceMatrix:
 
 
 # ------------------------------------------------------------- curve CSV
+
+
+@dataclass(frozen=True)
+class ConvergenceCurve:
+    """Metric rows of one solver run, one row per recorded sweep, as
+    metrics.CurveRecorder builds them and the curve CSV holds them.
+
+    re_db and nmse_db hold nan where the matching reference was not
+    supplied.
+    """
+
+    sweep: np.ndarray
+    time_s: np.ndarray
+    objective: np.ndarray
+    re_db: np.ndarray
+    nmse_db: np.ndarray
+    unconverged: np.ndarray
+
+    def __post_init__(self):
+        for name in ("time_s", "objective", "re_db", "nmse_db",
+                     "unconverged"):
+            if len(getattr(self, name)) != len(self.sweep):
+                raise ValueError(f"column {name} has wrong length")
+        if np.any(np.diff(self.time_s) < 0):
+            raise ValueError("time_s must be nondecreasing")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.sweep)
+
 
 _CURVE_HEADER = ["sweep", "time_s", "objective", "re_db", "nmse_db",
                  "unconverged"]

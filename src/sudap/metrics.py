@@ -1,4 +1,4 @@
-"""Evaluation metrics and convergence curves.
+"""Evaluation metrics and the recorder of convergence curves.
 
 Errors are computed linearly and converted to decibels only at the
 edge; an exact match maps to the -inf sentinel rather than raising.
@@ -6,12 +6,11 @@ edge; an exact match maps to the -inf sentinel rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dykstra import TILE, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
+from .io import ConvergenceCurve
 from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
 from .solver import ReducedCube, reduce_cube
 from .subspace import inverse_transform
@@ -52,26 +51,27 @@ def nmse_db(a_hat, a_true) -> float:
     return _ratio_db(a_hat, a_true, "NMSE")
 
 
+def _tiled_residual(d: np.ndarray, y: np.ndarray, a: np.ndarray) -> float:
+    """|Y - D A|_F^2, summed over blocks of dykstra.TILE columns, so its
+    only temporary is one block of D A."""
+    total = 0.0
+    for lo in range(0, y.shape[1], TILE):
+        r = d @ a[:, lo:lo + TILE]
+        r -= y[:, lo:lo + TILE]
+        total += float(np.einsum("ij,ij->", r, r))
+    return total
+
+
 def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
     """The map A -> |X - E A|_F^2 from the cube's reduced form, O(m n) a call.
 
     With E'E = D'D and Y = D^{-T} E'X, the residual splits as
     |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
     X outside the span of E, computed once here and clamped at 0
-    against rounding. Each call then sums |Y - D A|^2 over blocks of
-    dykstra.TILE columns, so its only temporary is one m x TILE block.
+    against rounding. Each call then adds _tiled_residual(D, Y, A).
     """
     out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
-
-    def residual(a: np.ndarray) -> float:
-        in_span = 0.0
-        for lo in range(0, y.shape[1], TILE):
-            r = d @ a[:, lo:lo + TILE]
-            r -= y[:, lo:lo + TILE]
-            in_span += float(np.einsum("ij,ij->", r, r))
-        return out_of_span + in_span
-
-    return residual
+    return lambda a: out_of_span + _tiled_residual(d, y, a)
 
 
 def objective(e: EndmemberMatrix, x, a_hat) -> float:
@@ -81,8 +81,8 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
     ReducedCube of the cube for this E, whose Y and |X|^2 are then used
     as they are; the residual is then summed block by block, and no
     temporary larger than m x dykstra.TILE is formed. With one
-    endmember there is no subspace to reduce to, and the band x pixel
-    residual is formed whole.
+    endmember there is no subspace to reduce to, and |X - E A|^2 is
+    summed the same way, in bands x dykstra.TILE blocks.
     """
     a_data = _data(a_hat)
     expected = (e.n_endmembers, x.n_pixels)
@@ -91,38 +91,10 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
         raise DimensionMismatch(expected[k], a_data.shape[k])
     if e.n_endmembers == 1:
         validate_dimensions(e, x)
-        return float(np.linalg.norm(x.data - e.data @ a_data) ** 2)
+        return _tiled_residual(e.data, x.data, a_data)
     if not isinstance(x, ReducedCube):
         x = reduce_cube(e, x)
     return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)
-
-
-@dataclass(frozen=True)
-class ConvergenceCurve:
-    """Metric rows of one solver run, one row per recorded sweep.
-
-    re_db and nmse_db hold nan where the matching reference was not
-    supplied.
-    """
-
-    sweep: np.ndarray
-    time_s: np.ndarray
-    objective: np.ndarray
-    re_db: np.ndarray
-    nmse_db: np.ndarray
-    unconverged: np.ndarray
-
-    def __post_init__(self):
-        for name in ("time_s", "objective", "re_db", "nmse_db",
-                     "unconverged"):
-            if len(getattr(self, name)) != len(self.sweep):
-                raise ValueError(f"column {name} has wrong length")
-        if np.any(np.diff(self.time_s) < 0):
-            raise ValueError("time_s must be nondecreasing")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.sweep)
 
 
 class CurveRecorder:

@@ -4,8 +4,10 @@ Pixels are columns throughout: an image cube is an n_bands x n_pixels
 matrix plus (rows, cols) metadata, abundances are m x n_pixels. All types
 are immutable after construction and safe to share across workers.
 
-One finiteness check, finite_sum_of_squares, serves every matrix here
-and every tile io streams; its pass is the sum of squares, |X|^2.
+Each data rule is written once, here, for simdata and io as well:
+finite_sum_of_squares (no NaN or infinity, in one pass that is |X|^2,
+for every matrix and every tile io streams), _as_matrix (a float64
+matrix), _grid (a spatial shape) and _wavelengths (one per band).
 """
 
 from __future__ import annotations
@@ -58,6 +60,25 @@ def _as_matrix(data, name: str) -> tuple[np.ndarray, float]:
     return arr, finite_sum_of_squares(arr, name)
 
 
+def _grid(shape, n_pixels: int) -> tuple[int, int]:
+    """shape as int (rows, cols), both at least 1, covering n_pixels."""
+    rows, cols = (int(k) for k in shape)
+    if rows < 1 or cols < 1 or rows * cols != n_pixels:
+        raise ValueError(
+            f"spatial shape {rows}x{cols} does not match {n_pixels} pixels"
+        )
+    return rows, cols
+
+
+def _wavelengths(wl, n_bands: int) -> np.ndarray | None:
+    """wl as float64 with one entry per band, or None if wl is None."""
+    if wl is not None:
+        wl = np.asarray(wl, dtype=np.float64)
+        if wl.shape != (n_bands,):
+            raise ValueError("wavelengths must have one entry per band")
+    return wl
+
+
 @dataclass(frozen=True)
 class EndmemberMatrix:
     """Spectral signatures, one endmember per column (n_bands x m).
@@ -79,11 +100,8 @@ class EndmemberMatrix:
             raise ValueError(
                 f"need at least as many bands as endmembers ({n_bands} < {m})"
             )
-        if self.wavelengths is not None:
-            wl = np.asarray(self.wavelengths, dtype=np.float64)
-            if wl.shape != (n_bands,):
-                raise ValueError("wavelengths must have one entry per band")
-            object.__setattr__(self, "wavelengths", wl)
+        object.__setattr__(self, "wavelengths",
+                           _wavelengths(self.wavelengths, n_bands))
 
     @property
     def n_bands(self) -> int:
@@ -114,17 +132,9 @@ class ImageCube:
         arr, sum_sq = _as_matrix(self.data, "image cube")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sum_sq", sum_sq)
-        rows, cols = self.shape
-        object.__setattr__(self, "shape", (int(rows), int(cols)))
-        if rows < 1 or cols < 1 or rows * cols != arr.shape[1]:
-            raise ValueError(
-                f"spatial shape {rows}x{cols} does not match {arr.shape[1]} pixels"
-            )
-        if self.wavelengths is not None:
-            wl = np.asarray(self.wavelengths, dtype=np.float64)
-            if wl.shape != (arr.shape[0],):
-                raise ValueError("wavelengths must have one entry per band")
-            object.__setattr__(self, "wavelengths", wl)
+        object.__setattr__(self, "shape", _grid(self.shape, arr.shape[1]))
+        object.__setattr__(self, "wavelengths",
+                           _wavelengths(self.wavelengths, arr.shape[0]))
 
     @property
     def n_bands(self) -> int:
@@ -150,12 +160,7 @@ class AbundanceMatrix:
     def __post_init__(self):
         arr, _ = _as_matrix(self.data, "abundance matrix")
         object.__setattr__(self, "data", arr)
-        rows, cols = self.shape
-        object.__setattr__(self, "shape", (int(rows), int(cols)))
-        if rows * cols != arr.shape[1]:
-            raise ValueError(
-                f"spatial shape {rows}x{cols} does not match {arr.shape[1]} pixels"
-            )
+        object.__setattr__(self, "shape", _grid(self.shape, arr.shape[1]))
         if self.feasible:
             report = column_feasibility(self)
             if not report.feasible:

@@ -25,7 +25,9 @@ from .model import (
     AbundanceMatrix,
     EndmemberMatrix,
     ImageCube,
-    finite_sum_of_squares,
+    _as_matrix,
+    _grid,
+    _wavelengths,
 )
 
 
@@ -38,10 +40,9 @@ class SpectralLibrary:
     wavelengths: np.ndarray | None = None
 
     def __post_init__(self):
-        sig = np.asarray(self.signatures, dtype=np.float64)
-        if sig.ndim != 2 or sig.shape[1] < 1:
+        sig, _ = _as_matrix(self.signatures, "library")
+        if sig.shape[1] < 1:
             raise ValueError("library needs at least one signature column")
-        finite_sum_of_squares(sig, "library")
         norms = np.linalg.norm(sig, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("library contains a zero-norm signature")
@@ -50,11 +51,8 @@ class SpectralLibrary:
         if len(names) != sig.shape[1]:
             raise ValueError("need exactly one name per signature")
         object.__setattr__(self, "names", names)
-        if self.wavelengths is not None:
-            wl = np.asarray(self.wavelengths, dtype=np.float64)
-            if wl.shape != (sig.shape[0],):
-                raise ValueError("wavelengths must have one entry per band")
-            object.__setattr__(self, "wavelengths", wl)
+        object.__setattr__(self, "wavelengths",
+                           _wavelengths(self.wavelengths, sig.shape[0]))
 
     @property
     def n_bands(self) -> int:
@@ -156,11 +154,7 @@ def synthesize_cube(
     """
     if e.n_endmembers != a.n_endmembers:
         raise DimensionMismatch(e.n_endmembers, a.n_endmembers)
-    rows, cols = int(shape[0]), int(shape[1])
-    if rows * cols != a.n_pixels:
-        raise ValueError(
-            f"shape {rows}x{cols} does not cover {a.n_pixels} pixels"
-        )
+    shape = _grid(shape, a.n_pixels)
     signal = e.data @ a.data
     if np.isinf(noise.snr_db):
         x = signal.copy()
@@ -169,7 +163,7 @@ def synthesize_cube(
         sigma2 = power / (signal.size * 10.0 ** (noise.snr_db / 10.0))
         rng = np.random.default_rng(noise.seed)
         x = signal + rng.normal(0.0, np.sqrt(sigma2), signal.shape)
-    return ImageCube(x, (rows, cols), wavelengths=e.wavelengths)
+    return ImageCube(x, shape, wavelengths=e.wavelengths)
 
 
 def measured_snr_db(

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import io
 from .errors import DegenerateProblem, DimensionMismatch, RankDeficient
 from .model import EndmemberMatrix
 
@@ -83,8 +84,7 @@ def forward_width(m: int, bands: int) -> int:
     """Pixels per tile of the forward map: the largest multiple of
     BLAS_PAD (at least one) whose tile fits in io.READ_TILE_BYTES and
     whose product makes at most SMALL_PRODUCT multiply-adds."""
-    from . import io  # io imports this module, through metrics
-    fit = min(io.READ_TILE_BYTES // (8 * bands), SMALL_PRODUCT // (m * bands))
+    fit = min(io._tile_width(bands), SMALL_PRODUCT // (m * bands))
     return max(BLAS_PAD, fit - fit % BLAS_PAD)
 
 

@@ -560,7 +560,7 @@ def test_validate_catches_an_injected_projector_fault(monkeypatch, capsys):
         t = build_transform(e)
         return dataclasses.replace(t, f=t.f + 1e-6)
 
-    monkeypatch.setattr(cli, "_make_transform", corrupted)
+    monkeypatch.setattr(cli, "build_transform", corrupted)
     rc = cli.main(["validate", "--seed", "0", "--instances", "2"])
     assert rc == 1
     out = capsys.readouterr().out

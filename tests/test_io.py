@@ -115,6 +115,24 @@ def test_abundance_round_trip_is_bit_exact(tmp_path):
     assert back.shape == (4, 5)
 
 
+def test_write_abundance_writes_only_what_read_abundance_reads(tmp_path):
+    # AbundanceMatrix refuses the grids the reader refuses, those with
+    # no row or no column, so every matrix it accepts round-trips.
+    path = tmp_path / "a.abund"
+    for rows in range(-2, 3):
+        for cols in range(-2, 3):
+            n = abs(rows * cols)
+            try:
+                a = AbundanceMatrix(np.full((2, n), 0.5), (rows, cols))
+            except ValueError:
+                assert rows < 1 or cols < 1
+                continue
+            write_abundance(path, a)
+            back = read_abundance(path)
+            assert back.shape == a.shape
+            assert np.array_equal(back.data, a.data)
+
+
 def _one_shot(magic, data, rows, cols, wavelengths=None) -> bytes:
     """A container with its whole pixel-major payload transposed at once."""
     flags = 0 if wavelengths is None else sio.FLAG_WAVELENGTHS

@@ -18,6 +18,7 @@ from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
 from sudap.solver import reduce_cube
 from sudap.subspace import inverse_transform
+from conftest import traced_peak
 
 
 def test_relative_error_in_decibels_matches_hand_computation():
@@ -63,8 +64,23 @@ def test_objective_of_one_endmember_is_the_direct_residual():
     e = EndmemberMatrix(rng.uniform(0.1, 1.0, (9, 1)))
     cube = ImageCube(rng.uniform(0.1, 1.0, (9, 6)), (2, 3))
     a = np.ones((1, 6))
+    r = cube.data - e.data @ a
+    # One block of dykstra.TILE columns: the same sum, to the bit.
+    assert objective(e, cube, a) == np.einsum("ij,ij->", r, r)
+    assert objective(e, cube, a) == pytest.approx(np.linalg.norm(r) ** 2)
+
+
+def test_objective_of_one_endmember_holds_one_tile_at_a_time():
+    rng = np.random.default_rng(64)
+    bands, n = 16, 4 * dykstra.TILE
+    e = EndmemberMatrix(rng.uniform(0.1, 1.0, (bands, 1)))
+    cube = ImageCube(rng.uniform(0.1, 1.0, (bands, n)), (4, dykstra.TILE))
+    a = np.ones((1, n))
+    value, peak = traced_peak(lambda: objective(e, cube, a))
+    # Below one bands x n block: the residual is never formed whole.
+    assert peak < bands * n * 8
     direct = np.linalg.norm(cube.data - e.data @ a) ** 2
-    assert objective(e, cube, a) == direct
+    assert value == pytest.approx(direct, rel=1e-12)
 
 
 def test_objective_of_a_cube_in_memory_factors_once(cholesky_calls):

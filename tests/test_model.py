@@ -8,6 +8,7 @@ from sudap.model import (
     column_feasibility,
     validate_dimensions,
 )
+from sudap.simdata import SpectralLibrary
 
 
 def test_endmember_matrix_coerces_to_float64():
@@ -60,6 +61,27 @@ def test_image_cube_pixel_count_must_match_shape():
     assert cube.n_bands == 5
     with pytest.raises(ValueError):
         ImageCube(data, (3, 5))
+
+
+@pytest.mark.parametrize("make", [ImageCube, AbundanceMatrix])
+def test_a_grid_needs_a_row_and_a_column(make):
+    # One grid rule for both: rows and cols at least 1, covering n.
+    for shape, n in (((0, 5), 0), ((-2, -2), 4), ((3, 0), 0)):
+        with pytest.raises(ValueError, match="does not match"):
+            make(np.ones((2, n)), shape)
+    assert make(np.ones((2, 6)), (2.0, 3)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda wl: ImageCube(np.ones((6, 2)), (1, 2), wavelengths=wl),
+    lambda wl: SpectralLibrary(np.ones((6, 2)), ("a", "b"), wavelengths=wl),
+])
+def test_wavelengths_are_float64_one_per_band(make):
+    # As test_endmember_wavelengths_must_cover_bands, for the other two.
+    assert make(np.arange(6)).wavelengths.dtype == np.float64
+    for wl in (np.arange(5.0), np.ones((6, 1))):
+        with pytest.raises(ValueError, match="one entry per band"):
+            make(wl)
 
 
 def test_abundance_matrix_feasibility_enforced_when_flagged():
