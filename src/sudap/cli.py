@@ -32,7 +32,7 @@ import numpy as np
 
 from . import errors
 from . import io as sio
-from .dykstra import DykstraConfig
+from .dykstra import DykstraConfig, _rhs
 from .metrics import (
     CurveRecorder,
     nmse_db,
@@ -367,7 +367,8 @@ def projector_gap(rng, n_triples: int) -> float:
 
     The geometric route is the solver's own step: drop Z onto the
     hyperplane, giving Y0, take one project_intersection_dual from
-    tau = 0 on rhs = f - S Y0, and form U = Y0 + S'tau.
+    tau = 0 on the solver's rhs = f - S Y0 (dykstra._rhs), and form
+    U = Y0 + S'tau.
     """
     worst = 0.0
     for _ in range(n_triples):
@@ -382,7 +383,7 @@ def projector_gap(rng, n_triples: int) -> float:
         i = int(rng.integers(0, m))
         y0 = project_hyperplane(t, z)
         tau = np.zeros_like(z)
-        project_intersection_dual(t, i, t.f[:, None] - t.s @ y0, tau)
+        project_intersection_dual(t, i, _rhs(t, y0), tau)
         geo = y0 + t.s.T @ tau
         kkt = project_intersection_kkt(t, i, z)
         worst = max(worst, float(np.max(np.abs(geo - kkt))))
@@ -436,9 +437,6 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse parses a string default as if it were typed, so a bad
-    # SUDAP_THREADS is the same usage error as a bad --threads.
-    threads = os.environ.get("SUDAP_THREADS", "1")
     p = argparse.ArgumentParser(
         prog="sudap",
         description="Fully constrained spectral unmixing by subspace "
@@ -484,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "always gets one)")
     un.add_argument("--clip", action="store_true",
                     help="zero tiny negative abundances and renormalize")
-    un.add_argument("--threads", type=int, default=threads)
+    un.add_argument("--threads", type=int, default=1)
     un.set_defaults(func=cmd_unmix)
 
     be = sub.add_parser(
@@ -501,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--out-dir", required=True)
     be.add_argument("--min-angle", type=_at_least(0.0), default=10.0)
     be.add_argument("--max-sweeps", type=int, default=2000)
-    be.add_argument("--threads", type=int, default=threads)
+    be.add_argument("--threads", type=int, default=1)
     be.set_defaults(func=cmd_benchmark)
 
     va = sub.add_parser("validate", help="run seeded self-checks")

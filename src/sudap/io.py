@@ -1,5 +1,5 @@
 """File formats: spectral library CSV, binary cube/abundance containers,
-and convergence-curve CSV.
+and convergence-curve CSV (written only; nothing in the package reads it).
 
 Binary container layout, all integers little-endian:
 
@@ -362,14 +362,6 @@ class ConvergenceCurve:
     nmse_db: np.ndarray
     unconverged: np.ndarray
 
-    def __post_init__(self):
-        for name in ("time_s", "objective", "re_db", "nmse_db",
-                     "unconverged"):
-            if len(getattr(self, name)) != len(self.sweep):
-                raise ValueError(f"column {name} has wrong length")
-        if np.any(np.diff(self.time_s) < 0):
-            raise ValueError("time_s must be nondecreasing")
-
     @property
     def n_rows(self) -> int:
         return len(self.sweep)
@@ -402,40 +394,3 @@ def write_curve_csv(curve: ConvergenceCurve, path) -> None:
                 str(int(curve.unconverged[k])),
             ]
             writer.writerow(row)
-
-
-def read_curve_csv(path) -> ConvergenceCurve:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise EmptyFile(f"{path}: no rows")
-    if rows[0] != _CURVE_HEADER:
-        raise ParseError(1, 1, f"unexpected curve header {rows[0]!r}")
-    n = len(rows) - 1
-    sweep = np.zeros(n, dtype=np.int64)
-    time_s = np.zeros(n)
-    objective = np.zeros(n)
-    re_db = np.zeros(n)
-    nmse = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    for k, row in enumerate(rows[1:]):
-        line = k + 2
-        if len(row) != len(_CURVE_HEADER):
-            raise ParseError(line, len(row) + 1, "wrong cell count")
-        try:
-            sweep[k] = int(row[0])
-            time_s[k] = float(row[1])
-            objective[k] = float(row[2])
-            re_db[k] = float(row[3]) if row[3] else np.nan
-            nmse[k] = float(row[4]) if row[4] else np.nan
-            counts[k] = int(row[5])
-        except ValueError as exc:
-            raise ParseError(line, 1, str(exc)) from None
-    return ConvergenceCurve(
-        sweep=sweep,
-        time_s=time_s,
-        objective=objective,
-        re_db=re_db,
-        nmse_db=nmse,
-        unconverged=counts,
-    )

@@ -85,6 +85,9 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
     summed the same way, in bands x dykstra.TILE blocks.
     """
     a_data = _data(a_hat)
+    if a_data.ndim != 2:
+        raise ShapeMismatch(f"abundances must be 2-D, got shape "
+                            f"{a_data.shape}")
     expected = (e.n_endmembers, x.n_pixels)
     if a_data.shape != expected:
         k = int(a_data.shape[0] == expected[0])  # the count that differs

@@ -78,13 +78,6 @@ class NoiseSpec:
             raise ValueError("snr_db must be a number or +inf")
 
 
-def pairwise_angles_deg(columns: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise angles between columns, in degrees."""
-    norms = np.linalg.norm(columns, axis=0)
-    cosines = (columns.T @ columns) / np.outer(norms, norms)
-    return np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
 def select_endmember_indices(
     lib: SpectralLibrary, m: int, min_angle_deg: float, seed: int
 ) -> list:

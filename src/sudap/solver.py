@@ -52,8 +52,6 @@ from .subspace import (
 # would drop the solver's self time from its metrics.
 from .subspace import inverse_transform  # noqa: F401
 
-SOLVER_IDS = frozenset({"sudap", "ls", "ls_sum1", "oracle"})
-
 # Oracle acceptance slacks: a candidate is primal feasible when no free
 # abundance is below -PRIMAL_TOL, dual feasible when no multiplier of a
 # zeroed abundance is below -DUAL_TOL.
@@ -83,10 +81,6 @@ class SolveResult:
     solver_id: str
     wall_time: float
     stages: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.solver_id not in SOLVER_IDS:
-            raise ValueError(f"unknown solver_id {self.solver_id!r}")
 
 
 def _empty_trace() -> DykstraTrace:
@@ -220,10 +214,10 @@ def solve_sudap(
         if x.y.shape[0] != e.n_endmembers:
             raise DimensionMismatch(e.n_endmembers, x.y.shape[0])
         t0 -= sum(x.stages.values())
-    else:
+    elif e.n_endmembers == 1:
         validate_dimensions(e, x)
-        if e.n_endmembers == 1:
-            return _ones_result(x, "sudap", t0)
+        return _ones_result(x, "sudap", t0)
+    else:
         x = reduce_cube(e, x)
     t, y, stages = x.t, x.y, dict(x.stages)
     tic = time.perf_counter()

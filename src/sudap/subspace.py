@@ -30,7 +30,12 @@ import numpy as np
 import scipy.linalg
 
 from . import io
-from .errors import DegenerateProblem, DimensionMismatch, RankDeficient
+from .errors import (
+    DegenerateProblem,
+    DimensionMismatch,
+    RankDeficient,
+    ShapeMismatch,
+)
 from .model import EndmemberMatrix
 
 # A Cholesky pivot at or below RANK_TOL * trace(E'E)/m marks E as
@@ -212,6 +217,9 @@ def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
         n, blocks = x.n_pixels, x.tiles(width)
     else:
         x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+        if x_data.ndim != 2:
+            raise ShapeMismatch(f"cube must be 2-D, got shape "
+                                f"{x_data.shape}")
         n, blocks = x_data.shape[1], (x_data,)
         if not x_data.flags.f_contiguous:
             width = max(n, 1)

@@ -22,6 +22,11 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def read_curve(path):
+    """A curve CSV's columns by name; an empty cell reads as nan."""
+    return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+
+
 @pytest.fixture(scope="session")
 def bump_library():
     return make_synthetic_library(n_bands=96, n_signatures=24, seed=3)

@@ -65,3 +65,36 @@ def test_the_data_layer_imports_nothing_of_the_solver(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     imported = set().union(*map(_package_modules, _imports(tree)))
     assert imported <= DATA_LAYER[name]
+
+
+def _named(path: Path) -> set:
+    """Every identifier a module names: variables, attributes, imports,
+    and whole strings (perfbench's tracer names its targets in strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is code of the package (a definition does not name
+    # itself), the benchmark harness or the package root's __all__; a
+    # public name that only tests reach is dead code.
+    harness = (PACKAGE.parents[1] / "perfbench").glob("*.py")
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = set(sudap.__all__).union(*map(_named, [*modules, *harness]))
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in callers
+    ]
+    assert not unused

@@ -19,7 +19,6 @@ from sudap.io import (
     open_cube,
     read_abundance,
     read_cube,
-    read_curve_csv,
     read_library_csv,
     write_abundance,
     write_cube,
@@ -36,7 +35,7 @@ from sudap.simdata import (
 )
 from sudap.solver import reduce_cube
 from sudap.subspace import build_transform, inverse_transform
-from conftest import traced_peak
+from conftest import read_curve, traced_peak
 
 
 @pytest.fixture
@@ -99,12 +98,11 @@ def test_unmix_sudap_end_to_end(tmp_path, library_csv, capsys):
 
     assert relative_error_db(read_abundance(est), read_abundance(ref)) < -120.0
 
-    curve = read_curve_csv(curve_path)
-    assert curve.n_rows >= 1
-    assert curve.unconverged is not None
-    assert curve.unconverged[-1] == 0
-    assert np.isfinite(curve.re_db).all()
-    assert curve.re_db[-1] < -120.0
+    curve = read_curve(curve_path)
+    assert len(curve) >= 1
+    assert curve["unconverged"][-1] == 0
+    assert np.isfinite(curve["re_db"]).all()
+    assert curve["re_db"][-1] < -120.0
 
 
 def test_unmix_snapshot_stride_controls_curve_rows(tmp_path, library_csv):
@@ -118,9 +116,9 @@ def test_unmix_snapshot_stride_controls_curve_rows(tmp_path, library_csv):
         "--curve", str(curve_path), "--snapshot-every", "5",
     ])
     assert rc == 0
-    curve = read_curve_csv(curve_path)
-    assert all(s % 5 == 0 for s in curve.sweep[:-1])
-    assert (np.diff(curve.sweep) > 0).all()
+    sweep = read_curve(curve_path)["sweep"]
+    assert all(s % 5 == 0 for s in sweep[:-1])
+    assert (np.diff(sweep) > 0).all()
 
 
 def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
@@ -146,9 +144,9 @@ def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
         ]))
         peaks.append(peak)
         assert rc == 0
-        curves.append(read_curve_csv(curve_path))
-    assert curves[0].n_rows >= 50
-    assert curves[1].n_rows < curves[0].n_rows / 10
+        curves.append(read_curve(curve_path))
+    assert len(curves[0]) >= 50
+    assert len(curves[1]) < len(curves[0]) / 10
     assert peaks[0] - peaks[1] < 2 * m * n * 8
 
 
@@ -329,7 +327,7 @@ def test_streamed_curve_and_report_match_the_in_memory_objective(
     ])
     assert rc == 0
     report = capsys.readouterr().out
-    curve = read_curve_csv(curve_path)
+    curve = read_curve(curve_path)
 
     # The curve as it was built from the whole cube in memory: every
     # row's objective by metrics.objective on the image, RE against the
@@ -347,11 +345,11 @@ def test_streamed_curve_and_report_match_the_in_memory_objective(
 
     result = solve_sudap(e, cube, on_sweep=watch)
     sweep, obj, re_db = (np.array(col) for col in zip(*rows))
-    assert np.array_equal(curve.sweep, sweep)
-    assert np.array_equal(curve.re_db, re_db)
-    assert np.isnan(curve.nmse_db).all()
-    assert np.array_equal(curve.unconverged, result.trace.uncertified)
-    assert np.allclose(curve.objective, obj, rtol=1e-12, atol=0.0)
+    assert np.array_equal(curve["sweep"], sweep)
+    assert np.array_equal(curve["re_db"], re_db)
+    assert np.isnan(curve["nmse_db"]).all()
+    assert np.array_equal(curve["unconverged"], result.trace.uncertified)
+    assert np.allclose(curve["objective"], obj, rtol=1e-12, atol=0.0)
 
     # The report's objective comes from the streamed Y and |X|^2.
     a = read_abundance(est)
@@ -423,7 +421,8 @@ def test_unmix_direct_solvers_and_clip(tmp_path, library_csv):
         assert rc == 0
         assert read_abundance(est).data.shape == (5, 144)
         # Direct solvers have no sweeps, so the curve is header-only.
-        assert read_curve_csv(curve_path).n_rows == 0
+        with open(curve_path, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1
 
     est = tmp_path / "clipped.abund"
     rc = cli.main([
@@ -522,6 +521,8 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
          "--snapshot-every"),
         (unmix + ["--curve", "c.csv", "--snapshot-every", "-1"],
          "--snapshot-every"),
+        (unmix + ["--threads", "abc"], "--threads"),
+        (unmix + ["--threads", "-3"], "--threads"),
         (benchmark + ["--values", "3", "--max-sweeps", "0"], "--max-sweeps"),
         (benchmark + ["--values", "abc"], "--values"),
         (benchmark + ["--values", "3,,4"], "--values"),
@@ -609,26 +610,3 @@ def test_time_to_re_factors_once(cholesky_calls):
         e, cube, a_star, DykstraConfig(), -100.0)
     assert hit > 0 and final_re <= -100.0
     assert cholesky_calls == [(5, 5)]
-
-
-def test_thread_default_comes_from_environment(monkeypatch, capsys):
-    unmix = ["unmix", "--cube", "x", "--endmembers", "y",
-             "--solver", "sudap", "--out", "z"]
-    benchmark = ["benchmark", "--library", "x", "--sweep-var", "m",
-                 "--values", "3", "--seed", "0", "--out-dir", "z"]
-    monkeypatch.setenv("SUDAP_THREADS", "6")
-    for argv in (unmix, benchmark):
-        assert cli.build_parser().parse_args(argv).threads == 6
-        assert cli.build_parser().parse_args(argv + ["--threads", "2"]
-                                             ).threads == 2
-    # A bad value is a usage error, as the same --threads value is.
-    for bad in ("0", "-3", "abc"):
-        monkeypatch.setenv("SUDAP_THREADS", bad)
-        for argv in (unmix, benchmark):
-            with pytest.raises(SystemExit) as info:
-                cli.main(argv)
-            assert info.value.code == 2
-            last = capsys.readouterr().err.strip().splitlines()[-1]
-            assert "error:" in last and "--threads" in last
-    monkeypatch.delenv("SUDAP_THREADS")
-    assert cli.build_parser().parse_args(unmix).threads == 1

@@ -17,7 +17,6 @@ from sudap.io import (
     open_cube,
     read_abundance,
     read_cube,
-    read_curve_csv,
     read_library_csv,
     write_abundance,
     write_cube,
@@ -27,7 +26,7 @@ from sudap.io import (
 from sudap.metrics import ConvergenceCurve
 from sudap.model import AbundanceMatrix
 from sudap.simdata import SpectralLibrary
-from conftest import traced_peak
+from conftest import read_curve, traced_peak
 
 
 def _library(with_wavelengths=True):
@@ -320,46 +319,26 @@ def test_zero_dimension_header_is_rejected(tmp_path):
         read_cube(path)
 
 
-def _curve(with_nan=True):
-    re_db = np.array([-5.0, np.nan if with_nan else -40.0, -np.inf])
-    return ConvergenceCurve(
+def test_curve_round_trip_preserves_sentinels(tmp_path):
+    path = tmp_path / "curve.csv"
+    curve = ConvergenceCurve(
         sweep=np.array([1, 2, 3], dtype=np.int64),
         time_s=np.array([0.0, 0.5, 0.5]),
         objective=np.array([3.0, 2.0, 2.0]),
-        re_db=re_db,
+        re_db=np.array([-5.0, np.nan, -np.inf]),
         nmse_db=np.array([np.nan, np.nan, np.nan]),
         unconverged=np.array([7, 3, 0], dtype=np.int64),
     )
-
-
-def test_curve_round_trip_preserves_sentinels(tmp_path):
-    path = tmp_path / "curve.csv"
-    curve = _curve()
     write_curve_csv(curve, path)
-    back = read_curve_csv(path)
-    assert np.array_equal(back.sweep, curve.sweep)
-    assert np.array_equal(back.time_s, curve.time_s)
-    assert np.array_equal(back.objective, curve.objective)
-    assert back.re_db[0] == -5.0
-    assert np.isnan(back.re_db[1])
-    assert back.re_db[2] == -np.inf
-    assert np.isnan(back.nmse_db).all()
-    assert np.array_equal(back.unconverged, curve.unconverged)
-
-
-def test_curve_reader_validates_header_and_cells(tmp_path):
-    path = tmp_path / "curve.csv"
-    path.write_text("sweep,elapsed,objective\n")
-    with pytest.raises(ParseError):
-        read_curve_csv(path)
-    path.write_text(
-        "sweep,time_s,objective,re_db,nmse_db,unconverged\n1,0.0,bogus,,,\n"
-    )
-    with pytest.raises(ParseError):
-        read_curve_csv(path)
-    path.write_text("")
-    with pytest.raises(EmptyFile):
-        read_curve_csv(path)
+    back = read_curve(path)
+    assert np.array_equal(back["sweep"], curve.sweep)
+    assert np.array_equal(back["time_s"], curve.time_s)
+    assert np.array_equal(back["objective"], curve.objective)
+    assert back["re_db"][0] == -5.0
+    assert np.isnan(back["re_db"][1])
+    assert back["re_db"][2] == -np.inf
+    assert np.isnan(back["nmse_db"]).all()
+    assert np.array_equal(back["unconverged"], curve.unconverged)
 
 
 def test_csv_numbers_survive_seventeen_digit_round_trip(tmp_path):

@@ -13,11 +13,15 @@ from sudap import (
 from sudap import dykstra
 from sudap.dykstra import dykstra_project
 from sudap.errors import DimensionMismatch, ShapeMismatch, ZeroReference
-from sudap.metrics import ConvergenceCurve, nmse_db, objective
+from sudap.metrics import nmse_db, objective
 from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
 from sudap.solver import reduce_cube
-from sudap.subspace import inverse_transform
+from sudap.subspace import (
+    build_transform,
+    forward_transform,
+    inverse_transform,
+)
 from conftest import traced_peak
 
 
@@ -57,6 +61,16 @@ def test_objective_is_the_squared_residual():
     e, _, cube = make_instance(5, (4, 5), 30.0, 1)
     with pytest.raises(DimensionMismatch, match="sizes 20 and 7"):
         objective(e, cube, np.full((5, 7), 0.2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, cube: objective(e, cube, np.full(5, 0.2)),
+    lambda e, cube: forward_transform(build_transform(e), e, np.ones(64)),
+], ids=["objective", "forward_transform"])
+def test_a_vector_for_a_matrix_is_a_shape_mismatch(call):
+    e, _, cube = make_instance(5, (4, 5), 30.0, 1)
+    with pytest.raises(ShapeMismatch, match="must be 2-D"):
+        call(e, cube)
 
 
 def test_objective_of_one_endmember_is_the_direct_residual():
@@ -107,23 +121,6 @@ def test_the_blocked_residual_matches_the_image_space_one(n):
     for a in (a_true.data, rng.dirichlet(np.ones(4), size=n).T):
         direct = np.linalg.norm(cube.data - e.data @ a) ** 2
         assert objective(e, x, a) == pytest.approx(direct, rel=1e-12)
-
-
-def test_curve_columns_must_line_up():
-    n = np.arange(3)
-    z = np.zeros(3)
-    with pytest.raises(ValueError):
-        ConvergenceCurve(sweep=n, time_s=np.zeros(2), objective=z,
-                         re_db=z, nmse_db=z, unconverged=n)
-    with pytest.raises(ValueError):
-        ConvergenceCurve(sweep=n, time_s=np.array([0.0, 2.0, 1.0]),
-                         objective=z, re_db=z, nmse_db=z, unconverged=n)
-    with pytest.raises(ValueError):
-        ConvergenceCurve(sweep=n, time_s=z, objective=z, re_db=z,
-                         nmse_db=z, unconverged=n[:2])
-    curve = ConvergenceCurve(sweep=n, time_s=z, objective=z, re_db=z,
-                             nmse_db=z, unconverged=n)
-    assert curve.n_rows == 3
 
 
 def _recorded_run(every, with_refs=True):

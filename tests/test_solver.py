@@ -34,7 +34,6 @@ from sudap.simdata import (
     synthesize_cube,
 )
 from sudap.solver import (
-    SolveResult,
     clip_negatives,
     reduce_cube,
     solve_ls,
@@ -281,15 +280,6 @@ def test_rank_deficient_endmembers_are_rejected():
             solve(e, x)
     with pytest.raises(RankDeficient):
         objective(e, x, np.full((3, 3), 1.0 / 3.0))
-
-
-def test_solver_id_is_validated():
-    a = AbundanceMatrix(np.ones((1, 1)), (1, 1))
-    good = solve_ls(
-        EndmemberMatrix(np.ones((2, 1))), ImageCube(np.ones((2, 1)), (1, 1))
-    )
-    with pytest.raises(ValueError):
-        SolveResult(a, good.trace, "downhill-simplex", 0.0)
 
 
 def test_clip_negatives_cleans_roundoff_but_not_real_violations():
