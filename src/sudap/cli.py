@@ -150,18 +150,17 @@ def _load_reference(path, m: int, n: int, what: str) -> AbundanceMatrix:
 def cmd_unmix(args) -> int:
     elib = sio.read_library_csv(args.endmembers)
     e = EndmemberMatrix(elib.signatures, wavelengths=elib.wavelengths)
-    m = e.n_endmembers
-    # The subspace solver sees the cube only through its reduced form,
-    # which is formed while the file is read one tile at a time, so the
-    # cube is never held whole. The other routes, and sudap with one
-    # endmember, read it whole.
-    reduced = args.solver == "sudap" and m >= 2
-    if reduced:
-        with sio.open_cube(args.cube) as source:
-            x = reduce_cube(e, source)
-    else:
-        x = sio.read_cube(args.cube)
-    n = x.n_pixels
+    # sudap reads the cube file one tile at a time, so the cube is never
+    # held whole, and the file stays open for the solve. The other
+    # routes read it whole.
+    if args.solver != "sudap":
+        return _unmix(args, e, sio.read_cube(args.cube))
+    with sio.open_cube(args.cube) as source:
+        return _unmix(args, e, source)
+
+
+def _unmix(args, e: EndmemberMatrix, x) -> int:
+    m, n = e.n_endmembers, x.n_pixels
     a_ref = (
         _load_reference(args.reference, m, n, "reference")
         if args.reference
@@ -170,13 +169,17 @@ def cmd_unmix(args) -> int:
     a_true = (
         _load_reference(args.truth, m, n, "truth") if args.truth else None
     )
-    # Only a subspace run with m >= 2 has sweeps to record; the other
-    # routes write a header-only curve.
+    # The subspace solve holds no Y. The curve's rows, and the objective
+    # of clipped abundances, read Y again, so those runs hold it: the
+    # cube is reduced first. Only a subspace run with m >= 2 has sweeps
+    # to record; the other routes write a header-only curve.
     recorder = None
-    if args.curve and reduced:
-        recorder = CurveRecorder(
-            x, args.snapshot_every, a_star=a_ref, a_true=a_true
-        )
+    if args.solver == "sudap" and m >= 2 and (args.curve or args.clip):
+        x = reduce_cube(e, x)
+        if args.curve:
+            recorder = CurveRecorder(
+                x, args.snapshot_every, a_star=a_ref, a_true=a_true
+            )
 
     if args.solver == "sudap":
         result = solve_sudap(e, x, args.cfg, on_sweep=recorder)
@@ -197,9 +200,14 @@ def cmd_unmix(args) -> int:
             args.curve,
         )
 
+    # sudap sums the objective of its output in the solve; clipped
+    # abundances, and the other solvers', are summed here.
+    value = result.objective
+    if value is None or args.clip:
+        value = objective(e, x, a_out)
     report = column_feasibility(a_out)
     print(f"solver: {result.solver_id}")
-    print(f"objective |X - EA|_F^2: {objective(e, x, a_out):.10e}")
+    print(f"objective |X - EA|_F^2: {value:.10e}")
     print(f"wall time: {result.wall_time:.3f} s")
     print(
         f"feasibility: max column-sum deviation {report.max_sum_violation:.3e}, "

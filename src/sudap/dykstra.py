@@ -74,26 +74,41 @@ _at_lam_zero for the interior check's. There is no second pass over Y
 and no map back through D^{-1}, whose condition number would amplify
 the rounding of a point that is exact in the subspace.
 
-dykstra_project's m x n state is the output a and tau. The interior
-check writes rhs into a, in the only read of Y in a run. That is the
-swept block, unless the check certified at least half of the columns:
-then the rest are gathered first, and one pass turns all of a into
-abundances at lam = 0, which later writes replace for the gathered
-columns. cols maps block columns to columns of a. A watched run also
-holds the observer's U = D a: from a0 in the interior check, and after
-each sweep, off the trace clock, from the block's rhs and multipliers.
-The m x m products (S Y, G lam and D a) go through
-subspace._block_product; the sweep's row products keep _row_dot's order.
+dykstra_project's m x n state is the output a and tau; Y itself need
+not be held. The interior check reads Y once, block by block of TILE
+columns, as the forward map forms it (subspace.ForwardMap) or as views
+of a held Y, and writes each block's rhs into its columns of a: no
+other step reads Y. a is the swept block, unless the check certified
+at least half of the columns: then the rest are gathered first, and one
+pass turns all of a into abundances at lam = 0, which later writes
+replace for the gathered columns. cols maps block columns to columns of
+a. A watched run also holds the observer's U = D a: from a0 in the
+interior check, and after each sweep, off the trace clock, from the
+block's rhs and multipliers. The m x m products (S Y, G lam and D a) go
+through subspace._block_product; the sweep's row products keep
+_row_dot's order.
+
+The objective needs no held Y either. A column's output is the
+abundances of U = Y0 + S'lam (lam = 0 for the interior check's
+columns), and Y - Y0 lies along b while S'lam lies in S, so
+
+    |Y - U|^2 = (b'y - 1)^2 / |b|^2 + lam'G lam.
+
+The interior check adds |Y|^2 and the first term block by block, and
+every write from multipliers (each finish's, and the sweep budget's
+with lam = tau) adds the second; the trace carries both sums, and
+|X - EA|^2 = max(|X|^2 - |Y|^2, 0) + |Y - U|^2 (solver.solve_sudap).
 
 Columns never interact: each pixel's trajectory, and whether and when it
 is certified, depends only on the transform and its own data. So the
 driver cuts the block into tiles of TILE columns, whatever the thread
-count, and runs the interior check, the sweep with its finiteness scan
-and the finish tile by tile, on as many tiles at once as there are
-threads. The check, the sweep and the finish do each column's
-arithmetic on its own, and the tiles' flags are joined in tile order,
-so the result and the trace are the same to the bit at every thread
-count, and a column's result does not depend on its tile.
+count. The interior check runs on them in order, as Y's blocks arrive;
+the sweep with its finiteness scan, the finish and the writes run on as
+many tiles at once as there are threads. Each of them does each
+column's arithmetic on its own, and the tiles' flags and partial sums
+are joined in tile order, so the result, the trace and its sums are the
+same to the bit at every thread count, and a column's result does not
+depend on its tile.
 """
 
 from __future__ import annotations
@@ -182,7 +197,11 @@ class DykstraTrace:
     columns, a watched run's U (but for its interior check's D a0) and
     the on_sweep observer are off the clock.
     finish_s is the part of elapsed_s[-1] spent in the interior check
-    and the finishes.
+    and the finishes. source_s is the time spent waiting for Y's
+    blocks, which is not in elapsed_s: the forward map (with the read of
+    the cube's file) when Y comes as a source, next to nothing for an
+    array. y_sq is |Y|_F^2 and residual_sq is |Y - D A|_F^2 for the
+    output A, each summed in tile order (dykstra_project).
     uncertified is the number of columns not yet certified after the
     sweep and its finish, if one ran, which is the width of the block
     the next sweep runs on. uncertified falls at sweep 1, where the
@@ -196,6 +215,9 @@ class DykstraTrace:
     elapsed_s: np.ndarray
     uncertified: np.ndarray
     finish_s: float = 0.0
+    source_s: float = 0.0
+    y_sq: float = 0.0
+    residual_sq: float = 0.0
 
     @property
     def n_sweeps(self) -> int:
@@ -309,16 +331,19 @@ def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
     return slack
 
 
-def _write_tile(t, a, rhs, lam, cols, pick, tile):
+def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
     """Write the abundances of the block columns pick[tile] into a, or of
-    those in tile when pick is None.
+    those in tile when pick is None, and return their sum of lam'G lam.
 
     rhs and lam hold the block's f - S y0 and multipliers; block column
     j is column cols[j] of a. Gathers one tile, so its temporaries are
-    bounded by it.
+    bounded by it. lam'G lam = |S'lam|^2 is |U - Y0|^2 for the column's
+    point U = Y0 + S'lam (dykstra_project).
     """
     where = tile if pick is None else pick[tile]
-    a[:, cols[where]] = _abundances(t, rhs[:, where], lam[:, where])
+    lam = lam[:, where]
+    a[:, cols[where]] = _abundances(t, rhs[:, where], lam)
+    return float(np.einsum("ij,ij->", lam, _block_product(t.gram, lam)))
 
 
 def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
@@ -327,13 +352,20 @@ def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
     u[:, cols[tile]] = _block_product(t.d, a)
 
 
-def _interior_tile(t: SubspaceTransform, y, a, u, tile: slice):
-    """Write f - S Y0 of the columns in tile into a, and flag those whose
-    abundances a0 pass at lam = 0; U = D a0 goes into u, unless u is None."""
-    a0 = _at_lam_zero(t, _rhs(t, y[:, tile], out=a[:, tile]))
+def _interior_tile(t: SubspaceTransform, y, a, u):
+    """Write f - S Y0 of the Y columns y into a, and flag those whose
+    abundances a0 pass at lam = 0; U = D a0 goes into u, unless u is None.
+
+    Also returns the columns' |Y|^2 and sum of (b'y - 1)^2, which is
+    |b|^2 |Y - Y0|^2, for the objective (dykstra_project).
+    """
+    a0 = _at_lam_zero(t, _rhs(t, y, out=a))
     if u is not None:
-        _block_product(t.d, a0, out=u[:, tile])
-    return a0.min(axis=0) >= -CERT_TOL
+        _block_product(t.d, a0, out=u)
+    off = t.b @ y
+    off -= 1.0
+    return (a0.min(axis=0) >= -CERT_TOL, float(np.einsum("ij,ij->", y, y)),
+            float(off @ off))
 
 
 def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
@@ -399,7 +431,7 @@ def _finish_tile(
 
 def dykstra_project(
     t: SubspaceTransform,
-    y: np.ndarray,
+    y,
     cfg: DykstraConfig | None = None,
     on_sweep=None,
 ) -> tuple[np.ndarray, DykstraTrace]:
@@ -409,9 +441,11 @@ def dykstra_project(
     Parameters
     ----------
     t : SubspaceTransform
-    y : np.ndarray
-        Transformed observations, m x n, in any layout; read once and
-        never copied.
+    y : np.ndarray or source
+        Transformed observations, m x n: an array in any layout, read
+        once, by views of TILE columns, and never copied; or a source
+        of them with n_pixels and tiles(width), as subspace.ForwardMap
+        gives, which is asked for blocks of TILE columns and read once.
     cfg : DykstraConfig, optional
     on_sweep : callable, optional
         Called as on_sweep(sweep, u) after each of sweeps 1..n, off the
@@ -432,7 +466,8 @@ def dykstra_project(
         what its certificate passed: the abundances of the exact
         projection to rounding. Any other column is that of the last
         sweep's multipliers, whose negative abundances shrink as the
-        sweeps go on.
+        sweeps go on. trace.y_sq and trace.residual_sq are |Y|^2 and
+        |Y - D a_hat|^2, summed in tile order (module docstring).
 
     Raises
     ------
@@ -444,13 +479,17 @@ def dykstra_project(
     """
     if cfg is None:
         cfg = DykstraConfig()
-    y = np.asarray(y, dtype=np.float64)
     m = t.n_endmembers
-    if y.ndim != 2 or y.shape[0] != m:
-        raise ShapeMismatch(
-            f"expected a {m} x n coefficient block, got shape {y.shape}"
-        )
-    n = y.shape[1]
+    if hasattr(y, "tiles"):
+        n, blocks = y.n_pixels, y.tiles(TILE)
+    else:
+        y = np.asarray(y, dtype=np.float64)
+        if y.ndim != 2 or y.shape[0] != m:
+            raise ShapeMismatch(
+                f"expected a {m} x n coefficient block, got shape {y.shape}"
+            )
+        n = y.shape[1]
+        blocks = (y[:, tile] for tile in _tiles(n))
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
@@ -466,16 +505,33 @@ def dykstra_project(
 
     elapsed: list[float] = []
     uncertified: list[int] = []
+    source = 0.0
 
     checkpoint = FIRST_CHECKPOINT
     try:
-        # The interior check runs on sweep 1's clock and leaves f - S Y0
-        # in a, the swept block's rhs until it or a finish certifies a
-        # column; after that the block is gathered.
+        # The interior check runs on sweep 1's clock, less the wait for
+        # Y's blocks, and leaves f - S Y0 in a, the swept block's rhs
+        # until it or a finish certifies a column; after that the block
+        # is gathered.
         tic = time.perf_counter()
-        interior = np.concatenate(
-            list(run(partial(_interior_tile, t, y, a, u), _tiles(n)))
-        )
+        flags, y_sq, off_sq, lo = [], 0.0, 0.0, 0
+        blocks = iter(blocks)
+        while True:
+            mark = time.perf_counter()
+            block = next(blocks, None)
+            source += time.perf_counter() - mark
+            if block is None:
+                break
+            hi = lo + block.shape[1]
+            ok, sq, off = _interior_tile(
+                t, block, a[:, lo:hi], None if u is None else u[:, lo:hi]
+            )
+            flags.append(ok)
+            y_sq += sq
+            off_sq += off
+            lo = hi
+        interior = np.concatenate(flags)
+        residual_sq = off_sq / float(t.b @ t.b)
         if 2 * np.count_nonzero(interior) >= n:
             cols = np.flatnonzero(~interior)
             rb = a.take(cols, axis=1)
@@ -483,9 +539,9 @@ def dykstra_project(
         else:
             cols = np.arange(n)
             rb = a
-        finish = time.perf_counter() - tic
+        finish = time.perf_counter() - tic - source
         tb = np.zeros_like(rb)
-        clock = time.perf_counter() - tic
+        clock = time.perf_counter() - tic - source
 
         for sweep in range(1, cfg.max_sweeps + 1):
             tic = time.perf_counter()
@@ -508,8 +564,10 @@ def dykstra_project(
             tic = time.perf_counter()
             if certified is not None and certified.any():
                 done = np.flatnonzero(certified)
-                list(run(partial(_write_tile, t, a, rb, tb, cols, done),
-                         _tiles(done.size)))
+                residual_sq += sum(run(
+                    partial(_write_tile, t, a, rb, tb, cols, done),
+                    _tiles(done.size),
+                ))
                 finish += time.perf_counter() - tic
                 keep = np.flatnonzero(~certified)
                 cols = cols[keep]
@@ -522,8 +580,10 @@ def dykstra_project(
             clock += time.perf_counter() - tic
             if sweep == cfg.max_sweeps:
                 # The uncertified columns get the abundances of their tau.
-                list(run(partial(_write_tile, t, a, rb, tb, cols, None),
-                         _tiles(rb.shape[1])))
+                residual_sq += sum(run(
+                    partial(_write_tile, t, a, rb, tb, cols, None),
+                    _tiles(rb.shape[1]),
+                ))
 
             elapsed.append(clock)
             uncertified.append(rb.shape[1])
@@ -540,5 +600,8 @@ def dykstra_project(
         elapsed_s=np.asarray(elapsed),
         uncertified=np.asarray(uncertified, dtype=np.int64),
         finish_s=finish,
+        source_s=source,
+        y_sq=y_sq,
+        residual_sq=residual_sq,
     )
     return a, trace

@@ -15,20 +15,22 @@ Binary container layout, all integers little-endian:
     pixel 0, then all channels of pixel 1, ...
 
 Everything is float64. One reader, ContainerReader, serves every
-container. It reads the header alone first and checks its magic,
-version and dimensions, then the file's size against the size the
-header implies, and fails with clean errors on truncated or oversized
-files before any payload is read. open_cube then streams the payload
-in tiles of whole pixels that fit in READ_TILE_BYTES, through one
-reused buffer, each tile checked for a short read and for
-non-finite values as it arrives (the subspace solver's forward map
-consumes each tile while it is still in cache, so the cube is never
-held whole). read_cube and read_abundance instead fill the whole
-(pixels x channels) array with one read and hand out its transpose, a
-channels x pixels view in Fortran order, with no copy; a short read
-fails there too, and the ImageCube or AbundanceMatrix that wraps the
-matrix checks it for non-finite values, once, in an error that names
-the file. Both are model.finite_sum_of_squares, whose pass is |X|^2
+container. It reads the header alone first and checks its magic, version
+and dimensions, then the file's size against the size the header
+implies, and fails with clean errors on truncated or oversized files
+before any payload is read. open_cube then streams the payload in tiles
+of whole pixels that fit in READ_TILE_BYTES, through one reused buffer,
+each tile checked for a short read and for non-finite values as it
+arrives (the subspace solver's forward map consumes each tile while it
+is still in cache, into a block of Y that the solver's interior check
+reads at once, so neither the cube nor its Y is held whole; with one
+endmember, metrics.objective sums the residual over the same tiles).
+read_cube and read_abundance instead fill the whole (pixels x channels)
+array with one read and hand out its transpose, a channels x pixels view
+in Fortran order, with no copy; a short read fails there too, and the
+ImageCube or AbundanceMatrix that wraps the matrix checks it for
+non-finite values, once, in an error that names the file. Both are
+model.finite_sum_of_squares, whose pass is |X|^2
 (ContainerReader.sum_sq, ImageCube.sum_sq). The writer writes the
 payload in the same tiles, each the transpose of a channels x pixels
 slice, so it copies one tile at a time, never the whole matrix, and

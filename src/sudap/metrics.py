@@ -10,7 +10,7 @@ import numpy as np
 
 from .dykstra import TILE, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
-from .io import ConvergenceCurve
+from .io import ConvergenceCurve, _tile_width
 from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
 from .solver import ReducedCube, reduce_cube
 from .subspace import inverse_transform
@@ -51,14 +51,30 @@ def nmse_db(a_hat, a_true) -> float:
     return _ratio_db(a_hat, a_true, "NMSE")
 
 
-def _tiled_residual(d: np.ndarray, y: np.ndarray, a: np.ndarray) -> float:
-    """|Y - D A|_F^2, summed over blocks of dykstra.TILE columns, so its
-    only temporary is one block of D A."""
-    total = 0.0
-    for lo in range(0, y.shape[1], TILE):
-        r = d @ a[:, lo:lo + TILE]
-        r -= y[:, lo:lo + TILE]
-        total += float(np.einsum("ij,ij->", r, r))
+def _column_blocks(x, width: int):
+    """x's columns in order, in blocks of width: a source's tiles(width)
+    (io.open_cube), or views of a matrix or of an ImageCube's data."""
+    if hasattr(x, "tiles"):
+        return x.tiles(width)
+    data = _data(x)
+    return (data[:, lo:lo + width] for lo in range(0, data.shape[1], width))
+
+
+def _block_residual(d: np.ndarray, z: np.ndarray, a: np.ndarray) -> float:
+    """|z - D a|_F^2, whose one temporary, D a, is freed on return."""
+    r = d @ a
+    r -= z
+    return float(np.einsum("ij,ij->", r, r))
+
+
+def _tiled_residual(d: np.ndarray, blocks, a: np.ndarray) -> float:
+    """|Z - D A|_F^2 for Z given by its column blocks in order
+    (_column_blocks), so the only temporary is one block of D A."""
+    total, lo = 0.0, 0
+    for z in blocks:
+        hi = lo + z.shape[1]
+        total += _block_residual(d, z, a[:, lo:hi])
+        lo = hi
     return total
 
 
@@ -68,10 +84,12 @@ def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
     With E'E = D'D and Y = D^{-T} E'X, the residual splits as
     |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
     X outside the span of E, computed once here and clamped at 0
-    against rounding. Each call then adds _tiled_residual(D, Y, A).
+    against rounding. Each call then adds |Y - D A|^2, over blocks of
+    dykstra.TILE columns.
     """
     out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
-    return lambda a: out_of_span + _tiled_residual(d, y, a)
+    return lambda a: out_of_span + _tiled_residual(
+        d, _column_blocks(y, TILE), a)
 
 
 def objective(e: EndmemberMatrix, x, a_hat) -> float:
@@ -81,8 +99,10 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
     ReducedCube of the cube for this E, whose Y and |X|^2 are then used
     as they are; the residual is then summed block by block, and no
     temporary larger than m x dykstra.TILE is formed. With one
-    endmember there is no subspace to reduce to, and |X - E A|^2 is
-    summed the same way, in bands x dykstra.TILE blocks.
+    endmember there is no subspace to reduce to: |X - E A|^2 is summed
+    directly, one read tile of pixels at a time, and x may also be a
+    cube file opened with io.open_cube, which is then read once, in
+    those tiles, and never held whole.
     """
     a_data = _data(a_hat)
     if a_data.ndim != 2:
@@ -94,7 +114,8 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
         raise DimensionMismatch(expected[k], a_data.shape[k])
     if e.n_endmembers == 1:
         validate_dimensions(e, x)
-        return _tiled_residual(e.data, x.data, a_data)
+        width = _tile_width(e.n_bands)
+        return _tiled_residual(e.data, _column_blocks(x, width), a_data)
     if not isinstance(x, ReducedCube):
         x = reduce_cube(e, x)
     return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)

@@ -4,10 +4,12 @@ Four solvers share one result type:
 
 * solve_sudap: the subspace route. Transform, then project with
   Dykstra's scheme (dykstra_project), which returns the abundances its
-  certificate checked. Handles both constraints. Its first two stages,
-  the transform and the forward map, are reduce_cube, which every cube
-  enters through, in memory or streamed from a file: the solver sees
-  the cube only through its reduced form.
+  certificate checked. Handles both constraints. The solver sees the
+  cube only through Y = D^{-T} E'X and |X|^2. A cube, in memory or
+  streamed from a file, is mapped block by block into dykstra_project's
+  interior check (subspace.ForwardMap), so no m x n Y is held, and the
+  objective is summed on the way; a ReducedCube from reduce_cube holds
+  Y whole, for the observers that need it.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   one bordered solve (_sum_to_one).
@@ -43,6 +45,7 @@ from .model import (
 )
 from .subspace import (
     RANK_TOL,
+    ForwardMap,
     SubspaceTransform,
     build_transform,
     forward_transform,
@@ -67,13 +70,17 @@ class SolveResult:
     """One solver run.
 
     wall_time is the run's seconds, and stages splits solve_sudap's
-    between "transform" (build_transform), "forward" (the forward map,
-    with the streamed read when the cube comes from a file), "project"
+    between "transform" (build_transform, and the m x bands matrix of
+    the forward map), "forward" (the forward map, with the streamed read
+    when the cube comes from a file: the time dykstra_project waited for
+    Y's blocks, unless reduce_cube formed Y first), "project"
     (dykstra_project's sweeps and their bookkeeping, with its on_sweep
     observer) and "finish" (its interior check and exact finishes, with
     the abundances they certify, from its trace); their sum never
-    exceeds wall_time. The other solvers, and solve_sudap with one
-    endmember, leave stages empty.
+    exceeds wall_time. objective is |X - E a_hat|_F^2 as solve_sudap
+    sums it on the way, with no held Y (dykstra module docstring). The
+    other solvers, and solve_sudap with one endmember, leave stages
+    empty and objective None.
     """
 
     a_hat: AbundanceMatrix
@@ -81,6 +88,7 @@ class SolveResult:
     solver_id: str
     wall_time: float
     stages: dict = field(default_factory=dict)
+    objective: float | None = None
 
 
 def _empty_trace() -> DykstraTrace:
@@ -142,19 +150,24 @@ def _sum_to_one(g: np.ndarray, h: np.ndarray):
     return a, mu[..., 0, :]
 
 
-def _ones_result(x: ImageCube, solver_id: str, t0: float) -> SolveResult:
+def _ones_result(x, solver_id: str, t0: float) -> SolveResult:
+    """Every abundance 1, for a cube or an opened cube file, whose
+    n_pixels and shape suffice: no pixel is read."""
     a = AbundanceMatrix(np.ones((1, x.n_pixels)), x.shape, feasible=True)
     return SolveResult(a, _empty_trace(), solver_id, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
 class ReducedCube:
-    """A cube as the subspace solver sees it.
+    """A cube as the subspace solver sees it, with Y held whole.
 
     The fully constrained problem lives in the m-dimensional subspace:
     |X - EA|_F^2 = x_sq - |Y|^2 + |Y - DA|^2, so X enters only through
     Y = D^{-T} E'X (m x n, for the transform t) and x_sq = |X|_F^2.
-    stages holds the seconds reduce_cube spent, by stage.
+    stages holds the seconds reduce_cube spent, by stage. solve_sudap
+    needs no held Y; this form is for what reads Y again after the
+    solve or during it: metrics.objective of any abundances,
+    metrics.CurveRecorder, and unmix's --curve and --clip.
     """
 
     t: SubspaceTransform
@@ -175,8 +188,9 @@ def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
     read here one tile at a time and never held whole. Either source
     carries |X|^2 as sum_sq, from the finiteness check it made (on
     construction, or tile by tile as it is read), so the cube is not
-    summed again. Pass the result to solve_sudap, to metrics.objective
-    and to metrics.CurveRecorder.
+    summed again. Pass the result to metrics.objective, to
+    metrics.CurveRecorder and to solve_sudap, which then reads views of
+    its Y.
 
     Raises
     ------
@@ -200,34 +214,49 @@ def solve_sudap(
 ) -> SolveResult:
     """Fully constrained unmixing through the projected subspace.
 
-    x is a ReducedCube from reduce_cube for the same E, whose stages
-    and seconds then count towards the result's, or an ImageCube, which
-    is reduced here by reduce_cube (unless E has one endmember, which
-    makes every abundance 1). When the trace reports converged, every
-    pixel is certified as the unique minimizer of |X - EA|_F^2 over the
-    simplex, to rounding. Column sums are exact to roundoff in any case;
-    small negative entries can remain when the run stops at max_sweeps
-    uncertified and are reported as-is (see clip_negatives).
+    x is an ImageCube or a cube file opened with io.open_cube, whose pixels
+    are mapped into the subspace block by block as dykstra_project's
+    interior check takes them, so neither the cube nor Y is held whole;
+    or a ReducedCube from reduce_cube for the same E, whose held Y is
+    read in views, and whose stages and seconds then count towards the
+    result's. With one endmember every abundance is 1. When the trace
+    reports converged, every pixel is certified as the unique minimizer
+    of |X - EA|_F^2 over the simplex, to rounding. Column sums are exact
+    to roundoff in any case; small negative entries can remain when the
+    run stops at max_sweeps uncertified and are reported as-is (see
+    clip_negatives). The result's objective is the output's
+    |X - EA|_F^2, from the trace's sums and x's |X|^2.
     """
     t0 = time.perf_counter()
-    if isinstance(x, ReducedCube):
+    reduced = isinstance(x, ReducedCube)
+    if reduced:
         if x.y.shape[0] != e.n_endmembers:
             raise DimensionMismatch(e.n_endmembers, x.y.shape[0])
         t0 -= sum(x.stages.values())
-    elif e.n_endmembers == 1:
-        validate_dimensions(e, x)
-        return _ones_result(x, "sudap", t0)
+        t, y, stages = x.t, x.y, dict(x.stages)
     else:
-        x = reduce_cube(e, x)
-    t, y, stages = x.t, x.y, dict(x.stages)
+        validate_dimensions(e, x)
+        if e.n_endmembers == 1:
+            return _ones_result(x, "sudap", t0)
+        t = build_transform(e)
+        y = ForwardMap(t, e, x)
+        stages = {"transform": time.perf_counter() - t0}
     tic = time.perf_counter()
     a, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
+    # Unless reduce_cube formed Y first, the forward map ran while
+    # dykstra_project waited for Y's blocks; a file's |X|^2 is complete
+    # only now.
+    stages.setdefault("forward", trace.source_s)
+    x_sq = x.x_sq if reduced else x.sum_sq
     stages.update(
-        project=time.perf_counter() - tic - trace.finish_s,
+        project=time.perf_counter() - tic - trace.source_s - trace.finish_s,
         finish=trace.finish_s,
     )
     a = AbundanceMatrix(a, x.shape)
-    return SolveResult(a, trace, "sudap", time.perf_counter() - t0, stages)
+    return SolveResult(
+        a, trace, "sudap", time.perf_counter() - t0, stages,
+        max(x_sq - trace.y_sq, 0.0) + trace.residual_sq,
+    )
 
 
 def solve_ls(e: EndmemberMatrix, x: ImageCube) -> SolveResult:

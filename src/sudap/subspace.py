@@ -191,47 +191,84 @@ def build_transform(e: EndmemberMatrix) -> SubspaceTransform:
     )
 
 
-def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
-    """Map observations into the subspace: y = D^{-T} E' x.
+class ForwardMap:
+    """Y = D^{-T} E' x of one cube, formed tile by tile as its pixels go by.
 
     ``e`` may be the model wrapper or a plain array. ``x`` holds one
     pixel per column: an ImageCube or a plain array, or a source with
     ``n_pixels`` and a ``tiles(width)`` method that yields the pixels in
     order as column blocks of that width, as io.open_cube gives. The
     m x bands map D^{-T} E' is formed once, by one small triangular
-    solve against E'; the pixels then go through _block_product with it,
-    straight into their columns of y, in tiles of forward_width pixels:
-    a file's read tiles, or views of a pixel-major (Fortran-ordered)
-    cube in memory. Any other cube is one product: a band-major cube
-    reads faster whole than cut. Every tile but the last is a multiple
-    of BLAS_PAD wide, and each product pads its last width % BLAS_PAD
-    pixels, so a pixel's bits depend on neither the cut nor the layout.
-    For noiseless x = E a the output equals D a.
+    solve against E'. tiles(width) then puts the pixels through
+    _block_product with it in tiles of forward_width pixels: a file's
+    read tiles, or views of a pixel-major (Fortran-ordered) cube in
+    memory. Any other cube is cut only where a block of Y ends: a
+    band-major cube reads faster in wide products than in narrow ones.
+    Every tile but the last is a multiple of BLAS_PAD wide, and each
+    product pads its last width % BLAS_PAD pixels, so a pixel's bits
+    depend on neither the cut nor the layout. For noiseless x = E a, Y
+    equals D a.
+
+    The same protocol as the cube source, one level down: n_pixels and
+    tiles(width), so that dykstra_project can take Y as it is formed.
     """
-    e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
-    fmap = scipy.linalg.solve_triangular(
-        t.d, e_data.T, trans="T", lower=False
-    )
-    width = forward_width(*fmap.shape)
-    if hasattr(x, "tiles"):
-        n, blocks = x.n_pixels, x.tiles(width)
-    else:
-        x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
-        if x_data.ndim != 2:
-            raise ShapeMismatch(f"cube must be 2-D, got shape "
-                                f"{x_data.shape}")
-        n, blocks = x_data.shape[1], (x_data,)
-        if not x_data.flags.f_contiguous:
-            width = max(n, 1)
-    y = np.empty((fmap.shape[0], n))
-    lo = 0
-    for block in blocks:
-        if e_data.shape[0] != block.shape[0]:
-            raise DimensionMismatch(e_data.shape[0], block.shape[0])
-        hi = lo + block.shape[1]
-        _block_product(fmap, block, out=y[:, lo:hi], block=width)
-        lo = hi
-    return y
+
+    def __init__(self, t: SubspaceTransform, e, x):
+        e_data = np.asarray(getattr(e, "data", e), dtype=np.float64)
+        self._fmap = scipy.linalg.solve_triangular(
+            t.d, e_data.T, trans="T", lower=False
+        )
+        self._x = x
+        if hasattr(x, "tiles"):
+            self.n_pixels = x.n_pixels
+        else:
+            x_data = np.asarray(getattr(x, "data", x), dtype=np.float64)
+            if x_data.ndim != 2:
+                raise ShapeMismatch(f"cube must be 2-D, got shape "
+                                    f"{x_data.shape}")
+            self._x, self.n_pixels = x_data, x_data.shape[1]
+
+    def tiles(self, width: int):
+        """Yield Y in order, as m x width column blocks (the last one
+        narrower), each formed into one reused buffer: a block holds its
+        values only until the next is formed. Every call reads the cube
+        again from its first pixel."""
+        fmap, n = self._fmap, self.n_pixels
+        cut = forward_width(*fmap.shape)
+        if hasattr(self._x, "tiles"):
+            blocks = self._x.tiles(cut)
+        else:
+            blocks = (self._x,)
+            if not self._x.flags.f_contiguous:
+                cut = max(n, 1)
+        buf = np.empty((fmap.shape[0], min(width, n)))
+        fill = 0
+        for block in blocks:
+            if fmap.shape[1] != block.shape[0]:
+                raise DimensionMismatch(fmap.shape[1], block.shape[0])
+            at = 0
+            while at < block.shape[1]:
+                take = min(width - fill, block.shape[1] - at)
+                _block_product(fmap, block[:, at:at + take],
+                               out=buf[:, fill:fill + take], block=cut)
+                fill += take
+                at += take
+                if fill == width:
+                    yield buf
+                    fill = 0
+        if fill:
+            yield buf[:, :fill]
+
+
+def forward_transform(t: SubspaceTransform, e, x) -> np.ndarray:
+    """Map observations into the subspace: y = D^{-T} E' x, held whole.
+
+    x is as ForwardMap takes it, and y is ForwardMap's one block as wide
+    as the cube, so each pixel has the bits it has in any other cut.
+    """
+    mapped = ForwardMap(t, e, x)
+    return next(mapped.tiles(max(mapped.n_pixels, 1)),
+                np.empty((t.n_endmembers, 0)))
 
 
 def inverse_transform(t: SubspaceTransform, u: np.ndarray) -> np.ndarray:

@@ -208,23 +208,23 @@ def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
                                                          library_csv,
                                                          monkeypatch):
     # The cube is 48 bands x 25 600 pixels (9.8 MB), 151 read tiles of
-    # 64 KiB. Streamed, the run holds one read tile of the file while it
-    # reads, then Y and the abundances a. Beside them the solve holds
-    # its per-tile temporaries (the interior check's four m x TILE
-    # blocks, 0.39 MB here) and the gathered rhs and tau of the 1 % of
-    # columns that the check leaves (12 KB): 0.43 MB in all, measured.
-    # The writer, the objective and the feasibility check hold a tile at
-    # most. A reader that held the cube would peak above the cube's own
-    # size, and a third m x n block (a second copy of Y, a whole
-    # transposed copy of a in the writer, or the report's whole
-    # residual) above the bound.
+    # 64 KiB. Streamed, the run holds one read tile of the file, which
+    # the forward map turns into one m x TILE block of Y, and the
+    # abundances a; no m x n Y is held. Beside them the solve holds its
+    # per-tile temporaries (the interior check's m x TILE blocks) and
+    # the gathered rhs and tau of the 1 % of columns that the check
+    # leaves. The writer and the feasibility check hold a tile at most,
+    # and the report's objective was summed in the solve. A reader that
+    # held the cube would peak above the cube's own size, and a second
+    # m x n block (a whole Y, a whole transposed copy of a in the
+    # writer, or the report's whole residual) above the bound.
     m, rows, cols, bands = 3, 160, 160, 48
     out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols,
                     snr="30")
     n = rows * cols
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
     allowance = 5 * m * dykstra.TILE * 8
-    bound = 2 * m * n * 8 + sio.READ_TILE_BYTES + allowance
+    bound = m * n * 8 + sio.READ_TILE_BYTES + allowance
     assert allowance + sio.READ_TILE_BYTES < m * n * 8
     assert bound < bands * n * 8
     rc, peak = traced_peak(lambda: cli.main([
@@ -234,6 +234,118 @@ def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
     ]))
     assert rc == 0
     assert peak < bound
+
+
+def test_one_endmember_unmix_streams_the_cube(tmp_path, library_csv,
+                                             monkeypatch, capsys):
+    # With one endmember every abundance is 1, and the grid comes from
+    # the file's header; the report's objective is summed one read tile
+    # at a time. So the run holds the read tile and its residual, the
+    # abundances and the feasibility check's column sums: two read tiles
+    # and a few n-float blocks, far below the 9.8 MB cube.
+    rows, cols, bands = 160, 160, 48
+    out = _simulate(tmp_path, library_csv, m=1, rows=rows, cols=cols,
+                    snr="30")
+    n = rows * cols
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
+    bound = 2 * sio.READ_TILE_BYTES + 4 * n * 8
+    assert bound < bands * n * 8
+    capsys.readouterr()
+    rc, peak = traced_peak(lambda: cli.main([
+        "unmix", "--cube", f"{out}.cube",
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+    ]))
+    assert rc == 0
+    assert peak < bound
+    a = read_abundance(tmp_path / "s.abund")
+    assert a.shape == (rows, cols) and (a.data == 1.0).all()
+    cube = read_cube(f"{out}.cube")
+    e = EndmemberMatrix(read_library_csv(f"{out}.endmembers.csv").signatures)
+    printed = capsys.readouterr().out.split("objective |X - EA|_F^2: ")[1]
+    direct = np.linalg.norm(cube.data - e.data) ** 2
+    assert float(printed.split()[0]) == pytest.approx(direct, rel=1e-10)
+
+
+def _scene_files(tmp_path, name, e, cube):
+    write_cube(tmp_path / f"{name}.cube", cube)
+    write_library_csv(tmp_path / f"{name}.csv", SpectralLibrary(
+        e.data, tuple(f"e{i}" for i in range(e.n_endmembers))))
+    return tmp_path / f"{name}.cube", tmp_path / f"{name}.csv"
+
+
+def _routes_scene(m, kind, n=600, bands=48):
+    """A cube whose interior check makes every pixel final ("interior"),
+    or fewer than half of them ("exterior"). The interior scene's noise
+    is orthogonal to the span of E, so Y is noiseless and the objective
+    is the noise's energy. Most exterior pixels mix one endmember in
+    with a negative share, which the noise rarely undoes."""
+    rng = np.random.default_rng(m)
+    e = EndmemberMatrix(rng.standard_normal((bands, m)))
+    a = rng.dirichlet(np.full(m, 10.0), size=n).T
+    noise = rng.standard_normal((bands, n))
+    if kind == "interior":
+        q, _ = np.linalg.qr(e.data)
+        noise -= q @ (q.T @ noise)
+    else:
+        a = 1.6 * a
+        a[rng.integers(0, m, n), np.arange(n)] -= 0.6
+        noise *= 0.1
+    return e, ImageCube(e.data @ a + noise, (20, n // 20))
+
+
+@pytest.mark.parametrize("m, kind, budget", [
+    (3, "interior", None), (3, "exterior", None), (10, "exterior", None),
+    (20, "interior", None), (20, "exterior", None), (10, "exterior", 3),
+])
+def test_streamed_and_held_y_routes_write_the_same_bytes(
+        tmp_path, monkeypatch, m, kind, budget):
+    # unmix from a file, solve_sudap on an ImageCube (both map Y block by
+    # block into the interior check) and solve_sudap on reduce_cube's
+    # held Y write the same bytes at one and two threads, and each
+    # objective, summed without Y, is metrics.objective's to 1e-12. Read
+    # tiles of 40 pixels and sweep tiles of 64 columns make every cut
+    # differ. A budget stops the run at that sweep with a certificate
+    # that refuses every point, so the budget's write of the abundances
+    # of tau adds tau'G tau to the objective.
+    monkeypatch.setattr(dykstra, "TILE", 64)
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 40 * 48 * 8)
+    if budget:
+        monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+    e, cube = _routes_scene(m, kind)
+    n = cube.n_pixels
+    cube_path, csv_path = _scene_files(tmp_path, "s", e, cube)
+    max_sweeps = budget or 2000
+    blobs, objectives = [], []
+    for threads in (1, 2):
+        est = tmp_path / f"cli{threads}.abund"
+        rc = cli.main([
+            "unmix", "--cube", str(cube_path), "--endmembers",
+            str(csv_path), "--solver", "sudap", "--out", str(est),
+            "--threads", str(threads), "--max-sweeps", str(max_sweeps),
+        ])
+        assert rc == (25 if budget else 0)
+        blobs.append(est.read_bytes())
+        cfg = DykstraConfig(max_sweeps=max_sweeps, threads=threads)
+        for x in (cube, reduce_cube(e, cube)):
+            result = solve_sudap(e, x, cfg)
+            est = tmp_path / "mem.abund"
+            write_abundance(est, result.a_hat)
+            blobs.append(est.read_bytes())
+            assert result.objective == pytest.approx(
+                objective(e, cube, result.a_hat), rel=1e-12)
+            objectives.append(result.objective)
+    assert all(blob == blobs[0] for blob in blobs)
+    # Each route sums its objective in the same order at any count.
+    assert objectives[0::2] == [objectives[0]] * 2
+    assert objectives[1::2] == [objectives[1]] * 2
+    trace = result.trace
+    if budget:
+        assert trace.n_sweeps == budget and trace.uncertified[-1] > 0
+    elif kind == "interior":
+        assert trace.n_sweeps == 1 and trace.uncertified[0] == 0
+    else:
+        assert trace.uncertified[0] == n and trace.converged
 
 
 def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
@@ -351,12 +463,15 @@ def test_streamed_curve_and_report_match_the_in_memory_objective(
     assert np.array_equal(curve["unconverged"], result.trace.uncertified)
     assert np.allclose(curve["objective"], obj, rtol=1e-12, atol=0.0)
 
-    # The report's objective comes from the streamed Y and |X|^2.
+    # The report's objective is the solve's own, summed without Y, and
+    # agrees with the one from the streamed Y and |X|^2 to its digits.
     a = read_abundance(est)
     with open_cube(f"{out}.cube") as source:
         streamed = objective(e, reduce_cube(e, source), a)
     assert streamed == pytest.approx(objective(e, cube, a), rel=1e-12)
-    assert f"objective |X - EA|_F^2: {streamed:.10e}" in report
+    assert result.objective == pytest.approx(streamed, rel=1e-12)
+    printed = report.split("objective |X - EA|_F^2: ")[1].split()[0]
+    assert float(printed) == pytest.approx(streamed, rel=1e-10)
 
 
 def test_unmix_exits_25_after_writing_an_uncertified_stop(tmp_path, capsys,

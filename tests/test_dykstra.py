@@ -147,10 +147,15 @@ def test_interior_check_reads_rhs_off_y_with_no_drop():
     t, y = _mostly_interior(20)
     rhs = _rhs(t, y)
     a = np.empty_like(y)
-    flags = dykstra._interior_tile(t, y, a, None, slice(None))
+    flags, y_sq, off_sq = dykstra._interior_tile(t, y, a, None)
     assert np.array_equal(a, rhs)
     assert 0 < flags.sum() < y.shape[1]
     assert np.array_equal(flags, _interior(t, y))
+    # The objective's sums: |Y|^2, and |Y - Y0|^2 times |b|^2.
+    y0 = project_hyperplane(t, y)
+    assert y_sq == pytest.approx(np.linalg.norm(y) ** 2, rel=1e-14)
+    assert off_sq / (t.b @ t.b) == pytest.approx(
+        np.linalg.norm(y - y0) ** 2, rel=1e-12)
 
 
 def _check_bookkeeping(t, y, a, trace, cfg):
@@ -263,10 +268,12 @@ def test_interior_columns_are_final_before_the_first_sweep(monkeypatch):
     # With the check stubbed out, the interior columns are swept and
     # finished with the rest, and every column gets the same bits.
     interior_tile = dykstra._interior_tile
-    monkeypatch.setattr(
-        dykstra, "_interior_tile",
-        lambda t, y, a, u, tile: interior_tile(t, y, a, u, tile) & False,
-    )
+
+    def none_interior(*args):
+        flags, *sums = interior_tile(*args)
+        return (flags & False, *sums)
+
+    monkeypatch.setattr(dykstra, "_interior_tile", none_interior)
     a_swept, trace_swept = dykstra_project(t, y, cfg)
     assert trace_swept.uncertified[0] == n
     assert np.array_equal(a_swept, a)
@@ -672,8 +679,9 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
 @pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
 def test_a_plain_run_reads_y_once(monkeypatch, case):
     # Only the interior check reads Y, once per column, in its one
-    # product S Y: the finishes and the budget's last write work from
-    # rhs and the multipliers alone.
+    # product S Y (and, on the same block, in the objective's b'Y and
+    # |Y|^2): the finishes and the budget's last write work from rhs and
+    # the multipliers alone.
     t, y, cfg = _run_case(monkeypatch, case)
     read, inside = [], []
     block_product = dykstra._block_product

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sudap.cli as cli
-from sudap import io, metrics, model, solver
+from sudap import dykstra, io, metrics, model, solver
 from sudap import (
     DykstraConfig,
     EndmemberMatrix,
@@ -39,7 +39,7 @@ from sudap.solver import (
     solve_ls,
     solve_ls_sum1,
 )
-from conftest import random_endmembers
+from conftest import random_endmembers, traced_peak
 
 
 def _random_problem(seed, n_bands=32, m=5, n=64, snr_db=25.0):
@@ -229,7 +229,7 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
         solve_sudap(other, reduced)
 
 
-def test_an_image_cube_enters_the_solve_through_reduce_cube(monkeypatch):
+def test_an_image_cube_streams_into_the_solve(monkeypatch):
     # The finiteness check made on construction gives the cube its
     # |X|^2, so neither the solve nor the objective sums the cube again.
     # (The abundance matrix the solve returns is checked, and summed, as
@@ -245,7 +245,8 @@ def test_an_image_cube_enters_the_solve_through_reduce_cube(monkeypatch):
                 lambda arr, real=real: summed.append(arr.shape) or real(arr),
             )
     direct = solve_sudap(e, x)
-    objective(e, x, direct.a_hat)
+    assert direct.objective == pytest.approx(
+        objective(e, x, direct.a_hat), rel=1e-12)
     assert summed and x.data.shape not in summed
     # Finite entries whose squares overflow: no error and no warning,
     # and |X|^2 is inf.
@@ -253,6 +254,21 @@ def test_an_image_cube_enters_the_solve_through_reduce_cube(monkeypatch):
         warnings.simplefilter("error")
         huge = ImageCube(np.full((3, 12), 1e300), (3, 4))
     assert huge.sum_sq == np.inf
+
+
+def test_an_image_cube_is_solved_without_holding_y(monkeypatch):
+    # Y is mapped block by block into the interior check, so the solve
+    # holds the abundances a and, for the 7 % of pixels the check leaves,
+    # a gathered rhs and tau: 1.28 m x n floats, measured. Beside them
+    # it holds only per-tile temporaries, which tiles of 256 columns
+    # keep small. A whole Y beside a (2.24 m x n floats) fails the bound.
+    monkeypatch.setattr(dykstra, "TILE", 256)
+    m, n = 5, 40_000
+    e, _, x = make_instance(m, (200, 200), 25.0, 41, n_bands=32)
+    result, peak = traced_peak(lambda: solve_sudap(e, x))
+    assert result.trace.converged
+    assert 0 < result.trace.uncertified[0] < n / 10
+    assert peak < 2 * m * n * 8 + 10 * m * dykstra.TILE * 8
 
 
 def test_single_endmember_short_circuits():
