@@ -61,7 +61,6 @@ from .simdata import (
 from .solver import (
     MAX_ORACLE_ENDMEMBERS,
     clip_negatives,
-    reduce_cube,
     solve_ls,
     solve_ls_sum1,
     solve_oracle_activeset,
@@ -169,17 +168,15 @@ def _unmix(args, e: EndmemberMatrix, x) -> int:
     a_true = (
         _load_reference(args.truth, m, n, "truth") if args.truth else None
     )
-    # The subspace solve holds no Y. The curve's rows, and the objective
-    # of clipped abundances, read Y again, so those runs hold it: the
-    # cube is reduced first. Only a subspace run with m >= 2 has sweeps
-    # to record; the other routes write a header-only curve.
+    # The subspace solve holds no Y; the curve's rows read Y again, so
+    # the recorder forms and holds its own. Only a subspace run with
+    # m >= 2 has sweeps to record; the other routes write a header-only
+    # curve.
     recorder = None
-    if args.solver == "sudap" and m >= 2 and (args.curve or args.clip):
-        x = reduce_cube(e, x)
-        if args.curve:
-            recorder = CurveRecorder(
-                x, args.snapshot_every, a_star=a_ref, a_true=a_true
-            )
+    if args.solver == "sudap" and m >= 2 and args.curve:
+        recorder = CurveRecorder(
+            e, x, args.snapshot_every, a_star=a_ref, a_true=a_true
+        )
 
     if args.solver == "sudap":
         result = solve_sudap(e, x, args.cfg, on_sweep=recorder)
@@ -201,7 +198,8 @@ def _unmix(args, e: EndmemberMatrix, x) -> int:
         )
 
     # sudap sums the objective of its output in the solve; clipped
-    # abundances, and the other solvers', are summed here.
+    # abundances, and the other solvers', are summed here, from a file
+    # by reading it once more.
     value = result.objective
     if value is None or args.clip:
         value = objective(e, x, a_out)
@@ -236,15 +234,14 @@ def _unmix(args, e: EndmemberMatrix, x) -> int:
 def time_to_re(e, cube, a_star, cfg: DykstraConfig, stop_re_db: float):
     """Solve with sudap under cfg, watching RE against a_star each sweep.
 
-    The cube is reduced once, and a CurveRecorder on that reduced cube
-    records every sweep. Returns (result, hit_sweep, hit_s, final_re_db):
+    A CurveRecorder, which forms its own Y of the cube, records every
+    sweep. Returns (result, hit_sweep, hit_s, final_re_db):
     the first sweep whose RE is at most stop_re_db (-1 if none), the
     solver-only seconds up to its end (nan if none) and the last sweep's
     RE.
     """
-    reduced = reduce_cube(e, cube)
-    recorder = CurveRecorder(reduced, 1, a_star=a_star)
-    result = solve_sudap(e, reduced, cfg, on_sweep=recorder)
+    recorder = CurveRecorder(e, cube, 1, a_star=a_star)
+    result = solve_sudap(e, cube, cfg, on_sweep=recorder)
     curve = recorder.curve(result.trace)
     final_re = float(curve.re_db[-1])
     below = np.flatnonzero(curve.re_db <= stop_re_db)

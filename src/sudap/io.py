@@ -23,8 +23,8 @@ of whole pixels that fit in READ_TILE_BYTES, through one reused buffer,
 each tile checked for a short read and for non-finite values as it
 arrives (the subspace solver's forward map consumes each tile while it
 is still in cache, into a block of Y that the solver's interior check
-reads at once, so neither the cube nor its Y is held whole; with one
-endmember, metrics.objective sums the residual over the same tiles).
+reads at once, so neither the cube nor its Y is held whole;
+metrics.objective sums its residual over the same tiles).
 read_cube and read_abundance instead fill the whole (pixels x channels)
 array with one read and hand out its transpose, a channels x pixels view
 in Fortran order, with no copy; a short read fails there too, and the
@@ -75,9 +75,10 @@ FLAG_WAVELENGTHS = 0x1
 
 # Bytes of payload per streamed tile, at most, so that a tile is still in
 # a core's L2 when the reader's check and the forward map's product pass
-# over it. Streaming a 102 400-pixel, 224-band cube through reduce_cube
-# took 69-71 ms in 4 MiB tiles and 45-53 ms in 256 KiB-1 MiB ones (a Xeon,
-# one pinned CPU, best of 9), also as products grew past SMALL_PRODUCT.
+# over it. Streaming a 102 400-pixel, 224-band cube through the forward
+# map took 69-71 ms in 4 MiB tiles and 45-53 ms in 256 KiB-1 MiB ones
+# (a Xeon, one pinned CPU, best of 9), also as products grew past
+# SMALL_PRODUCT.
 READ_TILE_BYTES = 1 << 20
 
 

@@ -12,8 +12,12 @@ from .dykstra import TILE, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from .io import ConvergenceCurve, _tile_width
 from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
-from .solver import ReducedCube, reduce_cube
-from .subspace import inverse_transform
+from .subspace import (
+    ForwardMap,
+    build_transform,
+    forward_transform,
+    inverse_transform,
+)
 
 
 def _data(x) -> np.ndarray:
@@ -78,31 +82,37 @@ def _tiled_residual(d: np.ndarray, blocks, a: np.ndarray) -> float:
     return total
 
 
-def _reduced_residual(d: np.ndarray, y: np.ndarray, x_sq: float):
-    """The map A -> |X - E A|_F^2 from the cube's reduced form, O(m n) a call.
+def _reduced_objective(d: np.ndarray, y_blocks, a: np.ndarray,
+                       x_sq) -> float:
+    """|X - E A|_F^2 from Y = D^{-T} E'X, given by its column blocks in
+    order, O(m n).
 
-    With E'E = D'D and Y = D^{-T} E'X, the residual splits as
-    |X|^2 - |Y|^2 + |Y - D A|^2. The first two terms are the energy of
-    X outside the span of E, computed once here and clamped at 0
-    against rounding. Each call then adds |Y - D A|^2, over blocks of
-    dykstra.TILE columns.
+    With E'E = D'D the residual splits as |X|^2 - |Y|^2 + |Y - D A|^2.
+    The first two terms are the energy of X outside the span of E,
+    clamped at 0 against rounding. |Y|^2 is summed row by row in each
+    block, which gives the same bits whether a block is a buffer of its
+    own or a view of a held Y. x_sq() is |X|^2, asked for after the
+    last block, when a streamed file's sum is complete.
     """
-    out_of_span = max(x_sq - float(np.einsum("ij,ij->", y, y)), 0.0)
-    return lambda a: out_of_span + _tiled_residual(
-        d, _column_blocks(y, TILE), a)
+    y_sq, residual, lo = 0.0, 0.0, 0
+    for y in y_blocks:
+        hi = lo + y.shape[1]
+        y_sq += float(np.einsum("ij,ij->i", y, y).sum())
+        residual += _block_residual(d, y, a[:, lo:hi])
+        lo = hi
+    return max(x_sq() - y_sq, 0.0) + residual
 
 
 def objective(e: EndmemberMatrix, x, a_hat) -> float:
     """Residual |X - E A_hat|_F^2, by the reduced identity.
 
-    x is an ImageCube, reduced here by solver.reduce_cube, or a
-    ReducedCube of the cube for this E, whose Y and |X|^2 are then used
-    as they are; the residual is then summed block by block, and no
-    temporary larger than m x dykstra.TILE is formed. With one
-    endmember there is no subspace to reduce to: |X - E A|^2 is summed
-    directly, one read tile of pixels at a time, and x may also be a
-    cube file opened with io.open_cube, which is then read once, in
-    those tiles, and never held whole.
+    x is an ImageCube or a cube file opened with io.open_cube. Its
+    pixels are mapped into the subspace block by block
+    (subspace.ForwardMap) and each block of Y adds its share, so neither
+    the cube nor Y is held, and no temporary larger than m x
+    dykstra.TILE is formed; a file is read once more, in its tiles.
+    With one endmember there is no subspace to reduce to: |X - E A|^2
+    is summed directly, one read tile of pixels at a time.
     """
     a_data = _data(a_hat)
     if a_data.ndim != 2:
@@ -112,36 +122,41 @@ def objective(e: EndmemberMatrix, x, a_hat) -> float:
     if a_data.shape != expected:
         k = int(a_data.shape[0] == expected[0])  # the count that differs
         raise DimensionMismatch(expected[k], a_data.shape[k])
+    validate_dimensions(e, x)
     if e.n_endmembers == 1:
-        validate_dimensions(e, x)
         width = _tile_width(e.n_bands)
         return _tiled_residual(e.data, _column_blocks(x, width), a_data)
-    if not isinstance(x, ReducedCube):
-        x = reduce_cube(e, x)
-    return _reduced_residual(x.t.d, x.y, x.x_sq)(a_data)
+    t = build_transform(e)
+    return _reduced_objective(t.d, ForwardMap(t, e, x).tiles(TILE), a_data,
+                              lambda: x.sum_sq)
 
 
 class CurveRecorder:
     """An on_sweep observer that builds the convergence curve of a run.
 
-    Pass it as on_sweep to solve_sudap on the ReducedCube x it was made
-    with (or to dykstra_project on x.t and x.y). Every `every` sweeps,
-    and for the run's last sweep, it records one row: the residual
-    objective, RE against a_star and NMSE against a_true when given (nan
-    cells otherwise). curve(trace) then adds the solver-only elapsed
-    times and the uncertified-pixel counts from the run's trace. The
-    objective comes from x's Y and |X|^2 by the reduced identity, so the
-    recorder holds no data of its own, however long the run, and a row
-    costs O(m n), not O(bands n).
+    Made for the endmembers e and the cube x (an ImageCube, or a cube
+    file opened with io.open_cube), it forms and holds its own Y =
+    D^{-T} E'X (forward_transform, reading x once) and |X|^2 on
+    construction. Pass it as on_sweep to solve_sudap(e, x), or to
+    dykstra_project on build_transform(e). Every `every` sweeps, and
+    for the run's last sweep, it records one row: the objective, RE
+    against a_star and NMSE against a_true when given (nan cells
+    otherwise). curve(trace) then adds the solver-only elapsed times
+    and the uncertified-pixel counts from the run's trace. The
+    objective is metrics.objective's sum over views of the held Y, so
+    a row costs O(m n), not O(bands n), and the recorder's memory is
+    one m x n Y however long the run.
     """
 
-    def __init__(self, x: ReducedCube, every: int = 1,
+    def __init__(self, e: EndmemberMatrix, x, every: int = 1,
                  a_star: AbundanceMatrix | None = None,
                  a_true: AbundanceMatrix | None = None):
         if every < 1:
             raise ValueError("every must be at least 1")
-        self._t, self._every = x.t, every
-        self._residual = _reduced_residual(x.t.d, x.y, x.x_sq)
+        validate_dimensions(e, x)
+        self._t, self._every = build_transform(e), every
+        self._y = forward_transform(self._t, e, x)
+        self._x_sq = x.sum_sq
         self._a_star, self._a_true = a_star, a_true
         self._rows: list = []
         self._sweep, self._u = 0, None
@@ -157,7 +172,8 @@ class CurveRecorder:
         a_k = inverse_transform(self._t, self._u)
         return (
             self._sweep,
-            self._residual(a_k),
+            _reduced_objective(self._t.d, _column_blocks(self._y, TILE), a_k,
+                               lambda: self._x_sq),
             np.nan if self._a_star is None
             else relative_error_db(a_k, self._a_star),
             np.nan if self._a_true is None else nmse_db(a_k, self._a_true),

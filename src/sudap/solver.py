@@ -8,8 +8,8 @@ Four solvers share one result type:
   cube only through Y = D^{-T} E'X and |X|^2. A cube, in memory or
   streamed from a file, is mapped block by block into dykstra_project's
   interior check (subspace.ForwardMap), so no m x n Y is held, and the
-  objective is summed on the way; a ReducedCube from reduce_cube holds
-  Y whole, for the observers that need it.
+  objective is summed on the way. This is the only route in: an
+  observer that reads Y again (metrics.CurveRecorder) forms its own.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   one bordered solve (_sum_to_one).
@@ -30,12 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .dykstra import DykstraConfig, DykstraTrace, dykstra_project
-from .errors import (
-    DimensionMismatch,
-    NoKKTPoint,
-    RankDeficient,
-    TooManyEndmembers,
-)
+from .errors import NoKKTPoint, RankDeficient, TooManyEndmembers
 from .model import (
     EPS_NEG,
     AbundanceMatrix,
@@ -43,17 +38,13 @@ from .model import (
     ImageCube,
     validate_dimensions,
 )
-from .subspace import (
-    RANK_TOL,
-    ForwardMap,
-    SubspaceTransform,
-    build_transform,
-    forward_transform,
-)
-# Not called here since dykstra_project returns abundances: perfbench's
-# tracer wraps sudap.solver.inverse_transform, and a missing target
-# would drop the solver's self time from its metrics.
-from .subspace import inverse_transform  # noqa: F401
+from .subspace import RANK_TOL, ForwardMap, build_transform
+# Not called here, since the forward map runs inside dykstra_project and
+# dykstra_project returns abundances: perfbench's tracer wraps
+# sudap.solver.forward_transform and sudap.solver.inverse_transform, and
+# a missing target would drop its subspace.forward_s metric, or the
+# solver's self time.
+from .subspace import forward_transform, inverse_transform  # noqa: F401
 
 # Oracle acceptance slacks: a candidate is primal feasible when no free
 # abundance is below -PRIMAL_TOL, dual feasible when no multiplier of a
@@ -73,7 +64,7 @@ class SolveResult:
     between "transform" (build_transform, and the m x bands matrix of
     the forward map), "forward" (the forward map, with the streamed read
     when the cube comes from a file: the time dykstra_project waited for
-    Y's blocks, unless reduce_cube formed Y first), "project"
+    Y's blocks), "project"
     (dykstra_project's sweeps and their bookkeeping, with its on_sweep
     observer) and "finish" (its interior check and exact finishes, with
     the abundances they certify, from its trace); their sum never
@@ -157,55 +148,6 @@ def _ones_result(x, solver_id: str, t0: float) -> SolveResult:
     return SolveResult(a, _empty_trace(), solver_id, time.perf_counter() - t0)
 
 
-@dataclass(frozen=True)
-class ReducedCube:
-    """A cube as the subspace solver sees it, with Y held whole.
-
-    The fully constrained problem lives in the m-dimensional subspace:
-    |X - EA|_F^2 = x_sq - |Y|^2 + |Y - DA|^2, so X enters only through
-    Y = D^{-T} E'X (m x n, for the transform t) and x_sq = |X|_F^2.
-    stages holds the seconds reduce_cube spent, by stage. solve_sudap
-    needs no held Y; this form is for what reads Y again after the
-    solve or during it: metrics.objective of any abundances,
-    metrics.CurveRecorder, and unmix's --curve and --clip.
-    """
-
-    t: SubspaceTransform
-    y: np.ndarray
-    x_sq: float
-    shape: tuple[int, int]
-    stages: dict
-
-    @property
-    def n_pixels(self) -> int:
-        return self.y.shape[1]
-
-
-def reduce_cube(e: EndmemberMatrix, x) -> ReducedCube:
-    """Transform and forward map: the cube reduced to the subspace.
-
-    x is an ImageCube, or a cube file opened with io.open_cube, which is
-    read here one tile at a time and never held whole. Either source
-    carries |X|^2 as sum_sq, from the finiteness check it made (on
-    construction, or tile by tile as it is read), so the cube is not
-    summed again. Pass the result to metrics.objective, to
-    metrics.CurveRecorder and to solve_sudap, which then reads views of
-    its Y.
-
-    Raises
-    ------
-    DimensionMismatch, RankDeficient, DegenerateProblem
-        As build_transform; one endmember is degenerate here.
-    """
-    validate_dimensions(e, x)
-    tic = time.perf_counter()
-    t = build_transform(e)
-    mid = time.perf_counter()
-    y = forward_transform(t, e, x)
-    stages = {"transform": mid - tic, "forward": time.perf_counter() - mid}
-    return ReducedCube(t, y, x.sum_sq, x.shape, stages)
-
-
 def solve_sudap(
     e: EndmemberMatrix,
     x,
@@ -216,10 +158,8 @@ def solve_sudap(
 
     x is an ImageCube or a cube file opened with io.open_cube, whose pixels
     are mapped into the subspace block by block as dykstra_project's
-    interior check takes them, so neither the cube nor Y is held whole;
-    or a ReducedCube from reduce_cube for the same E, whose held Y is
-    read in views, and whose stages and seconds then count towards the
-    result's. With one endmember every abundance is 1. When the trace
+    interior check takes them, so neither the cube nor Y is held whole.
+    With one endmember every abundance is 1. When the trace
     reports converged, every pixel is certified as the unique minimizer
     of |X - EA|_F^2 over the simplex, to rounding. Column sums are exact
     to roundoff in any case; small negative entries can remain when the
@@ -228,34 +168,25 @@ def solve_sudap(
     |X - EA|_F^2, from the trace's sums and x's |X|^2.
     """
     t0 = time.perf_counter()
-    reduced = isinstance(x, ReducedCube)
-    if reduced:
-        if x.y.shape[0] != e.n_endmembers:
-            raise DimensionMismatch(e.n_endmembers, x.y.shape[0])
-        t0 -= sum(x.stages.values())
-        t, y, stages = x.t, x.y, dict(x.stages)
-    else:
-        validate_dimensions(e, x)
-        if e.n_endmembers == 1:
-            return _ones_result(x, "sudap", t0)
-        t = build_transform(e)
-        y = ForwardMap(t, e, x)
-        stages = {"transform": time.perf_counter() - t0}
+    validate_dimensions(e, x)
+    if e.n_endmembers == 1:
+        return _ones_result(x, "sudap", t0)
+    t = build_transform(e)
+    y = ForwardMap(t, e, x)
+    stages = {"transform": time.perf_counter() - t0}
     tic = time.perf_counter()
     a, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
-    # Unless reduce_cube formed Y first, the forward map ran while
-    # dykstra_project waited for Y's blocks; a file's |X|^2 is complete
-    # only now.
-    stages.setdefault("forward", trace.source_s)
-    x_sq = x.x_sq if reduced else x.sum_sq
+    # The forward map ran while dykstra_project waited for Y's blocks; a
+    # file's |X|^2 is complete only now.
     stages.update(
+        forward=trace.source_s,
         project=time.perf_counter() - tic - trace.source_s - trace.finish_s,
         finish=trace.finish_s,
     )
     a = AbundanceMatrix(a, x.shape)
     return SolveResult(
         a, trace, "sudap", time.perf_counter() - t0, stages,
-        max(x_sq - trace.y_sq, 0.0) + trace.residual_sq,
+        max(x.sum_sq - trace.y_sq, 0.0) + trace.residual_sq,
     )
 
 
@@ -404,6 +335,6 @@ def clip_negatives(a: AbundanceMatrix) -> AbundanceMatrix:
     mask = (data < 0.0) & (data >= -EPS_NEG)
     data[mask] = 0.0
     sums = data.sum(axis=0)
-    good = sums > 0.0
-    data[:, good] /= sums[good]
+    # In place, so that clipping holds one copy of a, not two.
+    np.divide(data, sums, out=data, where=sums > 0.0)
     return AbundanceMatrix(data, a.shape)

@@ -67,6 +67,12 @@ def test_the_data_layer_imports_nothing_of_the_solver(name):
     assert imported <= DATA_LAYER[name]
 
 
+def test_metrics_imports_neither_the_solver_nor_the_cli():
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    imported = set().union(*map(_package_modules, _imports(tree)))
+    assert not imported & {"solver", "cli"}
+
+
 def _named(path: Path) -> set:
     """Every identifier a module names: variables, attributes, imports,
     and whole strings (perfbench's tracer names its targets in strings)."""

@@ -24,7 +24,7 @@ from sudap.io import (
     write_cube,
     write_library_csv,
 )
-from sudap.metrics import objective
+from sudap.metrics import CurveRecorder, objective
 from sudap.model import column_feasibility
 from sudap.simdata import (
     SpectralLibrary,
@@ -33,7 +33,6 @@ from sudap.simdata import (
     make_scene,
     make_synthetic_library,
 )
-from sudap.solver import reduce_cube
 from sudap.subspace import build_transform, inverse_transform
 from conftest import read_curve, traced_peak
 
@@ -236,6 +235,36 @@ def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
     assert peak < bound
 
 
+def test_clipped_unmix_holds_no_y(tmp_path, library_csv, monkeypatch,
+                                  capsys):
+    # The cube of the test above. --clip's copy of the abundances adds a
+    # second m x n block, and the clipped output's objective is summed
+    # by streaming the file a second time, block by block of Y, with no
+    # whole Y held.
+    m, rows, cols, bands = 3, 160, 160, 48
+    out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols,
+                    snr="30")
+    n = rows * cols
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
+    allowance = 5 * m * dykstra.TILE * 8
+    bound = 2 * m * n * 8 + sio.READ_TILE_BYTES + allowance
+    assert allowance + sio.READ_TILE_BYTES < m * n * 8
+    capsys.readouterr()
+    rc, peak = traced_peak(lambda: cli.main([
+        "unmix", "--cube", f"{out}.cube",
+        "--endmembers", f"{out}.endmembers.csv",
+        "--solver", "sudap", "--out", str(tmp_path / "s.abund"), "--clip",
+    ]))
+    assert rc == 0
+    assert peak < bound
+    cube = read_cube(f"{out}.cube")
+    e = EndmemberMatrix(read_library_csv(f"{out}.endmembers.csv").signatures)
+    a = read_abundance(tmp_path / "s.abund")
+    printed = capsys.readouterr().out.split("objective |X - EA|_F^2: ")[1]
+    assert float(printed.split()[0]) == pytest.approx(
+        objective(e, cube, a), rel=1e-10)
+
+
 def test_one_endmember_unmix_streams_the_cube(tmp_path, library_csv,
                                              monkeypatch, capsys):
     # With one endmember every abundance is 1, and the grid comes from
@@ -300,12 +329,11 @@ def _routes_scene(m, kind, n=600, bands=48):
 ])
 def test_streamed_and_held_y_routes_write_the_same_bytes(
         tmp_path, monkeypatch, m, kind, budget):
-    # unmix from a file, solve_sudap on an ImageCube (both map Y block by
-    # block into the interior check) and solve_sudap on reduce_cube's
-    # held Y write the same bytes at one and two threads, and each
-    # objective, summed without Y, is metrics.objective's to 1e-12. Read
-    # tiles of 40 pixels and sweep tiles of 64 columns make every cut
-    # differ. A budget stops the run at that sweep with a certificate
+    # unmix from a file and solve_sudap on an ImageCube (both map Y block
+    # by block into the interior check) write the same bytes at one and
+    # two threads, and each objective, summed without Y, is
+    # metrics.objective's to 1e-12. Read tiles of 40 pixels and sweep
+    # tiles of 64 columns make every cut differ. A budget stops the run at that sweep with a certificate
     # that refuses every point, so the budget's write of the abundances
     # of tau adds tau'G tau to the objective.
     monkeypatch.setattr(dykstra, "TILE", 64)
@@ -327,18 +355,16 @@ def test_streamed_and_held_y_routes_write_the_same_bytes(
         assert rc == (25 if budget else 0)
         blobs.append(est.read_bytes())
         cfg = DykstraConfig(max_sweeps=max_sweeps, threads=threads)
-        for x in (cube, reduce_cube(e, cube)):
-            result = solve_sudap(e, x, cfg)
-            est = tmp_path / "mem.abund"
-            write_abundance(est, result.a_hat)
-            blobs.append(est.read_bytes())
-            assert result.objective == pytest.approx(
-                objective(e, cube, result.a_hat), rel=1e-12)
-            objectives.append(result.objective)
+        result = solve_sudap(e, cube, cfg)
+        est = tmp_path / "mem.abund"
+        write_abundance(est, result.a_hat)
+        blobs.append(est.read_bytes())
+        assert result.objective == pytest.approx(
+            objective(e, cube, result.a_hat), rel=1e-12)
+        objectives.append(result.objective)
     assert all(blob == blobs[0] for blob in blobs)
-    # Each route sums its objective in the same order at any count.
-    assert objectives[0::2] == [objectives[0]] * 2
-    assert objectives[1::2] == [objectives[1]] * 2
+    # The solve sums its objective in the same order at any count.
+    assert objectives == [objectives[0]] * 2
     trace = result.trace
     if budget:
         assert trace.n_sweeps == budget and trace.uncertified[-1] > 0
@@ -467,7 +493,7 @@ def test_streamed_curve_and_report_match_the_in_memory_objective(
     # agrees with the one from the streamed Y and |X|^2 to its digits.
     a = read_abundance(est)
     with open_cube(f"{out}.cube") as source:
-        streamed = objective(e, reduce_cube(e, source), a)
+        streamed = objective(e, source, a)
     assert streamed == pytest.approx(objective(e, cube, a), rel=1e-12)
     assert result.objective == pytest.approx(streamed, rel=1e-12)
     printed = report.split("objective |X - EA|_F^2: ")[1].split()[0]
@@ -718,10 +744,17 @@ def test_benchmark_refuses_an_uncertified_reference(monkeypatch):
 
 
 def test_time_to_re_factors_once(cholesky_calls):
+    # Once for each pass over the cube: the recorder's, which forms the Y
+    # its rows read, and the solve's. time_to_re factors nothing itself.
     e, _, cube = make_instance(5, (8, 8), 30.0, 3)
     a_star = solve_oracle_activeset(e, cube).a_hat
+    cholesky_calls.clear()
+    recorder = CurveRecorder(e, cube, 1, a_star=a_star)
+    assert cholesky_calls == [(5, 5)]
+    solve_sudap(e, cube, on_sweep=recorder)
+    assert cholesky_calls == [(5, 5)] * 2
     cholesky_calls.clear()
     _, hit, _, final_re = cli.time_to_re(
         e, cube, a_star, DykstraConfig(), -100.0)
     assert hit > 0 and final_re <= -100.0
-    assert cholesky_calls == [(5, 5)]
+    assert cholesky_calls == [(5, 5)] * 2

@@ -13,10 +13,11 @@ from sudap import (
 from sudap import dykstra
 from sudap.dykstra import dykstra_project
 from sudap.errors import DimensionMismatch, ShapeMismatch, ZeroReference
+from sudap import io as sio
+from sudap.io import open_cube, write_cube
 from sudap.metrics import nmse_db, objective
 from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
-from sudap.solver import reduce_cube
 from sudap.subspace import (
     build_transform,
     forward_transform,
@@ -117,20 +118,58 @@ def test_the_blocked_residual_matches_the_image_space_one(n):
     # whole blocks with a ragged third.
     e, a_true, cube = make_instance(4, (1, n), 25.0, 63, n_bands=24)
     rng = np.random.default_rng(63)
-    x = reduce_cube(e, cube)
     for a in (a_true.data, rng.dirichlet(np.ones(4), size=n).T):
         direct = np.linalg.norm(cube.data - e.data @ a) ** 2
-        assert objective(e, x, a) == pytest.approx(direct, rel=1e-12)
+        assert objective(e, cube, a) == pytest.approx(direct, rel=1e-12)
+
+
+class _WatchedSource:
+    """A cube file source that notes, at each read of sum_sq, whether the
+    last block of its tiles had been read."""
+
+    def __init__(self, source):
+        self._source, self.reads, self._drained = source, [], False
+        self.n_pixels, self.n_bands = source.n_pixels, source.n_bands
+        self.shape = source.shape
+
+    def tiles(self, width):
+        self._drained = False
+        yield from self._source.tiles(width)
+        self._drained = True
+
+    @property
+    def sum_sq(self):
+        self.reads.append(self._drained)
+        return self._source.sum_sq
+
+
+def test_objective_of_a_cube_file_streams_it_without_holding_y(
+        tmp_path, monkeypatch):
+    # 40 000 pixels of 32 bands, 157 read tiles of 64 KiB: the objective
+    # maps each into its block of Y and sums the block's share, so it
+    # holds one read tile and a few m x TILE blocks, never an m x n Y.
+    # Its |X|^2 is the reader's, read once the whole file has been read.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
+    m, n = 5, 40_000
+    e, _, cube = make_instance(m, (200, 200), 20.0, 65, n_bands=32)
+    a = np.random.default_rng(65).dirichlet(np.ones(m), size=n).T
+    write_cube(tmp_path / "s.cube", cube)
+    with open_cube(tmp_path / "s.cube") as source:
+        watched = _WatchedSource(source)
+        value, peak = traced_peak(lambda: objective(e, watched, a))
+    assert peak < m * n * 8 + sio.READ_TILE_BYTES
+    assert watched.reads == [True]
+    assert value == pytest.approx(objective(e, cube, a), rel=1e-12)
 
 
 def _recorded_run(every, with_refs=True):
     # Low SNR puts many pixels on the simplex boundary.
     e, a_true, cube = make_instance(6, (6, 8), 5.0, 60, n_bands=40)
-    reduced = reduce_cube(e, cube)
-    t, y = reduced.t, reduced.y
+    t = build_transform(e)
+    y = forward_transform(t, e, cube)
     a_star = solve_oracle_activeset(e, cube).a_hat
     recorder = CurveRecorder(
-        reduced, every,
+        e, cube, every,
         a_star=a_star if with_refs else None,
         a_true=a_true if with_refs else None,
     )
@@ -193,4 +232,4 @@ def test_curve_refuses_a_trace_from_another_run():
     with pytest.raises(ValueError):
         recorder.curve(shorter)
     with pytest.raises(ValueError):
-        CurveRecorder(reduce_cube(e, cube), every=0)
+        CurveRecorder(e, cube, every=0)

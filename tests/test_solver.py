@@ -35,7 +35,6 @@ from sudap.simdata import (
 )
 from sudap.solver import (
     clip_negatives,
-    reduce_cube,
     solve_ls,
     solve_ls_sum1,
 )
@@ -213,20 +212,9 @@ def test_stages_split_the_wall_time_and_a_reduced_cube_solves_alike():
     assert tuple(direct.stages) == stages
     assert min(direct.stages.values()) >= 0.0
     assert sum(direct.stages.values()) <= direct.wall_time
-    # Reduced first, the solve gives the same bits, and its stages and
-    # wall time still count the transform and the forward map.
-    reduced = reduce_cube(e, x)
-    assert reduced.x_sq == pytest.approx(np.linalg.norm(x.data) ** 2,
-                                         rel=1e-13)
-    staged = solve_sudap(e, reduced)
-    assert np.array_equal(staged.a_hat.data, direct.a_hat.data)
-    assert tuple(staged.stages) == stages
-    assert staged.stages["forward"] == reduced.stages["forward"]
-    assert sum(staged.stages.values()) <= staged.wall_time
     assert solve_ls(e, x).stages == {}
-    other = EndmemberMatrix(e.data[:, :4])
     with pytest.raises(DimensionMismatch):
-        solve_sudap(other, reduced)
+        solve_sudap(EndmemberMatrix(e.data[:20]), x)
 
 
 def test_an_image_cube_streams_into_the_solve(monkeypatch):
