@@ -64,9 +64,8 @@ class SolveResult:
     between "transform" (build_transform, and the m x bands matrix of
     the forward map), "forward" (the forward map, with the streamed read
     when the cube comes from a file: the time dykstra_project waited for
-    Y's blocks), "project"
-    (dykstra_project's sweeps and their bookkeeping, with its on_sweep
-    observer) and "finish" (its interior check and exact finishes, with
+    Y's blocks), "project" (dykstra_project's sweeps and their
+    bookkeeping, with its on_sweep observer) and "finish" (its interior check and exact finishes, with
     the abundances they certify, from its trace); their sum never
     exceeds wall_time. objective is |X - E a_hat|_F^2 as solve_sudap
     sums it on the way, with no held Y (dykstra module docstring). The
