@@ -518,11 +518,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "benchmark":
-        parse = _snr_db if args.sweep_var == "snr" else _at_least(1)
+        # The subspace geometry needs at least two endmembers.
+        parse = {"m": _at_least(2), "pixels": _at_least(1),
+                 "snr": _snr_db}[args.sweep_var]
         try:
             args.values = [parse(v) for v in args.values.split(",")]
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"argument --values: {exc}")
+        if len(set(args.values)) < len(args.values):
+            parser.error("argument --values: a value is repeated")
     if args.command in ("unmix", "benchmark"):
         try:
             args.cfg = DykstraConfig(

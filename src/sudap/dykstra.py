@@ -69,10 +69,10 @@ far the iterate is from the projection.
 dykstra_project returns abundances, not points of the subspace, and a
 certified column's output is bit for bit what its certificate passed:
 _abundances of the multipliers of the columns each finish certifies
-(and, at the sweep budget, of the rest), or its bits at lam = 0 from
-_at_lam_zero for the interior check's. There is no second pass over Y
-and no map back through D^{-1}, whose condition number would amplify
-the rounding of a point that is exact in the subspace.
+(the last finish writes the rest from their tau), or its bits at
+lam = 0 from _at_lam_zero for the interior check's. There is no second
+pass over Y and no map back through D^{-1}, whose condition number
+would amplify the rounding of a point that is exact in the subspace.
 
 dykstra_project's m x n state is the output a and tau; Y itself need
 not be held. The interior check reads Y once, block by block of TILE
@@ -82,11 +82,10 @@ other step reads Y. a is the swept block, unless the check certified
 at least half of the columns: then the rest are gathered first, and one
 pass turns all of a into abundances at lam = 0, which later writes
 replace for the gathered columns. cols maps block columns to columns of
-a. A watched run also holds the observer's U = D a: from a0 in the
-interior check, and after each sweep, off the trace clock, from the
-block's rhs and multipliers. The m x m products (S Y, G lam and D a) go
-through subspace._block_product; the sweep's row products keep
-_row_dot's order.
+a. A watched run also holds the observer's U = D a: from a0 in that
+pass, and after each sweep, off the trace clock, from the block's rhs
+and multipliers. The m x m products (S Y, G lam and D a) go through
+subspace._block_product; the sweep's row products keep _row_dot's order.
 
 The objective needs no held Y either. A column's output is the
 abundances of U = Y0 + S'lam (lam = 0 for the interior check's
@@ -95,8 +94,8 @@ columns), and Y - Y0 lies along b while S'lam lies in S, so
     |Y - U|^2 = (b'y - 1)^2 / |b|^2 + lam'G lam.
 
 The interior check adds |Y|^2 and the first term block by block, and
-every write from multipliers (each finish's, and the sweep budget's
-with lam = tau) adds the second; the trace carries both sums, and
+each finish's write (with lam = tau for the columns the last one does
+not certify) adds the second; the trace carries both sums, and
 |X - EA|^2 = max(|X|^2 - |Y|^2, 0) + |Y - U|^2 (solver.solve_sudap).
 
 Columns never interact: each pixel's trajectory, and whether and when it
@@ -192,10 +191,9 @@ class DykstraTrace:
     check left, and uncertified[k - 1] for sweep k + 1. Row k describes
     that sweep over that block. elapsed_s is the cumulative time spent
     in the interior check (on sweep 1's row), the sweep kernel, the
-    finish (with the abundances of the columns it certifies) and the
-    compaction only. The sweep budget's write of the uncertified
-    columns, a watched run's U (but for its interior check's D a0) and
-    the on_sweep observer are off the clock.
+    finish (with every abundance it writes, on the last sweep too) and
+    the compaction only. A watched run's U (but for the interior check's
+    final D a0) and the on_sweep observer are off the clock.
     finish_s is the part of elapsed_s[-1] spent in the interior check
     and the finishes. source_s is the time spent waiting for Y's
     blocks, which is not in elapsed_s: the forward map (with the read of
@@ -332,15 +330,15 @@ def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
 
 
 def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
-    """Write the abundances of the block columns pick[tile] into a, or of
-    those in tile when pick is None, and return their sum of lam'G lam.
+    """Write the abundances of the block columns pick[tile] into a, and
+    return their sum of lam'G lam.
 
     rhs and lam hold the block's f - S y0 and multipliers; block column
     j is column cols[j] of a. Gathers one tile, so its temporaries are
     bounded by it. lam'G lam = |S'lam|^2 is |U - Y0|^2 for the column's
     point U = Y0 + S'lam (dykstra_project).
     """
-    where = tile if pick is None else pick[tile]
+    where = pick[tile]
     lam = lam[:, where]
     a[:, cols[where]] = _abundances(t, rhs[:, where], lam)
     return float(np.einsum("ij,ij->", lam, _block_product(t.gram, lam)))
@@ -352,26 +350,27 @@ def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
     u[:, cols[tile]] = _block_product(t.d, a)
 
 
-def _interior_tile(t: SubspaceTransform, y, a, u):
+def _interior_tile(t: SubspaceTransform, y, a):
     """Write f - S Y0 of the Y columns y into a, and flag those whose
-    abundances a0 pass at lam = 0; U = D a0 goes into u, unless u is None.
+    abundances a0 pass at lam = 0.
 
     Also returns the columns' |Y|^2 and sum of (b'y - 1)^2, which is
     |b|^2 |Y - Y0|^2, for the objective (dykstra_project).
     """
     a0 = _at_lam_zero(t, _rhs(t, y, out=a))
-    if u is not None:
-        _block_product(t.d, a0, out=u)
     off = t.b @ y
     off -= 1.0
     return (a0.min(axis=0) >= -CERT_TOL, float(np.einsum("ij,ij->", y, y)),
             float(off @ off))
 
 
-def _write_interior_tile(t: SubspaceTransform, a, tile) -> None:
+def _write_interior_tile(t: SubspaceTransform, a, u, tile) -> None:
     """Turn f - S Y0 in a's tile into abundances at lam = 0, final for the
-    columns the interior check certified (module docstring)."""
-    _at_lam_zero(t, a[:, tile], out=a[:, tile])
+    columns the interior check certified (module docstring), and a
+    watched run's U = D a0 into u."""
+    a0 = _at_lam_zero(t, a[:, tile], out=a[:, tile])
+    if u is not None:
+        _block_product(t.d, a0, out=u[:, tile])
 
 
 def _finish_tile(
@@ -523,9 +522,7 @@ def dykstra_project(
             if block is None:
                 break
             hi = lo + block.shape[1]
-            ok, sq, off = _interior_tile(
-                t, block, a[:, lo:hi], None if u is None else u[:, lo:hi]
-            )
+            ok, sq, off = _interior_tile(t, block, a[:, lo:hi])
             flags.append(ok)
             y_sq += sq
             off_sq += off
@@ -535,7 +532,7 @@ def dykstra_project(
         if 2 * np.count_nonzero(interior) >= n:
             cols = np.flatnonzero(~interior)
             rb = a.take(cols, axis=1)
-            list(run(partial(_write_interior_tile, t, a), _tiles(n)))
+            list(run(partial(_write_interior_tile, t, a, u), _tiles(n)))
         else:
             cols = np.arange(n)
             rb = a
@@ -562,28 +559,26 @@ def dykstra_project(
                 # writes, which overwrite their rhs when rb is a.
                 list(run(partial(_observe_tile, t, rb, tb, u, cols), tiles))
             tic = time.perf_counter()
-            if certified is not None and certified.any():
-                done = np.flatnonzero(certified)
+            if certified is not None:
+                # The certified columns get the abundances of their lam
+                # and, on the last sweep, the rest those of their tau.
+                pick = (np.arange(certified.size) if sweep == cfg.max_sweeps
+                        else np.flatnonzero(certified))
                 residual_sq += sum(run(
-                    partial(_write_tile, t, a, rb, tb, cols, done),
-                    _tiles(done.size),
+                    partial(_write_tile, t, a, rb, tb, cols, pick),
+                    _tiles(pick.size),
                 ))
                 finish += time.perf_counter() - tic
-                keep = np.flatnonzero(~certified)
-                cols = cols[keep]
-                # One block at a time, so that only one gathered copy
-                # lives beside the blocks it replaces. take, unlike
-                # rb[:, keep], gathers into C order, whose rows the
-                # sweep reads without a stride.
-                rb = rb.take(keep, axis=1)
-                tb = tb.take(keep, axis=1)
+                if certified.any():
+                    keep = np.flatnonzero(~certified)
+                    cols = cols[keep]
+                    # One block at a time, so that only one gathered copy
+                    # lives beside the blocks it replaces. take, unlike
+                    # rb[:, keep], gathers into C order, whose rows the
+                    # sweep reads without a stride.
+                    rb = rb.take(keep, axis=1)
+                    tb = tb.take(keep, axis=1)
             clock += time.perf_counter() - tic
-            if sweep == cfg.max_sweeps:
-                # The uncertified columns get the abundances of their tau.
-                residual_sq += sum(run(
-                    partial(_write_tile, t, a, rb, tb, cols, None),
-                    _tiles(rb.shape[1]),
-                ))
 
             elapsed.append(clock)
             uncertified.append(rb.shape[1])

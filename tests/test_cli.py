@@ -667,6 +667,10 @@ def test_usage_errors_exit_with_code_two(tmp_path, library_csv, capsys):
         (benchmark + ["--values", "3", "--max-sweeps", "0"], "--max-sweeps"),
         (benchmark + ["--values", "abc"], "--values"),
         (benchmark + ["--values", "3,,4"], "--values"),
+        (benchmark + ["--values", "1"], "--values"),
+        (benchmark + ["--values", "4,4"], "--values"),
+        (benchmark + ["--sweep-var", "snr", "--values", "30,30.0"],
+         "--values"),
         (benchmark + ["--values", "3", "--repeats", "0"], "--repeats"),
         (benchmark + ["--sweep-var", "snr", "--values=-inf"], "--values"),
         (simulate + ["--rows", "0"], "--rows"),

@@ -147,7 +147,7 @@ def test_interior_check_reads_rhs_off_y_with_no_drop():
     t, y = _mostly_interior(20)
     rhs = _rhs(t, y)
     a = np.empty_like(y)
-    flags, y_sq, off_sq = dykstra._interior_tile(t, y, a, None)
+    flags, y_sq, off_sq = dykstra._interior_tile(t, y, a)
     assert np.array_equal(a, rhs)
     assert 0 < flags.sum() < y.shape[1]
     assert np.array_equal(flags, _interior(t, y))
@@ -348,23 +348,32 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     # every 2 x 2 solve failing: the columns whose seed has two active
     # constraints survive the first checkpoints, so the compacted block
     # is what the threads split, and tiles of 3 columns leave several
-    # tiles on either side of the compaction.
+    # tiles on either side of the compaction. At 60 sweeps the run
+    # converges; capped at 3, it stops with columns uncertified, and its
+    # last write covers the columns its last finish certified and the
+    # rest at once, summing lam'G lam over both.
     monkeypatch.setattr(dykstra, "TILE", 3)
     _fail_pair_solves(monkeypatch)
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
-    results = []
-    for threads in (1, 3, 4):
-        cfg = DykstraConfig(max_sweeps=60, threads=threads)
-        a, trace = dykstra_project(t, y, cfg)
-        results.append((a, trace))
-    a_ref, trace_ref = results[0]
+    refs = {}
+    for max_sweeps in (60, 3):
+        results = []
+        for threads in (1, 3, 4):
+            cfg = DykstraConfig(max_sweeps=max_sweeps, threads=threads)
+            results.append(dykstra_project(t, y, cfg))
+        a_ref, trace_ref = refs[max_sweeps] = results[0]
+        for a, trace in results[1:]:
+            assert np.array_equal(a, a_ref)
+            assert trace.n_sweeps == trace_ref.n_sweeps
+            assert np.array_equal(trace.uncertified, trace_ref.uncertified)
+            assert trace.y_sq == trace_ref.y_sq
+            assert trace.residual_sq == trace_ref.residual_sq
+    trace_ref = refs[60][1]
     width = trace_ref.uncertified[FIRST_CHECKPOINT - 1]
     assert 2 * dykstra.TILE < width < y.shape[1]
     assert trace_ref.n_sweeps > FIRST_CHECKPOINT
-    for a, trace in results[1:]:
-        assert np.array_equal(a, a_ref)
-        assert trace.n_sweeps == trace_ref.n_sweeps
-        assert np.array_equal(trace.uncertified, trace_ref.uncertified)
+    capped = refs[3][1]
+    assert 0 < capped.uncertified[-1] < capped.uncertified[-2]
 
 
 @pytest.mark.parametrize("seed, n_bands, m", [(1, 7, 6), (0, 11, 10)])
@@ -649,15 +658,15 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
     write_interior_tile = dykstra._write_interior_tile
 
     def recorded(t, a, rhs, lam, cols, pick, tile):
-        written.extend(cols[tile if pick is None else pick[tile]].tolist())
+        written.extend(cols[pick[tile]].tolist())
         return write_tile(t, a, rhs, lam, cols, pick, tile)
 
-    def recorded_interior(t, a, tile):
+    def recorded_interior(t, a, u, tile):
         # The pass covers whole tiles, but is final only for the columns
         # the check certified; _write_tile later writes over the others.
         cols = np.arange(a.shape[1])[tile]
         written.extend(cols[final[tile]].tolist())
-        return write_interior_tile(t, a, tile)
+        return write_interior_tile(t, a, u, tile)
 
     monkeypatch.setattr(dykstra, "_write_tile", recorded)
     monkeypatch.setattr(dykstra, "_write_interior_tile", recorded_interior)
@@ -674,6 +683,36 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
         assert 0 < trace.uncertified[-1] < trace.uncertified[0] == n
     assert sorted(written) == list(range(n))
     _check_bookkeeping(t, y, a, trace, cfg)
+
+
+def test_a_watched_run_forms_d_a0_only_where_a0_is_final(monkeypatch):
+    # The observer's U = D a0 of the interior check is formed only when
+    # the check makes a0 final: then for all n columns, once, before
+    # sweep 1; otherwise sweep 1's U overwrites every column, and no D
+    # product comes before it.
+    products, swept = [], []
+    block_product = dykstra._block_product
+    sweep_tile = dykstra._sweep_tile
+
+    def recorded(a, z, *args, **kwargs):
+        if a is t.d and not swept:
+            products.append(z.shape[1])
+        return block_product(a, z, *args, **kwargs)
+
+    def sweep_recorded(*args):
+        swept.append(True)
+        return sweep_tile(*args)
+
+    monkeypatch.setattr(dykstra, "_block_product", recorded)
+    monkeypatch.setattr(dykstra, "_sweep_tile", sweep_recorded)
+    for (t, y), final in ((_problem(4)[1:], False),
+                          (_mostly_interior(20), True)):
+        products.clear()
+        swept.clear()
+        assert _final_interior(t, y).any() == final
+        dykstra_project(t, y, on_sweep=lambda s, u: None)
+        assert swept
+        assert sum(products) == (y.shape[1] if final else 0)
 
 
 @pytest.mark.parametrize("case", ["certified", "mixed", "uncertified"])
