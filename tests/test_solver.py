@@ -259,6 +259,40 @@ def test_an_image_cube_is_solved_without_holding_y(monkeypatch):
     assert peak < 2 * m * n * 8 + 10 * m * dykstra.TILE * 8
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("capped", [False, True])
+def test_a_pixels_output_bits_depend_on_that_pixel_alone(
+        tmp_path, monkeypatch, capped, threads):
+    # The contract that lets the solve cut the cube anywhere: a permuted
+    # cube's output is the permuted output, and any subset of the pixels
+    # solved alone gets its columns of the whole cube's output, bit for
+    # bit, in memory or from a file. Tiles of 32 columns cut the
+    # 600-pixel scenes many times over. The interior check makes about
+    # 60 % of scene m=4's pixels final and fewer than half of scene
+    # m=6's, so it sweeps all of them. The capped run's certificate
+    # refuses every point, so its 3-sweep budget leaves every pixel
+    # uncertified, with the abundances of its last multipliers.
+    monkeypatch.setattr(dykstra, "TILE", 32)
+    if capped:
+        monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
+    cfg = DykstraConfig(max_sweeps=3 if capped else 2000, threads=threads)
+    rng = np.random.default_rng(7)
+    for m, snr in ((4, 5.0), (6, 3.0)):
+        e, _, x = make_instance(m, (20, 30), snr, 11 + m, n_bands=48)
+        whole = solve_sudap(e, x, cfg)
+        assert whole.trace.converged is not capped
+        n = x.n_pixels
+        for idx in (rng.permutation(n),
+                    rng.choice(n, n // 3, replace=False)):
+            part = ImageCube(x.data[:, idx], (1, idx.size))
+            io.write_cube(tmp_path / "part.cube", part)
+            with io.open_cube(tmp_path / "part.cube") as source:
+                from_file = solve_sudap(e, source, cfg)
+            expected = whole.a_hat.data[:, idx].tobytes()
+            for result in (solve_sudap(e, part, cfg), from_file):
+                assert result.a_hat.data.tobytes() == expected
+
+
 def test_single_endmember_short_circuits():
     e = EndmemberMatrix(np.linspace(1.0, 2.0, 9).reshape(9, 1))
     x = ImageCube(np.tile(e.data, (1, 7)) * 1.01, (1, 7))
