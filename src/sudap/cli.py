@@ -27,6 +27,8 @@ import csv
 import dataclasses
 import os
 import sys
+from contextlib import ExitStack
+from functools import reduce
 
 import numpy as np
 
@@ -35,14 +37,14 @@ from . import io as sio
 from .dykstra import DykstraConfig, _rhs
 from .metrics import (
     CurveRecorder,
-    nmse_db,
+    ErrorSums,
     objective,
     relative_error_db,
 )
 from .model import (
     EPS_SUM,
-    AbundanceMatrix,
     EndmemberMatrix,
+    FeasibilityReport,
     column_feasibility,
 )
 from .projectors import (
@@ -136,11 +138,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- unmix
 
 
-def _load_reference(path, m: int, n: int, what: str) -> AbundanceMatrix:
-    ref = sio.read_abundance(path)
-    if ref.data.shape != (m, n):
+def _open_reference(files, path, m: int, n: int, what: str):
+    """The abundance file at path, opened in files (an ExitStack), after
+    a check that it holds m x n abundances."""
+    ref = files.enter_context(sio.open_abundance(path))
+    if (ref.n_channels, ref.n_pixels) != (m, n):
         raise errors.ShapeMismatch(
-            f"{what} {path} has shape {ref.data.shape}, "
+            f"{what} {path} has shape {(ref.n_channels, ref.n_pixels)}, "
             f"expected ({m}, {n})"
         )
     return ref
@@ -149,46 +153,78 @@ def _load_reference(path, m: int, n: int, what: str) -> AbundanceMatrix:
 def cmd_unmix(args) -> int:
     elib = sio.read_library_csv(args.endmembers)
     e = EndmemberMatrix(elib.signatures, wavelengths=elib.wavelengths)
-    # sudap reads the cube file one tile at a time, so the cube is never
-    # held whole, and the file stays open for the solve. The other
-    # routes read it whole.
-    if args.solver != "sudap":
-        return _unmix(args, e, sio.read_cube(args.cube))
-    with sio.open_cube(args.cube) as source:
-        return _unmix(args, e, source)
+    with ExitStack() as files:
+        # sudap reads the cube file one tile at a time, so the cube is
+        # never held whole, and the file stays open for the solve. The
+        # other routes read it whole.
+        if args.solver == "sudap":
+            x = files.enter_context(sio.open_cube(args.cube))
+        else:
+            x = sio.read_cube(args.cube)
+        return _unmix(args, e, x, files)
 
 
-def _unmix(args, e: EndmemberMatrix, x) -> int:
+def _unmix(args, e: EndmemberMatrix, x, files) -> int:
     m, n = e.n_endmembers, x.n_pixels
-    a_ref = (
-        _load_reference(args.reference, m, n, "reference")
-        if args.reference
-        else None
-    )
-    a_true = (
-        _load_reference(args.truth, m, n, "truth") if args.truth else None
-    )
+    refs = {
+        name: _open_reference(files, path, m, n, what)
+        for name, path, what in (("RE vs reference", args.reference,
+                                  "reference"),
+                                 ("NMSE vs truth", args.truth, "truth"))
+        if path
+    }
+    # The report's feasibility and errors are summed chunk by chunk as the
+    # abundances come, each chunk against the same columns of the
+    # references, read from their files in step.
+    feasibility = []
+    error_sums = {name: ErrorSums(ref, name) for name, ref in refs.items()}
+
+    def report(a) -> None:
+        feasibility.append(column_feasibility(a))
+        for sums in error_sums.values():
+            sums.add(a)
+
     # The subspace solve holds no Y; the curve's rows read Y again, so
-    # the recorder forms and holds its own. Only a subspace run with
-    # m >= 2 has sweeps to record; the other routes write a header-only
-    # curve.
+    # the recorder forms and holds its own, and the references whole.
+    # Only a subspace run with m >= 2 has sweeps to record; the other
+    # routes write a header-only curve.
     recorder = None
     if args.solver == "sudap" and m >= 2 and args.curve:
         recorder = CurveRecorder(
-            e, x, args.snapshot_every, a_star=a_ref, a_true=a_true
+            e, x, args.snapshot_every,
+            a_star=args.reference and sio.read_abundance(args.reference),
+            a_true=args.truth and sio.read_abundance(args.truth),
         )
 
-    if args.solver == "sudap":
-        result = solve_sudap(e, x, args.cfg, on_sweep=recorder)
-    elif args.solver == "ls":
-        result = solve_ls(e, x)
-    elif args.solver == "ls-sum1":
-        result = solve_ls_sum1(e, x)
-    else:
-        result = solve_oracle_activeset(e, x)
+    if args.solver == "sudap" and m >= 2 and not args.clip:
+        # Each chunk of abundances is written and reported before the
+        # solve reads the next, and its objective is summed in the solve.
+        with sio.abundance_writer(args.out, m, x.shape) as out:
 
-    a_out = clip_negatives(result.a_hat) if args.clip else result.a_hat
-    sio.write_abundance(args.out, a_out)
+            def sink(a) -> None:
+                out.append(a)
+                report(a)
+
+            result = solve_sudap(e, x, args.cfg, on_sweep=recorder,
+                                 sink=sink)
+        value = result.objective
+    else:
+        if args.solver == "sudap":
+            result = solve_sudap(e, x, args.cfg, on_sweep=recorder)
+        elif args.solver == "ls":
+            result = solve_ls(e, x)
+        elif args.solver == "ls-sum1":
+            result = solve_ls_sum1(e, x)
+        else:
+            result = solve_oracle_activeset(e, x)
+        a_out = clip_negatives(result.a_hat) if args.clip else result.a_hat
+        sio.write_abundance(args.out, a_out)
+        report(a_out.data)
+        # Clipped abundances, and those of the solvers that sum no
+        # objective, are summed here, from a file by reading it once more.
+        value = result.objective
+        if value is None or args.clip:
+            value = objective(e, x, a_out)
 
     if args.curve:
         sio.write_curve_csv(
@@ -197,25 +233,18 @@ def _unmix(args, e: EndmemberMatrix, x) -> int:
             args.curve,
         )
 
-    # sudap sums the objective of its output in the solve; clipped
-    # abundances, and the other solvers', are summed here, from a file
-    # by reading it once more.
-    value = result.objective
-    if value is None or args.clip:
-        value = objective(e, x, a_out)
-    report = column_feasibility(a_out)
+    feasible = reduce(FeasibilityReport.join, feasibility)
     print(f"solver: {result.solver_id}")
     print(f"objective |X - EA|_F^2: {value:.10e}")
     print(f"wall time: {result.wall_time:.3f} s")
     print(
-        f"feasibility: max column-sum deviation {report.max_sum_violation:.3e}, "
-        f"min abundance {report.min_entry:.3e}, "
-        f"{'feasible' if report.feasible else 'NOT feasible'}"
+        "feasibility: max column-sum deviation "
+        f"{feasible.max_sum_violation:.3e}, "
+        f"min abundance {feasible.min_entry:.3e}, "
+        f"{'feasible' if feasible.feasible else 'NOT feasible'}"
     )
-    if a_ref is not None:
-        print(f"final RE vs reference: {relative_error_db(a_out, a_ref):.2f} dB")
-    if a_true is not None:
-        print(f"final NMSE vs truth: {nmse_db(a_out, a_true):.2f} dB")
+    for name, sums in error_sums.items():
+        print(f"final {name}: {sums.db():.2f} dB")
     trace = result.trace
     if trace.n_sweeps:
         print(f"sweeps: {trace.n_sweeps} (converged: {trace.converged})")

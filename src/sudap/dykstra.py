@@ -74,18 +74,28 @@ lam = 0 from _at_lam_zero for the interior check's. There is no second
 pass over Y and no map back through D^{-1}, whose condition number
 would amplify the rounding of a point that is exact in the subspace.
 
-dykstra_project's m x n state is the output a and tau; Y itself need
-not be held. The interior check reads Y once, block by block of TILE
-columns, as the forward map forms it (subspace.ForwardMap) or as views
-of a held Y, and writes each block's rhs into its columns of a: no
-other step reads Y. a is the swept block, unless the check certified
-at least half of the columns: then the rest are gathered first, and one
-pass turns all of a into abundances at lam = 0, which later writes
-replace for the gathered columns. cols maps block columns to columns of
-a. A watched run also holds the observer's U = D a: from a0 in that
-pass, and after each sweep, off the trace clock, from the block's rhs
-and multipliers. The m x m products (S Y, G lam and D a) go through
-subspace._block_product; the sweep's row products keep _row_dot's order.
+dykstra_project works through the columns in chunks of CHUNK_TILES
+tiles, one chunk after another, and each chunk runs the interior check,
+the sweeps and the finishes on its own columns (_project_chunk), so the
+driver's state is a chunk's and not n's. All chunks take their blocks
+of Y from one stream, and the transform is built once, by the caller.
+A chunk's state is its output a and tau; Y itself need not be held. The
+interior check reads the chunk's columns of Y once, block by block of
+TILE columns, as the forward map forms them (subspace.ForwardMap) or as
+views of a held Y, and writes each block's rhs into its columns of a:
+no other step reads Y. a is the swept block, unless the check
+certified at least half of the chunk's columns: then the rest are
+gathered first, and one pass turns all of a into abundances at
+lam = 0, which later writes replace for the gathered columns. cols
+maps block columns to columns of a. The chunk's abundances then go to
+the caller's sink, if it gave one, before the next chunk's columns of
+Y are read, and the next chunk reuses a's buffer; without a sink, each
+chunk's a is a view of the m x n output. A watched run is one chunk,
+and also holds the observer's U = D a: from a0 in that pass, and after
+each sweep, off the trace clock, from the block's rhs and multipliers.
+The m x m products (S Y, G lam and D a) go through
+subspace._block_product; the sweep's row products keep _row_dot's
+order.
 
 The objective needs no held Y either. A column's output is the
 abundances of U = Y0 + S'lam (lam = 0 for the interior check's
@@ -105,9 +115,13 @@ count. The interior check runs on them in order, as Y's blocks arrive;
 the sweep with its finiteness scan, the finish and the writes run on as
 many tiles at once as there are threads. Each of them does each
 column's arithmetic on its own, and the tiles' flags and partial sums
-are joined in tile order, so the result, the trace and its sums are the
-same to the bit at every thread count, and a column's result does not
-depend on its tile.
+are joined in tile order, and the chunks' traces in chunk order
+(_join), so the result, the trace and its sums are the same to the bit
+at every thread count, and a column's result depends on neither its
+tile nor its chunk. One exception: a column whose a0 passes the
+interior check with an abundance in [-CERT_TOL, 0) keeps a0 when its
+chunk takes the gathered route, and gets its swept projection's
+abundances, which put a 0 there, when the chunk sweeps every column.
 """
 
 from __future__ import annotations
@@ -117,6 +131,7 @@ import time
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -148,6 +163,16 @@ FIRST_CHECKPOINT = 2
 # 17 |A|^2 bytes per column of a tile for its batched solves, besides
 # about ten m x TILE blocks.
 TILE = 4096
+
+# dykstra_project solves the columns in chunks of this many tiles, one
+# chunk after another, so that its state is bounded by a chunk and not
+# by n. Each chunk pays 0.3-0.5 ms at m = 5 for sweeping and finishing
+# its own narrow block of swept columns. On a 102 400-pixel, 224-band
+# cube file at m = 5 (a Xeon, OpenBLAS at one thread, one pinned CPU,
+# medians of 25-40 alternated runs), unmix took 2.9 ms more than in one
+# chunk at 4 tiles a chunk, 0.9 ms more at 8, and no more at 12 or 16,
+# and peaked at 2.2, 2.9, 3.6 and 4.4 MB, against 5.7 MB in one chunk.
+CHUNK_TILES = 16
 
 # A certified column has no abundance p_norms_i ((G lam)_i - rhs_i) below
 # -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)): the forward-error
@@ -198,8 +223,11 @@ class DykstraTrace:
     and the finishes. source_s is the time spent waiting for Y's
     blocks, which is not in elapsed_s: the forward map (with the read of
     the cube's file) when Y comes as a source, next to nothing for an
-    array. y_sq is |Y|_F^2 and residual_sq is |Y - D A|_F^2 for the
-    output A, each summed in tile order (dykstra_project).
+    array. sink_s is the time dykstra_project's sink took with the
+    chunks' abundances, which is not in elapsed_s either. y_sq is
+    |Y|_F^2 and residual_sq is |Y - D A|_F^2 for the output A, each
+    summed in tile order within a chunk and in chunk order
+    (dykstra_project).
     uncertified is the number of columns not yet certified after the
     sweep and its finish, if one ran, which is the width of the block
     the next sweep runs on. uncertified falls at sweep 1, where the
@@ -208,6 +236,8 @@ class DykstraTrace:
     not certify. When the check certifies every column, sweep 1 has
     nothing to sweep: its row reads uncertified 0. The run converged
     when no column is left uncertified (a trace with no rows has none).
+    In a run of several chunks, row k sums the chunks' rows k, and
+    elapsed_s and uncertified keep that reading (_join).
     """
 
     elapsed_s: np.ndarray
@@ -216,6 +246,7 @@ class DykstraTrace:
     source_s: float = 0.0
     y_sq: float = 0.0
     residual_sq: float = 0.0
+    sink_s: float = 0.0
 
     @property
     def n_sweeps(self) -> int:
@@ -428,14 +459,148 @@ def _finish_tile(
     return certified
 
 
+def _project_chunk(t, blocks, a, cfg, run, u, watch) -> DykstraTrace:
+    """Project the columns of Y in the blocks of the iterator blocks, as
+    many as a has, and leave their abundances in a; return the chunk's
+    trace.
+
+    u is a watched run's U, whose columns are the chunk's, and watch(sweep)
+    calls its observer; both are None in an unwatched run.
+    """
+    n = a.shape[1]
+    elapsed: list[float] = []
+    uncertified: list[int] = []
+    source = 0.0
+
+    checkpoint = FIRST_CHECKPOINT
+    # The interior check runs on sweep 1's clock, less the wait for Y's
+    # blocks, and leaves f - S Y0 in a, the swept block's rhs until it or
+    # a finish certifies a column; after that the block is gathered.
+    tic = time.perf_counter()
+    flags, y_sq, off_sq, lo = [], 0.0, 0.0, 0
+    while True:
+        mark = time.perf_counter()
+        block = next(blocks, None)
+        source += time.perf_counter() - mark
+        if block is None:
+            break
+        hi = lo + block.shape[1]
+        ok, sq, off = _interior_tile(t, block, a[:, lo:hi])
+        flags.append(ok)
+        y_sq += sq
+        off_sq += off
+        lo = hi
+    interior = np.concatenate(flags)
+    residual_sq = off_sq / float(t.b @ t.b)
+    if 2 * np.count_nonzero(interior) >= n:
+        cols = np.flatnonzero(~interior)
+        rb = a.take(cols, axis=1)
+        list(run(partial(_write_interior_tile, t, a, u), _tiles(n)))
+    else:
+        cols = np.arange(n)
+        rb = a
+    finish = time.perf_counter() - tic - source
+    tb = np.zeros_like(rb)
+    clock = time.perf_counter() - tic - source
+
+    for sweep in range(1, cfg.max_sweeps + 1):
+        tic = time.perf_counter()
+        tiles = _tiles(rb.shape[1])
+        certified = None
+        if tiles:
+            list(run(partial(_sweep_tile, t, rb, tb, sweep), tiles))
+            if sweep == checkpoint or sweep == cfg.max_sweeps:
+                checkpoint *= 2
+                mid = time.perf_counter()
+                certified = np.concatenate(list(run(
+                    partial(_finish_tile, t, rb, tb), tiles
+                )))
+                finish += time.perf_counter() - mid
+        clock += time.perf_counter() - tic
+        if u is not None:
+            # The observer's U, off the clock, before the certified
+            # writes, which overwrite their rhs when rb is a.
+            list(run(partial(_observe_tile, t, rb, tb, u, cols), tiles))
+        tic = time.perf_counter()
+        if certified is not None:
+            # The certified columns get the abundances of their lam
+            # and, on the last sweep, the rest those of their tau.
+            pick = (np.arange(certified.size) if sweep == cfg.max_sweeps
+                    else np.flatnonzero(certified))
+            residual_sq += sum(run(
+                partial(_write_tile, t, a, rb, tb, cols, pick),
+                _tiles(pick.size),
+            ))
+            finish += time.perf_counter() - tic
+            if certified.any():
+                keep = np.flatnonzero(~certified)
+                cols = cols[keep]
+                # One block at a time, so that only one gathered copy
+                # lives beside the blocks it replaces. take, unlike
+                # rb[:, keep], gathers into C order, whose rows the
+                # sweep reads without a stride.
+                rb = rb.take(keep, axis=1)
+                tb = tb.take(keep, axis=1)
+        clock += time.perf_counter() - tic
+
+        elapsed.append(clock)
+        uncertified.append(rb.shape[1])
+        if watch is not None:
+            watch(sweep)
+
+        if rb.shape[1] == 0:
+            break
+
+    return DykstraTrace(
+        elapsed_s=np.asarray(elapsed),
+        uncertified=np.asarray(uncertified, dtype=np.int64),
+        finish_s=finish,
+        source_s=source,
+        y_sq=y_sq,
+        residual_sq=residual_sq,
+    )
+
+
+def _join(traces: list, sink_s: float) -> DykstraTrace:
+    """The trace of chunks run one after another, from theirs.
+
+    Row k sums the chunks' rows k. A chunk stops early only when it has
+    no column left uncertified, so it adds its last elapsed_s and no
+    uncertified column to the rows after its last. The times and sums
+    are summed in chunk order. One chunk's trace is returned as it is,
+    to the bit, with sink_s.
+    """
+    rows = max(trace.n_sweeps for trace in traces)
+    elapsed = np.zeros(rows)
+    uncertified = np.zeros(rows, dtype=np.int64)
+    for trace in traces:
+        k = trace.n_sweeps
+        elapsed[:k] += trace.elapsed_s
+        elapsed[k:] += trace.elapsed_s[-1]
+        uncertified[:k] += trace.uncertified
+    return DykstraTrace(
+        elapsed_s=elapsed,
+        uncertified=uncertified,
+        finish_s=sum(trace.finish_s for trace in traces),
+        source_s=sum(trace.source_s for trace in traces),
+        y_sq=sum(trace.y_sq for trace in traces),
+        residual_sq=sum(trace.residual_sq for trace in traces),
+        sink_s=sink_s,
+    )
+
+
 def dykstra_project(
     t: SubspaceTransform,
     y,
     cfg: DykstraConfig | None = None,
     on_sweep=None,
-) -> tuple[np.ndarray, DykstraTrace]:
+    sink=None,
+) -> tuple[np.ndarray | None, DykstraTrace]:
     """Project every column of Y onto the transformed feasible set, and
     return the projections' abundances.
+
+    The columns are projected in chunks of CHUNK_TILES tiles, one chunk
+    after another, and a watched run in one chunk (module docstring).
 
     Parameters
     ----------
@@ -456,16 +621,22 @@ def dykstra_project(
         else of the abundances of its multipliers after the last sweep
         it was in.
         An exception from on_sweep ends the run and propagates.
+    sink : callable, optional
+        Called as sink(a) with each chunk's abundances, m x c, in column
+        order, before the next chunk's columns of Y are read. a is
+        valid only during the call: the next chunk is written into the
+        same buffer. An exception from sink ends the run and propagates.
 
     Returns
     -------
     (a_hat, trace)
-        a_hat is m x n, each column a = p_norms o (G lam - rhs) of its
-        multipliers, so its sum is 1 to rounding. A certified column is
-        what its certificate passed: the abundances of the exact
-        projection to rounding. Any other column is that of the last
-        sweep's multipliers, whose negative abundances shrink as the
-        sweeps go on. trace.y_sq and trace.residual_sq are |Y|^2 and
+        a_hat is m x n, or None when a sink took the chunks. Each
+        column is a = p_norms o (G lam - rhs) of its multipliers, so
+        its sum is 1 to rounding. A certified column is what its
+        certificate passed: the abundances of the exact projection to
+        rounding. Any other column is that of the last sweep's
+        multipliers, whose negative abundances shrink as the sweeps go
+        on. trace.y_sq and trace.residual_sq are |Y|^2 and
         |Y - D a_hat|^2, summed in tile order (module docstring).
 
     Raises
@@ -492,111 +663,37 @@ def dykstra_project(
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
-    a = np.empty((m, n))
-    u = None
+    width = n if on_sweep is not None else CHUNK_TILES * TILE
+    a_hat = u = watch = None
+    if sink is None:
+        a_hat = np.empty((m, n))
+    else:
+        buf = np.empty((m, min(width, n)))
     if on_sweep is not None:
         u = np.empty((m, n))
         u_seen = u.view()
         u_seen.flags.writeable = False
 
+        def watch(sweep):
+            on_sweep(sweep, u_seen)
+
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     run = map if executor is None else executor.map
-
-    elapsed: list[float] = []
-    uncertified: list[int] = []
-    source = 0.0
-
-    checkpoint = FIRST_CHECKPOINT
+    traces, sink_s = [], 0.0
     try:
-        # The interior check runs on sweep 1's clock, less the wait for
-        # Y's blocks, and leaves f - S Y0 in a, the swept block's rhs
-        # until it or a finish certifies a column; after that the block
-        # is gathered.
-        tic = time.perf_counter()
-        flags, y_sq, off_sq, lo = [], 0.0, 0.0, 0
         blocks = iter(blocks)
-        while True:
-            mark = time.perf_counter()
-            block = next(blocks, None)
-            source += time.perf_counter() - mark
-            if block is None:
-                break
-            hi = lo + block.shape[1]
-            ok, sq, off = _interior_tile(t, block, a[:, lo:hi])
-            flags.append(ok)
-            y_sq += sq
-            off_sq += off
-            lo = hi
-        interior = np.concatenate(flags)
-        residual_sq = off_sq / float(t.b @ t.b)
-        if 2 * np.count_nonzero(interior) >= n:
-            cols = np.flatnonzero(~interior)
-            rb = a.take(cols, axis=1)
-            list(run(partial(_write_interior_tile, t, a, u), _tiles(n)))
-        else:
-            cols = np.arange(n)
-            rb = a
-        finish = time.perf_counter() - tic - source
-        tb = np.zeros_like(rb)
-        clock = time.perf_counter() - tic - source
-
-        for sweep in range(1, cfg.max_sweeps + 1):
-            tic = time.perf_counter()
-            tiles = _tiles(rb.shape[1])
-            certified = None
-            if tiles:
-                list(run(partial(_sweep_tile, t, rb, tb, sweep), tiles))
-                if sweep == checkpoint or sweep == cfg.max_sweeps:
-                    checkpoint *= 2
-                    mid = time.perf_counter()
-                    certified = np.concatenate(list(run(
-                        partial(_finish_tile, t, rb, tb), tiles
-                    )))
-                    finish += time.perf_counter() - mid
-            clock += time.perf_counter() - tic
-            if u is not None:
-                # The observer's U, off the clock, before the certified
-                # writes, which overwrite their rhs when rb is a.
-                list(run(partial(_observe_tile, t, rb, tb, u, cols), tiles))
-            tic = time.perf_counter()
-            if certified is not None:
-                # The certified columns get the abundances of their lam
-                # and, on the last sweep, the rest those of their tau.
-                pick = (np.arange(certified.size) if sweep == cfg.max_sweeps
-                        else np.flatnonzero(certified))
-                residual_sq += sum(run(
-                    partial(_write_tile, t, a, rb, tb, cols, pick),
-                    _tiles(pick.size),
-                ))
-                finish += time.perf_counter() - tic
-                if certified.any():
-                    keep = np.flatnonzero(~certified)
-                    cols = cols[keep]
-                    # One block at a time, so that only one gathered copy
-                    # lives beside the blocks it replaces. take, unlike
-                    # rb[:, keep], gathers into C order, whose rows the
-                    # sweep reads without a stride.
-                    rb = rb.take(keep, axis=1)
-                    tb = tb.take(keep, axis=1)
-            clock += time.perf_counter() - tic
-
-            elapsed.append(clock)
-            uncertified.append(rb.shape[1])
-            if on_sweep is not None:
-                on_sweep(sweep, u_seen)
-
-            if rb.shape[1] == 0:
-                break
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            a = buf[:, :hi - lo] if a_hat is None else a_hat[:, lo:hi]
+            # The last chunk reads Y to its end, which frees the source's
+            # buffers before the chunk's sweeps.
+            take = blocks if hi == n else islice(blocks, CHUNK_TILES)
+            traces.append(_project_chunk(t, take, a, cfg, run, u, watch))
+            if sink is not None:
+                tic = time.perf_counter()
+                sink(a)
+                sink_s += time.perf_counter() - tic
     finally:
         if executor is not None:
             executor.shutdown()
-
-    trace = DykstraTrace(
-        elapsed_s=np.asarray(elapsed),
-        uncertified=np.asarray(uncertified, dtype=np.int64),
-        finish_s=finish,
-        source_s=source,
-        y_sq=y_sq,
-        residual_sq=residual_sq,
-    )
-    return a, trace
+    return a_hat, _join(traces, sink_s)

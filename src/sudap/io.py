@@ -31,11 +31,17 @@ in Fortran order, with no copy; a short read fails there too, and the
 ImageCube or AbundanceMatrix that wraps the matrix checks it for
 non-finite values, once, in an error that names the file. Both are
 model.finite_sum_of_squares, whose pass is |X|^2
-(ContainerReader.sum_sq, ImageCube.sum_sq). The writer writes the
-payload in the same tiles, each the transpose of a channels x pixels
-slice, so it copies one tile at a time, never the whole matrix, and
-nothing when the transpose is already contiguous, as it is for what
-read_cube and read_abundance hand out.
+(ContainerReader.sum_sq, ImageCube.sum_sq). One writer,
+ContainerWriter, writes every container: the header, then the payload
+as it is appended, all at once (write_cube, write_abundance) or chunk
+by chunk as a solve hands its abundances on (abundance_writer). It
+writes in the same tiles, but of at most model.COLUMN_BLOCK pixels,
+each the transpose of a channels x pixels slice, so it copies one tile
+at a time, never a whole chunk or matrix, and nothing when the
+transpose is already contiguous, as it is for what read_cube and
+read_abundance hand out. A write that fails part way removes its file.
+open_abundance streams an abundance file as open_cube streams a
+cube, for the unmix report's references, one chunk of pixels at a time.
 
 CSV numbers are written with 17 significant digits, enough for exact
 float64 round trips.
@@ -64,7 +70,12 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .model import AbundanceMatrix, ImageCube, finite_sum_of_squares
+from .model import (
+    COLUMN_BLOCK,
+    AbundanceMatrix,
+    ImageCube,
+    finite_sum_of_squares,
+)
 from .simdata import SpectralLibrary
 
 _HEADER = struct.Struct("<4sIIIII")
@@ -169,19 +180,45 @@ def _tile_width(n_channels: int) -> int:
     return max(1, READ_TILE_BYTES // (8 * n_channels))
 
 
+class ContainerWriter:
+    """A container being written: its header on opening, then its payload
+    as append() is given the pixels in order, channels x pixels at a time.
+
+    Use it as a context manager. An exception inside the with block
+    removes the file, so a run that fails part way leaves no output.
+    """
+
+    def __init__(self, path, magic, n_channels, shape, wavelengths=None):
+        self.path = path
+        self._width = min(_tile_width(n_channels), COLUMN_BLOCK)
+        self._fh = open(path, "wb")
+        flags = FLAG_WAVELENGTHS if wavelengths is not None else 0
+        self._fh.write(_HEADER.pack(magic, VERSION, n_channels, *shape, flags))
+        if wavelengths is not None:
+            self._fh.write(np.asarray(wavelengths, dtype="<f8").tobytes())
+
+    def append(self, data) -> None:
+        """Write the pixels of data, channels x pixels, as data.T: one
+        tile at a time (module docstring)."""
+        data = np.asarray(data, dtype=np.float64)
+        for lo in range(0, data.shape[1], self._width):
+            tile = data[:, lo:lo + self._width].T
+            self._fh.write(memoryview(np.ascontiguousarray(tile, dtype="<f8")))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self._fh.close()
+        if exc_type is not None:
+            os.remove(self.path)
+
+
 def _write_container(path, magic, data, rows, cols, wavelengths) -> None:
     data = np.asarray(data, dtype=np.float64)
-    n_channels, n = data.shape
-    flags = FLAG_WAVELENGTHS if wavelengths is not None else 0
-    width = _tile_width(n_channels)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, VERSION, n_channels, rows, cols, flags))
-        if wavelengths is not None:
-            fh.write(np.asarray(wavelengths, dtype="<f8").tobytes())
-        # The payload is data.T, one tile at a time (module docstring).
-        for lo in range(0, n, width):
-            tile = data[:, lo:lo + width].T
-            fh.write(memoryview(np.ascontiguousarray(tile, dtype="<f8")))
+    with ContainerWriter(path, magic, data.shape[0], (rows, cols),
+                         wavelengths) as writer:
+        writer.append(data)
 
 
 def _read_exactly(fh, path, out: np.ndarray) -> np.ndarray:
@@ -341,8 +378,19 @@ def write_abundance(path, a: AbundanceMatrix) -> None:
     )
 
 
+def abundance_writer(path, n_endmembers: int, shape) -> ContainerWriter:
+    """Open an abundance file to be written chunk by chunk; see
+    ContainerWriter."""
+    return ContainerWriter(path, MAGIC_ABUNDANCE, n_endmembers, shape)
+
+
+def open_abundance(path) -> ContainerReader:
+    """Open an abundance file for streaming; see ContainerReader."""
+    return ContainerReader(path, MAGIC_ABUNDANCE)
+
+
 def read_abundance(path) -> AbundanceMatrix:
-    with ContainerReader(path, MAGIC_ABUNDANCE) as source:
+    with open_abundance(path) as source:
         return source._read_into(AbundanceMatrix)
 
 

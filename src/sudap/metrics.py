@@ -11,7 +11,12 @@ import numpy as np
 from .dykstra import TILE, DykstraTrace
 from .errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from .io import ConvergenceCurve, _tile_width
-from .model import AbundanceMatrix, EndmemberMatrix, validate_dimensions
+from .model import (
+    COLUMN_BLOCK,
+    AbundanceMatrix,
+    EndmemberMatrix,
+    validate_dimensions,
+)
 from .subspace import (
     ForwardMap,
     build_transform,
@@ -21,7 +26,51 @@ from .subspace import (
 
 
 def _data(x) -> np.ndarray:
-    return np.asarray(getattr(x, "data", x), dtype=np.float64)
+    """x's matrix: an array itself, or a model type's data."""
+    if not isinstance(x, np.ndarray):
+        x = getattr(x, "data", x)
+    return np.asarray(x, dtype=np.float64)
+
+
+class ErrorSums:
+    """|A_hat - A*|_F^2 and |A*|_F^2, summed as A_hat comes, chunk by
+    chunk in column order.
+
+    reference is A*: an AbundanceMatrix or an array, or an abundance file
+    opened with io.open_abundance, which add reads one chunk at a time,
+    in its tiles. The chunks are as wide as the first, but for a
+    narrower last one, as dykstra_project's sink gets them. add sums a
+    chunk in blocks of model.COLUMN_BLOCK columns, one running sum each,
+    so the sums of chunks that are whole blocks are those of one add of
+    all of them.
+    """
+
+    def __init__(self, reference, what: str):
+        self._reference, self._what = reference, what
+        self._blocks = None
+        self.err = self.ref = 0.0
+
+    def add(self, a_hat) -> None:
+        a_hat = _data(a_hat)
+        if self._blocks is None:
+            self._blocks = _column_blocks(self._reference, a_hat.shape[1])
+        reference = next(self._blocks, np.empty((0, 0)))
+        if a_hat.shape != reference.shape:
+            raise ShapeMismatch(f"{self._what}: shapes {a_hat.shape} and "
+                                f"{reference.shape} differ")
+        for lo in range(0, a_hat.shape[1], COLUMN_BLOCK):
+            r = reference[:, lo:lo + COLUMN_BLOCK]
+            d = a_hat[:, lo:lo + COLUMN_BLOCK] - r
+            self.err += float(np.einsum("ij,ij->", d, d))
+            self.ref += float(np.einsum("ij,ij->", r, r))
+
+    def db(self) -> float:
+        """10 log10(err / ref), -inf when err is 0."""
+        if self.ref == 0.0:
+            raise ZeroReference(f"{self._what}: reference matrix is zero")
+        if self.err == 0.0:
+            return -np.inf
+        return 10.0 * np.log10(self.err / self.ref)
 
 
 def _ratio_db(a_hat, reference, what: str) -> float:
@@ -31,13 +80,9 @@ def _ratio_db(a_hat, reference, what: str) -> float:
         raise ShapeMismatch(
             f"{what}: shapes {a_hat.shape} and {reference.shape} differ"
         )
-    ref_power = float(np.linalg.norm(reference) ** 2)
-    if ref_power == 0.0:
-        raise ZeroReference(f"{what}: reference matrix is zero")
-    err_power = float(np.linalg.norm(a_hat - reference) ** 2)
-    if err_power == 0.0:
-        return -np.inf
-    return 10.0 * np.log10(err_power / ref_power)
+    sums = ErrorSums(reference, what)
+    sums.add(a_hat)
+    return sums.db()
 
 
 def relative_error_db(a_hat, a_star) -> float:

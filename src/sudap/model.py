@@ -28,6 +28,12 @@ from .errors import DimensionMismatch, NonFinite
 EPS_SUM = 1e-9
 EPS_NEG = 1e-7
 
+# Columns per block of the reductions over abundance matrices here and in
+# metrics, which hold one block's temporaries at a time, and at most the
+# pixels of one tile that io's writer copies. dykstra's chunk is a
+# multiple of it, so chunk by chunk the sums add in the same blocks.
+COLUMN_BLOCK = 4096
+
 
 def sum_of_squares(arr: np.ndarray) -> float:
     """One BLAS dot of arr's entries, in memory order: ravel(order="K")
@@ -181,9 +187,27 @@ class AbundanceMatrix:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """The worst column-sum deviation from 1 and the smallest entry of
+    some abundance columns, as column_feasibility reduces them.
+
+    Feasible means each column sum is within EPS_SUM of 1 and no entry
+    is below -EPS_NEG. join gives the report of two reports' columns
+    together, with the same floats as one reduction over all of them.
+    """
+
     max_sum_violation: float
     min_entry: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return (self.max_sum_violation <= EPS_SUM
+                and self.min_entry >= -EPS_NEG)
+
+    def join(self, other: FeasibilityReport) -> FeasibilityReport:
+        return FeasibilityReport(
+            max(self.max_sum_violation, other.max_sum_violation),
+            min(self.min_entry, other.min_entry),
+        )
 
 
 def validate_dimensions(e: EndmemberMatrix, x: ImageCube) -> None:
@@ -192,17 +216,22 @@ def validate_dimensions(e: EndmemberMatrix, x: ImageCube) -> None:
         raise DimensionMismatch(e.n_bands, x.n_bands)
 
 
-def column_feasibility(a: AbundanceMatrix) -> FeasibilityReport:
-    """Check every column of A against the simplex constraints.
+def column_feasibility(a) -> FeasibilityReport:
+    """Check every column of A, an AbundanceMatrix or an m x k array,
+    against the simplex constraints (FeasibilityReport).
 
-    Feasible means each column sum is within EPS_SUM of 1 and no entry
-    is below -EPS_NEG.
+    The columns are reduced COLUMN_BLOCK at a time, so the one temporary
+    is a block's column sums. A column's sum does not depend on the
+    block it is in, and max |s - 1| comes from the extremes of the sums
+    s alone (rounding is monotone and symmetric), so the floats are
+    those of one reduction over all the columns.
     """
-    data = a.data
-    # max |s - 1| from the extremes of the sums s alone: rounding is
-    # monotone and symmetric, so this is the same float.
-    sums = data.sum(axis=0)
-    max_sum_violation = float(max(sums.max() - 1.0, 1.0 - sums.min()))
-    min_entry = float(data.min())
-    feasible = max_sum_violation <= EPS_SUM and min_entry >= -EPS_NEG
-    return FeasibilityReport(max_sum_violation, min_entry, feasible)
+    data = a.data if isinstance(a, AbundanceMatrix) else a
+    low, high, min_entry = np.inf, -np.inf, np.inf
+    for lo in range(0, data.shape[1], COLUMN_BLOCK):
+        block = data[:, lo:lo + COLUMN_BLOCK]
+        sums = block.sum(axis=0)
+        low, high = min(low, sums.min()), max(high, sums.max())
+        min_entry = min(min_entry, block.min())
+    return FeasibilityReport(float(max(high - 1.0, 1.0 - low)),
+                             float(min_entry))

@@ -8,8 +8,12 @@ Four solvers share one result type:
   cube only through Y = D^{-T} E'X and |X|^2. A cube, in memory or
   streamed from a file, is mapped block by block into dykstra_project's
   interior check (subspace.ForwardMap), so no m x n Y is held, and the
-  objective is summed on the way. This is the only route in: an
-  observer that reads Y again (metrics.CurveRecorder) forms its own.
+  objective is summed on the way. The pixels are solved in chunks
+  (dykstra.CHUNK_TILES), and a sink takes each chunk's abundances
+  before the next is read, so that a run with a sink holds no m x n
+  block at all. This is the only route in: an observer that reads Y
+  again (metrics.CurveRecorder) forms its own, and its run is one
+  chunk.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   one bordered solve (_sum_to_one).
@@ -60,20 +64,23 @@ MAX_ORACLE_ENDMEMBERS = 14
 class SolveResult:
     """One solver run.
 
-    wall_time is the run's seconds, and stages splits solve_sudap's
-    between "transform" (build_transform, and the m x bands matrix of
-    the forward map), "forward" (the forward map, with the streamed read
-    when the cube comes from a file: the time dykstra_project waited for
-    Y's blocks), "project" (dykstra_project's sweeps and their
-    bookkeeping, with its on_sweep observer) and "finish" (its interior
-    check and exact finishes, with all the abundances they write, from
-    its trace); their sum never exceeds wall_time. objective is
-    |X - E a_hat|_F^2 as solve_sudap sums it on the way, with no held Y
-    (dykstra module docstring). The other solvers, and solve_sudap with
-    one endmember, leave stages empty and objective None.
+    wall_time is the run's seconds, less the time solve_sudap's sink
+    took, and stages splits solve_sudap's between "transform"
+    (build_transform, and the m x bands matrix of the forward map),
+    "forward" (the forward map, with the streamed read when the cube
+    comes from a file: the time dykstra_project waited for Y's blocks),
+    "project" (dykstra_project's sweeps and their bookkeeping, with its
+    on_sweep observer) and "finish" (its interior check and exact
+    finishes, with all the abundances they write, from its trace); each
+    stage is summed over the chunks, and their sum never exceeds
+    wall_time. objective is |X - E a_hat|_F^2 as solve_sudap sums it on
+    the way, with no held Y (dykstra module docstring), chunk by chunk.
+    a_hat is None when solve_sudap's sink took the abundances. The
+    other solvers, and solve_sudap with one endmember, leave stages
+    empty and objective None.
     """
 
-    a_hat: AbundanceMatrix
+    a_hat: AbundanceMatrix | None
     trace: DykstraTrace
     solver_id: str
     wall_time: float
@@ -140,10 +147,16 @@ def _sum_to_one(g: np.ndarray, h: np.ndarray):
     return a, mu[..., 0, :]
 
 
-def _ones_result(x, solver_id: str, t0: float) -> SolveResult:
+def _ones_result(x, solver_id: str, t0: float, sink=None) -> SolveResult:
     """Every abundance 1, for a cube or an opened cube file, whose
-    n_pixels and shape suffice: no pixel is read."""
-    a = AbundanceMatrix(np.ones((1, x.n_pixels)), x.shape, feasible=True)
+    n_pixels and shape suffice: no pixel is read. A sink takes them in
+    one chunk."""
+    a = np.ones((1, x.n_pixels))
+    if sink is None:
+        a = AbundanceMatrix(a, x.shape, feasible=True)
+    else:
+        sink(a)
+        a = None
     return SolveResult(a, _empty_trace(), solver_id, time.perf_counter() - t0)
 
 
@@ -152,13 +165,19 @@ def solve_sudap(
     x,
     cfg: DykstraConfig | None = None,
     on_sweep=None,
+    sink=None,
 ) -> SolveResult:
     """Fully constrained unmixing through the projected subspace.
 
     x is an ImageCube or a cube file opened with io.open_cube, whose pixels
     are mapped into the subspace block by block as dykstra_project's
     interior check takes them, so neither the cube nor Y is held whole.
-    With one endmember every abundance is 1. When the trace
+    The pixels are solved in chunks of dykstra.CHUNK_TILES tiles, and a
+    run watched by on_sweep in one chunk. With a sink, each chunk's
+    abundances go to sink(a) before the next chunk is read, as
+    dykstra_project says, and the result's a_hat is None; so the run
+    holds no m x n block. Without one, a_hat holds them all. With one
+    endmember every abundance is 1. When the trace
     reports converged, every pixel is certified as the unique minimizer
     of |X - EA|_F^2 over the simplex, to rounding. Column sums are exact
     to roundoff in any case; small negative entries can remain when the
@@ -169,22 +188,24 @@ def solve_sudap(
     t0 = time.perf_counter()
     validate_dimensions(e, x)
     if e.n_endmembers == 1:
-        return _ones_result(x, "sudap", t0)
+        return _ones_result(x, "sudap", t0, sink)
     t = build_transform(e)
     y = ForwardMap(t, e, x)
     stages = {"transform": time.perf_counter() - t0}
     tic = time.perf_counter()
-    a, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep)
+    a, trace = dykstra_project(t, y, cfg, on_sweep=on_sweep, sink=sink)
     # The forward map ran while dykstra_project waited for Y's blocks; a
     # file's |X|^2 is complete only now.
     stages.update(
         forward=trace.source_s,
-        project=time.perf_counter() - tic - trace.source_s - trace.finish_s,
+        project=(time.perf_counter() - tic - trace.source_s
+                 - trace.finish_s - trace.sink_s),
         finish=trace.finish_s,
     )
-    a = AbundanceMatrix(a, x.shape)
+    if a is not None:
+        a = AbundanceMatrix(a, x.shape)
     return SolveResult(
-        a, trace, "sudap", time.perf_counter() - t0, stages,
+        a, trace, "sudap", time.perf_counter() - t0 - trace.sink_s, stages,
         max(x.sum_sq - trace.y_sq, 0.0) + trace.residual_sq,
     )
 

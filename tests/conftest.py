@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sudap.cli as cli
 from sudap import EndmemberMatrix
 from sudap.simdata import make_synthetic_library
 
@@ -20,6 +21,14 @@ def traced_peak(call):
         return value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def unmix_peak(argv):
+    """Run `sudap unmix` with the arguments argv under tracemalloc, check
+    that it exits 0, and return its peak bytes."""
+    rc, peak = traced_peak(lambda: cli.main(["unmix", *argv]))
+    assert rc == 0
+    return peak
 
 
 def read_curve(path):

@@ -34,7 +34,7 @@ from sudap.simdata import (
     make_synthetic_library,
 )
 from sudap.subspace import build_transform, inverse_transform
-from conftest import read_curve, traced_peak
+from conftest import read_curve, unmix_peak
 
 
 @pytest.fixture
@@ -134,15 +134,13 @@ def test_curve_memory_does_not_grow_with_the_sweep_count(tmp_path,
     peaks, curves = [], []
     for every in ("1", "25"):
         curve_path = tmp_path / f"c{every}.csv"
-        rc, peak = traced_peak(lambda: cli.main([
-            "unmix", "--cube", f"{out}.cube",
+        peaks.append(unmix_peak([
+            "--cube", f"{out}.cube",
             "--endmembers", f"{out}.endmembers.csv",
             "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
             "--curve", str(curve_path), "--snapshot-every", every,
             "--max-sweeps", "100",
         ]))
-        peaks.append(peak)
-        assert rc == 0
         curves.append(read_curve(curve_path))
     assert len(curves[0]) >= 50
     assert len(curves[1]) < len(curves[0]) / 10
@@ -207,32 +205,68 @@ def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
                                                          library_csv,
                                                          monkeypatch):
     # The cube is 48 bands x 25 600 pixels (9.8 MB), 151 read tiles of
-    # 64 KiB. Streamed, the run holds one read tile of the file, which
-    # the forward map turns into one m x TILE block of Y, and the
-    # abundances a; no m x n Y is held. Beside them the solve holds its
-    # per-tile temporaries (the interior check's m x TILE blocks) and
-    # the gathered rhs and tau of the 1 % of columns that the check
-    # leaves. The writer and the feasibility check hold a tile at most,
-    # and the report's objective was summed in the solve. A reader that
-    # held the cube would peak above the cube's own size, and a second
-    # m x n block (a whole Y, a whole transposed copy of a in the
-    # writer, or the report's whole residual) above the bound.
+    # 64 KiB, solved in chunks of two tiles, 8192 pixels. Streamed, the
+    # run holds one read tile of the file, which the forward map turns
+    # into one m x TILE block of Y, and the abundances of one chunk; no
+    # m x n block is held. Beside them the solve holds its per-tile
+    # temporaries (the interior check's m x TILE blocks) and the gathered
+    # rhs and tau of the 1 % of columns that the check leaves. The writer
+    # and the feasibility check hold a tile of the chunk at most, and
+    # the report's objective was summed in the solve. A reader that held
+    # the cube would peak above the cube's own size, and an m x n block
+    # (a whole output, Y, or a residual of the report) above the bound.
     m, rows, cols, bands = 3, 160, 160, 48
     out = _simulate(tmp_path, library_csv, m=m, rows=rows, cols=cols,
                     snr="30")
     n = rows * cols
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
+    monkeypatch.setattr(dykstra, "CHUNK_TILES", 2)
+    chunk = dykstra.CHUNK_TILES * dykstra.TILE
     allowance = 5 * m * dykstra.TILE * 8
-    bound = m * n * 8 + sio.READ_TILE_BYTES + allowance
-    assert allowance + sio.READ_TILE_BYTES < m * n * 8
+    bound = m * chunk * 8 + sio.READ_TILE_BYTES + allowance
+    assert bound < m * n * 8 + sio.READ_TILE_BYTES + allowance
     assert bound < bands * n * 8
-    rc, peak = traced_peak(lambda: cli.main([
-        "unmix", "--cube", f"{out}.cube",
+    peak = unmix_peak([
+        "--cube", f"{out}.cube",
         "--endmembers", f"{out}.endmembers.csv",
         "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
-    ]))
-    assert rc == 0
+    ])
     assert peak < bound
+
+
+def test_unmix_memory_does_not_grow_with_the_pixel_count(tmp_path,
+                                                         library_csv,
+                                                         monkeypatch):
+    # Cube files of n = 6400 and 4n pixels, in chunks of 2048 pixels,
+    # with a reference and a truth file for the report. Each chunk is
+    # solved, written and reported before the next is read, so both runs
+    # peak on one chunk's state, one read tile of the cube and the
+    # chunk's tiles of the two abundance files; the larger cube may add
+    # at most one read tile. The chunk's state is its output, the swept
+    # rhs and tau with a gathered copy, both files' reads of the chunk,
+    # their error sums' block and the writer's tile: eight m x chunk
+    # blocks at most. The references held whole would add 2 m x 3n
+    # floats, and an m x n output m x 3n more.
+    monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
+    monkeypatch.setattr(dykstra, "TILE", 512)
+    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
+    m, chunk = 3, 4 * 512
+    bound = (8 * m * chunk * 8 + sio.READ_TILE_BYTES
+             + 5 * m * dykstra.TILE * 8)
+    peaks = []
+    for side in (80, 160):
+        out = _simulate(tmp_path, library_csv, prefix=f"s{side}", m=m,
+                        rows=side, cols=side, snr="30")
+        assert side * side > 3 * chunk
+        peaks.append(unmix_peak([
+            "--cube", f"{out}.cube",
+            "--endmembers", f"{out}.endmembers.csv",
+            "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
+            "--reference", f"{out}.truth", "--truth", f"{out}.truth",
+        ]))
+    assert bound < m * 160 * 160 * 8
+    assert max(peaks) < bound
+    assert peaks[1] < peaks[0] + sio.READ_TILE_BYTES
 
 
 def test_clipped_unmix_holds_no_y(tmp_path, library_csv, monkeypatch,
@@ -250,12 +284,11 @@ def test_clipped_unmix_holds_no_y(tmp_path, library_csv, monkeypatch,
     bound = 2 * m * n * 8 + sio.READ_TILE_BYTES + allowance
     assert allowance + sio.READ_TILE_BYTES < m * n * 8
     capsys.readouterr()
-    rc, peak = traced_peak(lambda: cli.main([
-        "unmix", "--cube", f"{out}.cube",
+    peak = unmix_peak([
+        "--cube", f"{out}.cube",
         "--endmembers", f"{out}.endmembers.csv",
         "--solver", "sudap", "--out", str(tmp_path / "s.abund"), "--clip",
-    ]))
-    assert rc == 0
+    ])
     assert peak < bound
     cube = read_cube(f"{out}.cube")
     e = EndmemberMatrix(read_library_csv(f"{out}.endmembers.csv").signatures)
@@ -280,12 +313,11 @@ def test_one_endmember_unmix_streams_the_cube(tmp_path, library_csv,
     bound = 2 * sio.READ_TILE_BYTES + 4 * n * 8
     assert bound < bands * n * 8
     capsys.readouterr()
-    rc, peak = traced_peak(lambda: cli.main([
-        "unmix", "--cube", f"{out}.cube",
+    peak = unmix_peak([
+        "--cube", f"{out}.cube",
         "--endmembers", f"{out}.endmembers.csv",
         "--solver", "sudap", "--out", str(tmp_path / "s.abund"),
-    ]))
-    assert rc == 0
+    ])
     assert peak < bound
     a = read_abundance(tmp_path / "s.abund")
     assert a.shape == (rows, cols) and (a.data == 1.0).all()
@@ -378,7 +410,11 @@ def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
         tmp_path, library_csv, monkeypatch):
     # Read tiles of 16 pixels cut the 144-pixel cube into 9; only the
     # last pixel is NaN, so the streamed reader meets it in its last tile.
+    # Chunks of one tile of 16 columns have written the eight before it
+    # to the output file, which the error removes.
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 16 * 48 * 8)
+    monkeypatch.setattr(dykstra, "TILE", 16)
+    monkeypatch.setattr(dykstra, "CHUNK_TILES", 1)
     out = _simulate(tmp_path, library_csv)
     blob = bytearray((tmp_path / "scene.cube").read_bytes())
     blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()

@@ -376,6 +376,51 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     assert 0 < capped.uncertified[-1] < capped.uncertified[-2]
 
 
+@pytest.mark.parametrize("max_sweeps", [60, 3])
+def test_a_run_in_chunks_is_its_chunks_run_alone(monkeypatch, max_sweeps):
+    # Chunks of four tiles of 3 columns cut the 400 columns into 34. With
+    # every 2 x 2 solve failing, the chunks certify at different sweeps,
+    # or stop at the cap with columns left. The run's output is that of
+    # each chunk solved alone, side by side, and a sink gets the same
+    # chunks in order. Its trace sums the chunks' rows: a chunk that
+    # stopped early adds nothing uncertified to the rows after its last,
+    # and its last elapsed time; |Y|^2 and the residual add up in chunk
+    # order.
+    monkeypatch.setattr(dykstra, "TILE", 3)
+    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
+    _fail_pair_solves(monkeypatch)
+    _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
+    cfg = DykstraConfig(max_sweeps=max_sweeps)
+    a, trace = dykstra_project(t, y, cfg)
+    alone = [dykstra_project(t, y[:, lo:lo + 12], cfg)
+             for lo in range(0, 400, 12)]
+    assert np.hstack([a_k for a_k, _ in alone]).tobytes() == a.tobytes()
+    sunk = []
+    none, sunk_trace = dykstra_project(
+        t, y, cfg, sink=lambda a_k: sunk.append(a_k.copy()))
+    assert none is None
+    assert [a_k.shape for a_k in sunk] == [a_k.shape for a_k, _ in alone]
+    assert np.hstack(sunk).tobytes() == a.tobytes()
+
+    traces = [trace_k for _, trace_k in alone]
+    rows = max(trace_k.n_sweeps for trace_k in traces)
+    assert rows > min(trace_k.n_sweeps for trace_k in traces)
+    uncertified = sum(np.pad(trace_k.uncertified, (0, rows - trace_k.n_sweeps))
+                      for trace_k in traces)
+    y_sq = residual_sq = 0.0
+    for trace_k in traces:
+        y_sq += trace_k.y_sq
+        residual_sq += trace_k.residual_sq
+    for joined in (trace, sunk_trace):
+        assert joined.n_sweeps == rows
+        assert np.array_equal(joined.uncertified, uncertified)
+        assert joined.y_sq == y_sq and joined.residual_sq == residual_sq
+        assert (np.diff(joined.elapsed_s) >= 0.0).all()
+        assert 0.0 <= joined.finish_s <= joined.elapsed_s[-1]
+    assert trace.converged == (max_sweeps == 60)
+    assert trace.sink_s == 0.0 < sunk_trace.sink_s
+
+
 @pytest.mark.parametrize("seed, n_bands, m", [(1, 7, 6), (0, 11, 10)])
 def test_points_far_outside_the_simplex_certify_and_match_the_oracle(
     seed, n_bands, m
@@ -653,19 +698,18 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
         _fail_pair_solves(monkeypatch)
         _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
         cfg = DykstraConfig(max_sweeps=3)
-    written = []
+    # Each write is recorded with its chunk's view of the output, whose
+    # first column is found once the run has returned the output.
+    writes, interior_writes = [], []
     write_tile = dykstra._write_tile
     write_interior_tile = dykstra._write_interior_tile
 
     def recorded(t, a, rhs, lam, cols, pick, tile):
-        written.extend(cols[pick[tile]].tolist())
+        writes.append((a, cols[pick[tile]]))
         return write_tile(t, a, rhs, lam, cols, pick, tile)
 
     def recorded_interior(t, a, u, tile):
-        # The pass covers whole tiles, but is final only for the columns
-        # the check certified; _write_tile later writes over the others.
-        cols = np.arange(a.shape[1])[tile]
-        written.extend(cols[final[tile]].tolist())
+        interior_writes.append((a, np.arange(a.shape[1])[tile]))
         return write_interior_tile(t, a, u, tile)
 
     monkeypatch.setattr(dykstra, "_write_tile", recorded)
@@ -681,7 +725,15 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
     else:
         assert interior == 0 and not trace.converged
         assert 0 < trace.uncertified[-1] < trace.uncertified[0] == n
-    assert sorted(written) == list(range(n))
+    written = [(view.ctypes.data - a.ctypes.data) // a.itemsize + cols
+               for view, cols in writes + interior_writes]
+    # The interior pass covers whole tiles, but is final only for the
+    # columns the check certified; _write_tile later writes over the
+    # others.
+    written = np.concatenate(written[:len(writes)] + [
+        cols[final[cols]] for cols in written[len(writes):]
+    ])
+    assert sorted(written.tolist()) == list(range(n))
     _check_bookkeeping(t, y, a, trace, cfg)
 
 

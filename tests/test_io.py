@@ -162,6 +162,23 @@ def test_the_chunked_writer_writes_the_one_shot_bytes(tmp_path, monkeypatch,
         sio.MAGIC_CUBE, cube.data, n, 1, cube.wavelengths)
 
 
+def test_an_abundance_file_appended_in_chunks_is_whole_or_not_written(
+        tmp_path):
+    # Chunks of 5, 11 and 7 pixels write the one-shot bytes. A failure
+    # inside the writer's block removes the partial file.
+    a = np.random.default_rng(81).dirichlet(np.ones(4), size=23).T
+    path = tmp_path / "a.abund"
+    with sio.abundance_writer(path, 4, (1, 23)) as out:
+        for lo, hi in ((0, 5), (5, 16), (16, 23)):
+            out.append(a[:, lo:hi])
+    assert path.read_bytes() == _one_shot(sio.MAGIC_ABUNDANCE, a, 1, 23)
+    with pytest.raises(RuntimeError):
+        with sio.abundance_writer(path, 4, (1, 23)) as out:
+            out.append(a[:, :5])
+            raise RuntimeError("the solve failed")
+    assert not path.exists()
+
+
 def test_the_writer_holds_one_chunk_not_the_matrix(tmp_path, monkeypatch):
     # 5 x 20 000 abundances are 800 kB; a chunk is 8 KiB. The open
     # file's own buffer and bookkeeping took 5.5 kB more. A matrix

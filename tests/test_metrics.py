@@ -10,12 +10,13 @@ from sudap import (
     relative_error_db,
     solve_oracle_activeset,
 )
-from sudap import dykstra
+from sudap import dykstra, metrics
 from sudap.dykstra import dykstra_project
 from sudap.errors import DimensionMismatch, ShapeMismatch, ZeroReference
 from sudap import io as sio
 from sudap.io import open_cube, write_cube
 from sudap.metrics import nmse_db, objective
+from sudap.model import AbundanceMatrix
 from sudap.projectors import project_hyperplane
 from sudap.simdata import make_instance
 from sudap.subspace import (
@@ -233,3 +234,36 @@ def test_curve_refuses_a_trace_from_another_run():
         recorder.curve(shorter)
     with pytest.raises(ValueError):
         CurveRecorder(e, cube, every=0)
+
+
+def test_error_sums_add_chunk_by_chunk_to_the_whole_matrix_s(tmp_path,
+                                                             monkeypatch):
+    # Blocks of 8 columns. Chunks that are whole blocks (16, 16 and a
+    # last 5) add to the bits of one add of all 37 columns, whether the
+    # reference is a matrix or an abundance file read a chunk at a time;
+    # chunks of 5 columns add to them within rounding. A chunk wider than
+    # what is left of the reference is a shape mismatch.
+    monkeypatch.setattr(metrics, "COLUMN_BLOCK", 8)
+    rng = np.random.default_rng(97)
+    a_star = rng.dirichlet(np.ones(4), size=37).T
+    a_hat = a_star + 1e-6 * rng.standard_normal(a_star.shape)
+    sio.write_abundance(tmp_path / "ref.abund",
+                        AbundanceMatrix(a_star, (1, 37)))
+    whole = relative_error_db(a_hat, a_star)
+    assert whole == pytest.approx(10 * np.log10(
+        np.linalg.norm(a_hat - a_star) ** 2
+        / np.linalg.norm(a_star) ** 2), rel=1e-14)
+    for cuts, exact in (((16, 32), True), (range(5, 37, 5), False)):
+        with sio.open_abundance(tmp_path / "ref.abund") as ref_file:
+            for reference in (a_star, ref_file):
+                sums = metrics.ErrorSums(reference, "RE")
+                for chunk in np.split(a_hat, cuts, axis=1):
+                    sums.add(chunk)
+                if exact:
+                    assert sums.db() == whole
+                else:
+                    assert sums.db() == pytest.approx(whole, rel=1e-14)
+    sums = metrics.ErrorSums(a_star, "RE")
+    sums.add(a_hat[:, :30])
+    with pytest.raises(ShapeMismatch):
+        sums.add(a_hat[:, :30])

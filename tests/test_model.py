@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sudap import EndmemberMatrix, ImageCube
+from sudap import model
 from sudap.errors import DimensionMismatch, NonFinite
 from sudap.model import (
     AbundanceMatrix,
@@ -149,3 +150,26 @@ def test_column_feasibility_reads_the_sum_violation_off_the_extremes(side):
     a = _wrap(a * (1.0 + shift))
     old = float(np.max(np.abs(a.data.sum(axis=0) - 1.0)))
     assert column_feasibility(a).max_sum_violation == old
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [3, 12])
+def test_column_feasibility_in_blocks_and_joined_is_one_pass(monkeypatch,
+                                                             order, m):
+    # Blocks of 7 columns cut the 100 columns with a ragged last block,
+    # and a report of two parts joined is the report of the whole: the
+    # floats of one reduction over every column, in either layout (a
+    # layout sums its columns in its own order, the same in any block).
+    monkeypatch.setattr(model, "COLUMN_BLOCK", 7)
+    rng = np.random.default_rng(96)
+    data = np.asarray(rng.dirichlet(np.ones(m), size=100).T, order=order)
+    data *= 1.0 + rng.uniform(-1e-8, 1e-8, 100)
+    data[1, 40] = -3e-9
+    sums = data.sum(axis=0)
+    whole = column_feasibility(_wrap(data))
+    assert whole.max_sum_violation == float(np.max(np.abs(sums - 1.0)))
+    assert whole.min_entry == data.min() == -3e-9
+    for cut in (7, 40, 93):
+        joined = column_feasibility(data[:, :cut]).join(
+            column_feasibility(data[:, cut:]))
+        assert joined == whole

@@ -263,11 +263,14 @@ def test_an_image_cube_is_solved_without_holding_y(monkeypatch):
 @pytest.mark.parametrize("capped", [False, True])
 def test_a_pixels_output_bits_depend_on_that_pixel_alone(
         tmp_path, monkeypatch, capped, threads):
-    # The contract that lets the solve cut the cube anywhere: a permuted
-    # cube's output is the permuted output, and any subset of the pixels
-    # solved alone gets its columns of the whole cube's output, bit for
-    # bit, in memory or from a file. Tiles of 32 columns cut the
-    # 600-pixel scenes many times over. The interior check makes about
+    # The contract that lets the solve cut the cube into tiles and
+    # chunks: a permuted cube's output is the permuted output, and any
+    # subset of the pixels solved alone gets its columns of the whole
+    # cube's output, bit for bit, in memory or from a file. (The dykstra
+    # module docstring names the one exception, a pixel whose a0 passes
+    # the interior check with an abundance just below 0, which these
+    # scenes do not have.) Tiles of 32 columns cut the 600-pixel scenes
+    # many times over. The interior check makes about
     # 60 % of scene m=4's pixels final and fewer than half of scene
     # m=6's, so it sweeps all of them. The capped run's certificate
     # refuses every point, so its 3-sweep budget leaves every pixel
@@ -291,6 +294,30 @@ def test_a_pixels_output_bits_depend_on_that_pixel_alone(
             expected = whole.a_hat.data[:, idx].tobytes()
             for result in (solve_sudap(e, part, cfg), from_file):
                 assert result.a_hat.data.tobytes() == expected
+
+
+def test_a_sink_takes_the_abundances_chunk_by_chunk(monkeypatch):
+    # Chunks of four tiles of 64 columns: the 600 pixels come to the sink
+    # in chunks of 256, 256 and 88, with the bits, the trace and the
+    # objective of a run that keeps them all; the run keeps none. With
+    # one endmember the sink gets the ones in one chunk.
+    monkeypatch.setattr(dykstra, "TILE", 64)
+    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
+    e, _, x = make_instance(6, (20, 30), 3.0, 17, n_bands=48)
+    kept = solve_sudap(e, x)
+    chunks = []
+    sunk = solve_sudap(e, x, sink=lambda a: chunks.append(a.copy()))
+    assert sunk.a_hat is None
+    assert [a.shape[1] for a in chunks] == [256, 256, 88]
+    assert np.hstack(chunks).tobytes() == kept.a_hat.data.tobytes()
+    assert np.array_equal(sunk.trace.uncertified, kept.trace.uncertified)
+    assert sunk.objective == kept.objective
+    assert tuple(sunk.stages) == tuple(kept.stages)
+    assert sum(sunk.stages.values()) <= sunk.wall_time
+    chunks.clear()
+    one = EndmemberMatrix(e.data[:, :1])
+    assert solve_sudap(one, x, sink=chunks.append).a_hat is None
+    assert len(chunks) == 1 and np.array_equal(chunks[0], np.ones((1, 600)))
 
 
 def test_single_endmember_short_circuits():
@@ -483,7 +510,7 @@ def test_far_out_pixels_of_an_ill_conditioned_e_certify_on_the_oracle():
 def test_a_converged_run_on_an_ill_conditioned_e_is_feasible():
     # The far-out pixels above, at the seed with the worst rounding: the
     # run is certified and agrees with the oracle, but its column sums
-    # are 2.2e-6 off 1 and its smallest abundance is -1.1e-6, where the
+    # are 2.49e-6 off 1 and its smallest abundance is -8.84e-7, where the
     # oracle's are exact. A re-solve of each certified pixel's free set
     # in abundance space would make this pass.
     e, x = _conditioned(4, 8, 1e8, 100.0, smallest=1e-4)
