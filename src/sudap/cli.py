@@ -166,18 +166,17 @@ def cmd_unmix(args) -> int:
 
 def _unmix(args, e: EndmemberMatrix, x, files) -> int:
     m, n = e.n_endmembers, x.n_pixels
-    refs = {
-        name: _open_reference(files, path, m, n, what)
+    # The report's feasibility and errors are summed chunk by chunk as the
+    # abundances come, each chunk against the same columns of the
+    # references, read from their files in step.
+    feasibility = []
+    error_sums = {
+        name: ErrorSums(_open_reference(files, path, m, n, what), name)
         for name, path, what in (("RE vs reference", args.reference,
                                   "reference"),
                                  ("NMSE vs truth", args.truth, "truth"))
         if path
     }
-    # The report's feasibility and errors are summed chunk by chunk as the
-    # abundances come, each chunk against the same columns of the
-    # references, read from their files in step.
-    feasibility = []
-    error_sums = {name: ErrorSums(ref, name) for name, ref in refs.items()}
 
     def report(a) -> None:
         feasibility.append(column_feasibility(a))
