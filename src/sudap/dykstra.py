@@ -76,8 +76,8 @@ would amplify the rounding of a point that is exact in the subspace.
 
 dykstra_project works through the columns in chunks of CHUNK_TILES
 tiles, one chunk after another, and each chunk runs the interior check,
-the sweeps and the finishes on its own columns (_project_chunk), so the
-driver's state is a chunk's and not n's. All chunks take their blocks
+the sweeps and the finishes on its own columns (_project_chunk), so its
+state is a chunk's and not n's. All chunks take their blocks
 of Y from one stream, and the transform is built once, by the caller.
 A chunk's state is its output a and tau; Y itself need not be held. The
 interior check reads the chunk's columns of Y once, block by block of
