@@ -35,10 +35,11 @@ Heinz & Chang 2001). Before sweep 1 the driver forms rhs = f - S Y0 in
 one pass over Y, as f - S Y (each s_i is orthogonal to b), and checks
 the abundances a0 = p_norms o (-rhs) of Y0 against the finish's
 certificate at lam = 0, below, which passes a column iff no a0_i is
-below -CERT_TOL. If at least half of the columns pass, a0 is final for
-them, with the finish's bits, and the rest are gathered into the block
-that is swept; otherwise every column is swept. The half keeps the
-gathered rhs and tau no larger than the full-width tau.
+below -CERT_TOL. a0 is final for the columns that pass. If at least
+half of them pass, the rest are gathered into the block that is swept;
+otherwise every column is swept, and the first finish certifies the
+passed ones at lam = 0. The half keeps the gathered rhs and tau no
+larger than the full-width tau.
 
 The sweeps converge only geometrically, but tau names each pixel's
 active set A = {i : tau_i > 0} long before U settles. At checkpoint
@@ -93,9 +94,9 @@ Y are read, and the next chunk reuses a's buffer; without a sink, each
 chunk's a is a view of the m x n output. A watched run is one chunk,
 and also holds the observer's U = D a: from a0 in that pass, and after
 each sweep, off the trace clock, from the block's rhs and multipliers.
-The m x m products (S Y, G lam and D a) go through
-subspace._block_product; the sweep's row products keep _row_dot's
-order.
+Every product with a block of columns (S Y, G lam, D a, the sweep's
+rows of G tau, the certificate's sum of lam) goes through
+subspace._block_product, on blocks with contiguous rows.
 
 The objective needs no held Y either. A column's output is the
 abundances of U = Y0 + S'lam (lam = 0 for the interior check's
@@ -118,10 +119,7 @@ column's arithmetic on its own, and the tiles' flags and partial sums
 are joined in tile order, and the chunks' traces in chunk order
 (_join), so the result, the trace and its sums are the same to the bit
 at every thread count, and a column's result depends on neither its
-tile nor its chunk. One exception: a column whose a0 passes the
-interior check with an abundance in [-CERT_TOL, 0) keeps a0 when its
-chunk takes the gathered route, and gets its swept projection's
-abundances, which put a 0 there, when the chunk sweeps every column.
+tile nor its chunk, nor on which route its chunk takes.
 """
 
 from __future__ import annotations
@@ -173,6 +171,12 @@ TILE = 4096
 # chunk at 4 tiles a chunk, 0.9 ms more at 8, and no more at 12 or 16,
 # and peaked at 2.2, 2.9, 3.6 and 4.4 MB, against 5.7 MB in one chunk.
 CHUNK_TILES = 16
+
+# _sweep_tile sweeps this many bytes of tau at a time, which a core's L2
+# holds for every row product (at m <= 32 a tile is one run). At m = 8 a
+# 40 000-column sweep then took 3.9-4.9 times a 10 000-column one, not
+# 4.8-7.3 (a Xeon, 2 MiB of L2 per core).
+SWEEP_BYTES = 1 << 20
 
 # A certified column has no abundance p_norms_i ((G lam)_i - rhs_i) below
 # -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)): the forward-error
@@ -273,11 +277,14 @@ def _sweep_tile(
     rhs holds the same columns' f - S y0. Each step is Hildreth's on the
     multipliers alone, tau_i <- max(0, rhs_i + tau_i - (G tau)_i), so
     the iterate y0 + S'tau is never formed; a non-finite tau means a
-    non-finite iterate.
+    non-finite iterate. It runs on SWEEP_BYTES of tau at a time.
     """
     rv, tv = rhs[:, tile], tau[:, tile]
-    for i in range(t.n_endmembers):
-        project_intersection_geometric(t, i, rv, tv)
+    step = max(1, SWEEP_BYTES // (8 * t.n_endmembers))
+    for lo in range(0, tv.shape[1], step):
+        r, u = rv[:, lo:lo + step], tv[:, lo:lo + step]
+        for i in range(t.n_endmembers):
+            project_intersection_geometric(t, i, r, u)
     if not np.all(np.isfinite(tv)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
@@ -327,8 +334,10 @@ def _rhs(t: SubspaceTransform, y: np.ndarray, out=None) -> np.ndarray:
 
 
 def _at_lam_zero(t: SubspaceTransform, rhs: np.ndarray, out=None):
-    """_abundances' bits at lam = 0, p_norms o (-rhs), into out if given."""
-    return np.multiply(rhs, -t.p_norms[:, None], out=out)
+    """_abundances' bits at lam = 0, p_norms o (0 - rhs), into out if
+    given: G 0 - rhs is +0, not -0, where rhs is 0."""
+    a = np.subtract(0.0, rhs, out=out)
+    return np.multiply(a, t.p_norms[:, None], out=a)
 
 
 def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
@@ -345,19 +354,15 @@ def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
 
 def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
     """Each abundance of the multipliers lam plus its bound, as CERT_TOL
-    says; rhs holds the columns' f - S y0, and lam is summed in row order.
+    says; rhs holds the columns' f - S y0. sum_j lam_j is a one-row
+    _block_product, so each column's bits are its own on C-ordered lam.
     """
-    total = lam[0].copy()
-    for row in lam[1:]:
-        total += row
     scale = np.abs(rhs)
-    scale += total
+    scale += _block_product(np.ones((1, t.n_endmembers)), lam)[0]
     scale *= t.p_norms[:, None]
     np.maximum(scale, 1.0, out=scale)
     scale *= CERT_TOL
-    slack = _abundances(t, rhs, lam)
-    slack += scale
-    return slack
+    return _abundances(t, rhs, lam) + scale
 
 
 def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
@@ -383,16 +388,16 @@ def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
 
 def _interior_tile(t: SubspaceTransform, y, a):
     """Write f - S Y0 of the Y columns y into a, and flag those whose
-    abundances a0 pass at lam = 0.
+    abundances a0 = -(p_norms o rhs) pass at lam = 0.
 
     Also returns the columns' |Y|^2 and sum of (b'y - 1)^2, which is
     |b|^2 |Y - Y0|^2, for the objective (dykstra_project).
     """
-    a0 = _at_lam_zero(t, _rhs(t, y, out=a))
+    rhs = _rhs(t, y, out=a)
     off = t.b @ y
     off -= 1.0
-    return (a0.min(axis=0) >= -CERT_TOL, float(np.einsum("ij,ij->", y, y)),
-            float(off @ off))
+    return (np.multiply(rhs, t.p_norms[:, None]).max(axis=0) <= CERT_TOL,
+            float(np.einsum("ij,ij->", y, y)), float(off @ off))
 
 
 def _write_interior_tile(t: SubspaceTransform, a, u, tile) -> None:
@@ -515,6 +520,11 @@ def _project_chunk(t, blocks, a, cfg, run, u, watch) -> DykstraTrace:
                 certified = np.concatenate(list(run(
                     partial(_finish_tile, t, rb, tb), tiles
                 )))
+                if rb is a:
+                    # Every column was swept; those the check passed
+                    # output a0 all the same, from lam = 0.
+                    certified |= interior
+                    tb[:, interior] = 0.0
                 finish += time.perf_counter() - mid
         clock += time.perf_counter() - tic
         if u is not None:

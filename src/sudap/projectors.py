@@ -1,7 +1,9 @@
 """Closed-form projectors onto the transformed constraint sets.
 
 Everything operates columnwise on m x n coefficient blocks, so one call
-projects every pixel at once.
+projects every pixel at once. Row products go through
+subspace._block_product, so a column's bits are its own on blocks with
+contiguous rows.
 """
 
 from __future__ import annotations
@@ -9,22 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .subspace import SubspaceTransform
-
-
-def _row_dot(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """v'Z per column with a fixed accumulation order.
-
-    Equivalent to v @ z, but BLAS picks its reduction strategy based on
-    the operand width, so v @ z on a column block need not match the
-    same columns inside a wider matrix bit for bit. This loop always
-    accumulates in index order, which makes every projector, and with
-    it the whole solver, invariant to how callers partition columns.
-    """
-    out = v[0] * z[0]
-    for k in range(1, v.shape[0]):
-        out += v[k] * z[k]
-    return out
+from .subspace import SubspaceTransform, _block_product
 
 
 def _check_index(t: SubspaceTransform, i: int) -> None:
@@ -40,8 +27,8 @@ def project_hyperplane(t: SubspaceTransform, z: np.ndarray) -> np.ndarray:
     Per column: u = z - c (b'z - 1), with c = b/|b|^2, in a new C-ordered
     block. The hyperplane is affine, so this projection is exact in one step.
     """
-    z = np.asarray(z, dtype=np.float64)
-    return np.subtract(z, np.outer(t.c, _row_dot(t.b, z) - 1.0), order="C")
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    return z - np.outer(t.c, _block_product(t.b[None], z)[0] - 1.0)
 
 
 def project_intersection_geometric(
@@ -59,20 +46,17 @@ def project_intersection_geometric(
         u      += s_i (tau_new - tau_i)
         tau_i   = tau_new
 
-    With tau = 0 this is the plain projection of u. u is updated one
-    row at a time, so no m x n temporary is made. The solver runs the
+    With tau = 0 this is the plain projection of u. The solver runs the
     same step on the multipliers alone (project_intersection_dual); this
     step on u is kept as the reference the tests compare that one with.
     """
     _check_index(t, i)
-    s, tau_i = t.s[i], tau[i]
-    tau_new = t.f[i] - _row_dot(s, u)
+    tau_i = tau[i]
+    tau_new = t.f[i] - _block_product(t.s[i:i + 1], u)[0]
     tau_new += tau_i
     np.maximum(tau_new, 0.0, out=tau_new)
-    delta = tau_new - tau_i
+    u += np.outer(t.s[i], tau_new - tau_i)
     tau_i[...] = tau_new
-    for k in range(s.shape[0]):
-        u[k] += s[k] * delta
 
 
 def project_intersection_dual(
@@ -90,7 +74,7 @@ def project_intersection_dual(
     m row operations where the step on u makes 2m.
     """
     _check_index(t, i)
-    tau_new = rhs[i] - _row_dot(t.gram[i], tau)
+    tau_new = rhs[i] - _block_product(t.gram[i:i + 1], tau)[0]
     tau_new += tau[i]
     np.maximum(tau_new, 0.0, out=tau[i])
 
@@ -111,6 +95,6 @@ def project_intersection_kkt(
     """
     _check_index(t, i)
     w = project_hyperplane(t, z)
-    tau = -_row_dot(t.d_inv[i], w) / t.p_norms[i]
+    tau = -_block_product(t.d_inv[i:i + 1], w)[0] / t.p_norms[i]
     np.maximum(tau, 0.0, out=tau)
     return w + np.outer(t.s[i], tau)

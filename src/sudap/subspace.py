@@ -62,22 +62,27 @@ def _block_product(a: np.ndarray, z: np.ndarray, out=None,
                    block: int = BLAS_BLOCK) -> np.ndarray:
     """a @ z for a small matrix a, each column's bits its own, into out.
 
-    z's columns go to BLAS as views, in blocks of at most ``block`` (a
-    multiple of BLAS_PAD, or z's width or more) whose widths are
-    multiples of BLAS_PAD; only the last width % BLAS_PAD columns are
-    copied, into a zeroed block of BLAS_PAD columns. So a column's result
-    is the same whatever the width, offset and layout of the z it came
-    in, as with projectors._row_dot, at a fraction of its cost;
-    test_projectors probes the rule on the installed BLAS.
+    z's blocks of ``block`` columns (a multiple of BLAS_PAD, or z's width
+    or more) go to BLAS as views in one stacked matmul, then the rest but
+    the last width % BLAS_PAD columns, which are copied into a zeroed
+    block of BLAS_PAD columns. So a column's result is the same whatever
+    the width, offset and layout of the z it came in; a one-row a (a
+    matrix-vector product) keeps that only on z with contiguous rows
+    (strides[1] == 8), C-ordered blocks and views of them. This is the
+    package's one rule for a column's bits; test_projectors probes it.
     """
-    width = z.shape[1]
+    rows, width = a.shape[0], z.shape[1]
     if out is None:
-        out = np.empty((a.shape[0], width))
+        out = np.empty((rows, width))
     tail = width % BLAS_PAD
     full = width - tail
-    for lo in range(0, full, block):
-        hi = min(lo + block, full)
-        np.matmul(a, z[:, lo:hi], out=out[:, lo:hi])
+    whole = full - full % block
+    if whole:
+        stack = (whole // block, block)
+        np.matmul(a, z[:, :whole].reshape(-1, *stack).transpose(1, 0, 2),
+                  out=out[:, :whole].reshape(rows, *stack).transpose(1, 0, 2))
+    if full > whole:
+        np.matmul(a, z[:, whole:full], out=out[:, whole:full])
     if tail:
         pad = np.zeros((z.shape[0], BLAS_PAD))
         pad[:, :tail] = z[:, full:]

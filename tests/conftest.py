@@ -23,6 +23,18 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def fail_pair_solves(monkeypatch):
+    """Make every batched 2 x 2 solve raise, as a singular system does."""
+    solve = np.linalg.solve
+
+    def fail_on_pairs(a, b):
+        if a.shape[-1] == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_on_pairs)
+
+
 def unmix_peak(argv):
     """Run `sudap unmix` with the arguments argv under tracemalloc, check
     that it exits 0, and return its peak bytes."""

@@ -16,7 +16,7 @@ from sudap.projectors import project_hyperplane, project_intersection_geometric
 from sudap.simdata import SpectralLibrary, make_instance
 from sudap.solver import _oracle_abundances, solve_oracle_activeset
 from sudap.subspace import _block_product, build_transform, forward_transform
-from conftest import random_endmembers, traced_peak
+from conftest import fail_pair_solves, random_endmembers, traced_peak
 
 
 def _problem(seed, n_bands=24, m=5, n=60, spread=1.0, with_x=False):
@@ -134,8 +134,9 @@ def _observed(t, a):
 def test_interior_check_reads_rhs_off_y_with_no_drop():
     # f - S Y is the rhs f - S Y0 that the sweep is defined on, to
     # rounding, as S Y0 = S Y; the check's abundances at lam = 0 are
-    # D^{-1} Y0 to rounding and the certificate's to the bit, and it
-    # flags the columns that the certificate passes at lam = 0.
+    # D^{-1} Y0 to rounding and the certificate's to the bit, the sign
+    # of a zero rhs_i included, and it flags the columns that the
+    # certificate passes at lam = 0.
     _, t, y = _problem(15, spread=10.0)
     y0 = project_hyperplane(t, y)
     scale = 1e-13 * np.abs(y).max()
@@ -143,7 +144,10 @@ def test_interior_check_reads_rhs_off_y_with_no_drop():
     assert np.abs(rhs - (t.f[:, None] - t.s @ y0)).max() <= scale
     a0 = dykstra._at_lam_zero(t, rhs)
     assert np.abs(a0 - t.d_inv @ y0).max() <= scale * np.abs(t.d_inv).max()
-    assert np.array_equal(a0, _at_lam_zero(t, y))
+    assert a0.tobytes() == _at_lam_zero(t, y).tobytes()
+    rhs[:, ::7] = 0.0
+    assert (dykstra._at_lam_zero(t, rhs).tobytes()
+            == dykstra._abundances(t, rhs, np.zeros_like(rhs)).tobytes())
     t, y = _mostly_interior(20)
     rhs = _rhs(t, y)
     a = np.empty_like(y)
@@ -331,18 +335,6 @@ def test_an_all_interior_cube_records_one_converged_sweep(
     assert widths == {}
 
 
-def _fail_pair_solves(monkeypatch):
-    """Make every batched 2 x 2 solve raise, as a singular system does."""
-    solve = np.linalg.solve
-
-    def fail_on_pairs(a, b):
-        if a.shape[-1] == 2:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", fail_on_pairs)
-
-
 def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     # Points far outside the feasible set of a nearly square E, with
     # every 2 x 2 solve failing: the columns whose seed has two active
@@ -353,7 +345,7 @@ def test_thread_count_does_not_change_a_single_bit(monkeypatch):
     # last write covers the columns its last finish certified and the
     # rest at once, summing lam'G lam over both.
     monkeypatch.setattr(dykstra, "TILE", 3)
-    _fail_pair_solves(monkeypatch)
+    fail_pair_solves(monkeypatch)
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     refs = {}
     for max_sweeps in (60, 3):
@@ -388,7 +380,7 @@ def test_a_run_in_chunks_is_its_chunks_run_alone(monkeypatch, max_sweeps):
     # order.
     monkeypatch.setattr(dykstra, "TILE", 3)
     monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
-    _fail_pair_solves(monkeypatch)
+    fail_pair_solves(monkeypatch)
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     cfg = DykstraConfig(max_sweeps=max_sweeps)
     a, trace = dykstra_project(t, y, cfg)
@@ -596,7 +588,7 @@ def test_a_failed_solve_leaves_only_its_group_uncertified(monkeypatch):
     rhs, tau = _swept(t, y, 2)
     tau_ref = tau.copy()
     reference, a_ref = _finish(t, rhs, tau_ref)
-    _fail_pair_solves(monkeypatch)
+    fail_pair_solves(monkeypatch)
     tau_new = tau.copy()
     certified, a_new = _finish(t, rhs, tau_new)
     # The columns whose seed has two active constraints fail with their
@@ -642,7 +634,7 @@ def _run_case(monkeypatch, case):
         return t, y, DykstraConfig()
     if case == "mixed":
         monkeypatch.setattr(dykstra, "TILE", 7)
-        _fail_pair_solves(monkeypatch)
+        fail_pair_solves(monkeypatch)
         _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
         return t, y, DykstraConfig(max_sweeps=3)
     monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
@@ -695,7 +687,7 @@ def test_a_run_writes_each_output_column_once(monkeypatch, case, watched):
         cfg = DykstraConfig()
     else:
         monkeypatch.setattr(dykstra, "TILE", 7)
-        _fail_pair_solves(monkeypatch)
+        fail_pair_solves(monkeypatch)
         _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
         cfg = DykstraConfig(max_sweeps=3)
     # Each write is recorded with its chunk's view of the output, whose

@@ -38,7 +38,8 @@ from sudap.solver import (
     solve_ls,
     solve_ls_sum1,
 )
-from conftest import random_endmembers, traced_peak
+from sudap.subspace import build_transform, forward_transform
+from conftest import fail_pair_solves, random_endmembers, traced_peak
 
 
 def _random_problem(seed, n_bands=32, m=5, n=64, snr_db=25.0):
@@ -259,6 +260,32 @@ def test_an_image_cube_is_solved_without_holding_y(monkeypatch):
     assert peak < 2 * m * n * 8 + 10 * m * dykstra.TILE * 8
 
 
+def _edge_pixel_scene():
+    """A noiseless scene on scene m=4's endmembers, and its count k.
+
+    Pixels 0 to k pass the interior check with abundances at or just
+    below 0. Pixel 0 has (-4e-13, 0.3, 0.3, 0.4 + 4e-13). Pixels 1 to k
+    lie on edges of the simplex, where f_i - s_i'y came out exactly 0:
+    they are those of 60 edge pixels for which it did. The next 20
+    pixels lie inside the simplex, and the last 20 have a first
+    abundance of -0.05 to -0.15.
+    """
+    e, _, _ = make_instance(4, (1, 1), 5.0, 15, n_bands=48)
+    rng = np.random.default_rng(8)
+    edges = np.zeros((4, 60))
+    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        edges[i, k::6] = rng.random(10)
+        edges[j, k::6] = 1.0 - edges[i, k::6]
+    t = build_transform(e)
+    rhs = dykstra._rhs(t, forward_transform(t, e, e.data @ edges))
+    edges = edges[:, (rhs == 0.0).any(axis=0)]
+    outside = np.vstack([-0.05 - 0.1 * rng.random(20), np.zeros((3, 20))])
+    outside[1:] = rng.dirichlet(np.ones(3), 20).T * (1.0 - outside[0])
+    a = np.hstack([[[-4e-13], [0.3], [0.3], [0.4 + 4e-13]], edges,
+                   rng.dirichlet(np.ones(4), 20).T, outside])
+    return e, ImageCube(e.data @ a, (1, a.shape[1])), edges.shape[1]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("capped", [False, True])
 def test_a_pixels_output_bits_depend_on_that_pixel_alone(
@@ -266,27 +293,36 @@ def test_a_pixels_output_bits_depend_on_that_pixel_alone(
     # The contract that lets the solve cut the cube into tiles and
     # chunks: a permuted cube's output is the permuted output, and any
     # subset of the pixels solved alone gets its columns of the whole
-    # cube's output, bit for bit, in memory or from a file. (The dykstra
-    # module docstring names the one exception, a pixel whose a0 passes
-    # the interior check with an abundance just below 0, which these
-    # scenes do not have.) Tiles of 32 columns cut the 600-pixel scenes
-    # many times over. The interior check makes about
-    # 60 % of scene m=4's pixels final and fewer than half of scene
-    # m=6's, so it sweeps all of them. The capped run's certificate
-    # refuses every point, so its 3-sweep budget leaves every pixel
-    # uncertified, with the abundances of its last multipliers.
+    # cube's output, bit for bit, in memory or from a file. Tiles of 32
+    # columns cut the 600-pixel scenes many times over. The interior
+    # check makes about 60 % of scene m=4's pixels final and fewer than
+    # half of scene m=6's, so it sweeps all of them. The edge scene's
+    # first pixels pass the check with abundances at or just below 0:
+    # solved with the pixels inside the simplex, the rest are gathered;
+    # solved with those outside, every pixel is swept, and each must
+    # still output its a0, to the sign of a zero. The capped run's
+    # certificate refuses every point, so its 3-sweep budget leaves every
+    # pixel uncertified, with the abundances of its last multipliers.
     monkeypatch.setattr(dykstra, "TILE", 32)
     if capped:
         monkeypatch.setattr(dykstra, "CERT_TOL", -1.0)
     cfg = DykstraConfig(max_sweeps=3 if capped else 2000, threads=threads)
     rng = np.random.default_rng(7)
+    scenes = []
     for m, snr in ((4, 5.0), (6, 3.0)):
         e, _, x = make_instance(m, (20, 30), snr, 11 + m, n_bands=48)
+        n = x.n_pixels
+        scenes.append((e, x, (rng.permutation(n),
+                              rng.choice(n, n // 3, replace=False))))
+    e, x, k = _edge_pixel_scene()
+    assert 0 < k < 19
+    n = x.n_pixels
+    scenes.append((e, x, (rng.permutation(n), np.arange(k + 21),
+                          np.r_[0:k + 1, k + 21:n])))
+    for e, x, subsets in scenes:
         whole = solve_sudap(e, x, cfg)
         assert whole.trace.converged is not capped
-        n = x.n_pixels
-        for idx in (rng.permutation(n),
-                    rng.choice(n, n // 3, replace=False)):
+        for idx in subsets:
             part = ImageCube(x.data[:, idx], (1, idx.size))
             io.write_cube(tmp_path / "part.cube", part)
             with io.open_cube(tmp_path / "part.cube") as source:
@@ -294,6 +330,49 @@ def test_a_pixels_output_bits_depend_on_that_pixel_alone(
             expected = whole.a_hat.data[:, idx].tobytes()
             for result in (solve_sudap(e, part, cfg), from_file):
                 assert result.a_hat.data.tobytes() == expected
+    if not capped:
+        # The edge scene, last, kept pixel 0's a0 below 0.
+        assert -dykstra.CERT_TOL <= whole.a_hat.data[0, 0] < 0.0
+
+
+def test_the_sweep_and_the_certificate_read_rows_contiguous(
+        tmp_path, monkeypatch):
+    # The sweep's row products of G tau and the certificate's sum of lam
+    # are one-row _block_products, whose bits are a column's own only on
+    # blocks with contiguous rows. So rhs, tau and lam keep strides[1]
+    # == 8 on either route of the interior check (scene m=4 gathers, and
+    # scene m=6 sweeps every pixel), for a cube in memory and from a
+    # file. Tiles of 64 columns put the 600 pixels in one chunk. With
+    # every 2 x 2 solve failing, columns outlive the first checkpoint, so
+    # the blocks gathered after a finish are swept too.
+    monkeypatch.setattr(dykstra, "TILE", 64)
+    fail_pair_solves(monkeypatch)
+    strides, swept_all, sweeps = [], set(), set()
+    sweep_tile, cert_slack = dykstra._sweep_tile, dykstra._cert_slack
+
+    def sweep_recorded(t, rhs, tau, sweep, tile):
+        strides.extend((rhs.strides[1], tau.strides[1]))
+        sweeps.add(sweep)
+        if sweep == 1:
+            swept_all.add(rhs.shape[1] == 600)
+        return sweep_tile(t, rhs, tau, sweep, tile)
+
+    def cert_recorded(t, rhs, lam):
+        strides.append(lam.strides[1])
+        return cert_slack(t, rhs, lam)
+
+    monkeypatch.setattr(dykstra, "_sweep_tile", sweep_recorded)
+    monkeypatch.setattr(dykstra, "_cert_slack", cert_recorded)
+    cfg = DykstraConfig(max_sweeps=2 * FIRST_CHECKPOINT + 1)
+    for m, snr in ((4, 5.0), (6, 3.0)):
+        e, _, x = make_instance(m, (20, 30), snr, 11 + m, n_bands=48)
+        io.write_cube(tmp_path / "x.cube", x)
+        with io.open_cube(tmp_path / "x.cube") as source:
+            for cube in (x, source):
+                solve_sudap(e, cube, cfg)
+    assert swept_all == {False, True}
+    assert cfg.max_sweeps in sweeps
+    assert strides and set(strides) == {8}
 
 
 def test_a_sink_takes_the_abundances_chunk_by_chunk(monkeypatch):

@@ -159,7 +159,8 @@ def test_forward_map_multiplies_pixel_major_cubes_in_small_products(
 
     def recorded(a, z, *args, **kwargs):
         if a.shape == (m, bands):
-            widths.append(z.shape[1])
+            # A stacked call hands BLAS each of its blocks on its own.
+            widths.extend([z.shape[-1]] * (z.shape[0] if z.ndim == 3 else 1))
         return matmul(a, z, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
