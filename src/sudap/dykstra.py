@@ -93,7 +93,8 @@ the caller's sink, if it gave one, before the next chunk's columns of
 Y are read, and the next chunk reuses a's buffer; without a sink, each
 chunk's a is a view of the m x n output. A watched run is one chunk,
 and also holds the observer's U = D a: from a0 in that pass, and after
-each sweep, off the trace clock, from the block's rhs and multipliers.
+each sweep, off the trace clock, from the block's rhs and multipliers,
+which are 0 for the columns the check passed on either route.
 Every product with a block of columns (S Y, G lam, D a, the sweep's
 rows of G tau, the certificate's sum of lam) goes through
 subspace._block_product, on blocks with contiguous rows.
@@ -171,12 +172,6 @@ TILE = 4096
 # chunk at 4 tiles a chunk, 0.9 ms more at 8, and no more at 12 or 16,
 # and peaked at 2.2, 2.9, 3.6 and 4.4 MB, against 5.7 MB in one chunk.
 CHUNK_TILES = 16
-
-# _sweep_tile sweeps this many bytes of tau at a time, which a core's L2
-# holds for every row product (at m <= 32 a tile is one run). At m = 8 a
-# 40 000-column sweep then took 3.9-4.9 times a 10 000-column one, not
-# 4.8-7.3 (a Xeon, 2 MiB of L2 per core).
-SWEEP_BYTES = 1 << 20
 
 # A certified column has no abundance p_norms_i ((G lam)_i - rhs_i) below
 # -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)): the forward-error
@@ -277,14 +272,11 @@ def _sweep_tile(
     rhs holds the same columns' f - S y0. Each step is Hildreth's on the
     multipliers alone, tau_i <- max(0, rhs_i + tau_i - (G tau)_i), so
     the iterate y0 + S'tau is never formed; a non-finite tau means a
-    non-finite iterate. It runs on SWEEP_BYTES of tau at a time.
+    non-finite iterate.
     """
     rv, tv = rhs[:, tile], tau[:, tile]
-    step = max(1, SWEEP_BYTES // (8 * t.n_endmembers))
-    for lo in range(0, tv.shape[1], step):
-        r, u = rv[:, lo:lo + step], tv[:, lo:lo + step]
-        for i in range(t.n_endmembers):
-            project_intersection_geometric(t, i, r, u)
+    for i in range(t.n_endmembers):
+        project_intersection_geometric(t, i, rv, tv)
     if not np.all(np.isfinite(tv)):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
@@ -380,10 +372,11 @@ def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
     return float(np.einsum("ij,ij->", lam, _block_product(t.gram, lam)))
 
 
-def _observe_tile(t: SubspaceTransform, rhs, lam, u, cols, tile) -> None:
-    """Write U = D a of the block columns in tile into u's columns."""
-    a = _abundances(t, rhs[:, tile], lam[:, tile])
-    u[:, cols[tile]] = _block_product(t.d, a)
+def _observe_tile(t, rhs, lam, u, cols, passed, tile) -> None:
+    """Write U = D a of the block columns in tile into u's columns, from
+    lam = 0 for those flagged in passed."""
+    lam = np.where(passed[tile], 0.0, lam[:, tile])
+    u[:, cols[tile]] = _block_product(t.d, _abundances(t, rhs[:, tile], lam))
 
 
 def _interior_tile(t: SubspaceTransform, y, a):
@@ -529,8 +522,10 @@ def _project_chunk(t, blocks, a, cfg, run, u, watch) -> DykstraTrace:
         clock += time.perf_counter() - tic
         if u is not None:
             # The observer's U, off the clock, before the certified
-            # writes, which overwrite their rhs when rb is a.
-            list(run(partial(_observe_tile, t, rb, tb, u, cols), tiles))
+            # writes, which overwrite their rhs when rb is a. Every
+            # column the check passed shows its a0, as when gathered.
+            list(run(partial(_observe_tile, t, rb, tb, u, cols,
+                             interior[cols]), tiles))
         tic = time.perf_counter()
         if certified is not None:
             # The certified columns get the abundances of their lam

@@ -74,7 +74,8 @@ def project_intersection_dual(
     m row operations where the step on u makes 2m.
     """
     _check_index(t, i)
-    tau_new = rhs[i] - _block_product(t.gram[i:i + 1], tau)[0]
+    tau_new = _block_product(t.gram[i:i + 1], tau)[0]
+    np.subtract(rhs[i], tau_new, out=tau_new)
     tau_new += tau[i]
     np.maximum(tau_new, 0.0, out=tau[i])
 

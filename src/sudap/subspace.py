@@ -62,14 +62,17 @@ def _block_product(a: np.ndarray, z: np.ndarray, out=None,
                    block: int = BLAS_BLOCK) -> np.ndarray:
     """a @ z for a small matrix a, each column's bits its own, into out.
 
-    z's blocks of ``block`` columns (a multiple of BLAS_PAD, or z's width
-    or more) go to BLAS as views in one stacked matmul, then the rest but
-    the last width % BLAS_PAD columns, which are copied into a zeroed
-    block of BLAS_PAD columns. So a column's result is the same whatever
-    the width, offset and layout of the z it came in; a one-row a (a
-    matrix-vector product) keeps that only on z with contiguous rows
-    (strides[1] == 8), C-ordered blocks and views of them. This is the
-    package's one rule for a column's bits; test_projectors probes it.
+    z's columns go to BLAS as views, in blocks whose widths are
+    multiples of BLAS_PAD: all its whole blocks of ``block`` columns (a
+    multiple of BLAS_PAD, or z's width or more) in one stacked matmul,
+    which makes the same BLAS call on each as a loop over them would,
+    then one narrower block. Only the last width % BLAS_PAD columns are
+    copied, into a zeroed block of BLAS_PAD columns. So a column's result
+    is the same whatever the width, offset and layout of the z it came
+    in; a one-row a (a matrix-vector product) keeps that only on z with
+    contiguous rows (strides[1] == 8), C-ordered blocks and views of
+    them. This is the package's one rule for a column's bits;
+    test_projectors probes it on the installed BLAS.
     """
     rows, width = a.shape[0], z.shape[1]
     if out is None:

@@ -335,6 +335,26 @@ def test_a_pixels_output_bits_depend_on_that_pixel_alone(
         assert -dykstra.CERT_TOL <= whole.a_hat.data[0, 0] < 0.0
 
 
+def test_a_watched_pixel_shows_its_a0_on_either_route():
+    # The edge scene's first pixels pass the interior check. Solved with
+    # the pixels inside the simplex, they are gathered out of the swept
+    # block; solved with those outside, every pixel is swept. Either
+    # way the observer's U of such a pixel is D a0 from sweep 1 on, to
+    # the bit.
+    e, x, k = _edge_pixel_scene()
+    n = x.n_pixels
+    seen = {}
+    for route, idx in (("gathered", np.arange(k + 21)),
+                       ("swept", np.r_[0:k + 1, k + 21:n])):
+        rows = seen[route] = []
+        solve_sudap(e, ImageCube(x.data[:, idx], (1, idx.size)),
+                    on_sweep=lambda sweep, u: rows.append(u[:, :k + 1].copy()))
+    assert len(seen["swept"]) > 1
+    first = seen["gathered"][0].tobytes()
+    for u in seen["gathered"] + seen["swept"]:
+        assert u.tobytes() == first
+
+
 def test_the_sweep_and_the_certificate_read_rows_contiguous(
         tmp_path, monkeypatch):
     # The sweep's row products of G tau and the certificate's sum of lam
