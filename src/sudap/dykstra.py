@@ -75,11 +75,13 @@ lam = 0 from _at_lam_zero for the interior check's. There is no second
 pass over Y and no map back through D^{-1}, whose condition number
 would amplify the rounding of a point that is exact in the subspace.
 
-dykstra_project works through the columns in chunks of CHUNK_TILES
-tiles, one chunk after another, and each chunk runs the interior check,
-the sweeps and the finishes on its own columns (_project_chunk), so its
-state is a chunk's and not n's. All chunks take their blocks
-of Y from one stream, and the transform is built once, by the caller.
+dykstra_project works through the columns in chunks, one chunk after
+another, and each chunk runs the interior check, the sweeps and the
+finishes on its own columns (_project_chunk), so its state is a chunk's
+and not n's. A chunk is as many whole tiles as CHUNK_BYTES holds of its
+m x c abundances, so its state is bounded in bytes whatever m is. All
+chunks take their blocks of Y from one stream, and the transform is
+built once, by the caller.
 A chunk's state is its output a and tau; Y itself need not be held. The
 interior check reads the chunk's columns of Y once, block by block of
 TILE columns, as the forward map forms them (subspace.ForwardMap) or as
@@ -163,15 +165,20 @@ FIRST_CHECKPOINT = 2
 # about ten m x TILE blocks.
 TILE = 4096
 
-# dykstra_project solves the columns in chunks of this many tiles, one
-# chunk after another, so that its state is bounded by a chunk and not
-# by n. Each chunk pays 0.3-0.5 ms at m = 5 for sweeping and finishing
-# its own narrow block of swept columns. On a 102 400-pixel, 224-band
-# cube file at m = 5 (a Xeon, OpenBLAS at one thread, one pinned CPU,
-# medians of 25-40 alternated runs), unmix took 2.9 ms more than in one
-# chunk at 4 tiles a chunk, 0.9 ms more at 8, and no more at 12 or 16,
-# and peaked at 2.2, 2.9, 3.6 and 4.4 MB, against 5.7 MB in one chunk.
-CHUNK_TILES = 16
+# dykstra_project solves the columns in chunks, one chunk after another,
+# so that its state is bounded by a chunk and not by n. A chunk is the
+# most whole tiles whose m x c block of abundances, 8 m c bytes, fits in
+# CHUNK_BYTES, and at least one tile: 9 tiles at m = 5, 4 at m = 10, 3 at
+# m = 14 and 2 at m = 20. So a chunk's state does not grow with m. Each
+# chunk pays for sweeping and finishing its own narrow block of swept
+# columns, mostly in the per-call cost of the sweep's row products and of
+# the finish's rounds. Solving a 40 000-pixel m = 10 cube file (a Xeon,
+# OpenBLAS at one thread, one pinned CPU, medians of 30-40 alternated
+# runs) took 27.9 ms in one chunk, 29.5 in three (this bound) and 31.3
+# in five, and a 102 400-pixel m = 5 one 46.7, 48.1 in three and 50.4 in
+# seven: 0.5-0.9 ms a chunk. unmix peaked at 5.6 and 5.7 MB in one chunk,
+# and at 3.8 and 3.0 MB in chunks of this bound (tracemalloc).
+CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 # A certified column has no abundance p_norms_i ((G lam)_i - rhs_i) below
 # -CERT_TOL max(1, p_norms_i (|rhs_i| + sum_j lam_j)): the forward-error
@@ -260,6 +267,18 @@ def _tiles(width: int) -> list[slice]:
     return [slice(lo, lo + TILE) for lo in range(0, width, TILE)]
 
 
+def _gather(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """block[:, cols] as a new C-ordered block, whose rows the sweep reads
+    without a stride. Row by row: take along axis 1 would first copy a
+    block that is not C-contiguous, such as a chunk's view of the output,
+    whole. The indices are in range, and mode "clip" writes each row in
+    place."""
+    out = np.empty((block.shape[0], cols.size))
+    for row, dst in zip(block, out):
+        row.take(cols, out=dst, mode="clip")
+    return out
+
+
 def _sweep_tile(
     t: SubspaceTransform,
     rhs: np.ndarray,
@@ -277,7 +296,9 @@ def _sweep_tile(
     rv, tv = rhs[:, tile], tau[:, tile]
     for i in range(t.n_endmembers):
         project_intersection_geometric(t, i, rv, tv)
-    if not np.all(np.isfinite(tv)):
+    # The step leaves every tau_i in [0, inf] or NaN, and the max keeps
+    # a NaN, so a finite max is a finite tau.
+    if not np.isfinite(tv.max()):
         raise NonFinite(f"iterate became non-finite at sweep {sweep}")
 
 
@@ -332,16 +353,16 @@ def _at_lam_zero(t: SubspaceTransform, rhs: np.ndarray, out=None):
     return np.multiply(a, t.p_norms[:, None], out=a)
 
 
-def _abundances(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
-    """The abundances p_norms o (G lam - rhs) of y0 + S'lam.
+def _abundances(t: SubspaceTransform, rhs: np.ndarray, glam: np.ndarray):
+    """The abundances p_norms o (G lam - rhs) of y0 + S'lam, written over
+    glam, which holds _block_product(t.gram, lam).
 
     rhs holds the columns' f - S y0. The certificate checks these values
     and dykstra_project outputs them, so they are computed here alone.
     """
-    a = _block_product(t.gram, lam)
-    a -= rhs
-    a *= t.p_norms[:, None]
-    return a
+    glam -= rhs
+    glam *= t.p_norms[:, None]
+    return glam
 
 
 def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
@@ -354,7 +375,9 @@ def _cert_slack(t: SubspaceTransform, rhs: np.ndarray, lam: np.ndarray):
     scale *= t.p_norms[:, None]
     np.maximum(scale, 1.0, out=scale)
     scale *= CERT_TOL
-    return _abundances(t, rhs, lam) + scale
+    slack = _abundances(t, rhs, _block_product(t.gram, lam))
+    slack += scale
+    return slack
 
 
 def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
@@ -364,19 +387,23 @@ def _write_tile(t, a, rhs, lam, cols, pick, tile) -> float:
     rhs and lam hold the block's f - S y0 and multipliers; block column
     j is column cols[j] of a. Gathers one tile, so its temporaries are
     bounded by it. lam'G lam = |S'lam|^2 is |U - Y0|^2 for the column's
-    point U = Y0 + S'lam (dykstra_project).
+    point U = Y0 + S'lam (dykstra_project). G lam is formed once, for
+    both.
     """
     where = pick[tile]
     lam = lam[:, where]
-    a[:, cols[where]] = _abundances(t, rhs[:, where], lam)
-    return float(np.einsum("ij,ij->", lam, _block_product(t.gram, lam)))
+    glam = _block_product(t.gram, lam)
+    lam_g_lam = float(np.einsum("ij,ij->", lam, glam))
+    a[:, cols[where]] = _abundances(t, rhs[:, where], glam)
+    return lam_g_lam
 
 
 def _observe_tile(t, rhs, lam, u, cols, passed, tile) -> None:
     """Write U = D a of the block columns in tile into u's columns, from
     lam = 0 for those flagged in passed."""
     lam = np.where(passed[tile], 0.0, lam[:, tile])
-    u[:, cols[tile]] = _block_product(t.d, _abundances(t, rhs[:, tile], lam))
+    a = _abundances(t, rhs[:, tile], _block_product(t.gram, lam))
+    u[:, cols[tile]] = _block_product(t.d, a)
 
 
 def _interior_tile(t: SubspaceTransform, y, a):
@@ -431,14 +458,18 @@ def _finish_tile(
         with np.errstate(invalid="ignore"):
             slack = _cert_slack(t, rhs[:, todo], lam)
             good = (lam.min(axis=0) >= 0.0) & (slack.min(axis=0) >= 0.0)
-        if todo is whole and good.all():
-            tau[...] = lam
-            certified[...] = True
-            break
         idx = np.arange(k)[todo]
-        done = idx[good]
-        tau[:, done] = lam[:, good]
-        certified[done] = True
+        if todo is whole:
+            # Most columns pass in the first round, and a masked copy
+            # writes them several times faster than a scatter by index.
+            np.copyto(tau, lam, where=good)
+            certified[...] = good
+            if good.all():
+                break
+        else:
+            done = idx[good]
+            tau[:, done] = lam[:, good]
+            certified[done] = True
         # Failing columns drop their most negative multiplier or, when
         # every multiplier is non-negative, add their most violated
         # inactive constraint, then are solved again. A column with
@@ -492,7 +523,7 @@ def _project_chunk(t, blocks, a, cfg, run, u, watch) -> DykstraTrace:
     residual_sq = off_sq / float(t.b @ t.b)
     if 2 * np.count_nonzero(interior) >= n:
         cols = np.flatnonzero(~interior)
-        rb = a.take(cols, axis=1)
+        rb = _gather(a, cols)
         list(run(partial(_write_interior_tile, t, a, u), _tiles(n)))
     else:
         cols = np.arange(n)
@@ -541,11 +572,9 @@ def _project_chunk(t, blocks, a, cfg, run, u, watch) -> DykstraTrace:
                 keep = np.flatnonzero(~certified)
                 cols = cols[keep]
                 # One block at a time, so that only one gathered copy
-                # lives beside the blocks it replaces. take, unlike
-                # rb[:, keep], gathers into C order, whose rows the
-                # sweep reads without a stride.
-                rb = rb.take(keep, axis=1)
-                tb = tb.take(keep, axis=1)
+                # lives beside the blocks it replaces.
+                rb = _gather(rb, keep)
+                tb = _gather(tb, keep)
         clock += time.perf_counter() - tic
 
         elapsed.append(clock)
@@ -604,8 +633,9 @@ def dykstra_project(
     """Project every column of Y onto the transformed feasible set, and
     return the projections' abundances.
 
-    The columns are projected in chunks of CHUNK_TILES tiles, one chunk
-    after another, and a watched run in one chunk (module docstring).
+    The columns are projected in chunks of whole tiles, as many as
+    CHUNK_BYTES holds of their m x c abundances, one chunk after
+    another, and a watched run in one chunk (module docstring).
 
     Parameters
     ----------
@@ -668,7 +698,8 @@ def dykstra_project(
     if n < 1:
         raise ShapeMismatch("need at least one column to project")
 
-    width = n if on_sweep is not None else CHUNK_TILES * TILE
+    chunk_tiles = max(1, CHUNK_BYTES // (8 * m * TILE))
+    width = n if on_sweep is not None else chunk_tiles * TILE
     a_hat = u = watch = None
     if sink is None:
         a_hat = np.empty((m, n))
@@ -692,7 +723,7 @@ def dykstra_project(
             a = buf[:, :hi - lo] if a_hat is None else a_hat[:, lo:hi]
             # The last chunk reads Y to its end, which frees the source's
             # buffers before the chunk's sweeps.
-            take = blocks if hi == n else islice(blocks, CHUNK_TILES)
+            take = blocks if hi == n else islice(blocks, chunk_tiles)
             traces.append(_project_chunk(t, take, a, cfg, run, u, watch))
             if sink is not None:
                 tic = time.perf_counter()

@@ -8,12 +8,12 @@ Four solvers share one result type:
   cube only through Y = D^{-T} E'X and |X|^2. A cube, in memory or
   streamed from a file, is mapped block by block into dykstra_project's
   interior check (subspace.ForwardMap), so no m x n Y is held, and the
-  objective is summed on the way. The pixels are solved in chunks
-  (dykstra.CHUNK_TILES), and a sink takes each chunk's abundances
-  before the next is read, so that a run with a sink holds no m x n
-  block at all. This is the only route in: an observer that reads Y
-  again (metrics.CurveRecorder) forms its own, and its run is one
-  chunk.
+  objective is summed on the way. The pixels are solved in chunks of
+  whole tiles, as many as dykstra.CHUNK_BYTES holds of their
+  abundances, and a sink takes each chunk's abundances before the next
+  is read, so that a run with a sink holds no m x n block at all. This
+  is the only route in: an observer that reads Y again
+  (metrics.CurveRecorder) forms its own, and its run is one chunk.
 * solve_ls: unconstrained least squares via the normal equations.
 * solve_ls_sum1: least squares with only the sum-to-one constraint,
   one bordered solve (_sum_to_one).
@@ -172,8 +172,9 @@ def solve_sudap(
     x is an ImageCube or a cube file opened with io.open_cube, whose pixels
     are mapped into the subspace block by block as dykstra_project's
     interior check takes them, so neither the cube nor Y is held whole.
-    The pixels are solved in chunks of dykstra.CHUNK_TILES tiles, and a
-    run watched by on_sweep in one chunk. With a sink, each chunk's
+    The pixels are solved in chunks of whole tiles, as many as
+    dykstra.CHUNK_BYTES holds of their m x c abundances, and a run
+    watched by on_sweep in one chunk. With a sink, each chunk's
     abundances go to sink(a) before the next chunk is read, as
     dykstra_project says, and the result's a_hat is None; so the run
     holds no m x n block. Without one, a_hat holds them all. With one

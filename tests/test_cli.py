@@ -220,10 +220,9 @@ def test_unmix_memory_is_bounded_by_a_tile_not_by_the_cube(tmp_path,
                     snr="30")
     n = rows * cols
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
-    monkeypatch.setattr(dykstra, "CHUNK_TILES", 2)
-    chunk = dykstra.CHUNK_TILES * dykstra.TILE
-    allowance = 5 * m * dykstra.TILE * 8
-    bound = m * chunk * 8 + sio.READ_TILE_BYTES + allowance
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", m * 2 * dykstra.TILE * 8)
+    allowance = 4 * m * dykstra.TILE * 8
+    bound = dykstra.CHUNK_BYTES + sio.READ_TILE_BYTES + allowance
     assert bound < m * n * 8 + sio.READ_TILE_BYTES + allowance
     assert bound < bands * n * 8
     peak = unmix_peak([
@@ -248,9 +247,9 @@ def test_unmix_memory_does_not_grow_with_the_pixel_count(tmp_path,
     # blocks at most. The references held whole would add 2 m x 3n
     # floats, and an m x n output m x 3n more.
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 1 << 16)
-    monkeypatch.setattr(dykstra, "TILE", 512)
-    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
     m, chunk = 3, 4 * 512
+    monkeypatch.setattr(dykstra, "TILE", 512)
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", m * chunk * 8)
     bound = (8 * m * chunk * 8 + sio.READ_TILE_BYTES
              + 5 * m * dykstra.TILE * 8)
     peaks = []
@@ -414,7 +413,7 @@ def test_a_nan_in_the_last_tile_exits_15_and_writes_nothing(
     # to the output file, which the error removes.
     monkeypatch.setattr(sio, "READ_TILE_BYTES", 16 * 48 * 8)
     monkeypatch.setattr(dykstra, "TILE", 16)
-    monkeypatch.setattr(dykstra, "CHUNK_TILES", 1)
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", 5 * 16 * 8)
     out = _simulate(tmp_path, library_csv)
     blob = bytearray((tmp_path / "scene.cube").read_bytes())
     blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()

@@ -107,7 +107,8 @@ def _rhs(t, y):
 def _at_lam_zero(t, y):
     """The abundances of Y0, formed as the certificate forms them."""
     rhs = _rhs(t, y)
-    return dykstra._abundances(t, rhs, np.zeros_like(rhs))
+    return dykstra._abundances(
+        t, rhs, _block_product(t.gram, np.zeros_like(rhs)))
 
 
 def _interior(t, y):
@@ -146,8 +147,9 @@ def test_interior_check_reads_rhs_off_y_with_no_drop():
     assert np.abs(a0 - t.d_inv @ y0).max() <= scale * np.abs(t.d_inv).max()
     assert a0.tobytes() == _at_lam_zero(t, y).tobytes()
     rhs[:, ::7] = 0.0
+    g0 = _block_product(t.gram, np.zeros_like(rhs))
     assert (dykstra._at_lam_zero(t, rhs).tobytes()
-            == dykstra._abundances(t, rhs, np.zeros_like(rhs)).tobytes())
+            == dykstra._abundances(t, rhs, g0).tobytes())
     t, y = _mostly_interior(20)
     rhs = _rhs(t, y)
     a = np.empty_like(y)
@@ -379,7 +381,7 @@ def test_a_run_in_chunks_is_its_chunks_run_alone(monkeypatch, max_sweeps):
     # and its last elapsed time; |Y|^2 and the residual add up in chunk
     # order.
     monkeypatch.setattr(dykstra, "TILE", 3)
-    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", 6 * 4 * 3 * 8)
     fail_pair_solves(monkeypatch)
     _, t, y = _problem(1, n_bands=7, m=6, n=400, spread=1000.0)
     cfg = DykstraConfig(max_sweeps=max_sweeps)
@@ -824,6 +826,29 @@ def test_wrong_shape_and_nonfinite_inputs_are_rejected():
             dykstra_project(t, poisoned)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_multiplier_stops_the_sweep_that_makes_it(
+        monkeypatch, value):
+    # The step leaves every tau_i in [0, inf] or NaN; the sweep's check
+    # of the largest tau must catch either at the sweep that made it,
+    # here the third, with no finish before it.
+    monkeypatch.setattr(dykstra, "FIRST_CHECKPOINT", 100)
+    _, t, y = _problem(8)
+    m = t.n_endmembers
+    step = dykstra.project_intersection_geometric
+    calls = []
+
+    def poisoned(t, i, rhs, tau):
+        step(t, i, rhs, tau)
+        calls.append(i)
+        if calls.count(m - 1) == 3 and i == m - 1:
+            tau[m // 2, -1] = value
+
+    monkeypatch.setattr(dykstra, "project_intersection_geometric", poisoned)
+    with pytest.raises(NonFinite, match="at sweep 3$"):
+        dykstra_project(t, y, DykstraConfig(max_sweeps=10))
+
+
 def test_corrections_make_the_limit_the_nearest_point():
     # Plain cyclic projection also lands in the feasible set but at the
     # wrong point; Dykstra's corrections are what make the limit the
@@ -841,6 +866,31 @@ def test_corrections_make_the_limit_the_nearest_point():
     d_cyc = np.linalg.norm(y - v, axis=0)
     assert (d_dyk <= d_cyc + 1e-9).all()
     assert (d_cyc - d_dyk).max() > 1e-6
+
+
+def test_a_chunks_state_is_bounded_in_bytes_whatever_m(monkeypatch):
+    # With a sink, no m x n block is held: the peak is one chunk's output
+    # and tau, each at most CHUNK_BYTES at any m, beside the per-tile
+    # temporaries of the finish, at most 14 m x TILE blocks here. Chunks
+    # of a fixed number of tiles would hold m x chunk blocks, which grow
+    # with m. The first problem sweeps every column, the second gathers
+    # the few its interior check leaves.
+    monkeypatch.setattr(dykstra, "TILE", 256)
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", 1 << 16)
+    n = 8000
+    for m in (4, 16):
+        bound = 2 * dykstra.CHUNK_BYTES + 14 * m * dykstra.TILE * 8
+        problems = (("exterior", _problem(3, m=m, n=n)[1:]),
+                    ("interior", _mostly_interior(3, m=m, n=n)))
+        for name, (t, y) in problems:
+            widths = []
+            _, peak = traced_peak(lambda: dykstra_project(
+                t, y, DykstraConfig(max_sweeps=FIRST_CHECKPOINT + 1),
+                sink=lambda a: widths.append(a.shape[1]),
+            ))
+            assert len(widths) >= 3 and sum(widths) == n
+            assert max(widths) * m * 8 <= dykstra.CHUNK_BYTES
+            assert peak < bound, f"m={m}, {name}: peak {peak} > {bound}"
 
 
 def test_driver_memory_does_not_grow_with_m(monkeypatch):

@@ -401,7 +401,7 @@ def test_a_sink_takes_the_abundances_chunk_by_chunk(monkeypatch):
     # objective of a run that keeps them all; the run keeps none. With
     # one endmember the sink gets the ones in one chunk.
     monkeypatch.setattr(dykstra, "TILE", 64)
-    monkeypatch.setattr(dykstra, "CHUNK_TILES", 4)
+    monkeypatch.setattr(dykstra, "CHUNK_BYTES", 6 * 4 * 64 * 8)
     e, _, x = make_instance(6, (20, 30), 3.0, 17, n_bands=48)
     kept = solve_sudap(e, x)
     chunks = []
